@@ -1,21 +1,16 @@
 /// \file micro_forecast.cc
 /// \brief Micro-benchmarks of the forecast kernel engine.
 ///
-/// Emits BENCH_forecast.json with before/after rows for every tuned
-/// kernel (the scalar reference implementations stay callable exactly so
-/// this file can measure them) and per-model Fit()/Forecast() timings in
-/// both modes. The headline row is the SSA fit: the O(n·L) Hankel Gram
-/// plus the relative-threshold Jacobi sweep schedule must hold a >= 3x
-/// speedup over the scalar path at the default window.
+/// Emits BENCH_forecast.json with per-model Fit() p50/p99 and one-day
+/// Forecast() timings, a batched-fleet row (1200 same-grid additive
+/// servers through the BatchTrainer against the plain per-server
+/// loop), and single-kernel timings at production shapes. The host's
+/// `hardware_threads` is recorded beside them.
 ///
-/// With `--budgets=<path>` the fast-mode per-model fit times are checked
-/// against the "forecast_train_micros" p50/p99 ceilings in the given
-/// budgets file (tools/check.sh perf wires this up); a violation exits
-/// non-zero so the gate fails loudly. Two assertions are always on,
-/// budgets file or not: every model's fit_fast p50 must be <=
-/// fit_scalar p50 * 1.05 (fast mode must never lose), and the batched
-/// fleet row measures 1200 same-grid additive servers through the
-/// BatchTrainer against the plain per-server loop.
+/// With `--budgets=<path>` the per-model fit times are checked against
+/// the "forecast_train_micros" p50/p99 ceilings in the given budgets
+/// file (tools/check.sh perf wires this up); a violation exits non-zero
+/// so the gate fails loudly.
 
 #include <benchmark/benchmark.h>
 
@@ -27,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -84,9 +80,8 @@ struct FitTiming {
   double predict_micros = 0.0;  ///< median per-Forecast cost (one day out)
 };
 
-/// Times `reps` fresh fits of `model_name` on a fixed synthetic week in
-/// the current kernel mode, plus the one-day Forecast cost of the last
-/// fit.
+/// Times `reps` fresh fits of `model_name` on a fixed synthetic week,
+/// plus the one-day Forecast cost of each fit.
 FitTiming TimeModel(const std::string& model_name, int reps) {
   const LoadSeries week = SyntheticWeek(17);
   FitTiming out;
@@ -124,17 +119,14 @@ double TimeKernel(int reps, int inner, Fn&& body) {
   return best;
 }
 
-Json RowJson(const char* unit, double before, double after) {
+Json KernelRow(double micros) {
   Json row = Json::MakeObject();
-  row["unit"] = unit;
-  row["scalar"] = before;
-  row["fast"] = after;
-  row["speedup"] = after > 0.0 ? before / after : 0.0;
+  row["unit"] = "micros";
+  row["micros"] = micros;
   return row;
 }
 
-/// Before/after micro rows for each tuned linalg kernel at
-/// production-relevant shapes.
+/// Timings of the linalg kernels at production-relevant shapes.
 Json KernelRows() {
   Json rows = Json::MakeObject();
   Rng rng(7);
@@ -145,84 +137,32 @@ Json KernelRows() {
     std::vector<double> x(static_cast<size_t>(n));
     for (auto& v : x) v = rng.Gaussian(0.0, 1.0);
     Matrix gram;
-    const double fast = TimeKernel(5, 4, [&] {
+    rows["build_lag_gram_2016x72"] = KernelRow(TimeKernel(5, 4, [&] {
       BuildLagGram(x.data(), n, L, &gram);
       benchmark::DoNotOptimize(gram.At(0, 0));
-    });
-    double scalar = 0.0;
-    {
-      ScopedScalarKernels guard;
-      scalar = TimeKernel(3, 1, [&] {
-        BuildLagGram(x.data(), n, L, &gram);
-        benchmark::DoNotOptimize(gram.At(0, 0));
-      });
-    }
-    rows["build_lag_gram_2016x72"] = RowJson("micros", scalar, fast);
+    }));
 
-    // Eigendecomposition of that Gram: the sweep schedule is the tuned
-    // part (the scalar cutoff always burns the full sweep budget).
-    Matrix gram_fast;
-    BuildLagGram(x.data(), n, L, &gram_fast);
-    const double eig_fast = TimeKernel(3, 1, [&] {
-      auto eig = SymmetricEigen(gram_fast);
-      eig.status().Abort();
-      benchmark::DoNotOptimize(eig->values[0]);
-    });
-    double eig_scalar = 0.0;
-    {
-      ScopedScalarKernels guard;
-      eig_scalar = TimeKernel(3, 1, [&] {
-        auto eig = SymmetricEigen(gram_fast);
-        eig.status().Abort();
-        benchmark::DoNotOptimize(eig->values[0]);
-      });
-    }
-    rows["symmetric_eigen_72"] = RowJson("micros", eig_scalar, eig_fast);
+    // Eigendecomposition of that Gram (the solver consumes its input,
+    // so each run starts from a fresh copy).
+    Matrix vectors;
+    std::vector<double> values;
+    rows["symmetric_eigen_72"] = KernelRow(TimeKernel(3, 1, [&] {
+      Matrix work = gram;
+      SymmetricEigenInPlace(&work, &vectors, &values).Abort();
+      benchmark::DoNotOptimize(values[0]);
+    }));
   }
 
-  // Blocked matmul at a feedforward-like shape.
-  {
-    Matrix a(96, 128), b(128, 96);
-    for (int64_t i = 0; i < 96; ++i)
-      for (int64_t j = 0; j < 128; ++j) a.At(i, j) = rng.Gaussian(0.0, 1.0);
-    for (int64_t i = 0; i < 128; ++i)
-      for (int64_t j = 0; j < 96; ++j) b.At(i, j) = rng.Gaussian(0.0, 1.0);
-    const double fast = TimeKernel(5, 4, [&] {
-      auto c = MatMul(a, b);
-      c.status().Abort();
-      benchmark::DoNotOptimize(c->At(0, 0));
-    });
-    double scalar = 0.0;
-    {
-      ScopedScalarKernels guard;
-      scalar = TimeKernel(5, 4, [&] {
-        auto c = MatMul(a, b);
-        c.status().Abort();
-        benchmark::DoNotOptimize(c->At(0, 0));
-      });
-    }
-    rows["matmul_96x128x96"] = RowJson("micros", scalar, fast);
-  }
-
-  // SYRK-style Gram of a tall-skinny design matrix (least squares).
+  // SYRK-style Gram of a tall-skinny design matrix.
   {
     Matrix a(2016, 24);
     for (int64_t i = 0; i < a.rows(); ++i)
       for (int64_t j = 0; j < a.cols(); ++j)
         a.At(i, j) = rng.Gaussian(0.0, 1.0);
-    const double fast = TimeKernel(5, 4, [&] {
-      Matrix g = AtA(a, 1e-3);
+    rows["ata_2016x24"] = KernelRow(TimeKernel(5, 4, [&] {
+      Matrix g = AtA(a);
       benchmark::DoNotOptimize(g.At(0, 0));
-    });
-    double scalar = 0.0;
-    {
-      ScopedScalarKernels guard;
-      scalar = TimeKernel(5, 4, [&] {
-        Matrix g = AtA(a, 1e-3);
-        benchmark::DoNotOptimize(g.At(0, 0));
-      });
-    }
-    rows["ata_2016x24"] = RowJson("micros", scalar, fast);
+    }));
   }
 
   // Unrolled dot at the SSA recurrence length.
@@ -230,24 +170,16 @@ Json KernelRows() {
     std::vector<double> a(4096), b(4096);
     for (auto& v : a) v = rng.Gaussian(0.0, 1.0);
     for (auto& v : b) v = rng.Gaussian(0.0, 1.0);
-    const double fast = TimeKernel(7, 64, [&] {
+    rows["dot_4096"] = KernelRow(TimeKernel(7, 64, [&] {
       benchmark::DoNotOptimize(Dot(a, b));
-    });
-    double scalar = 0.0;
-    {
-      ScopedScalarKernels guard;
-      scalar = TimeKernel(7, 64, [&] {
-        benchmark::DoNotOptimize(Dot(a, b));
-      });
-    }
-    rows["dot_4096"] = RowJson("micros", scalar, fast);
+    }));
   }
   return rows;
 }
 
 /// Fleet-scale batched training: 1200 servers on one telemetry grid,
 /// additive family, BatchTrainer vs the plain per-server loop
-/// training.cc used to run. The emitted row's fit_fast percentiles are
+/// training.cc used to run. The emitted row's fit percentiles are
 /// the amortized per-server cost — each server's own fit time plus its
 /// share of the group overhead (the shared design/Gram build) — so the
 /// budget gate fails if batching ever stops paying for itself.
@@ -295,10 +227,10 @@ Json BatchFleetRow() {
               static_cast<long long>(stats.groups));
 
   Json row = Json::MakeObject();
-  Json fast_j = Json::MakeObject();
-  fast_j["p50"] = Percentile(item_micros, 0.5) + overhead;
-  fast_j["p99"] = Percentile(item_micros, 0.99) + overhead;
-  row["fit_fast"] = std::move(fast_j);
+  Json fit_j = Json::MakeObject();
+  fit_j["p50"] = Percentile(item_micros, 0.5) + overhead;
+  fit_j["p99"] = Percentile(item_micros, 0.99) + overhead;
+  row["fit"] = std::move(fit_j);
   row["servers"] = static_cast<double>(kServers);
   row["groups"] = static_cast<double>(stats.groups);
   row["per_server_total_micros"] = per_server_total;
@@ -307,7 +239,7 @@ Json BatchFleetRow() {
   return row;
 }
 
-/// Checks fast-mode fit timings against the "forecast_train_micros"
+/// Checks per-model fit timings against the "forecast_train_micros"
 /// section of the budgets file. Returns the number of violations.
 int CheckBudgets(const std::string& path, const Json& models) {
   std::ifstream in(path);
@@ -340,7 +272,7 @@ int CheckBudgets(const std::string& path, const Json& models) {
     const Json& row = models[name];
     auto check = [&](const char* pct) {
       const double budget = ceiling[pct].AsDouble();
-      const double measured = row["fit_fast"][pct].AsDouble();
+      const double measured = row["fit"][pct].AsDouble();
       if (measured > budget) {
         std::fprintf(stderr,
                      "train budget exceeded: %s %s measured %.0fus > "
@@ -371,7 +303,7 @@ int main(int argc, char** argv) {
   }
 
   seagull::bench::PrintHeader("Forecast kernels",
-                              "scalar reference vs tuned engine");
+                              "per-model fit and kernel timings");
 
   struct ModelPlan {
     const char* name;
@@ -382,62 +314,33 @@ int main(int argc, char** argv) {
       {"ssa", 9}, {"additive", 7}, {"feedforward", 5}, {"arima", 3}};
 
   Json models = Json::MakeObject();
-  double ssa_speedup = 0.0;
-  int regressions = 0;
   for (const ModelPlan& plan : kPlans) {
-    FitTiming fast = TimeModel(plan.name, plan.reps);
-    FitTiming scalar;
-    {
-      ScopedScalarKernels guard;
-      scalar = TimeModel(plan.name, std::max(2, plan.reps / 2));
-    }
-    const double speedup = fast.p50_micros > 0.0
-                               ? scalar.p50_micros / fast.p50_micros
-                               : 0.0;
-    if (std::strcmp(plan.name, "ssa") == 0) ssa_speedup = speedup;
-    // Fast mode must never lose to its own scalar reference (5% grace
-    // absorbs timer jitter on models whose paths genuinely tie).
-    if (fast.p50_micros > scalar.p50_micros * 1.05) {
-      std::fprintf(stderr,
-                   "fast-path regression: %s fit p50 %.0fus > scalar "
-                   "p50 %.0fus * 1.05\n",
-                   plan.name, fast.p50_micros, scalar.p50_micros);
-      ++regressions;
-    }
-    std::printf("%-14s fit p50 %9.0f us -> %9.0f us  (%5.2fx)   "
-                "predict %7.0f us\n",
-                plan.name, scalar.p50_micros, fast.p50_micros, speedup,
-                fast.predict_micros);
+    const FitTiming fit = TimeModel(plan.name, plan.reps);
+    std::printf("%-14s fit p50 %9.0f us  p99 %9.0f us   predict %7.0f us\n",
+                plan.name, fit.p50_micros, fit.p99_micros,
+                fit.predict_micros);
     Json row = Json::MakeObject();
-    Json fast_j = Json::MakeObject();
-    fast_j["p50"] = fast.p50_micros;
-    fast_j["p99"] = fast.p99_micros;
-    row["fit_fast"] = std::move(fast_j);
-    Json scalar_j = Json::MakeObject();
-    scalar_j["p50"] = scalar.p50_micros;
-    scalar_j["p99"] = scalar.p99_micros;
-    row["fit_scalar"] = std::move(scalar_j);
-    row["fit_speedup"] = speedup;
-    row["predict_micros"] = fast.predict_micros;
+    Json fit_j = Json::MakeObject();
+    fit_j["p50"] = fit.p50_micros;
+    fit_j["p99"] = fit.p99_micros;
+    row["fit"] = std::move(fit_j);
+    row["predict_micros"] = fit.predict_micros;
     models[plan.name] = std::move(row);
   }
-  std::printf("%-14s %5.2fx  (target >= 3x)\n", "ssa speedup", ssa_speedup);
 
   models["batch"] = BatchFleetRow();
 
   Json kernels = KernelRows();
   for (const auto& [name, row] : kernels.AsObject()) {
-    std::printf("%-26s %9.1f us -> %9.1f us  (%5.2fx)\n", name.c_str(),
-                row["scalar"].AsDouble(), row["fast"].AsDouble(),
-                row["speedup"].AsDouble());
+    std::printf("%-26s %9.1f us\n", name.c_str(), row["micros"].AsDouble());
   }
 
   Json out = Json::MakeObject();
   out["benchmark"] = "forecast_kernels";
+  out["hardware_threads"] =
+      static_cast<int64_t>(std::thread::hardware_concurrency());
   out["models"] = std::move(models);
   out["kernels"] = std::move(kernels);
-  out["ssa_fit_speedup"] = ssa_speedup;
-  out["ssa_fit_speedup_target"] = ">=3x";
   std::FILE* f = std::fopen("BENCH_forecast.json", "w");
   if (f != nullptr) {
     std::string text = out.DumpPretty();
@@ -449,9 +352,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "could not write BENCH_forecast.json\n");
   }
 
-  int violations = regressions;
-  if (!budgets_path.empty()) {
-    violations += CheckBudgets(budgets_path, out["models"]);
+  if (!budgets_path.empty() && CheckBudgets(budgets_path, out["models"]) > 0) {
+    return 1;
   }
-  return violations == 0 ? 0 : 1;
+  return 0;
 }

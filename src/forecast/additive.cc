@@ -30,36 +30,24 @@ bool AdditiveForecast::IsHoliday(int64_t day_index) const {
 namespace {
 
 /// Writes the 2·order Fourier features sin(o·a₁), cos(o·a₁) for
-/// o = 1..order. Fast mode expands the harmonics by the angle-addition
+/// o = 1..order, expanding the harmonics by the angle-addition
 /// recurrence sin((o+1)a) = sin(oa)cos(a) + cos(oa)sin(a) — two libm
 /// trig calls per block instead of 2·order — which is what makes
 /// design-matrix construction cheap enough to matter once the
-/// optimizer itself runs in Gram space. Scalar mode keeps the direct
-/// per-harmonic trig as the textbook reference (the recurrence rounds
-/// differently: different — but fixed — association).
-int64_t WriteFourierBlock(double phase, int64_t order, bool fast,
-                          double* phi) {
+/// optimizer itself runs in Gram space.
+int64_t WriteFourierBlock(double phase, int64_t order, double* phi) {
   int64_t k = 0;
   const double a1 = kTwoPi * phase;
-  if (fast) {
-    const double s1 = std::sin(a1);
-    const double c1 = std::cos(a1);
-    double s = 0.0, c = 1.0;  // sin(0·a₁), cos(0·a₁)
-    for (int64_t o = 1; o <= order; ++o) {
-      const double ns = s * c1 + c * s1;
-      const double nc = c * c1 - s * s1;
-      s = ns;
-      c = nc;
-      phi[k++] = s;
-      phi[k++] = c;
-    }
-  } else {
-    // Same association as the original loop: (2π·o)·phase.
-    for (int64_t o = 1; o <= order; ++o) {
-      double a = kTwoPi * static_cast<double>(o) * phase;
-      phi[k++] = std::sin(a);
-      phi[k++] = std::cos(a);
-    }
+  const double s1 = std::sin(a1);
+  const double c1 = std::cos(a1);
+  double s = 0.0, c = 1.0;  // sin(0·a₁), cos(0·a₁)
+  for (int64_t o = 1; o <= order; ++o) {
+    const double ns = s * c1 + c * s1;
+    const double nc = c * c1 - s * s1;
+    s = ns;
+    c = nc;
+    phi[k++] = s;
+    phi[k++] = c;
   }
   return k;
 }
@@ -78,13 +66,12 @@ void AdditiveForecast::FeaturesAt(MinuteStamp t, double* phi) const {
                 static_cast<double>(options_.changepoints + 1);
     phi[k++] = x > cp ? (x - cp) : 0.0;
   }
-  const bool fast = GetKernelMode() == KernelMode::kFast;
   const double day_phase =
       static_cast<double>(MinuteOfDay(t)) / static_cast<double>(kMinutesPerDay);
-  k += WriteFourierBlock(day_phase, options_.daily_order, fast, phi + k);
+  k += WriteFourierBlock(day_phase, options_.daily_order, phi + k);
   const double week_phase = static_cast<double>(t - StartOfWeek(t)) /
                             static_cast<double>(kMinutesPerWeek);
-  k += WriteFourierBlock(week_phase, options_.weekly_order, fast, phi + k);
+  k += WriteFourierBlock(week_phase, options_.weekly_order, phi + k);
   if (!options_.holidays.empty()) {
     phi[k++] = IsHoliday(DayIndex(t)) ? 1.0 : 0.0;
   }
@@ -116,19 +103,16 @@ Status AdditiveForecast::Fit(const LoadSeries& train) {
   for (int64_t i = 0; i < n; ++i) {
     FeaturesAt(filled.TimeAt(i), design.Row(i));
   }
-  if (GetKernelMode() == KernelMode::kFast) {
-    // Collapse the design into its p×p Gram via the cache-blocked AtA
-    // kernel; every optimizer iteration then costs O(p²), not O(n·p).
-    Matrix& gram = scratch.Mat(kscratch::kMatAddGram, 0, 0);
-    gram = AtA(design);
-    return FitWithDesign(filled, design, &gram);
-  }
-  return FitWithDesign(filled, design, nullptr);
+  // Collapse the design into its p×p Gram via the SYRK-style AtA
+  // kernel; every optimizer iteration then costs O(p²), not O(n·p).
+  Matrix& gram = scratch.Mat(kscratch::kMatAddGram, 0, 0);
+  gram = AtA(design);
+  return FitWithDesign(filled, design, gram);
 }
 
 Status AdditiveForecast::FitWithDesign(const LoadSeries& filled,
                                        const Matrix& design,
-                                       const Matrix* gram) {
+                                       const Matrix& gram) {
   const int64_t n = filled.size();
   const int64_t p = NumFeatures();
   coef_.assign(static_cast<size_t>(p), 0.0);
@@ -145,77 +129,41 @@ Status AdditiveForecast::FitWithDesign(const LoadSeries& filled,
   const double inv_n = 1.0 / static_cast<double>(n);
   double lr = options_.learning_rate;
   double prev_loss = 0.0;
-  if (gram != nullptr) {
-    // Gram-space iteration: with G = AᵀA, b = Aᵀy and yᵀy precomputed,
-    //   ‖A·c − y‖² = cᵀGc − 2bᵀc + yᵀy   and   ∇ = Gc − b,
-    // so each step touches p² doubles instead of n·p. The loss/grad
-    // values round differently from the row-streaming reference below
-    // (different — but fixed — association), which is why this branch
-    // is gated on kernel mode like every other fast path.
-    std::vector<double>& b =
-        scratch.Vec(kscratch::kAddRhs, static_cast<size_t>(p));
-    {
-      std::vector<double> rhs = TransposeMatVec(design, y);
-      std::copy(rhs.begin(), rhs.end(), b.begin());
+  // Gram-space iteration: with G = AᵀA, b = Aᵀy and yᵀy precomputed,
+  //   ‖A·c − y‖² = cᵀGc − 2bᵀc + yᵀy   and   ∇ = Gc − b,
+  // so each step touches p² doubles instead of n·p.
+  std::vector<double>& b =
+      scratch.Vec(kscratch::kAddRhs, static_cast<size_t>(p));
+  {
+    std::vector<double> rhs = TransposeMatVec(design, y);
+    std::copy(rhs.begin(), rhs.end(), b.begin());
+  }
+  const double yty = Dot(y.data(), y.data(), n);
+  std::vector<double>& gc =
+      scratch.Vec(kscratch::kAddGramCoef, static_cast<size_t>(p));
+  for (int64_t it = 0; it < options_.iterations; ++it) {
+    for (int64_t j = 0; j < p; ++j) {
+      gc[static_cast<size_t>(j)] = Dot(gram.Row(j), coef_.data(), p);
     }
-    const double yty = Dot(y.data(), y.data(), n);
-    std::vector<double>& gc =
-        scratch.Vec(kscratch::kAddGramCoef, static_cast<size_t>(p));
-    for (int64_t it = 0; it < options_.iterations; ++it) {
-      for (int64_t j = 0; j < p; ++j) {
-        gc[static_cast<size_t>(j)] = Dot(gram->Row(j), coef_.data(), p);
-      }
-      double loss = Dot(gc.data(), coef_.data(), p) -
-                    2.0 * Dot(b.data(), coef_.data(), p) + yty;
-      for (int64_t j = 0; j < p; ++j) {
-        grad[static_cast<size_t>(j)] =
-            gc[static_cast<size_t>(j)] - b[static_cast<size_t>(j)];
-      }
-      // Ridge prior on changepoint slopes only.
-      for (int64_t c = 0; c < options_.changepoints; ++c) {
-        size_t j = static_cast<size_t>(2 + c);
-        grad[j] += options_.changepoint_penalty * coef_[j];
-      }
-      for (int64_t j = 0; j < p; ++j) {
-        coef_[static_cast<size_t>(j)] -=
-            lr * grad[static_cast<size_t>(j)] * inv_n;
-      }
-      loss *= inv_n;
-      // Crude line-search: back off when the loss increases.
-      if (it > 0 && loss > prev_loss) lr *= 0.5;
-      prev_loss = loss;
+    double loss = Dot(gc.data(), coef_.data(), p) -
+                  2.0 * Dot(b.data(), coef_.data(), p) + yty;
+    for (int64_t j = 0; j < p; ++j) {
+      grad[static_cast<size_t>(j)] =
+          gc[static_cast<size_t>(j)] - b[static_cast<size_t>(j)];
     }
-  } else {
-    // Scalar reference: stream the design rows every iteration.
-    for (int64_t it = 0; it < options_.iterations; ++it) {
-      std::fill(grad.begin(), grad.end(), 0.0);
-      double loss = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        const double* phi = design.Row(i);
-        double pred = 0.0;
-        for (int64_t j = 0; j < p; ++j) {
-          pred += coef_[static_cast<size_t>(j)] * phi[j];
-        }
-        double err = pred - y[static_cast<size_t>(i)];
-        loss += err * err;
-        for (int64_t j = 0; j < p; ++j) {
-          grad[static_cast<size_t>(j)] += err * phi[j];
-        }
-      }
-      // Ridge prior on changepoint slopes only.
-      for (int64_t c = 0; c < options_.changepoints; ++c) {
-        size_t j = static_cast<size_t>(2 + c);
-        grad[j] += options_.changepoint_penalty * coef_[j];
-      }
-      for (int64_t j = 0; j < p; ++j) {
-        coef_[static_cast<size_t>(j)] -=
-            lr * grad[static_cast<size_t>(j)] * inv_n;
-      }
-      loss *= inv_n;
-      // Crude line-search: back off when the loss increases.
-      if (it > 0 && loss > prev_loss) lr *= 0.5;
-      prev_loss = loss;
+    // Ridge prior on changepoint slopes only.
+    for (int64_t c = 0; c < options_.changepoints; ++c) {
+      size_t j = static_cast<size_t>(2 + c);
+      grad[j] += options_.changepoint_penalty * coef_[j];
     }
+    for (int64_t j = 0; j < p; ++j) {
+      coef_[static_cast<size_t>(j)] -=
+          lr * grad[static_cast<size_t>(j)] * inv_n;
+    }
+    loss *= inv_n;
+    // Crude line-search: back off when the loss increases.
+    if (it > 0 && loss > prev_loss) lr *= 0.5;
+    prev_loss = loss;
   }
   residual_sigma_ = std::sqrt(std::max(prev_loss, 0.0));
   fitted_ = true;

@@ -68,13 +68,12 @@ class AdditiveForecast final : public ForecastModel {
   /// before FeaturesAt / FitWithDesign.
   void SetTrainRange(const LoadSeries& filled);
   /// The optimizer core: fits `coef_` against a design matrix whose
-  /// row i is FeaturesAt(filled.TimeAt(i)). With `gram == nullptr`
-  /// runs the row-streaming scalar reference loop; with the AᵀA Gram
-  /// supplied, iterates in Gram space — O(p²) per step instead of
-  /// O(n·p) — which is also what lets batched training share one
-  /// design+Gram across every server in a shape group.
+  /// row i is FeaturesAt(filled.TimeAt(i)) and its AᵀA `gram`,
+  /// iterating in Gram space — O(p²) per step instead of O(n·p) —
+  /// which is also what lets batched training share one design+Gram
+  /// across every server in a shape group.
   Status FitWithDesign(const LoadSeries& filled, const Matrix& design,
-                       const Matrix* gram);
+                       const Matrix& gram);
   /// Writes the NumFeatures() feature values at absolute minute `t`
   /// into `phi` (raw pointer so callers can hand out design-matrix rows
   /// or scratch-arena storage directly).

@@ -26,9 +26,7 @@ std::vector<double> Difference(std::vector<double> x, int d) {
 
 /// Conditional sum of squares of an ARMA(p,q) with parameters
 /// params = [c, phi_1..phi_p, theta_1..theta_q]. `e` is caller-owned
-/// residual workspace: the order search calls this ~2·np times per Adam
-/// iteration per candidate, so a per-call heap allocation here was the
-/// single hottest allocation site in the whole training fan-out.
+/// residual workspace, so scoring a candidate allocates nothing.
 double CssLoss(const std::vector<double>& z, int p, int q,
                const std::vector<double>& params, std::vector<double>* e) {
   const int64_t n = static_cast<int64_t>(z.size());
@@ -63,11 +61,11 @@ void ProjectStationary(std::vector<double>* params, int p) {
   }
 }
 
-/// Fast-path candidate optimizer: CSS fit of an ARMA(p,q) by Adam on
-/// the *analytic* gradient. The scalar reference above differentiates
-/// numerically — two full residual recursions per parameter per
-/// iteration (2·np passes). Here one fused, scratch-backed pass per
-/// iteration computes the residuals and, via the sensitivity recursion
+/// Candidate optimizer: CSS fit of an ARMA(p,q) by Adam on the
+/// *analytic* gradient (a numeric one would cost two full residual
+/// recursions per parameter per iteration). One fused, scratch-backed
+/// pass per iteration computes the residuals and, via the sensitivity
+/// recursion
 ///
 ///   s_t[k] = ∂e_t/∂θ_k = −x_k(t) − Σ_j θ_j · s_{t−j}[k]
 ///
@@ -138,8 +136,7 @@ double FitCandidateCss(const std::vector<double>& z, int p, int q,
       plateau = 0;
     }
     prev_sse = std::min(prev_sse, sse);
-    // One joint Adam step over all np parameters (the scalar reference
-    // updates coordinates sequentially inside its numeric-diff loop).
+    // One joint Adam step over all np parameters.
     pow_b1 *= b1;
     pow_b2 *= b2;
     for (int k = 0; k < np; ++k) {
@@ -170,12 +167,11 @@ Status ArimaForecast::Fit(const LoadSeries& train) {
     x[static_cast<size_t>(i)] = filled.ValueAt(i);
   }
   std::vector<double>& e = scratch.Vec(kscratch::kArimaResiduals, 0);
-  // Optimizer state is tiny (≤ 8 doubles per vector) but lives inside
-  // the candidate loop; hoist so each fit allocates it at most once.
-  std::vector<double> params, m, v;
-  const bool fast = GetKernelMode() == KernelMode::kFast;
-  // Warm-start lattice (fast path): converged parameters of each
-  // already-fitted (p,q) candidate at the current d. The layout
+  // Candidate parameters are tiny (≤ 8 doubles) but live inside the
+  // candidate loop; hoist so each fit allocates them at most once.
+  std::vector<double> params;
+  // Warm-start lattice: converged parameters of each already-fitted
+  // (p,q) candidate at the current d. The layout
   // [c, φ₁..φ_p, θ₁..θ_q] makes seeding (p,q) from (p,q−1) — or
   // (p,0) from (p−1,0) — a prefix copy plus a zero-appended new
   // coefficient, which lands the optimizer near the optimum and lets
@@ -211,56 +207,26 @@ Status ArimaForecast::Fit(const LoadSeries& train) {
         params.assign(static_cast<size_t>(np), 0.0);
         // Warm start: small positive AR(1)-ish prior.
         if (p > 0) params[1] = 0.5;
-        double sse;
-        if (fast) {
-          auto seed_from = [&](int sp, int sq) {
-            const std::vector<double>& src = lattice_at(sp, sq);
-            if (src.empty()) return;
-            params.assign(static_cast<size_t>(np), 0.0);
-            params[0] = src[0];
-            for (int i = 1; i <= std::min(p, sp); ++i) params[i] = src[i];
-            for (int j = 1; j <= std::min(q, sq); ++j) {
-              params[static_cast<size_t>(p + j)] =
-                  src[static_cast<size_t>(sp + j)];
-            }
-          };
-          if (q > 0) {
-            seed_from(p, q - 1);
-          } else if (p > 0) {
-            seed_from(p - 1, 0);
+        auto seed_from = [&](int sp, int sq) {
+          const std::vector<double>& src = lattice_at(sp, sq);
+          if (src.empty()) return;
+          params.assign(static_cast<size_t>(np), 0.0);
+          params[0] = src[0];
+          for (int i = 1; i <= std::min(p, sp); ++i) params[i] = src[i];
+          for (int j = 1; j <= std::min(q, sq); ++j) {
+            params[static_cast<size_t>(p + j)] =
+                src[static_cast<size_t>(sp + j)];
           }
-          sse = FitCandidateCss(z, p, q, options_.iterations,
-                                options_.learning_rate, &params, &e);
-          lattice_at(p, q) = params;
-        } else {
-          // Scalar reference: Adam on a central-difference numeric
-          // gradient — two full residual recursions per parameter per
-          // iteration.
-          m.assign(params.size(), 0.0);
-          v.assign(params.size(), 0.0);
-          const double b1 = 0.9, b2 = 0.999, eps = 1e-8;
-          const double h = 1e-4;
-          for (int64_t it = 0; it < options_.iterations; ++it) {
-            for (size_t k = 0; k < params.size(); ++k) {
-              double orig = params[k];
-              params[k] = orig + h;
-              double up = CssLoss(z, p, q, params, &e);
-              params[k] = orig - h;
-              double dn = CssLoss(z, p, q, params, &e);
-              params[k] = orig;
-              double g = (up - dn) / (2 * h);
-              m[k] = b1 * m[k] + (1 - b1) * g;
-              v[k] = b2 * v[k] + (1 - b2) * g * g;
-              double mh =
-                  m[k] / (1 - std::pow(b1, static_cast<double>(it + 1)));
-              double vh =
-                  v[k] / (1 - std::pow(b2, static_cast<double>(it + 1)));
-              params[k] -= options_.learning_rate * mh / (std::sqrt(vh) + eps);
-            }
-            ProjectStationary(&params, p);
-          }
-          sse = CssLoss(z, p, q, params, &e);
+        };
+        if (q > 0) {
+          seed_from(p, q - 1);
+        } else if (p > 0) {
+          seed_from(p - 1, 0);
         }
+        const double sse = FitCandidateCss(z, p, q, options_.iterations,
+                                           options_.learning_rate, &params,
+                                           &e);
+        lattice_at(p, q) = params;
         int64_t eff = n - std::max(p, q);
         if (eff <= np + 1 || sse <= 0) continue;
         double aic = static_cast<double>(eff) *

@@ -66,10 +66,10 @@ void GenericFit(const std::string& name, const LoadSeries& train,
 
 }  // namespace
 
-/// Additive group: one design matrix (and, in fast mode, its Gram)
-/// serves every server on the grid. Both live on the heap for the
-/// duration of the group — pool workers have their own thread-local
-/// scratch arenas, so group-shared state cannot live there.
+/// Additive group: one design matrix and its Gram serve every server
+/// on the grid. Both live on the heap for the duration of the group —
+/// pool workers have their own thread-local scratch arenas, so
+/// group-shared state cannot live there.
 void BatchTrainer::FitAdditiveGroup(const std::string& name,
                                     const std::vector<BatchTrainItem>& items,
                                     const std::vector<int64_t>& members,
@@ -100,9 +100,7 @@ void BatchTrainer::FitAdditiveGroup(const std::string& name,
   for (int64_t i = 0; i < n; ++i) {
     builder->FeaturesAt(anchor.TimeAt(i), design.Row(i));
   }
-  const bool fast = GetKernelMode() == KernelMode::kFast;
-  Matrix gram;
-  if (fast) gram = AtA(design);
+  const Matrix gram = AtA(design);
 
   RunLoop(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
     const int64_t i = members[static_cast<size_t>(k)];
@@ -125,7 +123,7 @@ void BatchTrainer::FitAdditiveGroup(const std::string& name,
     } else {
       const LoadSeries filled = InterpolateMissing(train);
       model->SetTrainRange(filled);
-      fit = model->FitWithDesign(filled, design, fast ? &gram : nullptr);
+      fit = model->FitWithDesign(filled, design, gram);
     }
     out.fit_micros = static_cast<double>(ObsClock::NowMicros() - t0);
     FinishItem(*model, std::move(fit), &out);

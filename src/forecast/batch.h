@@ -14,7 +14,7 @@
 /// Equivalence contract (tests/forecast_batch_equivalence_test.cc):
 /// every item's result — coefficients, serialized document, error
 /// status — is byte-identical to `ModelFactory::Create(name)->Fit()` on
-/// the same series, in either kernel mode, at any pool width. This
+/// the same series, at any pool width. This
 /// holds by construction: the batched path executes the exact same
 /// operation sequence as a per-server fit, merely sourcing the shared
 /// inputs (which are bit-identical doubles either way) from the group.

@@ -130,9 +130,8 @@ Status FeedForwardForecast::FitCore(const LoadSeries& filled, double* params,
 
   const double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
   const double lr = options_.learning_rate;
-  const double inv_m = 1.0 / static_cast<double>(m);
-  // Adam step over the concatenated parameter block; the update
-  // arithmetic is shared verbatim by both epoch branches below.
+  // Adam step over the concatenated parameter block, with gradients
+  // scaled by `inv_n` (one over the batch size).
   int64_t step = 0;
   auto adam_step = [&](double inv_n, const double* g_w1, const double* g_b1,
                        const double* g_w2, const double* g_b2) {
@@ -154,201 +153,121 @@ Status FeedForwardForecast::FitCore(const LoadSeries& filled, double* params,
     update(b2, g_b2, out_dim);
   };
 
-  if (GetKernelMode() == KernelMode::kFast) {
-    // Mini-batch epochs through the batched matmul kernels: each batch
-    // moves through the layers as one matrix product —
-    //   Hpre = Xb·w1ᵀ (+b1), H = relu(Hpre), dY = H·w2ᵀ (+b2) − Tb,
-    //   gW2 = dYᵀ·H, dH = dY·w2 masked by Hpre>0, gW1 = dHᵀ·Xb,
-    // with biases as column sums. The kernels run at the host's
-    // throughput limit either way, so per-pass FLOPs match the
-    // reference; the fast path's win is optimization *rate*: fixed
-    // contiguous kBatch-sized Adam steps reach the full-batch loss
-    // basin in a fraction of the epochs, and the plateau exit (like
-    // the ARIMA CSS plateau) stops the loop there. Batch boundaries,
-    // order, and the exit epoch depend only on the options, so the
-    // trajectory is deterministic.
-    constexpr int64_t kBatch = 32;
-    const int64_t n_batches = (m + kBatch - 1) / kBatch;
-    // Per-batch input/target copies are built once per fit (contiguous
-    // row ranges of the window set, in order); the few small matrices
-    // are the fit's only heap use, mirroring the ARIMA lattice.
-    std::vector<Matrix> xb(static_cast<size_t>(n_batches));
-    std::vector<Matrix> tb(static_cast<size_t>(n_batches));
+  // Mini-batch epochs through the batched matmul kernels: each batch
+  // moves through the layers as one matrix product —
+  //   Hpre = Xb·w1ᵀ (+b1), H = relu(Hpre), dY = H·w2ᵀ (+b2) − Tb,
+  //   gW2 = dYᵀ·H, dH = dY·w2 masked by Hpre>0, gW1 = dHᵀ·Xb,
+  // with biases as column sums. Per-pass FLOPs match a per-sample
+  // full-batch loop; the win is optimization *rate*: fixed contiguous
+  // kBatch-sized Adam steps reach the full-batch loss basin in a
+  // fraction of the epochs, and the plateau exit (like the ARIMA CSS
+  // plateau) stops the loop there. Batch boundaries, order, and the
+  // exit epoch depend only on the options, so the trajectory is
+  // deterministic.
+  constexpr int64_t kBatch = 32;
+  const int64_t n_batches = (m + kBatch - 1) / kBatch;
+  // Per-batch input/target copies are built once per fit (contiguous
+  // row ranges of the window set, in order); the few small matrices
+  // are the fit's only heap use, mirroring the ARIMA lattice.
+  std::vector<Matrix> xb(static_cast<size_t>(n_batches));
+  std::vector<Matrix> tb(static_cast<size_t>(n_batches));
+  for (int64_t bi = 0; bi < n_batches; ++bi) {
+    const int64_t lo = bi * kBatch;
+    const int64_t bs = std::min(kBatch, m - lo);
+    Matrix& x = xb[static_cast<size_t>(bi)];
+    Matrix& t = tb[static_cast<size_t>(bi)];
+    x.Resize(bs, in_dim);
+    t.Resize(bs, out_dim);
+    for (int64_t r = 0; r < bs; ++r) {
+      std::copy(inputs.Row(lo + r), inputs.Row(lo + r) + in_dim,
+                x.Row(r));
+      std::copy(targets.Row(lo + r), targets.Row(lo + r) + out_dim,
+                t.Row(r));
+    }
+  }
+  Matrix& hpre = scratch.Mat(kscratch::kMatFfHidden, 0, 0);
+  Matrix& hrelu = scratch.Mat(kscratch::kMatFfRelu, 0, 0);
+  Matrix& dy = scratch.Mat(kscratch::kMatFfOut, 0, 0);
+  Matrix& dhm = scratch.Mat(kscratch::kMatFfDh, 0, 0);
+  Matrix& g_w1m = scratch.Mat(kscratch::kMatFfGradW1, 0, 0);
+  Matrix& g_w2m = scratch.Mat(kscratch::kMatFfGradW2, 0, 0);
+  std::vector<double>& g_b1v =
+      scratch.Vec(kscratch::kFfGradB1, static_cast<size_t>(hidden));
+  std::vector<double>& g_b2v =
+      scratch.Vec(kscratch::kFfGradB2, static_cast<size_t>(out_dim));
+  // Convergence exit: once per-epoch improvement falls below 0.03% of
+  // the *initial* loss — the problem's own scale — for several
+  // consecutive epochs, further epochs move the forecast by less than
+  // the telemetry's noise floor. (Relative-to-current-loss tests never
+  // fire here: mini-batch Adam keeps shaving ~1% of an
+  // already-negligible loss per epoch.)
+  double initial_loss = 0.0;
+  double best_loss = 0.0;
+  int plateau = 0;
+  for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
+    double loss = 0.0;
     for (int64_t bi = 0; bi < n_batches; ++bi) {
-      const int64_t lo = bi * kBatch;
-      const int64_t bs = std::min(kBatch, m - lo);
-      Matrix& x = xb[static_cast<size_t>(bi)];
-      Matrix& t = tb[static_cast<size_t>(bi)];
-      x.Resize(bs, in_dim);
-      t.Resize(bs, out_dim);
-      for (int64_t r = 0; r < bs; ++r) {
-        std::copy(inputs.Row(lo + r), inputs.Row(lo + r) + in_dim,
-                  x.Row(r));
-        std::copy(targets.Row(lo + r), targets.Row(lo + r) + out_dim,
-                  t.Row(r));
-      }
-    }
-    Matrix& hpre = scratch.Mat(kscratch::kMatFfHidden, 0, 0);
-    Matrix& hrelu = scratch.Mat(kscratch::kMatFfRelu, 0, 0);
-    Matrix& dy = scratch.Mat(kscratch::kMatFfOut, 0, 0);
-    Matrix& dhm = scratch.Mat(kscratch::kMatFfDh, 0, 0);
-    Matrix& g_w1m = scratch.Mat(kscratch::kMatFfGradW1, 0, 0);
-    Matrix& g_w2m = scratch.Mat(kscratch::kMatFfGradW2, 0, 0);
-    std::vector<double>& g_b1v =
-        scratch.Vec(kscratch::kFfGradB1, static_cast<size_t>(hidden));
-    std::vector<double>& g_b2v =
-        scratch.Vec(kscratch::kFfGradB2, static_cast<size_t>(out_dim));
-    // Convergence exit (fast mode only): once per-epoch improvement
-    // falls below 0.03% of the *initial* loss — the problem's own
-    // scale — for several consecutive epochs, further epochs move the
-    // forecast by less than the telemetry's noise floor. (Relative-to-
-    // current-loss tests never fire here: mini-batch Adam keeps
-    // shaving ~1% of an already-negligible loss per epoch.)
-    double initial_loss = 0.0;
-    double best_loss = 0.0;
-    int plateau = 0;
-    for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      double loss = 0.0;
-      for (int64_t bi = 0; bi < n_batches; ++bi) {
-        const Matrix& x = xb[static_cast<size_t>(bi)];
-        const Matrix& t = tb[static_cast<size_t>(bi)];
-        const int64_t bs = x.rows();
-        MatMulNT(x, w1, hidden, &hpre);
-        hrelu.Resize(bs, hidden);
-        for (int64_t s = 0; s < bs; ++s) {
-          double* pr = hpre.Row(s);
-          double* hr = hrelu.Row(s);
-          for (int64_t j = 0; j < hidden; ++j) {
-            const double a = pr[j] + b1[j];
-            pr[j] = a;
-            hr[j] = a > 0 ? a : 0.0;
-          }
-        }
-        MatMulNT(hrelu, w2, out_dim, &dy);
-        for (int64_t s = 0; s < bs; ++s) {
-          double* dr = dy.Row(s);
-          const double* tr = t.Row(s);
-          for (int64_t o = 0; o < out_dim; ++o) {
-            const double d = dr[o] + b2[o] - tr[o];
-            dr[o] = d;
-            loss += d * d;
-          }
-        }
-        // Output-layer gradients.
-        std::fill(g_b2v.begin(), g_b2v.end(), 0.0);
-        for (int64_t s = 0; s < bs; ++s) {
-          const double* dr = dy.Row(s);
-          for (int64_t o = 0; o < out_dim; ++o) {
-            g_b2v[static_cast<size_t>(o)] += dr[o];
-          }
-        }
-        MatMulTN(dy, hrelu, &g_w2m);
-        // Hidden deltas, masked by the pre-activation sign.
-        MatMulNN(dy, w2, hidden, &dhm);
-        std::fill(g_b1v.begin(), g_b1v.end(), 0.0);
-        for (int64_t s = 0; s < bs; ++s) {
-          const double* pr = hpre.Row(s);
-          double* dr = dhm.Row(s);
-          for (int64_t j = 0; j < hidden; ++j) {
-            if (pr[j] <= 0) {
-              dr[j] = 0.0;
-            } else {
-              g_b1v[static_cast<size_t>(j)] += dr[j];
-            }
-          }
-        }
-        MatMulTN(dhm, x, &g_w1m);
-        adam_step(1.0 / static_cast<double>(bs), g_w1m.Row(0),
-                  g_b1v.data(), g_w2m.Row(0), g_b2v.data());
-      }
-      train_loss_ = loss / static_cast<double>(m * out_dim);
-      if (epoch == 0) {
-        initial_loss = train_loss_;
-        best_loss = train_loss_;
-      } else if (best_loss - train_loss_ > 3e-4 * initial_loss) {
-        best_loss = train_loss_;
-        plateau = 0;
-      } else {
-        best_loss = std::min(best_loss, train_loss_);
-        if (++plateau >= 6) break;
-      }
-    }
-  } else {
-    // Scalar reference: per-sample forward/backward passes. Gradient
-    // accumulators and the activation workspace live in the scratch
-    // arena; the activation slot re-slices the buffer the pooling pass
-    // above used (its contents are dead now).
-    std::vector<double>& g_w1 = scratch.Vec(
-        kscratch::kFfGradW1, static_cast<size_t>(hidden * in_dim));
-    std::vector<double>& g_b1 =
-        scratch.Vec(kscratch::kFfGradB1, static_cast<size_t>(hidden));
-    std::vector<double>& g_w2 = scratch.Vec(
-        kscratch::kFfGradW2, static_cast<size_t>(out_dim * hidden));
-    std::vector<double>& g_b2 =
-        scratch.Vec(kscratch::kFfGradB2, static_cast<size_t>(out_dim));
-    std::vector<double>& act = scratch.Vec(
-        kscratch::kFfActivations,
-        static_cast<size_t>(3 * hidden + 2 * out_dim));
-    double* h = act.data();
-    double* pre = h + hidden;
-    double* dh = pre + hidden;
-    double* yhat = dh + hidden;
-    double* dyv = yhat + out_dim;
-
-    for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
-      std::fill(g_w1.begin(), g_w1.end(), 0.0);
-      std::fill(g_b1.begin(), g_b1.end(), 0.0);
-      std::fill(g_w2.begin(), g_w2.end(), 0.0);
-      std::fill(g_b2.begin(), g_b2.end(), 0.0);
-      double loss = 0.0;
-      for (int64_t s = 0; s < m; ++s) {
-        const double* x = inputs.Row(s);
-        const double* y = targets.Row(s);
-        // Forward.
+      const Matrix& x = xb[static_cast<size_t>(bi)];
+      const Matrix& t = tb[static_cast<size_t>(bi)];
+      const int64_t bs = x.rows();
+      MatMulNT(x, w1, hidden, &hpre);
+      hrelu.Resize(bs, hidden);
+      for (int64_t s = 0; s < bs; ++s) {
+        double* pr = hpre.Row(s);
+        double* hr = hrelu.Row(s);
         for (int64_t j = 0; j < hidden; ++j) {
-          double a = b1[j];
-          const double* w1r = w1 + j * in_dim;
-          for (int64_t i = 0; i < in_dim; ++i) {
-            a += w1r[i] * x[i];
-          }
-          pre[j] = a;
-          h[j] = a > 0 ? a : 0.0;
+          const double a = pr[j] + b1[j];
+          pr[j] = a;
+          hr[j] = a > 0 ? a : 0.0;
         }
+      }
+      MatMulNT(hrelu, w2, out_dim, &dy);
+      for (int64_t s = 0; s < bs; ++s) {
+        double* dr = dy.Row(s);
+        const double* tr = t.Row(s);
         for (int64_t o = 0; o < out_dim; ++o) {
-          double a = b2[o];
-          const double* w2r = w2 + o * hidden;
-          for (int64_t j = 0; j < hidden; ++j) {
-            a += w2r[j] * h[j];
-          }
-          yhat[o] = a;
-          double d = a - y[o];
-          dyv[o] = d;
+          const double d = dr[o] + b2[o] - tr[o];
+          dr[o] = d;
           loss += d * d;
         }
-        // Backward.
-        std::fill(dh, dh + hidden, 0.0);
+      }
+      // Output-layer gradients.
+      std::fill(g_b2v.begin(), g_b2v.end(), 0.0);
+      for (int64_t s = 0; s < bs; ++s) {
+        const double* dr = dy.Row(s);
         for (int64_t o = 0; o < out_dim; ++o) {
-          double d = dyv[o];
-          g_b2[static_cast<size_t>(o)] += d;
-          double* g_w2r = g_w2.data() + o * hidden;
-          const double* w2r = w2 + o * hidden;
-          for (int64_t j = 0; j < hidden; ++j) {
-            g_w2r[j] += d * h[j];
-            dh[j] += d * w2r[j];
-          }
+          g_b2v[static_cast<size_t>(o)] += dr[o];
         }
+      }
+      MatMulTN(dy, hrelu, &g_w2m);
+      // Hidden deltas, masked by the pre-activation sign.
+      MatMulNN(dy, w2, hidden, &dhm);
+      std::fill(g_b1v.begin(), g_b1v.end(), 0.0);
+      for (int64_t s = 0; s < bs; ++s) {
+        const double* pr = hpre.Row(s);
+        double* dr = dhm.Row(s);
         for (int64_t j = 0; j < hidden; ++j) {
-          if (pre[j] <= 0) continue;
-          double d = dh[j];
-          g_b1[static_cast<size_t>(j)] += d;
-          double* g_w1r = g_w1.data() + j * in_dim;
-          for (int64_t i = 0; i < in_dim; ++i) {
-            g_w1r[i] += d * x[i];
+          if (pr[j] <= 0) {
+            dr[j] = 0.0;
+          } else {
+            g_b1v[static_cast<size_t>(j)] += dr[j];
           }
         }
       }
-      train_loss_ = loss / static_cast<double>(m * out_dim);
-      adam_step(inv_m, g_w1.data(), g_b1.data(), g_w2.data(), g_b2.data());
+      MatMulTN(dhm, x, &g_w1m);
+      adam_step(1.0 / static_cast<double>(bs), g_w1m.Row(0),
+                g_b1v.data(), g_w2m.Row(0), g_b2v.data());
+    }
+    train_loss_ = loss / static_cast<double>(m * out_dim);
+    if (epoch == 0) {
+      initial_loss = train_loss_;
+      best_loss = train_loss_;
+    } else if (best_loss - train_loss_ > 3e-4 * initial_loss) {
+      best_loss = train_loss_;
+      plateau = 0;
+    } else {
+      best_loss = std::min(best_loss, train_loss_);
+      if (++plateau >= 6) break;
     }
   }
   return Status::OK();

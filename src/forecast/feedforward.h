@@ -56,10 +56,10 @@ class FeedForwardForecast final : public ForecastModel {
   /// Trains into caller-owned storage: `params` is a NumParams() block
   /// laid out [w1|b1|w2|b2]; `mom`/`vel` are same-size zero-initialized
   /// Adam state. Builds the pooled window pairs, He-initializes the
-  /// block (Rng(seed), same draw order as always), and runs the epoch
-  /// loop — per-sample scalar reference or batched-matmul fast path
-  /// depending on the kernel mode. Sets interval_/train_loss_ but not
-  /// the weight members; pair with AdoptParams.
+  /// block (Rng(seed), same draw order as always), and runs the
+  /// mini-batch epoch loop through the batched-matmul kernels. Sets
+  /// interval_/train_loss_ but not the weight members; pair with
+  /// AdoptParams.
   Status FitCore(const LoadSeries& filled, double* params, double* mom,
                  double* vel);
   /// Unpacks a FitCore-trained [w1|b1|w2|b2] block into the weight

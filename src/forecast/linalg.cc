@@ -1,9 +1,7 @@
 #include "forecast/linalg.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <numeric>
 
@@ -12,131 +10,30 @@
 
 namespace seagull {
 
-namespace {
-
-std::atomic<KernelMode> g_kernel_mode{KernelMode::kFast};
-
-/// Cache-block extents for MatMul: the reduction block keeps a row of B
-/// resident while it is reused, the column block keeps the C row's
-/// working set inside L1.
-constexpr int64_t kBlockK = 64;
-constexpr int64_t kBlockJ = 256;
-
-}  // namespace
-
-void SetKernelMode(KernelMode mode) {
-  g_kernel_mode.store(mode, std::memory_order_relaxed);
-}
-
-KernelMode GetKernelMode() {
-  return g_kernel_mode.load(std::memory_order_relaxed);
-}
-
-std::vector<double> Matrix::Column(int64_t c) const {
-  std::vector<double> out(static_cast<size_t>(rows_));
-  for (int64_t r = 0; r < rows_; ++r) out[static_cast<size_t>(r)] = At(r, c);
-  return out;
-}
-
-Matrix Matrix::Identity(int64_t n) {
-  Matrix m(n, n);
-  for (int64_t i = 0; i < n; ++i) m.At(i, i) = 1.0;
-  return m;
-}
-
-Result<Matrix> MatMul(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) {
-    return Status::Invalid("matmul shape mismatch");
-  }
-  const int64_t m = a.rows(), kk = a.cols(), n = b.cols();
-  Matrix c(m, n);
-  if (GetKernelMode() == KernelMode::kScalar) {
-    for (int64_t i = 0; i < m; ++i) {
-      for (int64_t k = 0; k < kk; ++k) {
-        double aik = a.At(i, k);
-        if (aik == 0.0) continue;
-        for (int64_t j = 0; j < n; ++j) {
-          c.At(i, j) += aik * b.At(k, j);
-        }
-      }
-    }
-    return c;
-  }
-  // Blocked i-k-j with a 4-wide unrolled update of C's row. For any
-  // (i, j) the contributions still arrive in ascending-k order, so this
-  // path agrees bit-for-bit with the scalar loop above.
-  for (int64_t i = 0; i < m; ++i) {
-    const double* ai = a.Row(i);
-    double* ci = c.Row(i);
-    for (int64_t k0 = 0; k0 < kk; k0 += kBlockK) {
-      const int64_t k1 = std::min(k0 + kBlockK, kk);
-      for (int64_t j0 = 0; j0 < n; j0 += kBlockJ) {
-        const int64_t j1 = std::min(j0 + kBlockJ, n);
-        for (int64_t k = k0; k < k1; ++k) {
-          const double aik = ai[k];
-          if (aik == 0.0) continue;
-          const double* bk = b.Row(k);
-          int64_t j = j0;
-          for (; j + 4 <= j1; j += 4) {
-            ci[j] += aik * bk[j];
-            ci[j + 1] += aik * bk[j + 1];
-            ci[j + 2] += aik * bk[j + 2];
-            ci[j + 3] += aik * bk[j + 3];
-          }
-          for (; j < j1; ++j) ci[j] += aik * bk[j];
-        }
-      }
-    }
-  }
-  return c;
-}
-
-Matrix Transpose(const Matrix& a) {
-  Matrix t(a.cols(), a.rows());
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    const double* ai = a.Row(i);
-    for (int64_t j = 0; j < a.cols(); ++j) t.At(j, i) = ai[j];
-  }
-  return t;
-}
-
-Matrix AtA(const Matrix& a, double ridge) {
+Matrix AtA(const Matrix& a) {
   const int64_t m = a.rows(), n = a.cols();
   Matrix c(n, n);
-  if (GetKernelMode() == KernelMode::kScalar) {
-    // Textbook column-pair dot products (strided walks down A).
+  // SYRK-style rank-1 accumulation: each row of A is read contiguously
+  // exactly once and updates the upper triangle.
+  for (int64_t r = 0; r < m; ++r) {
+    const double* ar = a.Row(r);
     for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = i; j < n; ++j) {
-        double s = 0.0;
-        for (int64_t r = 0; r < m; ++r) s += a.At(r, i) * a.At(r, j);
-        c.At(i, j) = s;
-        c.At(j, i) = s;
+      const double v = ar[i];
+      if (v == 0.0) continue;
+      double* ci = c.Row(i);
+      int64_t j = i;
+      for (; j + 4 <= n; j += 4) {
+        ci[j] += v * ar[j];
+        ci[j + 1] += v * ar[j + 1];
+        ci[j + 2] += v * ar[j + 2];
+        ci[j + 3] += v * ar[j + 3];
       }
-    }
-  } else {
-    // SYRK-style rank-1 accumulation: each row of A is read
-    // contiguously exactly once and updates the upper triangle.
-    for (int64_t r = 0; r < m; ++r) {
-      const double* ar = a.Row(r);
-      for (int64_t i = 0; i < n; ++i) {
-        const double v = ar[i];
-        if (v == 0.0) continue;
-        double* ci = c.Row(i);
-        int64_t j = i;
-        for (; j + 4 <= n; j += 4) {
-          ci[j] += v * ar[j];
-          ci[j + 1] += v * ar[j + 1];
-          ci[j + 2] += v * ar[j + 2];
-          ci[j + 3] += v * ar[j + 3];
-        }
-        for (; j < n; ++j) ci[j] += v * ar[j];
-      }
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < i; ++j) c.At(i, j) = c.At(j, i);
+      for (; j < n; ++j) ci[j] += v * ar[j];
     }
   }
-  for (int64_t i = 0; i < n; ++i) c.At(i, i) += ridge;
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < i; ++j) c.At(i, j) = c.At(j, i);
+  }
   return c;
 }
 
@@ -144,16 +41,6 @@ std::vector<double> TransposeMatVec(const Matrix& a,
                                     const std::vector<double>& b) {
   const int64_t m = a.rows(), n = a.cols();
   std::vector<double> y(static_cast<size_t>(n), 0.0);
-  if (GetKernelMode() == KernelMode::kScalar) {
-    for (int64_t i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (int64_t r = 0; r < m; ++r) {
-        s += a.At(r, i) * b[static_cast<size_t>(r)];
-      }
-      y[static_cast<size_t>(i)] = s;
-    }
-    return y;
-  }
   // Row-by-row axpy: A is streamed contiguously once.
   for (int64_t r = 0; r < m; ++r) {
     const double br = b[static_cast<size_t>(r)];
@@ -172,46 +59,10 @@ std::vector<double> TransposeMatVec(const Matrix& a,
   return y;
 }
 
-Result<std::vector<double>> MatVec(const Matrix& a,
-                                   const std::vector<double>& x) {
-  if (a.cols() != static_cast<int64_t>(x.size())) {
-    return Status::Invalid("matvec shape mismatch");
-  }
-  const int64_t m = a.rows(), n = a.cols();
-  std::vector<double> y(static_cast<size_t>(m), 0.0);
-  if (GetKernelMode() == KernelMode::kScalar) {
-    for (int64_t i = 0; i < m; ++i) {
-      double sum = 0.0;
-      for (int64_t j = 0; j < n; ++j) {
-        sum += a.At(i, j) * x[static_cast<size_t>(j)];
-      }
-      y[static_cast<size_t>(i)] = sum;
-    }
-    return y;
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    y[static_cast<size_t>(i)] = Dot(a.Row(i), x.data(), n);
-  }
-  return y;
-}
-
 void MatMulNT(const Matrix& a, const double* b, int64_t b_rows,
               Matrix* out) {
   const int64_t m = a.rows(), kk = a.cols();
   out->Resize(m, b_rows);
-  if (GetKernelMode() == KernelMode::kScalar) {
-    for (int64_t i = 0; i < m; ++i) {
-      const double* ai = a.Row(i);
-      double* ci = out->Row(i);
-      for (int64_t j = 0; j < b_rows; ++j) {
-        const double* bj = b + j * kk;
-        double s = 0.0;
-        for (int64_t k = 0; k < kk; ++k) s += ai[k] * bj[k];
-        ci[j] = s;
-      }
-    }
-    return;
-  }
   // Each element is a contiguous-row dot; the 4-lane Dot keeps the
   // reduction order fixed per length.
   for (int64_t i = 0; i < m; ++i) {
@@ -227,20 +78,7 @@ void MatMulNN(const Matrix& a, const double* b, int64_t b_cols,
               Matrix* out) {
   const int64_t m = a.rows(), kk = a.cols();
   out->Resize(m, b_cols);
-  if (GetKernelMode() == KernelMode::kScalar) {
-    for (int64_t i = 0; i < m; ++i) {
-      const double* ai = a.Row(i);
-      double* ci = out->Row(i);
-      for (int64_t k = 0; k < kk; ++k) {
-        const double aik = ai[k];
-        if (aik == 0.0) continue;
-        const double* bk = b + k * b_cols;
-        for (int64_t j = 0; j < b_cols; ++j) ci[j] += aik * bk[j];
-      }
-    }
-    return;
-  }
-  // Same i-k-j kernel as MatMul: ascending-k contributions per element.
+  // i-k-j: ascending-k contributions per element.
   for (int64_t i = 0; i < m; ++i) {
     const double* ai = a.Row(i);
     double* ci = out->Row(i);
@@ -263,17 +101,6 @@ void MatMulNN(const Matrix& a, const double* b, int64_t b_cols,
 void MatMulTN(const Matrix& a, const Matrix& b, Matrix* out) {
   const int64_t m = a.rows(), p = a.cols(), q = b.cols();
   out->Resize(p, q);
-  if (GetKernelMode() == KernelMode::kScalar) {
-    for (int64_t i = 0; i < p; ++i) {
-      double* ci = out->Row(i);
-      for (int64_t j = 0; j < q; ++j) {
-        double s = 0.0;
-        for (int64_t r = 0; r < m; ++r) s += a.At(r, i) * b.At(r, j);
-        ci[j] = s;
-      }
-    }
-    return;
-  }
   // Rank-1 row-pair accumulation: both inputs stream contiguously once;
   // every output element still sums in ascending sample order.
   for (int64_t r = 0; r < m; ++r) {
@@ -296,11 +123,6 @@ void MatMulTN(const Matrix& a, const Matrix& b, Matrix* out) {
 }
 
 double Dot(const double* a, const double* b, int64_t n) {
-  if (GetKernelMode() == KernelMode::kScalar) {
-    double sum = 0.0;
-    for (int64_t i = 0; i < n; ++i) sum += a[i] * b[i];
-    return sum;
-  }
   // Four fixed lanes with a fixed combine order: deterministic for a
   // given length regardless of caller or thread.
   double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
@@ -330,184 +152,27 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
 void BuildLagGram(const double* x, int64_t n, int64_t L, Matrix* out) {
   out->Resize(L, L);
   const int64_t k = n - L + 1;
-  if (GetKernelMode() == KernelMode::kScalar) {
-    // Reference: materialized trajectory-matrix product, O(k·L²).
-    for (int64_t i = 0; i < k; ++i) {
-      for (int64_t a = 0; a < L; ++a) {
-        const double xa = x[i + a];
-        if (xa == 0.0) continue;
-        double* row = out->Row(a);
-        for (int64_t b = a; b < L; ++b) row[b] += xa * x[i + b];
-      }
+  // Hankel structure: C[a][a+d] = Σ_{t=a}^{a+k-1} x[t]·x[t+d] — one
+  // prefix-sum pass over the lag-d products yields the whole d-th
+  // diagonal, O(n·L) overall.
+  std::vector<double>& prefix = KernelScratch::Local().Vec(
+      kscratch::kLinalgGramPrefix, static_cast<size_t>(n) + 1);
+  for (int64_t d = 0; d < L; ++d) {
+    const int64_t products = n - d;
+    prefix[0] = 0.0;
+    double acc = 0.0;
+    for (int64_t t = 0; t < products; ++t) {
+      acc += x[t] * x[t + d];
+      prefix[static_cast<size_t>(t) + 1] = acc;
     }
-  } else {
-    // Hankel structure: C[a][a+d] = Σ_{t=a}^{a+k-1} x[t]·x[t+d] — one
-    // prefix-sum pass over the lag-d products yields the whole d-th
-    // diagonal, O(n·L) overall.
-    std::vector<double>& prefix = KernelScratch::Local().Vec(
-        kscratch::kLinalgGramPrefix, static_cast<size_t>(n) + 1);
-    for (int64_t d = 0; d < L; ++d) {
-      const int64_t products = n - d;
-      prefix[0] = 0.0;
-      double acc = 0.0;
-      for (int64_t t = 0; t < products; ++t) {
-        acc += x[t] * x[t + d];
-        prefix[static_cast<size_t>(t) + 1] = acc;
-      }
-      for (int64_t a = 0; a + d < L; ++a) {
-        out->At(a, a + d) =
-            prefix[static_cast<size_t>(a + k)] - prefix[static_cast<size_t>(a)];
-      }
+    for (int64_t a = 0; a + d < L; ++a) {
+      out->At(a, a + d) =
+          prefix[static_cast<size_t>(a + k)] - prefix[static_cast<size_t>(a)];
     }
   }
   for (int64_t a = 0; a < L; ++a) {
     for (int64_t b = 0; b < a; ++b) out->At(a, b) = out->At(b, a);
   }
-}
-
-Result<std::vector<double>> CholeskySolve(Matrix a, std::vector<double> b) {
-  const int64_t n = a.rows();
-  if (a.cols() != n || static_cast<int64_t>(b.size()) != n) {
-    return Status::Invalid("cholesky shape mismatch");
-  }
-  // Factor A = L Lᵀ in the lower triangle of `a`. Row-pointer walks;
-  // the reduction order matches the textbook loop element for element.
-  for (int64_t j = 0; j < n; ++j) {
-    double* aj = a.Row(j);
-    double d = aj[j];
-    for (int64_t k = 0; k < j; ++k) d -= aj[k] * aj[k];
-    if (d <= 0.0) {
-      return Status::Invalid("matrix is not positive definite");
-    }
-    d = std::sqrt(d);
-    aj[j] = d;
-    for (int64_t i = j + 1; i < n; ++i) {
-      double* ai = a.Row(i);
-      double s = ai[j];
-      for (int64_t k = 0; k < j; ++k) s -= ai[k] * aj[k];
-      ai[j] = s / d;
-    }
-  }
-  // Forward solve L y = b.
-  for (int64_t i = 0; i < n; ++i) {
-    const double* ai = a.Row(i);
-    double s = b[static_cast<size_t>(i)];
-    for (int64_t k = 0; k < i; ++k) s -= ai[k] * b[static_cast<size_t>(k)];
-    b[static_cast<size_t>(i)] = s / ai[i];
-  }
-  // Back solve Lᵀ x = y.
-  for (int64_t i = n - 1; i >= 0; --i) {
-    double s = b[static_cast<size_t>(i)];
-    for (int64_t k = i + 1; k < n; ++k) {
-      s -= a.At(k, i) * b[static_cast<size_t>(k)];
-    }
-    b[static_cast<size_t>(i)] = s / a.At(i, i);
-  }
-  return b;
-}
-
-Result<std::vector<double>> SolveLeastSquares(const Matrix& a,
-                                              const std::vector<double>& b,
-                                              double ridge) {
-  if (a.rows() != static_cast<int64_t>(b.size())) {
-    return Status::Invalid("least-squares shape mismatch");
-  }
-  Matrix ata = AtA(a, ridge);
-  std::vector<double> atb = TransposeMatVec(a, b);
-  auto solved = CholeskySolve(std::move(ata), std::move(atb));
-  if (!solved.ok()) {
-    return solved.status().WithContext("normal equations are singular");
-  }
-  return solved;
-}
-
-Result<SvdResult> JacobiSvd(const Matrix& a, int max_sweeps) {
-  const int64_t m = a.rows();
-  const int64_t n = a.cols();
-  if (m < n) return Status::Invalid("JacobiSvd requires rows >= cols");
-
-  // Work on the transposed factors: row j of `ut` is column j of
-  // U·diag(S), row j of `vt` is column j of V. Every column-pair
-  // rotation then updates two contiguous rows.
-  Matrix ut = Transpose(a);
-  Matrix vt(n, n);
-  for (int64_t i = 0; i < n; ++i) vt.At(i, i) = 1.0;
-
-  const double eps = 1e-12;
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    bool converged = true;
-    for (int64_t p = 0; p < n - 1; ++p) {
-      for (int64_t q = p + 1; q < n; ++q) {
-        double* up = ut.Row(p);
-        double* uq = ut.Row(q);
-        double alpha = 0.0, beta = 0.0, gamma = 0.0;
-        for (int64_t r = 0; r < m; ++r) {
-          const double x = up[r], y = uq[r];
-          alpha += x * x;
-          beta += y * y;
-          gamma += x * y;
-        }
-        if (std::fabs(gamma) <= eps * std::sqrt(alpha * beta) ||
-            alpha * beta == 0.0) {
-          continue;
-        }
-        converged = false;
-        const double zeta = (beta - alpha) / (2.0 * gamma);
-        const double t = (zeta >= 0 ? 1.0 : -1.0) /
-                         (std::fabs(zeta) + std::sqrt(1.0 + zeta * zeta));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = c * t;
-        for (int64_t r = 0; r < m; ++r) {
-          const double x = up[r], y = uq[r];
-          up[r] = c * x - s * y;
-          uq[r] = s * x + c * y;
-        }
-        double* vp = vt.Row(p);
-        double* vq = vt.Row(q);
-        for (int64_t r = 0; r < n; ++r) {
-          const double x = vp[r], y = vq[r];
-          vp[r] = c * x - s * y;
-          vq[r] = s * x + c * y;
-        }
-      }
-    }
-    if (converged) break;  // early exit: a full sweep made no rotation
-  }
-
-  // Extract singular values and normalize U's columns (rows of ut).
-  SvdResult out;
-  out.s.resize(static_cast<size_t>(n));
-  for (int64_t j = 0; j < n; ++j) {
-    double* uj = ut.Row(j);
-    double norm = 0.0;
-    for (int64_t r = 0; r < m; ++r) norm += uj[r] * uj[r];
-    norm = std::sqrt(norm);
-    out.s[static_cast<size_t>(j)] = norm;
-    if (norm > 0) {
-      for (int64_t r = 0; r < m; ++r) uj[r] /= norm;
-    }
-  }
-
-  // Sort by singular value, descending, and transpose back.
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int64_t x, int64_t y) {
-    return out.s[static_cast<size_t>(x)] > out.s[static_cast<size_t>(y)];
-  });
-  Matrix su(m, n), sv(n, n);
-  std::vector<double> ss(static_cast<size_t>(n));
-  for (int64_t j = 0; j < n; ++j) {
-    const int64_t src = order[static_cast<size_t>(j)];
-    ss[static_cast<size_t>(j)] = out.s[static_cast<size_t>(src)];
-    const double* uj = ut.Row(src);
-    for (int64_t r = 0; r < m; ++r) su.At(r, j) = uj[r];
-    const double* vj = vt.Row(src);
-    for (int64_t r = 0; r < n; ++r) sv.At(r, j) = vj[r];
-  }
-  out.u = std::move(su);
-  out.v = std::move(sv);
-  out.s = std::move(ss);
-  return out;
 }
 
 namespace {
@@ -667,7 +332,7 @@ Status SortEigenPairs(const double* d, const Matrix& vt, int64_t n,
 }  // namespace
 
 Status SymmetricEigenInPlace(Matrix* a_ptr, Matrix* vectors,
-                             std::vector<double>* values, int max_sweeps) {
+                             std::vector<double>* values) {
   Matrix& a = *a_ptr;
   const int64_t n = a.rows();
   if (a.cols() != n) return Status::Invalid("matrix is not square");
@@ -681,86 +346,16 @@ Status SymmetricEigenInPlace(Matrix* a_ptr, Matrix* vectors,
   std::vector<double>& work =
       scratch.Vec(kscratch::kLinalgEigenOff, static_cast<size_t>(n));
 
-  const bool fast = GetKernelMode() == KernelMode::kFast;
-  if (fast) {
-    // Householder tridiagonalization + implicit-shift QL: ~an order of
-    // magnitude fewer flops than the cyclic Jacobi reference below,
-    // which needs ~9 full O(n³) sweeps to converge on load-scale Grams.
-    HouseholderTridiag(a, n, d, work.data());
-    // The accumulated transform sits column-wise in `a`; transpose into
-    // `vt` so the QL rotations walk contiguous rows.
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < n; ++j) vt.At(j, i) = a.At(i, j);
-    }
-    if (!TridiagQl(d, work.data(), n, vt)) {
-      return Status::Internal("QL eigensolver failed to converge");
-    }
-    return SortEigenPairs(d, vt, n, work, vectors, values);
+  HouseholderTridiag(a, n, d, work.data());
+  // The accumulated transform sits column-wise in `a`; transpose into
+  // `vt` so the QL rotations walk contiguous rows.
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) vt.At(j, i) = a.At(i, j);
   }
-
-  // Scalar reference: cyclic Jacobi with the historical absolute
-  // cutoffs — the bit-exact "before" implementation the benches and
-  // property tests compare against.
-  for (int64_t i = 0; i < n; ++i) vt.At(i, i) = 1.0;
-  const double off_exit = 1e-20;
-  const double rot_skip = 1e-18;
-
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
-    // Off-diagonal Frobenius norm as the convergence measure.
-    double off = 0.0;
-    for (int64_t i = 0; i < n; ++i) {
-      const double* ai = a.Row(i);
-      for (int64_t j = i + 1; j < n; ++j) off += ai[j] * ai[j];
-    }
-    if (off <= off_exit) break;
-
-    for (int64_t p = 0; p < n - 1; ++p) {
-      for (int64_t q = p + 1; q < n; ++q) {
-        const double apq = a.At(p, q);
-        if (std::fabs(apq) < rot_skip) continue;
-        const double app = a.At(p, p), aqq = a.At(q, q);
-        const double tau = (aqq - app) / (2.0 * apq);
-        const double t = (tau >= 0 ? 1.0 : -1.0) /
-                         (std::fabs(tau) + std::sqrt(1.0 + tau * tau));
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = c * t;
-        // Apply the rotation J(p,q,θ) on both sides: A ← JᵀAJ. Column
-        // update first (strided), then the two contiguous row updates —
-        // same sequence as the textbook loop.
-        for (int64_t k = 0; k < n; ++k) {
-          double* ak = a.Row(k);
-          const double akp = ak[p], akq = ak[q];
-          ak[p] = c * akp - s * akq;
-          ak[q] = s * akp + c * akq;
-        }
-        double* ap = a.Row(p);
-        double* aq = a.Row(q);
-        for (int64_t k = 0; k < n; ++k) {
-          const double apk = ap[k], aqk = aq[k];
-          ap[k] = c * apk - s * aqk;
-          aq[k] = s * apk + c * aqk;
-        }
-        double* vp = vt.Row(p);
-        double* vq = vt.Row(q);
-        for (int64_t k = 0; k < n; ++k) {
-          const double vpk = vp[k], vqk = vq[k];
-          vp[k] = c * vpk - s * vqk;
-          vq[k] = s * vpk + c * vqk;
-        }
-      }
-    }
+  if (!TridiagQl(d, work.data(), n, vt)) {
+    return Status::Internal("QL eigensolver failed to converge");
   }
-
-  // The converged eigenvalues sit on the diagonal.
-  for (int64_t i = 0; i < n; ++i) d[i] = a.At(i, i);
   return SortEigenPairs(d, vt, n, work, vectors, values);
-}
-
-Result<EigenResult> SymmetricEigen(Matrix a, int max_sweeps) {
-  EigenResult out;
-  SEAGULL_RETURN_NOT_OK(
-      SymmetricEigenInPlace(&a, &out.vectors, &out.values, max_sweeps));
-  return out;
 }
 
 }  // namespace seagull

@@ -2,10 +2,13 @@
 /// \brief Dense linear-algebra kernel engine for the forecast models.
 ///
 /// SSA needs the eigendecomposition of its lag-covariance Gram; the
-/// additive model and ARIMA need least-squares solves; the feed-forward
-/// network needs matrix products. Per-server model fitting runs tens of
-/// thousands of times per pipeline pass, so these kernels are the
-/// compute floor of the whole training fan-out.
+/// additive model needs the Gram and right-hand side of its design
+/// matrix; the feed-forward network needs batched matrix products.
+/// Per-server model fitting runs tens of thousands of times per
+/// pipeline pass, so these kernels are the compute floor of the whole
+/// training fan-out. Each kernel has exactly one implementation; the
+/// textbook loops it is checked against live in the test-only
+/// tests/reference/linalg_reference.h.
 ///
 /// Layout contract: `Matrix` is guaranteed-contiguous row-major doubles
 /// (one flat allocation, row `r` starting at `Row(r)`), so kernels walk
@@ -15,11 +18,7 @@
 /// does not depend on thread count, scheduling, or input values — the
 /// fleet engine's byte-identical `--jobs 1` vs `--jobs N` guarantee
 /// (tests/fleet_determinism_test.cc) extends through every trained
-/// model. The blocked/unrolled fast paths may round differently from
-/// the scalar reference paths (different — but still fixed —
-/// association), which is why the mode switch below exists: comparisons
-/// are only ever made within one mode. See DESIGN.md §"Forecast kernel
-/// engine".
+/// model. See DESIGN.md §"Forecast kernel engine".
 
 #pragma once
 
@@ -29,38 +28,6 @@
 #include "common/result.h"
 
 namespace seagull {
-
-class KernelScratch;
-
-/// \brief Selects between the tuned kernels and the textbook scalar
-/// reference implementations.
-///
-/// `kFast` (default) enables the O(n·L) Hankel Gram builder, the
-/// tridiagonal (Householder + QL) eigensolver, and the blocked/unrolled
-/// reductions. `kScalar` reproduces the original textbook loops — kept
-/// callable so benchmarks can emit before/after rows and property tests
-/// can cross-check the fast kernels against them.
-enum class KernelMode { kFast, kScalar };
-
-/// Sets the process-wide kernel mode. Not synchronized with in-flight
-/// kernels: flip it only from single-threaded sections (bench setup,
-/// test fixtures), never mid-fan-out.
-void SetKernelMode(KernelMode mode);
-KernelMode GetKernelMode();
-
-/// RAII guard: scalar reference kernels for the enclosed scope.
-class ScopedScalarKernels {
- public:
-  ScopedScalarKernels() : saved_(GetKernelMode()) {
-    SetKernelMode(KernelMode::kScalar);
-  }
-  ~ScopedScalarKernels() { SetKernelMode(saved_); }
-  ScopedScalarKernels(const ScopedScalarKernels&) = delete;
-  ScopedScalarKernels& operator=(const ScopedScalarKernels&) = delete;
-
- private:
-  KernelMode saved_;
-};
 
 /// \brief Row-major dense matrix of doubles in one contiguous
 /// allocation.
@@ -97,60 +64,42 @@ class Matrix {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  /// Extracts column `c` as a vector.
-  std::vector<double> Column(int64_t c) const;
-
-  static Matrix Identity(int64_t n);
-
  private:
   int64_t rows_ = 0;
   int64_t cols_ = 0;
   std::vector<double> data_;
 };
 
-/// C = A * B. Cache-blocked over the reduction and output columns with a
-/// 4-way-unrolled inner kernel; the per-element accumulation order (k
-/// ascending) matches the scalar path exactly, so both modes agree
-/// bit-for-bit.
-Result<Matrix> MatMul(const Matrix& a, const Matrix& b);
-
-/// Aᵀ.
-Matrix Transpose(const Matrix& a);
-
-/// C = AᵀA + ridge·I (SYRK-style: walks rows of A contiguously and
-/// fills the upper triangle, then mirrors). The Gram step of
-/// `SolveLeastSquares`.
-Matrix AtA(const Matrix& a, double ridge = 0.0);
+/// C = AᵀA (SYRK-style: walks rows of A contiguously and fills the
+/// upper triangle, then mirrors) — the additive model's design Gram.
+Matrix AtA(const Matrix& a);
 
 /// y = Aᵀ b — the normal-equations right-hand side, accumulated row by
 /// row so A is read contiguously exactly once.
 std::vector<double> TransposeMatVec(const Matrix& a,
                                     const std::vector<double>& b);
 
-/// y = A * x.
-Result<std::vector<double>> MatVec(const Matrix& a,
-                                   const std::vector<double>& x);
-
 /// C = A · Bᵀ where `b` points at `b_rows` contiguous rows of
 /// `a.cols()` doubles (a row-major b_rows×a.cols() block). Every output
-/// element is one dot of two contiguous rows — the natural layout for
-/// the feed-forward forward pass, whose weight matrices are stored
-/// row-major per output unit. `out` is resized (scratch-arena
-/// friendly); the reduction runs in ascending-k order in both modes.
+/// element is one 4-lane `Dot` of two contiguous rows — the natural
+/// layout for the feed-forward forward pass, whose weight matrices are
+/// stored row-major per output unit. `out` is resized (scratch-arena
+/// friendly).
 void MatMulNT(const Matrix& a, const double* b, int64_t b_rows,
               Matrix* out);
 
-/// C = A · B where `b` points at a row-major a.cols()×b_cols block.
-/// Raw-pointer twin of `MatMul` for operands living in flat parameter
-/// vectors; same blocked kernel, same ascending-k accumulation order.
+/// C = A · B where `b` points at a row-major a.cols()×b_cols block
+/// (operands living in flat parameter vectors). i-k-j kernel with a
+/// 4-wide unrolled row update; every output element accumulates in
+/// ascending-k order.
 void MatMulNN(const Matrix& a, const double* b, int64_t b_cols,
               Matrix* out);
 
 /// C = Aᵀ · B for equal-row-count operands (a: m×p, b: m×q → p×q),
 /// accumulated row pair by row pair so both inputs stream contiguously
 /// exactly once — the gradient contraction of batched training
-/// (gW = activationsᵀ · deltas). Contributions arrive in ascending row
-/// order, matching the sample order of the per-sample reference loop.
+/// (gW = activationsᵀ · deltas). Every output element accumulates in
+/// ascending row order.
 void MatMulTN(const Matrix& a, const Matrix& b, Matrix* out);
 
 /// Dot product over equal-length vectors (4 fixed lanes, deterministic
@@ -165,60 +114,23 @@ double Dot(const double* a, const double* b, int64_t n);
 /// \brief Builds the L×L lag-covariance Gram C = AᵀA of the Hankel
 /// trajectory matrix A[i][j] = x[i+j] (i in [0, n-L], j in [0, L)).
 ///
-/// Fast mode exploits the Hankel structure: C[a][b] depends only on the
-/// lag d = b−a and the offset a, so one prefix-sum pass over the
-/// products x[t]·x[t+d] per lag yields a whole diagonal — O(n·L) total
-/// instead of the O((n−L)·L²) triple loop, which remains the scalar
-/// reference. `out` is resized to L×L (scratch-arena friendly).
+/// Exploits the Hankel structure: C[a][b] depends only on the lag
+/// d = b−a and the offset a, so one prefix-sum pass over the products
+/// x[t]·x[t+d] per lag yields a whole diagonal — O(n·L) total instead
+/// of the O((n−L)·L²) materialized product. `out` is resized to L×L
+/// (scratch-arena friendly).
 void BuildLagGram(const double* x, int64_t n, int64_t L, Matrix* out);
 
-/// Solves the symmetric positive-definite system A x = b in place via
-/// Cholesky. Fails if A is not SPD (within tolerance).
-Result<std::vector<double>> CholeskySolve(Matrix a, std::vector<double> b);
-
-/// Solves min ‖A x − b‖² + ridge‖x‖² via the normal equations
-/// (AtA + TransposeMatVec + CholeskySolve).
-Result<std::vector<double>> SolveLeastSquares(const Matrix& a,
-                                              const std::vector<double>& b,
-                                              double ridge = 0.0);
-
-/// \brief Thin SVD result: A = U diag(S) Vᵀ with singular values in
-/// non-increasing order.
-struct SvdResult {
-  Matrix u;               ///< m×n, orthonormal columns
-  std::vector<double> s;  ///< n singular values, descending
-  Matrix v;               ///< n×n orthogonal
-};
-
-/// One-sided Jacobi SVD of an m×n matrix with m >= n. Internally
-/// operates on the transposed factors so every column-pair rotation
-/// walks two contiguous rows. Iterates until column pairs are
-/// orthogonal to machine-precision scale or the sweep limit is hit; a
-/// sweep with no rotations exits early.
-Result<SvdResult> JacobiSvd(const Matrix& a, int max_sweeps = 60);
-
-/// \brief Eigendecomposition of a symmetric matrix: A = V diag(λ) Vᵀ
-/// with eigenvalues in non-increasing order.
-struct EigenResult {
-  Matrix vectors;             ///< n×n, column j is the j-th eigenvector
-  std::vector<double> values; ///< n eigenvalues, descending
-};
-
-/// Eigendecomposition of a symmetric n×n matrix. Used by SSA, which
-/// only needs the lag-space (right) singular vectors — the eigenvectors
-/// of AᵀA. Fast mode runs Householder tridiagonalization followed by
-/// implicit-shift QL (an order of magnitude fewer flops than Jacobi at
-/// SSA's default L=72); the scalar reference is the original cyclic
-/// Jacobi iteration, which `max_sweeps` bounds.
-Result<EigenResult> SymmetricEigen(Matrix a, int max_sweeps = 100);
-
-/// In-place variant for scratch-driven fit loops: consumes `*a`
-/// (overwritten by the rotations), resizes `*vectors` to n×n and
-/// `*values` to n. The rotation accumulator lives in the calling
-/// thread's scratch arena, so passing scratch-owned outputs makes the
-/// whole decomposition heap-allocation-free at steady state.
+/// Eigendecomposition A = V diag(λ) Vᵀ of the symmetric n×n `*a`, with
+/// eigenvalues in non-increasing order: Householder tridiagonalization
+/// followed by implicit-shift QL. Consumes `*a` (overwritten), resizes
+/// `*vectors` to n×n (column j is the j-th eigenvector) and `*values`
+/// to n. The rotation accumulator lives in the calling thread's scratch
+/// arena, so passing scratch-owned outputs makes the whole
+/// decomposition heap-allocation-free at steady state — SSA, which only
+/// needs the lag-space singular vectors (the eigenvectors of AᵀA), runs
+/// it once per fit.
 Status SymmetricEigenInPlace(Matrix* a, Matrix* vectors,
-                             std::vector<double>* values,
-                             int max_sweeps = 100);
+                             std::vector<double>* values);
 
 }  // namespace seagull

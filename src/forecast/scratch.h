@@ -49,22 +49,20 @@ inline constexpr int kArimaDiff = 9;
 inline constexpr int kArimaResiduals = 10;
 inline constexpr int kArimaSens = 11;       // rolling ∂e/∂θ window
 // Feed-forward network
-inline constexpr int kFfGradW1 = 12;
 inline constexpr int kFfGradB1 = 13;
-inline constexpr int kFfGradW2 = 14;
 inline constexpr int kFfGradB2 = 15;
 inline constexpr int kFfAdamM = 16;
 inline constexpr int kFfAdamV = 17;
 inline constexpr int kFfActivations = 18;
 inline constexpr int kFfParams = 19;        // concatenated [w1|b1|w2|b2]
-// ARIMA (optimizer state, fast path)
+// ARIMA (optimizer state)
 inline constexpr int kArimaGrad = 20;
 inline constexpr int kArimaAdam = 21;       // [m | v], 2·np doubles
 // Additive model
 inline constexpr int kAddTargets = 22;
 inline constexpr int kAddGrad = 23;
 inline constexpr int kAddFeatures = 24;
-inline constexpr int kAddRhs = 25;          // b = Aᵀy (fast Gram path)
+inline constexpr int kAddRhs = 25;          // b = Aᵀy
 inline constexpr int kAddGramCoef = 26;     // G·coef per iteration
 // Matrix slots
 inline constexpr int kMatSsaGram = 0;

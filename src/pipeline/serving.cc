@@ -69,43 +69,4 @@ Json ForecastRequest::ToJson() const {
   return doc;
 }
 
-namespace {
-
-std::string ErrorResponse(const Status& status) {
-  Json doc = Json::MakeObject();
-  doc["ok"] = false;
-  doc["error"] = status.message();
-  doc["code"] = StatusCodeToString(status.code());
-  return doc.Dump();
-}
-
-}  // namespace
-
-std::string ForecastService::HandleRequest(
-    const std::string& request_text) const {
-  auto parsed = Json::Parse(request_text);
-  if (!parsed.ok()) {
-    ++failed_;
-    return ErrorResponse(parsed.status());
-  }
-  auto request = ForecastRequest::FromJson(*parsed);
-  if (!request.ok()) {
-    ++failed_;
-    return ErrorResponse(request.status());
-  }
-  auto forecast =
-      endpoint_.Predict(request->server_id, request->recent,
-                        request->start, request->horizon_minutes);
-  if (!forecast.ok()) {
-    ++failed_;
-    return ErrorResponse(forecast.status());
-  }
-  ++served_;
-  Json doc = Json::MakeObject();
-  doc["ok"] = true;
-  doc["model_version"] = endpoint_.version();
-  doc["forecast"] = SeriesToJson(*forecast);
-  return doc.Dump();
-}
-
 }  // namespace seagull

@@ -1,13 +1,12 @@
 /// \file serving.h
-/// \brief JSON request/response serving for deployed models.
+/// \brief JSON wire forms for serving deployed models.
 ///
 /// In production the deployed model is "accessible through a REST
-/// endpoint" (§2.2). This module implements that contract — a JSON
-/// request carrying the server id, forecast range, and recent telemetry,
-/// and a JSON response carrying the prediction or a structured error —
-/// without binding to any transport: callers hand request text to
-/// `HandleRequest` and ship the response text however they like (the
-/// tests drive it in-process; an HTTP server would be a thin shim).
+/// endpoint" (§2.2). `ServingEngine` (src/serving/engine.h) answers
+/// that contract; this header holds the wire pieces it parses and
+/// renders: the stateless forecast request — server id, forecast range,
+/// and recent telemetry — and the load-series JSON form used by
+/// requests and responses.
 
 #pragma once
 
@@ -30,31 +29,6 @@ struct ForecastRequest {
   ///  "recent": {"start": M, "interval": M, "values": [v|null, ...]}}
   static Result<ForecastRequest> FromJson(const Json& doc);
   Json ToJson() const;
-};
-
-/// \brief Serving endpoint wrapping a `ModelEndpoint`.
-class ForecastService {
- public:
-  explicit ForecastService(ModelEndpoint endpoint)
-      : endpoint_(std::move(endpoint)) {}
-
-  const ModelEndpoint& endpoint() const { return endpoint_; }
-
-  /// Handles one request (JSON text in, JSON text out). Responses:
-  ///   success: {"ok": true, "model_version": V, "forecast":
-  ///             {"start": M, "interval": M, "values": [...]}}
-  ///   failure: {"ok": false, "error": "...", "code": "..."}
-  /// Malformed requests yield a failure response, never a crash.
-  std::string HandleRequest(const std::string& request_text) const;
-
-  /// Requests served / failed since construction.
-  int64_t requests_served() const { return served_; }
-  int64_t requests_failed() const { return failed_; }
-
- private:
-  ModelEndpoint endpoint_;
-  mutable int64_t served_ = 0;
-  mutable int64_t failed_ = 0;
 };
 
 /// Serializes a load series into the wire form used by requests and

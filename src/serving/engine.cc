@@ -72,8 +72,7 @@ ServingEngine::ServingEngine(ModelEndpoint endpoint, ServingOptions options)
   for (int i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  published_.store(std::make_shared<const FleetEpoch>(),
-                   std::memory_order_release);
+  published_ = std::make_shared<const FleetEpoch>();
   auto& reg = MetricsRegistry::Global();
   dirty_marks_ = reg.GetCounter("seagull.serving.dirty_marks");
   refits_ = reg.GetCounter("seagull.serving.refits");
@@ -120,7 +119,7 @@ Status ServingEngine::Bootstrap(const std::vector<ServerTelemetry>& fleet) {
   next->epoch = prev->epoch;
   next->servers = prev->servers;
   for (const auto& st : fleet) next->servers.try_emplace(st.server_id);
-  published_.store(std::move(next), std::memory_order_release);
+  Publish(std::move(next));
   dirty_marks_->Increment(static_cast<int64_t>(fleet.size()));
   servers_gauge_->Set(static_cast<double>(server_count()));
   return Status::OK();
@@ -138,6 +137,14 @@ int64_t ServingEngine::server_count() const {
 int64_t ServingEngine::subscription_count() const {
   std::lock_guard<std::mutex> lock(subs_mu_);
   return static_cast<int64_t>(subs_.size());
+}
+
+void ServingEngine::Publish(std::shared_ptr<const FleetEpoch> next) {
+  {
+    std::lock_guard<std::mutex> lock(published_mu_);
+    published_.swap(next);
+  }
+  // `next` now holds the previous epoch and drops it here.
 }
 
 bool ServingEngine::IsRegistered(const std::string& server_id) const {
@@ -197,7 +204,7 @@ Result<Json> ServingEngine::PredictFromSnapshot(const FleetEpoch& snap,
 
 Result<Json> ServingEngine::HandlePredict(const Json& request) {
   if (request.Contains("recent")) {
-    // Stateless path: the ForecastService wire contract — the request
+    // Stateless path: the ForecastRequest wire form — the request
     // carries its own telemetry and the endpoint predicts from it.
     SEAGULL_ASSIGN_OR_RETURN(ForecastRequest req,
                              ForecastRequest::FromJson(request));
@@ -421,6 +428,27 @@ Result<Json> ServingEngine::HandleIngest(const Json& request) {
       return Status::Invalid(
           "increment interval does not match the server's telemetry grid");
     }
+    // Bound the increment to within one tail cap of the server's anchor
+    // — the tail's end, or before the first tick the end of the first
+    // pending increment — so a tick-time merge spans at most about two
+    // tail caps whatever stamps a client sends.
+    const LoadSeries* anchor =
+        !state.tail.empty()
+            ? &state.tail
+            : (!state.pending.empty() ? &state.pending.front().second
+                                      : nullptr);
+    if (anchor != nullptr) {
+      const MinuteStamp lo = anchor->end() - options_.tail_cap_minutes;
+      const MinuteStamp hi = anchor->end() + options_.tail_cap_minutes;
+      if (increment.start() < lo || increment.end() > hi) {
+        return Status::OutOfRange(
+            "increment [" + std::to_string(increment.start()) + ", " +
+            std::to_string(increment.end()) +
+            ") lies outside tail_cap_minutes of the server's telemetry "
+            "ending at " +
+            std::to_string(anchor->end()));
+      }
+    }
     state.pending.emplace_back(seq, std::move(increment));
   }
   pending_count_.fetch_add(1, std::memory_order_relaxed);
@@ -439,7 +467,8 @@ std::string ServingEngine::Handle(const std::string& request_text) {
     failed_.fetch_add(1, std::memory_order_relaxed);
     return ErrorResponse(parsed.status());
   }
-  // Verb defaulting keeps the ForecastService wire form valid as-is.
+  // Verb defaulting keeps the stateless ForecastRequest form valid
+  // without a "verb" member.
   const std::string verb =
       parsed->Contains("verb") ? (*parsed)["verb"].AsString() : "predict";
   const bool batch = verb == "predict" && parsed->Contains("servers");
@@ -620,11 +649,11 @@ TickResult ServingEngine::Tick() {
     if (!task.entry->last_error.empty()) ++result.refit_failures;
   }
 
-  // Phase 4 — publish: one atomic swap moves every query from the old
+  // Phase 4 — publish: one pointer swap moves every query from the old
   // epoch to the new one. Readers holding the old snapshot finish on it
   // (stale-but-consistent); the shared_ptr keeps it alive until the
   // last of them drops it.
-  published_.store(next, std::memory_order_release);
+  Publish(next);
   tick_.store(result.tick, std::memory_order_release);
 
   // Phase 5 — subscriptions: evaluate against the epoch just published,

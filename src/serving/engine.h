@@ -11,16 +11,16 @@
 ///
 /// Epoch model (double buffering): all query-visible state — the cached
 /// forecast, its refit tick, and the last refit error of every server —
-/// lives in an immutable `FleetEpoch` published through an atomic
-/// `shared_ptr`. Queries (`predict`, batch predict, `ll_window`) load
+/// lives in an immutable `FleetEpoch` published through one
+/// `shared_ptr`. Queries (`predict`, batch predict, `ll_window`) copy
 /// the published pointer once and answer entirely from that snapshot:
-/// they take no shard lock and never wait behind a running `Tick()`,
-/// so predict tail latency is independent of refit cost. `Tick()`
+/// they take no shard lock and never wait behind a running `Tick()`'s
+/// refits, so predict tail latency is independent of refit cost. `Tick()`
 /// builds the *next* epoch in a shadow buffer — it copies the published
 /// entry table (cheap: forecasts are shared, not cloned), drains the
 /// pending ingests into the tick-owned tails in sequence-number order,
 /// re-forecasts exactly the dirty servers into the shadow entries, and
-/// then publishes the shadow with a single atomic pointer swap. A query
+/// then publishes the shadow with a single pointer swap. A query
 /// that interleaves with a tick therefore observes either the previous
 /// epoch or the new one in full — never a torn mix — and every entry of
 /// a batch response comes from one snapshot (the `epoch` field names
@@ -83,7 +83,9 @@ struct ServingOptions {
   /// Forecast horizon recomputed for each dirty server at every tick.
   int64_t horizon_minutes = kMinutesPerDay;
   /// Rolling telemetry kept per server; older samples are trimmed at
-  /// tick time so steady-state memory is O(servers * cap).
+  /// tick time so steady-state memory is O(servers * cap). Ingest
+  /// increments must also lie within this distance of the server's
+  /// telemetry (see `Handle`).
   int64_t tail_cap_minutes = 14 * kMinutesPerDay;
   /// Shards of the mutable ingest state (power of two recommended);
   /// each shard has its own lock so ingests on unrelated servers never
@@ -145,7 +147,7 @@ class ServingEngine {
   ///   predict   {"verb":"predict","server_id":S,
   ///              ["start":M,"horizon_minutes":H] | ["recent":{series}]}
   ///     With "recent", computes through the endpoint directly (the
-  ///     stateless `ForecastService` wire contract; "verb" may then be
+  ///     stateless `ForecastRequest` wire form; "verb" may then be
   ///     omitted entirely). Without it, serves the published epoch's
   ///     forecast, sliced to [start, start+horizon) when given; the
   ///     response carries the snapshot's "epoch" and the server's
@@ -170,18 +172,20 @@ class ServingEngine {
   ///   ingest    {"verb":"ingest","server_id":S,["seq":N],
   ///              "series":{series}}
   ///     Enqueues the increment for the next tick. Unknown servers are
-  ///     auto-registered. `seq` orders same-server merges; omitted seqs
-  ///     draw from an arrival counter (schedule-dependent — loadgen
-  ///     always assigns explicit seqs).
+  ///     auto-registered. An increment reaching more than
+  ///     `tail_cap_minutes` from the server's anchor — its tail's end,
+  ///     or before it has a tail the first pending increment's end —
+  ///     is rejected as OutOfRange. `seq` orders same-server merges;
+  ///     omitted seqs draw from an arrival counter (schedule-dependent
+  ///     — loadgen always assigns explicit seqs).
   /// Success responses carry {"ok":true,...}; failures the structured
-  /// {"ok":false,"error":...,"code":...} form shared with
-  /// `ForecastService`.
+  /// {"ok":false,"error":...,"code":...} form.
   std::string Handle(const std::string& request_text);
 
   /// Advances one epoch: drains pending ingests (per server, in seq
   /// order), trims tails to `tail_cap_minutes`, re-forecasts the dirty
   /// set in sorted server order into a shadow epoch, publishes it with
-  /// one atomic swap, and evaluates subscriptions against the new
+  /// one pointer swap, and evaluates subscriptions against the new
   /// epoch. Must not run concurrently with itself; queries, ingests,
   /// and (un)subscribes may run concurrently with it (see the epoch
   /// model above).
@@ -255,8 +259,13 @@ class ServingEngine {
 
   /// The currently published epoch (never null after construction).
   std::shared_ptr<const FleetEpoch> Snapshot() const {
-    return published_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(published_mu_);
+    return published_;
   }
+
+  /// Makes `next` the published epoch. The previous epoch is released
+  /// after the lock drops, so queries never wait on its destruction.
+  void Publish(std::shared_ptr<const FleetEpoch> next);
 
   /// True when the mutable state knows the server (registered via
   /// bootstrap or ingest), i.e. an epoch miss means "awaiting first
@@ -282,9 +291,13 @@ class ServingEngine {
   ModelEndpoint endpoint_;
   ServingOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// The double buffer's front pointer. `Tick()` is the only writer;
-  /// queries load it wait-free with respect to refit work.
-  std::atomic<std::shared_ptr<const FleetEpoch>> published_;
+  /// The double buffer's front pointer. `published_mu_` is held only
+  /// to copy or swap the pointer, never across refit work. (Not
+  /// std::atomic<std::shared_ptr>: libstdc++ 12's atomic load drops its
+  /// internal lock with relaxed ordering, a data race that tsan reports
+  /// between a query's load and the tick's store.)
+  mutable std::mutex published_mu_;
+  std::shared_ptr<const FleetEpoch> published_;
 
   mutable std::mutex subs_mu_;
   std::map<std::string, Subscription> subs_;

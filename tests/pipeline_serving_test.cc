@@ -43,38 +43,25 @@ TEST(ForecastRequestTest, RoundTrip) {
   EXPECT_EQ(back->recent.size(), 288);
 }
 
-/// The wire contract runs against two handler paths: the stateless
-/// `ForecastService` and the streaming `ServingEngine`, whose
-/// verb-defaulting predict path accepts the exact same request form
-/// (the "recent" series routes it through the endpoint directly). Both
-/// must produce the same success shape, the same structured errors, and
-/// the same served/failed accounting.
-class ServingContractTest : public ::testing::TestWithParam<const char*> {
+/// The stateless predict wire contract: a request carrying its own
+/// "recent" telemetry is answered through the deployed endpoint, with
+/// "verb" optional, and every failure is a structured {ok,error,code}
+/// response counted as failed.
+class ServingContractTest : public ::testing::Test {
  protected:
-  ServingContractTest()
-      : service_(MakePrevDayEndpoint()), engine_(MakePrevDayEndpoint()) {}
-
-  bool UsesEngine() const { return std::string(GetParam()) == "engine"; }
+  ServingContractTest() : engine_(MakePrevDayEndpoint()) {}
 
   std::string Handle(const std::string& request_text) {
-    return UsesEngine() ? engine_.Handle(request_text)
-                        : service_.HandleRequest(request_text);
+    return engine_.Handle(request_text);
   }
 
-  int64_t served() const {
-    return UsesEngine() ? engine_.requests_served()
-                        : service_.requests_served();
-  }
-  int64_t failed() const {
-    return UsesEngine() ? engine_.requests_failed()
-                        : service_.requests_failed();
-  }
+  int64_t served() const { return engine_.requests_served(); }
+  int64_t failed() const { return engine_.requests_failed(); }
 
-  ForecastService service_;
   ServingEngine engine_;
 };
 
-TEST_P(ServingContractTest, ServesForecast) {
+TEST_F(ServingContractTest, ServesForecast) {
   ForecastRequest req;
   req.server_id = "srv-1";
   req.start = kMinutesPerDay;
@@ -96,69 +83,7 @@ TEST_P(ServingContractTest, ServesForecast) {
   EXPECT_EQ(failed(), 0);
 }
 
-TEST_P(ServingContractTest, StructuredErrors) {
-  // Not JSON.
-  auto r1 = Json::Parse(Handle("not json at all"));
-  ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE((*r1)["ok"].AsBool());
-  EXPECT_EQ((*r1)["code"].AsString(), "Invalid");
-  // JSON but missing fields.
-  auto r2 = Json::Parse(Handle("{}"));
-  ASSERT_TRUE(r2.ok());
-  EXPECT_FALSE((*r2)["ok"].AsBool());
-  // Valid shape but misaligned range -> model error surfaces.
-  ForecastRequest req;
-  req.server_id = "srv";
-  req.start = kMinutesPerDay + 2;
-  req.horizon_minutes = 60;
-  req.recent = DayOfLoad();
-  auto r3 = Json::Parse(Handle(req.ToJson().Dump()));
-  ASSERT_TRUE(r3.ok());
-  EXPECT_FALSE((*r3)["ok"].AsBool());
-  EXPECT_EQ(served(), 0);
-  EXPECT_EQ(failed(), 3);
-}
-
-TEST_P(ServingContractTest, NegativeHorizonRejected) {
-  ForecastRequest req;
-  req.server_id = "srv";
-  req.start = 0;
-  req.horizon_minutes = 60;
-  req.recent = DayOfLoad();
-  Json doc = req.ToJson();
-  doc["horizon_minutes"] = -5;
-  auto response = Json::Parse(Handle(doc.Dump()));
-  ASSERT_TRUE(response.ok());
-  EXPECT_FALSE((*response)["ok"].AsBool());
-}
-
-TEST_P(ServingContractTest, EmptyServerIdRejected) {
-  ForecastRequest req;
-  req.server_id = "";
-  req.start = kMinutesPerDay;
-  req.horizon_minutes = 60;
-  req.recent = DayOfLoad();
-  auto response = Json::Parse(Handle(req.ToJson().Dump()));
-  ASSERT_TRUE(response.ok());
-  EXPECT_FALSE((*response)["ok"].AsBool());
-  EXPECT_EQ((*response)["code"].AsString(), "Invalid");
-  EXPECT_EQ((*response)["error"].AsString(), "server id must not be empty");
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ServingContractTest,
-                         ::testing::Values("service", "engine"),
-                         [](const auto& info) {
-                           return std::string(info.param);
-                         });
-
-/// Negative-path parity: the two backends must emit the exact same
-/// {ok,error,code} bytes for malformed traffic, so callers can switch
-/// between them without re-learning error handling. (The PR 6 suite
-/// only checked each backend's shape, not cross-backend equality.)
-TEST(ServingContractParityTest, MalformedRequestsMatchByteForByte) {
-  ForecastService service(MakePrevDayEndpoint());
-  ServingEngine engine(MakePrevDayEndpoint());
-
+TEST_F(ServingContractTest, StructuredErrors) {
   ForecastRequest empty_id;
   empty_id.server_id = "";
   empty_id.start = kMinutesPerDay;
@@ -172,20 +97,55 @@ TEST(ServingContractParityTest, MalformedRequestsMatchByteForByte) {
       empty_id.ToJson().Dump(),    // empty server id
   };
   for (const std::string& request : cases) {
-    const std::string from_service = service.HandleRequest(request);
-    const std::string from_engine = engine.Handle(request);
-    EXPECT_EQ(from_service, from_engine) << request;
-    auto parsed = Json::Parse(from_service);
+    auto parsed = Json::Parse(Handle(request));
     ASSERT_TRUE(parsed.ok()) << request;
     EXPECT_FALSE((*parsed)["ok"].AsBool()) << request;
     EXPECT_TRUE((*parsed)["error"].is_string()) << request;
     EXPECT_TRUE((*parsed)["code"].is_string()) << request;
+    if (request == cases[0]) {
+      EXPECT_EQ((*parsed)["code"].AsString(), "Invalid");
+    }
   }
-  EXPECT_EQ(service.requests_failed(), engine.requests_failed());
-  EXPECT_EQ(service.requests_served(), engine.requests_served());
+  // Valid shape but misaligned range -> model error surfaces.
+  ForecastRequest req;
+  req.server_id = "srv";
+  req.start = kMinutesPerDay + 2;
+  req.horizon_minutes = 60;
+  req.recent = DayOfLoad();
+  auto misaligned = Json::Parse(Handle(req.ToJson().Dump()));
+  ASSERT_TRUE(misaligned.ok());
+  EXPECT_FALSE((*misaligned)["ok"].AsBool());
+  EXPECT_EQ(served(), 0);
+  EXPECT_EQ(failed(), 5);
 }
 
-TEST(ForecastServiceTest, EndToEndThroughDeployedRegistry) {
+TEST_F(ServingContractTest, NegativeHorizonRejected) {
+  ForecastRequest req;
+  req.server_id = "srv";
+  req.start = 0;
+  req.horizon_minutes = 60;
+  req.recent = DayOfLoad();
+  Json doc = req.ToJson();
+  doc["horizon_minutes"] = -5;
+  auto response = Json::Parse(Handle(doc.Dump()));
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE((*response)["ok"].AsBool());
+}
+
+TEST_F(ServingContractTest, EmptyServerIdRejected) {
+  ForecastRequest req;
+  req.server_id = "";
+  req.start = kMinutesPerDay;
+  req.horizon_minutes = 60;
+  req.recent = DayOfLoad();
+  auto response = Json::Parse(Handle(req.ToJson().Dump()));
+  ASSERT_TRUE(response.ok());
+  EXPECT_FALSE((*response)["ok"].AsBool());
+  EXPECT_EQ((*response)["code"].AsString(), "Invalid");
+  EXPECT_EQ((*response)["error"].AsString(), "server id must not be empty");
+}
+
+TEST(ServingRegistryTest, EndToEndThroughDeployedRegistry) {
   // Deploy through the registry, load the active endpoint, serve.
   DocStore docs;
   PersistentForecast model;
@@ -204,13 +164,13 @@ TEST(ForecastServiceTest, EndToEndThroughDeployedRegistry) {
 
   auto endpoint = LoadActiveEndpoint(&docs, "region");
   ASSERT_TRUE(endpoint.ok());
-  ForecastService service(std::move(endpoint).ValueUnsafe());
+  ServingEngine engine(std::move(endpoint).ValueUnsafe());
   ForecastRequest req;
   req.server_id = "any";
   req.start = kMinutesPerDay;
   req.horizon_minutes = 120;
   req.recent = DayOfLoad();
-  auto response = Json::Parse(service.HandleRequest(req.ToJson().Dump()));
+  auto response = Json::Parse(engine.Handle(req.ToJson().Dump()));
   ASSERT_TRUE(response.ok());
   EXPECT_TRUE((*response)["ok"].AsBool());
 }

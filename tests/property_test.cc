@@ -224,47 +224,51 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ResampleProperty,
                          ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------------
-// SVD reconstruction across random shapes.
+// Gram eigendecomposition reconstruction across random shapes (SSA's
+// lag-covariance solve: A = V diag(λ) Vᵀ for A = XᵀX).
 
-struct SvdShape {
+struct GramShape {
   int64_t rows;
   int64_t cols;
 };
 
-class SvdProperty : public ::testing::TestWithParam<SvdShape> {};
+class GramEigenProperty : public ::testing::TestWithParam<GramShape> {};
 
-TEST_P(SvdProperty, ReconstructsWithinTolerance) {
-  SvdShape shape = GetParam();
+TEST_P(GramEigenProperty, ReconstructsWithinTolerance) {
+  GramShape shape = GetParam();
   Rng rng(shape.rows * 131 + shape.cols);
-  Matrix a(shape.rows, shape.cols);
+  Matrix x(shape.rows, shape.cols);
   for (int64_t i = 0; i < shape.rows; ++i) {
     for (int64_t j = 0; j < shape.cols; ++j) {
-      a.At(i, j) = rng.Gaussian(0.0, 3.0);
+      x.At(i, j) = rng.Gaussian(0.0, 3.0);
     }
   }
-  auto svd = JacobiSvd(a);
-  ASSERT_TRUE(svd.ok());
-  Matrix us = svd->u;
-  for (int64_t i = 0; i < us.rows(); ++i) {
-    for (int64_t j = 0; j < us.cols(); ++j) {
-      us.At(i, j) *= svd->s[static_cast<size_t>(j)];
+  const Matrix gram = AtA(x);
+  Matrix work = gram;
+  Matrix vectors;
+  std::vector<double> values;
+  ASSERT_TRUE(SymmetricEigenInPlace(&work, &vectors, &values).ok());
+  const int64_t n = shape.cols;
+  double max_err = 0.0, scale = 1.0;
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      double recon = 0.0;
+      for (int64_t k = 0; k < n; ++k) {
+        recon += vectors.At(i, k) * values[static_cast<size_t>(k)] *
+                 vectors.At(j, k);
+      }
+      max_err = std::max(max_err, std::fabs(recon - gram.At(i, j)));
+      scale = std::max(scale, std::fabs(gram.At(i, j)));
     }
   }
-  auto recon = MatMul(us, Transpose(svd->v));
-  ASSERT_TRUE(recon.ok());
-  double max_err = 0.0;
-  for (int64_t i = 0; i < a.rows(); ++i) {
-    for (int64_t j = 0; j < a.cols(); ++j) {
-      max_err = std::max(max_err, std::fabs(recon->At(i, j) - a.At(i, j)));
-    }
-  }
-  EXPECT_LT(max_err, 1e-7);
+  EXPECT_LT(max_err, 1e-9 * scale);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, SvdProperty,
-                         ::testing::Values(SvdShape{4, 4}, SvdShape{8, 3},
-                                           SvdShape{16, 16}, SvdShape{40, 10},
-                                           SvdShape{64, 24}));
+INSTANTIATE_TEST_SUITE_P(Shapes, GramEigenProperty,
+                         ::testing::Values(GramShape{4, 4}, GramShape{8, 3},
+                                           GramShape{16, 16},
+                                           GramShape{40, 10},
+                                           GramShape{64, 24}));
 
 // ---------------------------------------------------------------------------
 // Standard metric invariants.

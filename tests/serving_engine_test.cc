@@ -191,7 +191,32 @@ TEST_F(ServingEngineTest, IngestValidation) {
   doc["server_id"] = "srv-a";
   Json no_series = MustParse(engine_.Handle(doc.Dump()));
   EXPECT_FALSE(no_series["ok"].AsBool());
+
+  // Increments more than tail_cap_minutes away from the tail's end
+  // would make the next tick's merge allocate the whole gap.
+  const Json before = MustParse(engine_.SnapshotText());
+  for (MinuteStamp start :
+       {MinuteStamp{900000000000}, MinuteStamp{-100 * kMinutesPerDay}}) {
+    Json far = MustParse(
+        engine_.Handle(IngestRequest("srv-a", 1, OneSample(start, 1.0))));
+    EXPECT_FALSE(far["ok"].AsBool()) << start;
+    EXPECT_EQ(far["code"].AsString(), "OutOfRange") << start;
+  }
   EXPECT_EQ(engine_.pending_ingests(), 0);
+  const TickResult tick = engine_.Tick();
+  EXPECT_EQ(tick.ingests_applied, 0);
+  const Json after = MustParse(engine_.SnapshotText());
+  EXPECT_EQ(after["servers"]["srv-a"]["tail"].Dump(),
+            before["servers"]["srv-a"]["tail"].Dump());
+
+  // A server with no tail yet is anchored by its first pending
+  // increment.
+  EXPECT_TRUE(MustParse(engine_.Handle(IngestRequest(
+      "srv-new", 1, OneSample(900000000000, 1.0))))["ok"].AsBool());
+  Json far_from_pending = MustParse(
+      engine_.Handle(IngestRequest("srv-new", 2, OneSample(0, 1.0))));
+  EXPECT_EQ(far_from_pending["code"].AsString(), "OutOfRange");
+  EXPECT_EQ(engine_.pending_ingests(), 1);
 }
 
 TEST_F(ServingEngineTest, PredictSliceAndLLWindow) {

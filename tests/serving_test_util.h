@@ -1,12 +1,12 @@
 /// \file serving_test_util.h
 /// \brief Shared fixtures for the serving-path tests.
 ///
-/// `pipeline_serving_test.cc` (the stateless `ForecastService`),
+/// `pipeline_serving_test.cc` (the stateless predict wire contract),
 /// `serving_engine_test.cc`, `loadgen_test.cc`, and
-/// `serving_determinism_test.cc` (the stateful `ServingEngine`) all
-/// serve the same wire contract from the same champion model; these
-/// helpers keep the endpoint and telemetry literals in one place so the
-/// suites stay byte-for-byte comparable.
+/// `serving_determinism_test.cc` (the stateful verbs) all drive
+/// `ServingEngine` from the same champion model; these helpers keep the
+/// endpoint and telemetry literals in one place so the suites stay
+/// byte-for-byte comparable.
 
 #pragma once
 

@@ -26,11 +26,11 @@
 #                             # SeriesBlock ingestion rates and the
 #                             # lake-cache hit trajectory), and
 #                             # bench/micro_forecast, which writes
-#                             # BENCH_forecast.json (scalar-vs-fast
-#                             # kernel timings, per-model Fit p50/p99)
-#                             # and fails if a model exceeds the
-#                             # forecast_train_micros ceilings in
-#                             # tests/budgets.json
+#                             # BENCH_forecast.json (per-model Fit
+#                             # p50/p99, the batched-fleet row, and
+#                             # single-kernel timings) and fails if a
+#                             # model exceeds the forecast_train_micros
+#                             # ceilings in tests/budgets.json
 #   tools/check.sh serving    # serving engine slice: the serving unit /
 #                             # determinism suites in Release, then
 #                             # bench/loadgen at the full 1200-server
@@ -58,9 +58,12 @@
 #                             # then micro_substrate with the
 #                             # ingest_memory footprint gate, then the
 #                             # streaming decode/encode + mmap-cache
-#                             # suites under asan+ubsan (a separate
-#                             # build dir — asan and tsan cannot
-#                             # compose)
+#                             # suites, the `kernels` label (raw-pointer
+#                             # forecast kernels and their test-only
+#                             # reference loops) and serving_engine_test
+#                             # (ingest admission bounds) under
+#                             # asan+ubsan (a separate build dir — asan
+#                             # and tsan cannot compose)
 #   tools/check.sh serving-soak
 #                             # ~60-second chaos soak under tsan+ubsan:
 #                             # bench/loadgen on the spike profile with
@@ -174,7 +177,8 @@ case "$MODE" in
     (cd "$ROOT/build-release" &&
       ./bench/micro_substrate --benchmark_filter='IngestStreaming' \
         --budgets="$ROOT/tests/budgets.json")
-    echo "=== [scale] streaming decode/encode + mmap suites under asan+ubsan ==="
+    echo "=== [scale] streaming decode/encode + mmap, forecast kernel and" \
+         "serving ingest suites under asan+ubsan ==="
     # A dedicated build dir: asan is incompatible with the tsan config
     # that build-sanitize holds.
     cmake -B "$ROOT/build-asan" -S "$ROOT" \
@@ -184,9 +188,13 @@ case "$MODE" in
     cmake --build "$ROOT/build-asan" -j "$JOBS" \
       --target telemetry_series_block_test series_block_writer_test \
       store_lake_cache_test telemetry_records_test \
-      store_doc_test pipeline_modules_test
+      store_doc_test pipeline_modules_test \
+      forecast_linalg_test forecast_linalg_kernel_test \
+      forecast_batch_equivalence_test forecast_golden_test \
+      serving_engine_test
     (cd "$ROOT/build-asan" && ctest --output-on-failure -R \
-      'telemetry_series_block_test|series_block_writer_test|store_lake_cache_test|telemetry_records_test|store_doc_test|pipeline_modules_test')
+      'telemetry_series_block_test|series_block_writer_test|store_lake_cache_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test')
+    (cd "$ROOT/build-asan" && ctest --output-on-failure -L kernels)
     echo "=== [scale] OK ==="
     ;;
   serving-soak)
