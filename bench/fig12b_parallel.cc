@@ -10,11 +10,11 @@
 /// With `--servers=N` the binary instead runs the fleet-scale memory
 /// plane deliverable: N servers staged shard-by-shard as per-region
 /// SeriesBlock blobs through the streaming SGB1 writer, the full
-/// pipeline executed over each shard in a {jobs=1, jobs=`--jobs`} x
-/// {mmap, heap} grid with the shard's blobs deleted before the next
-/// shard is staged (both disk and RSS stay shard-bounded, which is what
-/// makes `--servers=1000000` runnable), per-region digests compared for
-/// byte-identity across all four passes, and (with `--budgets=<path>`)
+/// pipeline executed over each shard at jobs=1 and jobs=`--jobs` with
+/// the shard's blobs deleted before the next shard is staged (both disk
+/// and RSS stay shard-bounded, which is what makes `--servers=1000000`
+/// runnable), per-region digests compared for byte-identity across the
+/// two passes, and (with `--budgets=<path>`)
 /// peak RSS, per-server costs, and encoder residency gated against the
 /// `fleet_scale` section of tests/budgets.json. Writes
 /// BENCH_scale.json. `--shard=K` overrides the staging/resident shard
@@ -306,14 +306,13 @@ uint64_t DigestRegion(DocStore* docs, const std::string& region) {
   return h;
 }
 
-/// One pass configuration over the scale fleet. Four passes cross the
-/// two axes the gate cares about: job count (determinism across
-/// parallelism) and blob read strategy (mmap vs heap byte-identity).
+/// One pass configuration over the scale fleet. The two passes differ
+/// only in job count, so their digests check determinism across
+/// parallelism.
 struct PassConfig {
   const char* key;    ///< JSON key prefix
   const char* label;  ///< report row label
   int jobs;
-  bool mmap;
 };
 
 /// Accumulated results of one pass across every staging shard.
@@ -343,9 +342,8 @@ struct PassStats {
 /// pass's arena floor and (b) the shard-retire sample cannot miss a
 /// mid-shard spike — the window *is* the shard.
 ///
-/// Digest identity is required across all four passes: jobs=1 vs
-/// jobs=N (determinism) and mmap-on vs mmap-off (read-path
-/// byte-identity). `--shard=0` disables sharding: all regions staged
+/// Digest identity is required across the two passes: jobs=1 vs
+/// jobs=N (determinism). `--shard=0` disables sharding: all regions staged
 /// up front and retained to the end — the pre-memory-plane behavior,
 /// kept as the honest "before" row (it still reports
 /// `per_server_resident_bytes` so BENCH_scale.json rows stay
@@ -358,7 +356,7 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
       (servers + kRegionServers - 1) / kRegionServers;
   const int64_t shard_width = shard > 0 ? shard : regions;
   PrintHeader("Fleet scale",
-              "bounded-RSS pipeline run, jobs x mmap grid, digest compare");
+              "bounded-RSS pipeline run, jobs=1 vs jobs=N, digest compare");
   if (shard > 0) {
     std::printf("%-28s %10lld servers in %lld regions (shard %lld)\n",
                 "fleet", static_cast<long long>(servers),
@@ -374,10 +372,8 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
   lake.status().Abort();
 
   const std::vector<PassConfig> pass_configs = {
-      {"sequential", "sequential (mmap)", 1, true},
-      {"parallel", "parallel (mmap)", par_jobs, true},
-      {"sequential_heap", "sequential (heap)", 1, false},
-      {"parallel_heap", "parallel (heap)", par_jobs, false},
+      {"sequential", "sequential", 1},
+      {"parallel", "parallel", par_jobs},
   };
   std::vector<PassStats> stats(pass_configs.size());
   // Each pass owns a DocStore for the whole run (regions retire out of
@@ -444,7 +440,6 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
     // is the max over windows and never inherits a neighbor's floor.
     for (size_t p = 0; p < pass_configs.size(); ++p) {
       const PassConfig& cfg = pass_configs[p];
-      lake->ConfigureMmap(cfg.mmap);
       FleetOptions options;
       options.jobs = cfg.jobs;
       options.max_resident_regions = 0;  // the slice is one shard already
@@ -496,16 +491,8 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
 
   const PassStats& seq = stats[0];
   const PassStats& par = stats[1];
-  bool deterministic = true;
-  for (const PassStats& s : stats) {
-    if (s.failures != 0 || s.digests != seq.digests) deterministic = false;
-  }
-  const bool jobs_identical =
+  const bool deterministic =
       seq.failures == 0 && par.failures == 0 && seq.digests == par.digests;
-  const bool mmap_identical = seq.failures == 0 && stats[2].failures == 0 &&
-                              stats[3].failures == 0 &&
-                              seq.digests == stats[2].digests &&
-                              par.digests == stats[3].digests;
   const double per_server_bytes =
       static_cast<double>(seq.ingest_resident_bytes) /
       static_cast<double>(servers);
@@ -527,12 +514,12 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
   std::printf("%-28s %10.0f bytes/server (worst pass)\n", "peak RSS cost",
               per_server_peak);
   std::printf("%-28s %10s\n", "digests identical (jobs)",
-              jobs_identical ? "yes" : "NO (BUG)");
-  std::printf("%-28s %10s\n", "digests identical (mmap)",
-              mmap_identical ? "yes" : "NO (BUG)");
+              deterministic ? "yes" : "NO (BUG)");
 
   Json out = Json::MakeObject();
   out["benchmark"] = "fleet_scale";
+  out["hardware_threads"] =
+      static_cast<int64_t>(std::thread::hardware_concurrency());
   out["servers"] = servers;
   out["regions"] = regions;
   out["region_servers"] = kRegionServers;
@@ -550,8 +537,7 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
   out["per_server_resident_bytes"] = per_server_bytes;
   out["per_server_peak_rss_bytes"] = per_server_peak;
   out["deterministic"] = deterministic;
-  out["jobs_identical"] = jobs_identical;
-  out["mmap_identical"] = mmap_identical;
+  out["jobs_identical"] = deterministic;
   std::FILE* f = std::fopen("BENCH_scale.json", "w");
   if (f != nullptr) {
     std::string text = out.DumpPretty();
@@ -565,8 +551,7 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
 
   int violations = 0;
   if (!deterministic) {
-    std::fprintf(stderr,
-                 "scale run diverged across job counts or read paths\n");
+    std::fprintf(stderr, "scale run diverged across job counts\n");
     ++violations;
   }
   if (!budgets_path.empty()) {

@@ -8,13 +8,12 @@
 /// Not a paper figure — a regression guard for the paths every
 /// experiment runs through thousands of times. Also emits
 /// BENCH_ingest.json: the data-plane trajectory (rows/sec and bytes/sec
-/// per format at the 1200-server region — materializing and streaming
-/// SeriesBlock decode both — plus the decode peak-RSS footprint of each
-/// path, the encode plane's streaming-writer vs materializing-encoder
-/// wall time and resident cost, and the lake-cache hit rate of a
-/// repeated fleet run) for future PRs to regress against. With
-/// `--budgets=<path>` the streaming decode's footprint reduction is
-/// gated against the `ingest_memory` section of tests/budgets.json.
+/// per format at the 1200-server region, the SeriesBlock decode's
+/// peak-RSS footprint, the SGB1 writer's wall time and resident cost,
+/// and the lake-cache hit rate of a repeated fleet run) for future
+/// changes to regress against. With `--budgets=<path>` the decode
+/// footprint per server is gated against the `ingest_memory` section
+/// of tests/budgets.json.
 
 #include <benchmark/benchmark.h>
 
@@ -29,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -108,26 +108,9 @@ void BM_IngestCsv(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 
-/// Binary ingestion: SeriesBlock decoded straight into per-server
-/// series, no flat-records intermediate.
-void BM_IngestBinary(benchmark::State& state) {
-  RegionConfig config;
-  config.name = "micro";
-  config.num_servers = static_cast<int>(state.range(0));
-  config.weeks = 4;
-  Fleet fleet = Fleet::Generate(config);
-  std::string block = ExtractWeekBlock(fleet, 3);
-  for (auto _ : state) {
-    auto servers = DecodeSeriesBlockToServers(block);
-    benchmark::DoNotOptimize(servers->size());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(block.size()));
-}
-
-/// Streaming binary ingestion: the `SeriesBlockCursor` path the
-/// pipeline runs — per-server column views into the blob, one grouped
-/// server materialized at a time, no whole-block column scratch.
+/// Binary ingestion: the `SeriesBlockCursor` path the pipeline runs —
+/// per-server column views into the blob, one grouped server
+/// materialized at a time, no whole-block column scratch.
 void BM_IngestStreaming(benchmark::State& state) {
   RegionConfig config;
   config.name = "micro";
@@ -150,7 +133,8 @@ void BM_IngestStreaming(benchmark::State& state) {
                           static_cast<int64_t>(block.size()));
 }
 
-/// The lake-cache hit path: stat + shard lookup + shared_ptr copy.
+/// The lake-cache hit path: stat + shard lookup + BlobRef copy — the
+/// ref aliases the cached page-cache mapping, no heap buffer at all.
 void BM_LakeCacheHit(benchmark::State& state) {
   static auto* lake = [] {
     auto opened = LakeStore::OpenTemporary("micro_cache");
@@ -158,26 +142,7 @@ void BM_LakeCacheHit(benchmark::State& state) {
     auto* owned = new LakeStore(std::move(opened).ValueUnsafe());
     owned->ConfigureCache(16 << 20);
     owned->Put("bench/blob", std::string(1 << 20, 'x')).Abort();
-    owned->GetShared("bench/blob").status().Abort();  // warm
-    return owned;
-  }();
-  for (auto _ : state) {
-    auto blob = lake->GetShared("bench/blob");
-    benchmark::DoNotOptimize(blob->get());
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 20));
-}
-
-/// The mmap read hit path: stat + shard lookup + BlobRef copy — the
-/// ref aliases the cached page-cache mapping, no heap buffer at all.
-void BM_LakeMmapHit(benchmark::State& state) {
-  static auto* lake = [] {
-    auto opened = LakeStore::OpenTemporary("micro_mmap");
-    opened.status().Abort();
-    auto* owned = new LakeStore(std::move(opened).ValueUnsafe());
-    owned->ConfigureCache(16 << 20);
-    owned->Put("bench/blob", std::string(1 << 20, 'x')).Abort();
-    owned->GetBlob("bench/blob").status().Abort();  // warm: mapped entry
+    owned->GetBlob("bench/blob").status().Abort();  // warm
     return owned;
   }();
   for (auto _ : state) {
@@ -212,17 +177,19 @@ void BM_GenerateLoadWeek(benchmark::State& state) {
 }
 
 /// Emits BENCH_ingest.json: CSV vs SeriesBlock ingestion throughput at
-/// the paper-scale 1200-server region (min-of-3 wall times), plus the
-/// cache-hit rate of a second identical fleet run over a cache-enabled
-/// lake with a per-phase metrics snapshot embedded.
+/// the paper-scale 1200-server region (min-of-3 wall times), the
+/// SeriesBlock decode's peak-RSS footprint, the SGB1 writer's cost,
+/// plus the cache-hit rate of a second identical fleet run over a
+/// cache-enabled lake with a per-phase metrics snapshot embedded.
 int RunIngestTrajectory(const std::string& budgets_path) {
   using Clock = std::chrono::steady_clock;
   seagull::bench::PrintHeader("Data plane",
                               "CSV vs SeriesBlock ingestion, lake cache");
 
+  constexpr int64_t kServers = 1200;
   RegionConfig config;
   config.name = "ingest-1200";
-  config.num_servers = 1200;
+  config.num_servers = static_cast<int>(kServers);
   config.weeks = 4;
   config.seed = 42;
   Fleet fleet = Fleet::Generate(config);
@@ -249,10 +216,6 @@ int RunIngestTrajectory(const std::string& budgets_path) {
     auto servers = GroupByServer(*records);
     benchmark::DoNotOptimize(servers->size());
   });
-  const double bin_ms = min_millis_of_3([&] {
-    auto servers = DecodeSeriesBlockToServers(block);
-    benchmark::DoNotOptimize(servers->size());
-  });
   auto stream_decode = [&] {
     auto cursor = SeriesBlockCursor::Open(std::string_view(block));
     cursor.status().Abort();
@@ -265,7 +228,7 @@ int RunIngestTrajectory(const std::string& budgets_path) {
     benchmark::DoNotOptimize(servers.size());
   };
   const double stream_ms = min_millis_of_3(stream_decode);
-  const double speedup = bin_ms > 0.0 ? csv_ms / bin_ms : 0.0;
+  const double speedup = stream_ms > 0.0 ? csv_ms / stream_ms : 0.0;
 
   auto per_sec = [](double count, double ms) {
     return ms > 0.0 ? count * 1000.0 / ms : 0.0;
@@ -274,70 +237,45 @@ int RunIngestTrajectory(const std::string& budgets_path) {
               csv_ms, per_sec(static_cast<double>(rows), csv_ms),
               per_sec(static_cast<double>(csv.size()), csv_ms) / 1e6);
   std::printf("%-28s %10.1f ms  %12.0f rows/s  %8.1f MB/s\n",
-              "ingest (binary)", bin_ms,
-              per_sec(static_cast<double>(rows), bin_ms),
-              per_sec(static_cast<double>(block.size()), bin_ms) / 1e6);
-  std::printf("%-28s %10.1f ms  %12.0f rows/s  %8.1f MB/s\n",
               "ingest (streaming)", stream_ms,
               per_sec(static_cast<double>(rows), stream_ms),
               per_sec(static_cast<double>(block.size()), stream_ms) / 1e6);
   std::printf("%-28s %10.2fx   (target >= 4x)\n", "binary speedup", speedup);
 
   // Decode memory footprint, measured as the kernel's RSS high-water
-  // delta around each decode (VmHWM reset via /proc/self/clear_refs).
-  // Streaming runs first, on a cold allocator, so its measured peak is
-  // an upper bound while the materializing pass benefits from warmed
-  // pages — the ratio below is conservative. Both paths retain the
-  // grouped output (what the ingest module does); the difference is
-  // the materializing path's whole-block column scratch.
+  // delta around the decode (VmHWM reset via /proc/self/clear_refs).
+  // The decode retains the grouped output (what the ingest module
+  // does), so the peak is that output plus one server's LoadSeries in
+  // flight — no whole-block column scratch.
   const bool rss_supported = ResetPeakRss() && ReadPeakRssBytes() >= 0;
-  int64_t stream_peak = -1, mat_peak = -1;
-  double footprint_ratio = 0.0;
+  int64_t stream_peak = -1;
+  double stream_peak_per_server = 0.0;
   if (rss_supported) {
-    auto peak_delta = [](auto&& body) {
 #if defined(__GLIBC__)
-      // The timing reps above warmed the allocator: glibc's dynamic
-      // mmap threshold ramped past the column-scratch size, so freed
-      // pages stay resident in the arena and a decode that reuses them
-      // never raises RSS. Hand free chunks back to the kernel first so
-      // the body faults its working set in again.
-      malloc_trim(0);
+    // The timing reps above warmed the allocator: freed pages stay
+    // resident in the arena, so a decode that reuses them never raises
+    // RSS. Hand free chunks back to the kernel first so the decode
+    // faults its working set in again.
+    malloc_trim(0);
 #endif
-      ResetPeakRss();
-      const int64_t before = ReadPeakRssBytes();
-      body();
-      return ReadPeakRssBytes() - before;
-    };
-    stream_peak = peak_delta(stream_decode);
-    mat_peak = peak_delta([&] {
-      auto servers = DecodeSeriesBlockToServers(block);
-      benchmark::DoNotOptimize(servers->size());
-    });
-    footprint_ratio = stream_peak > 0
-                          ? static_cast<double>(mat_peak) /
-                                static_cast<double>(stream_peak)
-                          : 0.0;
+    ResetPeakRss();
+    const int64_t before = ReadPeakRssBytes();
+    stream_decode();
+    stream_peak = ReadPeakRssBytes() - before;
+    stream_peak_per_server =
+        static_cast<double>(stream_peak) / static_cast<double>(kServers);
     std::printf("%-28s %10.1f MB peak (%6.0f bytes/server)\n",
-                "decode footprint (stream)",
-                static_cast<double>(stream_peak) / 1e6,
-                static_cast<double>(stream_peak) / 1200.0);
-    std::printf("%-28s %10.1f MB peak (%6.0f bytes/server)\n",
-                "decode footprint (mater.)",
-                static_cast<double>(mat_peak) / 1e6,
-                static_cast<double>(mat_peak) / 1200.0);
-    std::printf("%-28s %10.2fx   (target >= 2x)\n", "footprint reduction",
-                footprint_ratio);
+                "decode footprint", static_cast<double>(stream_peak) / 1e6,
+                stream_peak_per_server);
   } else {
     std::printf("%-28s %10s\n", "decode footprint",
                 "n/a (no VmHWM reset on this kernel)");
   }
 
-  // Encode plane: the streaming SGB1 writer (`ExtractWeekBlockTo` — two
-  // deterministic generation passes, timestamps streamed in chunks,
-  // values buffered) against the materializing path (`ExtractWeekBlock`
-  // — every TelemetryRecord plus the whole output string in memory).
-  // The writer's resident cost is its own high-water accounting, exact
-  // and allocator-independent; the materializing cost is the RSS delta.
+  // Encode plane: `ExtractWeekBlockTo` — two deterministic generation
+  // passes, timestamps streamed in chunks, values buffered. The
+  // writer's resident cost is its own high-water accounting, exact and
+  // allocator-independent.
   int64_t writer_peak = 0;
   const double stream_encode_ms = min_millis_of_3([&] {
     int64_t bytes = 0;
@@ -350,40 +288,9 @@ int RunIngestTrajectory(const std::string& budgets_path) {
         .Abort();
     benchmark::DoNotOptimize(bytes);
   });
-  const double mat_encode_ms = min_millis_of_3([&] {
-    std::string blob = ExtractWeekBlock(fleet, 3);
-    benchmark::DoNotOptimize(blob.size());
-  });
-  int64_t mat_encode_peak = -1;
-  double encode_ratio = 0.0;
-  if (rss_supported) {
-#if defined(__GLIBC__)
-    malloc_trim(0);
-#endif
-    ResetPeakRss();
-    const int64_t before = ReadPeakRssBytes();
-    {
-      std::string blob = ExtractWeekBlock(fleet, 3);
-      benchmark::DoNotOptimize(blob.size());
-    }
-    mat_encode_peak = ReadPeakRssBytes() - before;
-    encode_ratio = writer_peak > 0 ? static_cast<double>(mat_encode_peak) /
-                                         static_cast<double>(writer_peak)
-                                   : 0.0;
-  }
   std::printf("%-28s %10.1f ms  %10.1f MB resident (writer accounting)\n",
               "encode (streaming)", stream_encode_ms,
               static_cast<double>(writer_peak) / 1e6);
-  if (mat_encode_peak >= 0) {
-    std::printf("%-28s %10.1f ms  %10.1f MB resident (RSS delta)\n",
-                "encode (materializing)", mat_encode_ms,
-                static_cast<double>(mat_encode_peak) / 1e6);
-    std::printf("%-28s %10.2fx\n", "encode residency reduction",
-                encode_ratio);
-  } else {
-    std::printf("%-28s %10.1f ms\n", "encode (materializing)",
-                mat_encode_ms);
-  }
 
   // Cache trajectory: two identical fleet runs against one cache-enabled
   // lake; run two's telemetry reads should all hit.
@@ -424,7 +331,9 @@ int RunIngestTrajectory(const std::string& budgets_path) {
 
   Json out = Json::MakeObject();
   out["benchmark"] = "ingest_data_plane";
-  out["servers"] = 1200;
+  out["hardware_threads"] =
+      static_cast<int64_t>(std::thread::hardware_concurrency());
+  out["servers"] = kServers;
   out["rows"] = rows;
   Json csv_j = Json::MakeObject();
   csv_j["bytes"] = static_cast<int64_t>(csv.size());
@@ -432,12 +341,6 @@ int RunIngestTrajectory(const std::string& budgets_path) {
   csv_j["rows_per_sec"] = per_sec(static_cast<double>(rows), csv_ms);
   csv_j["bytes_per_sec"] = per_sec(static_cast<double>(csv.size()), csv_ms);
   out["csv"] = std::move(csv_j);
-  Json bin_j = Json::MakeObject();
-  bin_j["bytes"] = static_cast<int64_t>(block.size());
-  bin_j["millis"] = bin_ms;
-  bin_j["rows_per_sec"] = per_sec(static_cast<double>(rows), bin_ms);
-  bin_j["bytes_per_sec"] = per_sec(static_cast<double>(block.size()), bin_ms);
-  out["binary"] = std::move(bin_j);
   Json stream_j = Json::MakeObject();
   stream_j["bytes"] = static_cast<int64_t>(block.size());
   stream_j["millis"] = stream_ms;
@@ -448,17 +351,11 @@ int RunIngestTrajectory(const std::string& budgets_path) {
   Json foot_j = Json::MakeObject();
   foot_j["supported"] = rss_supported;
   foot_j["streaming_peak_bytes"] = stream_peak;
-  foot_j["materializing_peak_bytes"] = mat_peak;
-  foot_j["reduction_ratio"] = footprint_ratio;
-  foot_j["streaming_bytes_per_server"] =
-      static_cast<double>(stream_peak) / 1200.0;
+  foot_j["streaming_bytes_per_server"] = stream_peak_per_server;
   out["decode_footprint"] = std::move(foot_j);
   Json enc_j = Json::MakeObject();
   enc_j["streaming_millis"] = stream_encode_ms;
-  enc_j["materializing_millis"] = mat_encode_ms;
   enc_j["streaming_resident_bytes"] = writer_peak;
-  enc_j["materializing_peak_bytes"] = mat_encode_peak;
-  enc_j["reduction_ratio"] = encode_ratio;
   out["encode"] = std::move(enc_j);
   out["speedup"] = speedup;
   Json cache_j = Json::MakeObject();
@@ -478,8 +375,8 @@ int RunIngestTrajectory(const std::string& budgets_path) {
     std::fprintf(stderr, "could not write BENCH_ingest.json\n");
   }
 
-  // `--budgets`: gate the streaming decode's memory win against the
-  // `ingest_memory` section (tools/check.sh perf/scale wire this up).
+  // `--budgets`: gate the decode footprint against the `ingest_memory`
+  // section (tools/check.sh scale wires this up).
   int violations = 0;
   if (!budgets_path.empty()) {
     std::ifstream in(budgets_path);
@@ -490,17 +387,18 @@ int RunIngestTrajectory(const std::string& budgets_path) {
       std::fprintf(stderr, "budgets file has no ingest_memory section\n");
       return 1;
     }
-    const double min_ratio =
-        (*parsed)["ingest_memory"]["min_footprint_ratio"].AsDouble();
+    const double ceiling =
+        (*parsed)["ingest_memory"]["max_decode_peak_bytes_per_server"]
+            .AsDouble();
     if (!rss_supported) {
       std::printf("ingest_memory budget skipped: kernel cannot reset "
                   "VmHWM\n");
-    } else if (footprint_ratio < min_ratio) {
+    } else if (stream_peak_per_server > ceiling) {
       std::fprintf(stderr,
-                   "ingest_memory budget missed: footprint reduction "
-                   "%.2fx < %.2fx floor (if intentional, re-baseline "
-                   "tests/budgets.json)\n",
-                   footprint_ratio, min_ratio);
+                   "ingest_memory budget exceeded: decode peak %.0f "
+                   "bytes/server > ceiling %.0f (if intentional, "
+                   "re-baseline tests/budgets.json)\n",
+                   stream_peak_per_server, ceiling);
       ++violations;
     } else {
       std::printf("ingest_memory budgets OK (%s)\n", budgets_path.c_str());
@@ -516,11 +414,9 @@ BENCHMARK(BM_BucketRatio)->Arg(1)->Arg(7);
 BENCHMARK(BM_TelemetryCsvParse)->Arg(10)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IngestCsv)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_IngestBinary)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IngestStreaming)->Arg(10)->Arg(40)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LakeCacheHit);
-BENCHMARK(BM_LakeMmapHit);
 BENCHMARK(BM_SsaFit)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GenerateLoadWeek)->Unit(benchmark::kMillisecond);
 

@@ -2,35 +2,20 @@
 /// \brief `BlobRef`: a shared, immutable view of blob bytes that owns
 /// its backing storage without saying what that storage is.
 ///
-/// The data plane historically passed blobs around as
-/// `shared_ptr<const std::string>` — which hard-codes "the bytes live
-/// on the heap". The mmap-backed lake read path (store/mmap_blob.h)
-/// needs the same shared-ownership pin over page-cache-backed mappings,
-/// and the streaming decode cursor (telemetry/series_block.h) must not
-/// care which one it was handed. `BlobRef` is that generalization: a
+/// Lake reads hand out page-cache-backed mappings (store/mmap_blob.h),
+/// and the streaming decode cursor (telemetry/series_block.h) must keep
+/// those bytes alive without knowing how they are held. `BlobRef` is a
 /// `string_view` of the bytes plus a type-erased `shared_ptr` keeping
-/// whatever owns them alive.
-///
-/// Ownership states (DESIGN.md "memory-plane round 2"):
-///   - empty      — default-constructed; no bytes, no owner. The cache
-///                  miss sentinel.
-///   - heap       — owner is a `shared_ptr<const std::string>` and the
-///                  view aliases its contents. `heap()` recovers the
-///                  typed pointer so legacy `GetShared` callers keep
-///                  their zero-copy path.
-///   - mapped     — owner is anything else (an `MmapBlob`); the view
-///                  aliases bytes the owner keeps valid. `heap()` is
-///                  null; materializing a string requires a copy.
+/// whatever owns them alive. The empty (default-constructed) ref has no
+/// bytes and no owner; it is the cache miss sentinel.
 ///
 /// A `BlobRef` held by a reader pins the backing storage past cache
-/// eviction or writer invalidation, exactly as the cursor's
-/// `shared_ptr<const string>` pin did before: eviction drops the
-/// cache's reference, never the buffer (or the mapping).
+/// eviction or writer invalidation: eviction drops the cache's
+/// reference, never the mapping.
 
 #pragma once
 
 #include <memory>
-#include <string>
 #include <string_view>
 #include <utility>
 
@@ -41,16 +26,6 @@ class BlobRef {
  public:
   /// Empty ref: no bytes, no owner. `operator bool` is false.
   BlobRef() = default;
-
-  /// Heap-backed ref aliasing `heap`'s contents. A null `heap` makes an
-  /// empty ref.
-  explicit BlobRef(std::shared_ptr<const std::string> heap) {
-    if (heap != nullptr) {
-      view_ = std::string_view(*heap);
-      heap_ = std::move(heap);
-      owner_ = heap_;
-    }
-  }
 
   /// Ref aliasing `bytes`, kept valid by `owner` (an `MmapBlob` or any
   /// other storage whose lifetime covers the view). `owner` must be
@@ -65,19 +40,12 @@ class BlobRef {
   const char* data() const { return view_.data(); }
   size_t size() const { return view_.size(); }
 
-  /// The heap buffer when heap-backed; null for empty or mapped refs.
-  const std::shared_ptr<const std::string>& heap() const { return heap_; }
-
-  /// True when backed by a non-heap owner (a mapping).
-  bool mapped() const { return owner_ != nullptr && heap_ == nullptr; }
-
   /// The type-erased owner — what a pinning reader must keep alive.
   const std::shared_ptr<const void>& owner() const { return owner_; }
 
  private:
   std::string_view view_;
-  std::shared_ptr<const std::string> heap_;  ///< set iff heap-backed
-  std::shared_ptr<const void> owner_;        ///< set iff non-empty
+  std::shared_ptr<const void> owner_;  ///< set iff non-empty
 };
 
 }  // namespace seagull

@@ -25,8 +25,8 @@ Status DataIngestionModule::Run(PipelineContext* ctx) {
   if (IsSeriesBlock(blob.view())) {
     // Binary fast path: stream the cursor server-by-server straight
     // into grouped per-server form — no flat-records intermediate, no
-    // column scratch copies, and with mmap enabled no heap copy of the
-    // blob either: the views alias the page-cache-backed mapping. The
+    // column scratch copies, and no heap copy of the blob either: the
+    // views alias the page-cache-backed mapping GetBlob returns. The
     // cursor pins the blob's owner, so the views stay valid even if
     // the blob cache evicts the entry while this module runs.
     // Validation detects the pre-grouped input via ctx->servers.

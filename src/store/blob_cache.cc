@@ -22,8 +22,7 @@ BlobCache::BlobCache(int64_t capacity_bytes)
 }
 
 int64_t BlobCache::ChargeOf(const BlobRef& blob) {
-  const int64_t size = static_cast<int64_t>(blob.size());
-  return blob.mapped() ? MmapBlob::ResidentEstimate(size) : size;
+  return MmapBlob::ResidentEstimate(static_cast<int64_t>(blob.size()));
 }
 
 BlobCache::Shard& BlobCache::ShardOf(const std::string& key) {
@@ -50,8 +49,8 @@ BlobRef BlobCache::Lookup(const std::string& key, const Fingerprint& fp) {
   }
   if (!(it->second->fp == fp)) {
     // The file changed behind our back; the entry caches a dead
-    // snapshot. Holders of refs handed out earlier keep the old buffer
-    // (or mapping) alive — dropping here only drops the cache's pin.
+    // snapshot. Holders of refs handed out earlier keep the old mapping
+    // alive — dropping here only drops the cache's pin.
     DropLocked(shard, it);
     invalidations_->Increment();
     misses_->Increment();

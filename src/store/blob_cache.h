@@ -4,10 +4,9 @@
 /// The FleetRunner's parallel region×week runs read overlapping 4-week
 /// telemetry windows: with W weeks of history, every extraction is read
 /// up to four times per fleet run, and twice that across back-to-back
-/// runs. `BlobCache` keeps whole blobs in memory as `BlobRef`s —
-/// heap strings on the classic path, page-cache-backed mappings on the
-/// mmap path — so concurrent readers share one immutable buffer (or
-/// mapping) instead of each copying the file.
+/// runs. `BlobCache` keeps whole blobs as `BlobRef`s over
+/// page-cache-backed mappings, so concurrent readers share one
+/// immutable mapping instead of each mapping (or copying) the file.
 ///
 /// Coherence rule: an entry is valid only while the backing file's
 /// (size, mtime, inode, ctime) fingerprint matches the one captured at
@@ -18,13 +17,12 @@
 /// size and a copied-back mtime); the ctime component catches in-place
 /// truncate-to-same-size rewrites with a restored mtime, because ctime
 /// is kernel-controlled and cannot be set backwards from userspace.
-/// Both matter doubly for mapped entries, where serving a stale entry
-/// would alias pages of a different file generation.
+/// Both matter doubly because entries are mappings: serving a stale
+/// entry would alias pages of a different file generation.
 ///
-/// Accounting: heap entries charge their byte length; mapped entries
-/// charge a page-rounded mapped-resident estimate (what the mapping
-/// costs once fully faulted in), and `seagull.lake.cache_bytes` tracks
-/// the same number.
+/// Accounting: every entry charges a page-rounded mapped-resident
+/// estimate (what its mapping costs once fully faulted in), and
+/// `seagull.lake.cache_bytes` tracks the same number.
 ///
 /// Sharded by key hash: each shard has its own mutex, LRU list, and
 /// capacity slice, so parallel regions touching different keys never
@@ -77,20 +75,14 @@ class BlobCache {
   /// used entries from the shard as needed. An empty ref is ignored.
   void Insert(const std::string& key, const Fingerprint& fp, BlobRef blob);
 
-  /// Heap-buffer convenience used by tests and the classic read path.
-  void Insert(const std::string& key, const Fingerprint& fp,
-              std::shared_ptr<const std::string> blob) {
-    Insert(key, fp, BlobRef(std::move(blob)));
-  }
-
   /// Drops `key` if cached (writer-side coherence: Put/Delete).
   void Invalidate(const std::string& key);
 
   /// Drops everything.
   void Clear();
 
-  /// What an entry for `blob` charges against capacity: byte length
-  /// for heap entries, page-rounded resident estimate for mappings.
+  /// What an entry for `blob` charges against capacity: the
+  /// page-rounded resident estimate of its mapping.
   static int64_t ChargeOf(const BlobRef& blob);
 
   int64_t capacity_bytes() const { return capacity_bytes_; }

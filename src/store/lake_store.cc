@@ -183,38 +183,7 @@ Result<BlobRef> LakeStore::GetBlob(const std::string& key) const {
     }
     // Miss path: the real read, where transient blob faults live.
     SEAGULL_FAULT_POINT("lake.get", key);
-    BlobRef blob;
-    if (*mmap_enabled_) {
-      SEAGULL_ASSIGN_OR_RETURN(blob, MmapBlob::Map(path, key));
-    } else {
-      SEAGULL_ASSIGN_OR_RETURN(std::string content, ReadWholeFile(path, key));
-      blob = BlobRef(std::make_shared<const std::string>(std::move(content)));
-    }
-    if (cache_) cache_->Insert(key, fp, blob);
-    return blob;
-  }());
-}
-
-Result<std::shared_ptr<const std::string>> LakeStore::GetShared(
-    const std::string& key) const {
-  ObsOp op("seagull.lake", "get_shared");
-  return op.Done([&]() -> Result<std::shared_ptr<const std::string>> {
-    SEAGULL_ASSIGN_OR_RETURN(std::string path, ResolvePath(key));
-    BlobCache::Fingerprint fp;
-    if (cache_) {
-      SEAGULL_ASSIGN_OR_RETURN(fp, StatFingerprint(path, key));
-      if (BlobRef cached = cache_->Lookup(key, fp)) {
-        if (cached.heap()) return cached.heap();
-        // The cache holds a mapping; this legacy caller wants a string.
-        return std::make_shared<const std::string>(cached.view());
-      }
-    }
-    // Miss path: the real read, where transient blob faults live. Reads
-    // into a heap buffer regardless of the mmap setting so the returned
-    // string (and the cached entry) are what the caller asked for.
-    SEAGULL_FAULT_POINT("lake.get", key);
-    SEAGULL_ASSIGN_OR_RETURN(std::string content, ReadWholeFile(path, key));
-    auto blob = std::make_shared<const std::string>(std::move(content));
+    SEAGULL_ASSIGN_OR_RETURN(BlobRef blob, MmapBlob::Map(path, key));
     if (cache_) cache_->Insert(key, fp, blob);
     return blob;
   }());
@@ -224,8 +193,6 @@ void LakeStore::ConfigureCache(int64_t capacity_bytes) {
   cache_ = capacity_bytes > 0 ? std::make_shared<BlobCache>(capacity_bytes)
                               : nullptr;
 }
-
-void LakeStore::ConfigureMmap(bool enabled) { *mmap_enabled_ = enabled; }
 
 bool LakeStore::Exists(const std::string& key) const {
   auto path = ResolvePath(key);

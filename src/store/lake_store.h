@@ -61,39 +61,23 @@ class LakeStore {
   /// Reads a whole blob.
   Result<std::string> Get(const std::string& key) const;
 
-  /// Reads a blob as a shared immutable `BlobRef` — the primary read
-  /// path. With mmap enabled (the default) the ref aliases a read-only
-  /// page-cache-backed mapping: zero heap copies, bytes faulted on
-  /// first touch, reclaimable by the kernel. With mmap disabled
-  /// (`ConfigureMmap(false)`) it owns a heap buffer. With the cache
-  /// enabled (`ConfigureCache`), repeat reads of an unchanged file
-  /// return the same ref without touching the filesystem beyond a
-  /// `stat`; parallel readers share one buffer/mapping. Fault injection
-  /// fires on the miss (real read) path only — a cache hit never
-  /// re-reads.
+  /// Reads a blob as a shared immutable `BlobRef` — the telemetry read
+  /// path. The ref aliases a read-only page-cache-backed mapping
+  /// (store/mmap_blob.h): zero heap copies, bytes faulted on first
+  /// touch, reclaimable by the kernel. With the cache enabled
+  /// (`ConfigureCache`), repeat reads of an unchanged file return the
+  /// same ref without touching the filesystem beyond a `stat`; parallel
+  /// readers share one mapping. Fault injection fires on the miss (real
+  /// read) path only — a cache hit never re-reads.
   Result<BlobRef> GetBlob(const std::string& key) const;
 
-  /// Legacy whole-blob heap read: like `GetBlob` but always returns a
-  /// heap string (copying out of a cached mapping if that is what the
-  /// cache holds; reading into a fresh heap buffer on a miss). Prefer
-  /// `GetBlob` on hot paths.
-  Result<std::shared_ptr<const std::string>> GetShared(
-      const std::string& key) const;
-
-  /// Enables an LRU blob cache of `capacity_bytes` serving
-  /// `GetBlob`/`GetShared` (0 disables, the default). Copies of this
-  /// store made after the call share the cache. Entries are keyed on
+  /// Enables an LRU blob cache of `capacity_bytes` serving `GetBlob`
+  /// (0 disables, the default). Copies of this store made after the
+  /// call share the cache. Entries are keyed on
   /// key + file (size, mtime, inode, ctime), so external writes —
   /// including rename-replaces and same-size in-place rewrites — are
   /// detected; writes through this store invalidate eagerly.
   void ConfigureCache(int64_t capacity_bytes);
-
-  /// Chooses the miss-path read strategy for `GetBlob`: mmap (true,
-  /// the default — the `--lake-mmap` CLI flag) or heap buffers.
-  /// Copies of this store share the setting if made after the call.
-  void ConfigureMmap(bool enabled);
-
-  bool mmap_enabled() const { return *mmap_enabled_; }
 
   /// The cache, if one is configured (test/bench introspection).
   const std::shared_ptr<BlobCache>& cache() const { return cache_; }
@@ -120,8 +104,7 @@ class LakeStore {
                                   int64_t week_index);
 
  private:
-  explicit LakeStore(std::string root)
-      : root_(std::move(root)), mmap_enabled_(std::make_shared<bool>(true)) {}
+  explicit LakeStore(std::string root) : root_(std::move(root)) {}
 
   Result<std::string> ResolvePath(const std::string& key) const;
   Status WriteAtomic(const std::string& key,
@@ -129,7 +112,6 @@ class LakeStore {
 
   std::string root_;
   std::shared_ptr<BlobCache> cache_;  ///< null = caching disabled
-  std::shared_ptr<bool> mmap_enabled_;  ///< shared across store copies
 };
 
 }  // namespace seagull

@@ -1,14 +1,14 @@
 /// \file mmap_blob.h
 /// \brief Read-only `mmap(2)` mapping of a lake blob.
 ///
-/// The heap read path (`ReadWholeFile`) copies every blob into a
-/// `std::string` — at 1M servers that is ~95 MB of allocation and
-/// memcpy per region-week before decode even starts, and the copy
-/// lives in the process heap where it counts against peak RSS even
-/// after `malloc_trim`. A mapping instead aliases the kernel page
-/// cache: the bytes are faulted in on first touch, shared with every
-/// other mapper of the same inode, and reclaimable by the kernel under
-/// pressure without the process doing anything.
+/// A heap read copies every blob into a `std::string` — at 1M servers
+/// that is ~95 MB of allocation and memcpy per region-week before
+/// decode even starts, and the copy lives in the process heap where it
+/// counts against peak RSS even after `malloc_trim`. A mapping instead
+/// aliases the kernel page cache, which is why `LakeStore::GetBlob`
+/// reads every blob this way: the bytes are faulted in on first touch,
+/// shared with every other mapper of the same inode, and reclaimable by
+/// the kernel under pressure without the process doing anything.
 ///
 /// Staleness/safety contract (DESIGN.md "memory-plane round 2"):
 ///   - `LakeStore::Put` replaces blobs via tmp + `rename(2)`, never by

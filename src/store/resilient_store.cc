@@ -21,33 +21,6 @@ Status ResilientStore::Retry(const std::string& op_key,
   return outcome.status;
 }
 
-Result<std::string> ResilientStore::LakeGet(const std::string& key) const {
-  if (lake_ == nullptr) {
-    return Status::FailedPrecondition("no lake store configured");
-  }
-  std::string value;
-  Status st = Retry("lake.get/" + key, [&] {
-    SEAGULL_ASSIGN_OR_RETURN(value, lake_->Get(key));
-    return Status::OK();
-  });
-  if (!st.ok()) return st;
-  return value;
-}
-
-Result<std::shared_ptr<const std::string>> ResilientStore::LakeGetShared(
-    const std::string& key) const {
-  if (lake_ == nullptr) {
-    return Status::FailedPrecondition("no lake store configured");
-  }
-  std::shared_ptr<const std::string> value;
-  Status st = Retry("lake.get/" + key, [&] {
-    SEAGULL_ASSIGN_OR_RETURN(value, lake_->GetShared(key));
-    return Status::OK();
-  });
-  if (!st.ok()) return st;
-  return value;
-}
-
 Result<BlobRef> ResilientStore::LakeGetBlob(const std::string& key) const {
   if (lake_ == nullptr) {
     return Status::FailedPrecondition("no lake store configured");

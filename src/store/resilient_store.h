@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,14 +35,8 @@ class ResilientStore {
 
   /// \name Lake operations (fail with FailedPrecondition if no lake).
   /// @{
-  Result<std::string> LakeGet(const std::string& key) const;
-  /// Shared-buffer read: hits the lake's blob cache when configured
-  /// (see `LakeStore::GetShared`); faults retry like `LakeGet`.
-  Result<std::shared_ptr<const std::string>> LakeGetShared(
-      const std::string& key) const;
-  /// `BlobRef` read — the primary path: zero-copy mmap-backed bytes
-  /// when the lake has mmap enabled (see `LakeStore::GetBlob`); faults
-  /// retry like `LakeGet`.
+  /// `BlobRef` read: zero-copy mmap-backed bytes, served from the
+  /// lake's blob cache when configured (see `LakeStore::GetBlob`).
   Result<BlobRef> LakeGetBlob(const std::string& key) const;
   Status LakePut(const std::string& key, const std::string& content) const;
   Result<std::vector<std::string>> LakeList(const std::string& prefix) const;

@@ -10,7 +10,7 @@
 
 #include "telemetry/fleet.h"
 #include "telemetry/records.h"
-#include "telemetry/series_block_writer.h"
+#include "telemetry/series_block.h"
 
 namespace seagull {
 

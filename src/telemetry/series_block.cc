@@ -1,11 +1,10 @@
 #include "telemetry/series_block.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <unordered_map>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -19,11 +18,18 @@ constexpr uint32_t kVersion = 1;
 // server_count(8) + total_samples(8).
 constexpr size_t kHeaderBytes = 36;
 constexpr size_t kTrailerBytes = 8;
+// A directory entry with an empty id: id_len(4) + backup window(16) +
+// sample_count(8).
+constexpr size_t kMinDirectoryEntryBytes = 28;
+// One sample: an i64 timestamp word plus an f64 value word.
+constexpr size_t kSampleBytes = 16;
 // A directory id longer than this is corruption, not telemetry.
 constexpr uint32_t kMaxServerIdBytes = 1 << 16;
+constexpr size_t kTimestampChunkBytes = 256 * 1024;
 
-uint64_t Fnv1a(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ull;
+constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+
+uint64_t Fnv1aFold(uint64_t h, const char* data, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
     h *= 1099511628211ull;
@@ -41,8 +47,17 @@ void AppendU32(std::string* out, uint32_t v) { AppendLE(out, v, 4); }
 void AppendI64(std::string* out, int64_t v) {
   AppendLE(out, static_cast<uint64_t>(v), 8);
 }
-void AppendF64(std::string* out, double v) {
-  AppendLE(out, std::bit_cast<uint64_t>(v), 8);
+
+/// One 64-bit little-endian column word — the append-pass hot path, so
+/// a single memcpy on little-endian hosts instead of eight pushes.
+void AppendWord(std::string* out, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    char buf[8];
+    std::memcpy(buf, &v, 8);
+    out->append(buf, 8);
+  } else {
+    AppendLE(out, v, 8);
+  }
 }
 
 /// Bounds-checked little-endian reader over the blob.
@@ -72,20 +87,6 @@ class BlockReader {
     return true;
   }
 
-  /// Bulk column read: `n` little-endian 64-bit words into `out`.
-  bool ReadWords(size_t n, uint64_t* out) {
-    if (remaining() < n * 8) return false;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out, blob_.data() + off_, n * 8);
-      off_ += n * 8;
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (!ReadLE(8, &out[i])) return false;
-      }
-    }
-    return true;
-  }
-
  private:
   bool ReadLE(int bytes, uint64_t* v) {
     if (remaining() < static_cast<size_t>(bytes)) return false;
@@ -104,81 +105,6 @@ class BlockReader {
   size_t off_ = 0;
 };
 
-struct DirectoryEntry {
-  std::string_view id;
-  int64_t backup_start = 0;
-  int64_t backup_end = 0;
-  int64_t sample_count = 0;
-};
-
-/// Shared decode skeleton: header + checksum + directory + column
-/// bounds. On success positions `reader` at the first timestamp word.
-Result<SeriesBlockInfo> ReadEnvelope(std::string_view blob,
-                                     BlockReader* reader,
-                                     std::vector<DirectoryEntry>* directory) {
-  if (blob.size() < kHeaderBytes + kTrailerBytes) {
-    return Status::Invalid("SeriesBlock truncated: shorter than header");
-  }
-  if (std::memcmp(blob.data(), kMagic, 4) != 0) {
-    return Status::Invalid("not a SeriesBlock: bad magic");
-  }
-  const size_t body = blob.size() - kTrailerBytes;
-  BlockReader trailer(blob.substr(body));
-  int64_t stored_checksum = 0;
-  trailer.ReadI64(&stored_checksum);
-  const uint64_t computed = Fnv1a(blob.data(), body);
-  if (static_cast<uint64_t>(stored_checksum) != computed) {
-    return Status::DataLoss("SeriesBlock checksum mismatch (corrupt blob)");
-  }
-
-  SeriesBlockInfo info;
-  std::string_view magic;
-  uint32_t reserved = 0;
-  if (!reader->ReadBytes(4, &magic) || !reader->ReadU32(&info.version) ||
-      !reader->ReadU32(&reserved) || !reader->ReadI64(&info.interval_minutes) ||
-      !reader->ReadI64(&info.server_count) ||
-      !reader->ReadI64(&info.total_samples)) {
-    return Status::Invalid("SeriesBlock truncated: short header");
-  }
-  if (info.version != kVersion) {
-    return Status::Invalid(StringPrintf(
-        "unsupported SeriesBlock version %u", info.version));
-  }
-  if (info.interval_minutes <= 0 || info.server_count < 0 ||
-      info.total_samples < 0) {
-    return Status::Invalid("SeriesBlock header has negative counts");
-  }
-
-  directory->reserve(static_cast<size_t>(info.server_count));
-  int64_t samples_listed = 0;
-  for (int64_t s = 0; s < info.server_count; ++s) {
-    DirectoryEntry entry;
-    uint32_t id_len = 0;
-    if (!reader->ReadU32(&id_len) || id_len > kMaxServerIdBytes ||
-        !reader->ReadBytes(id_len, &entry.id) ||
-        !reader->ReadI64(&entry.backup_start) ||
-        !reader->ReadI64(&entry.backup_end) ||
-        !reader->ReadI64(&entry.sample_count)) {
-      return Status::Invalid("SeriesBlock truncated: bad directory entry");
-    }
-    if (entry.sample_count < 0) {
-      return Status::Invalid("SeriesBlock directory has negative sample count");
-    }
-    samples_listed += entry.sample_count;
-    directory->push_back(entry);
-  }
-  if (samples_listed != info.total_samples) {
-    return Status::Invalid(
-        "SeriesBlock directory sample counts disagree with header");
-  }
-  const size_t columns =
-      static_cast<size_t>(info.total_samples) * 16;  // i64 + f64 per sample
-  if (reader->offset() + columns != body) {
-    return Status::Invalid("SeriesBlock column section has the wrong size");
-  }
-  return info;
-}
-
 }  // namespace
 
 double QuantizeCpuForStorage(double v) {
@@ -193,8 +119,195 @@ bool IsSeriesBlock(std::string_view blob) {
   return blob.size() >= 4 && std::memcmp(blob.data(), kMagic, 4) == 0;
 }
 
-std::string EncodeSeriesBlock(const std::vector<TelemetryRecord>& records,
-                              int64_t interval_minutes) {
+// ---------------------------------------------------------------------
+// Encoding
+// ---------------------------------------------------------------------
+
+SeriesBlockWriter::SeriesBlockWriter(Sink sink, int64_t interval_minutes)
+    : sink_(std::move(sink)),
+      interval_minutes_(interval_minutes),
+      checksum_(kFnvOffset) {}
+
+Status SeriesBlockWriter::Fail(Status st) {
+  state_ = State::kFailed;
+  return st;
+}
+
+Status SeriesBlockWriter::Emit(std::string_view bytes) {
+  checksum_ = Fnv1aFold(checksum_, bytes.data(), bytes.size());
+  bytes_written_ += static_cast<int64_t>(bytes.size());
+  Status st = sink_(bytes);
+  if (!st.ok()) return Fail(std::move(st));
+  return Status::OK();
+}
+
+void SeriesBlockWriter::NoteResident() {
+  const int64_t resident = directory_bytes_ +
+                           static_cast<int64_t>(ts_chunk_.size()) +
+                           static_cast<int64_t>(value_words_.size());
+  if (resident > peak_resident_bytes_) peak_resident_bytes_ = resident;
+}
+
+Status SeriesBlockWriter::Declare(std::string_view server_id,
+                                  int64_t sample_count,
+                                  int64_t default_backup_start,
+                                  int64_t default_backup_end) {
+  switch (state_) {
+    case State::kDeclaring:
+      break;
+    case State::kFailed:
+      return Status::Invalid("SeriesBlockWriter: writer already failed");
+    default:
+      return Fail(Status::Invalid(
+          "SeriesBlockWriter: Declare after StartAppend"));
+  }
+  if (sample_count < 0) {
+    return Fail(Status::Invalid(
+        "SeriesBlockWriter: negative sample count for server '" +
+        std::string(server_id) + "'"));
+  }
+  // A server with no rows produces no directory entry.
+  if (sample_count == 0) return Status::OK();
+  for (const Declared& d : directory_) {
+    if (d.id == server_id) {
+      return Fail(Status::Invalid(
+          "SeriesBlockWriter: duplicate declaration for server '" +
+          std::string(server_id) +
+          "' (merge duplicates before streaming, e.g. via "
+          "WriteSeriesBlockFromRecords)"));
+    }
+  }
+  Declared d;
+  d.id.assign(server_id);
+  d.backup_start = default_backup_start;
+  d.backup_end = default_backup_end;
+  d.sample_count = sample_count;
+  directory_bytes_ += static_cast<int64_t>(sizeof(Declared) + d.id.size());
+  directory_.push_back(std::move(d));
+  declared_samples_ += sample_count;
+  NoteResident();
+  return Status::OK();
+}
+
+Status SeriesBlockWriter::StartAppend() {
+  switch (state_) {
+    case State::kDeclaring:
+      break;
+    case State::kFailed:
+      return Status::Invalid("SeriesBlockWriter: writer already failed");
+    default:
+      return Fail(Status::Invalid("SeriesBlockWriter: StartAppend twice"));
+  }
+  std::string head;
+  head.reserve(kHeaderBytes + directory_.size() * kMinDirectoryEntryBytes);
+  head.append(kMagic, 4);
+  AppendU32(&head, kVersion);
+  AppendU32(&head, 0);  // reserved
+  AppendI64(&head, interval_minutes_);
+  AppendI64(&head, static_cast<int64_t>(directory_.size()));
+  AppendI64(&head, declared_samples_);
+  for (const Declared& d : directory_) {
+    AppendU32(&head, static_cast<uint32_t>(d.id.size()));
+    head.append(d.id);
+    AppendI64(&head, d.backup_start);
+    AppendI64(&head, d.backup_end);
+    AppendI64(&head, d.sample_count);
+  }
+  state_ = State::kAppending;
+  SEAGULL_RETURN_NOT_OK(Emit(head));
+  // The value column's final size is known exactly; reserving up front
+  // keeps the high-water mark at 8 * total_samples instead of letting
+  // geometric growth overshoot by up to 2x mid-append.
+  value_words_.reserve(static_cast<size_t>(declared_samples_) * 8);
+  ts_chunk_.reserve(kTimestampChunkBytes + 8);
+  append_slot_ = 0;
+  slot_remaining_ = directory_.empty() ? 0 : directory_.front().sample_count;
+  return Status::OK();
+}
+
+Status SeriesBlockWriter::FlushTimestamps() {
+  if (ts_chunk_.empty()) return Status::OK();
+  SEAGULL_RETURN_NOT_OK(Emit(ts_chunk_));
+  ts_chunk_.clear();
+  return Status::OK();
+}
+
+Status SeriesBlockWriter::Append(std::string_view server_id, int64_t timestamp,
+                                 double avg_cpu) {
+  switch (state_) {
+    case State::kAppending:
+      break;
+    case State::kFailed:
+      return Status::Invalid("SeriesBlockWriter: writer already failed");
+    case State::kDeclaring:
+      return Fail(Status::Invalid(
+          "SeriesBlockWriter: Append before StartAppend"));
+    default:
+      return Fail(Status::Invalid("SeriesBlockWriter: Append after Finish"));
+  }
+  if (slot_remaining_ == 0) {
+    ++append_slot_;
+    if (append_slot_ >= directory_.size()) {
+      return Fail(Status::Invalid(
+          "SeriesBlockWriter: append past the declared sample total"));
+    }
+    slot_remaining_ = directory_[append_slot_].sample_count;
+  }
+  const Declared& current = directory_[append_slot_];
+  if (server_id != current.id) {
+    return Fail(Status::Invalid(
+        "SeriesBlockWriter: appends must follow declaration order with "
+        "each server contiguous (got '" +
+        std::string(server_id) + "', expected '" + current.id + "')"));
+  }
+  AppendWord(&ts_chunk_, static_cast<uint64_t>(timestamp));
+  AppendWord(&value_words_,
+             std::bit_cast<uint64_t>(QuantizeCpuForStorage(avg_cpu)));
+  --slot_remaining_;
+  NoteResident();
+  if (ts_chunk_.size() >= kTimestampChunkBytes) {
+    SEAGULL_RETURN_NOT_OK(FlushTimestamps());
+  }
+  return Status::OK();
+}
+
+Status SeriesBlockWriter::Finish() {
+  switch (state_) {
+    case State::kDeclaring:
+      // An all-zero (or empty) declaration set never enters the append
+      // pass explicitly; emit the header for it now.
+      SEAGULL_RETURN_NOT_OK(StartAppend());
+      break;
+    case State::kAppending:
+      break;
+    case State::kFailed:
+      return Status::Invalid("SeriesBlockWriter: writer already failed");
+    default:
+      return Fail(Status::Invalid("SeriesBlockWriter: Finish twice"));
+  }
+  const bool undelivered =
+      !directory_.empty() &&
+      (append_slot_ + 1 < directory_.size() || slot_remaining_ > 0);
+  if (undelivered) {
+    return Fail(Status::Invalid(
+        "SeriesBlockWriter: Finish with undelivered declared samples"));
+  }
+  SEAGULL_RETURN_NOT_OK(FlushTimestamps());
+  SEAGULL_RETURN_NOT_OK(Emit(value_words_));
+  value_words_.clear();
+  value_words_.shrink_to_fit();
+  const uint64_t sum = checksum_;  // trailer is not folded into itself
+  std::string trailer;
+  AppendLE(&trailer, sum, 8);
+  SEAGULL_RETURN_NOT_OK(Emit(trailer));
+  state_ = State::kFinished;
+  return Status::OK();
+}
+
+Status WriteSeriesBlockFromRecords(const std::vector<TelemetryRecord>& records,
+                                   int64_t interval_minutes,
+                                   const SeriesBlockWriter::Sink& sink,
+                                   int64_t* peak_resident_bytes) {
   // Group rows per server in first-appearance order. Rows arrive
   // server-major from Load Extraction, so the last-server fast path
   // makes this one hash lookup per server, not per row.
@@ -204,7 +317,6 @@ std::string EncodeSeriesBlock(const std::vector<TelemetryRecord>& records,
   };
   std::unordered_map<std::string_view, size_t> index;
   std::vector<Group> groups;
-  size_t id_bytes = 0;
   {
     std::string_view last_id;
     size_t last_slot = 0;
@@ -215,10 +327,7 @@ std::string EncodeSeriesBlock(const std::vector<TelemetryRecord>& records,
         slot = last_slot;
       } else {
         auto [it, inserted] = index.try_emplace(r.server_id, groups.size());
-        if (inserted) {
-          groups.emplace_back();
-          id_bytes += r.server_id.size();
-        }
+        if (inserted) groups.emplace_back();
         slot = it->second;
         last_id = it->first;
         last_slot = slot;
@@ -230,208 +339,140 @@ std::string EncodeSeriesBlock(const std::vector<TelemetryRecord>& records,
     }
   }
 
-  std::string out;
-  out.reserve(kHeaderBytes + groups.size() * 28 + id_bytes +
-              records.size() * 16 + kTrailerBytes);
-  out.append(kMagic, 4);
-  AppendU32(&out, kVersion);
-  AppendU32(&out, 0);  // reserved
-  AppendI64(&out, interval_minutes);
-  AppendI64(&out, static_cast<int64_t>(groups.size()));
-  AppendI64(&out, static_cast<int64_t>(records.size()));
-  for (const auto& g : groups) {
-    const std::string& id = g.rows.front()->server_id;
-    AppendU32(&out, static_cast<uint32_t>(id.size()));
-    out.append(id);
-    AppendI64(&out, g.last->default_backup_start);
-    AppendI64(&out, g.last->default_backup_end);
-    AppendI64(&out, static_cast<int64_t>(g.rows.size()));
+  SeriesBlockWriter writer(sink, interval_minutes);
+  for (const Group& g : groups) {
+    SEAGULL_RETURN_NOT_OK(writer.Declare(
+        g.rows.front()->server_id, static_cast<int64_t>(g.rows.size()),
+        g.last->default_backup_start, g.last->default_backup_end));
   }
-  for (const auto& g : groups) {
-    for (const TelemetryRecord* r : g.rows) AppendI64(&out, r->timestamp);
-  }
-  for (const auto& g : groups) {
+  SEAGULL_RETURN_NOT_OK(writer.StartAppend());
+  for (const Group& g : groups) {
     for (const TelemetryRecord* r : g.rows) {
-      AppendF64(&out, QuantizeCpuForStorage(r->avg_cpu));
+      SEAGULL_RETURN_NOT_OK(
+          writer.Append(r->server_id, r->timestamp, r->avg_cpu));
     }
   }
-  AppendLE(&out, Fnv1a(out.data(), out.size()), 8);
+  SEAGULL_RETURN_NOT_OK(writer.Finish());
+  if (peak_resident_bytes != nullptr) {
+    *peak_resident_bytes = writer.peak_resident_bytes();
+  }
+  return Status::OK();
+}
+
+std::string EncodeSeriesBlock(const std::vector<TelemetryRecord>& records,
+                              int64_t interval_minutes) {
+  std::string out;
+  // Rows always group into a valid protocol run and the sink never
+  // fails, so the write cannot fail.
+  WriteSeriesBlockFromRecords(records, interval_minutes,
+                              [&out](std::string_view bytes) {
+                                out.append(bytes);
+                                return Status::OK();
+                              })
+      .Abort();
   return out;
 }
 
-Result<SeriesBlockInfo> PeekSeriesBlock(std::string_view blob) {
-  BlockReader reader(blob);
-  std::vector<DirectoryEntry> directory;
-  return ReadEnvelope(blob, &reader, &directory);
-}
+// ---------------------------------------------------------------------
+// Decoding
+// ---------------------------------------------------------------------
 
-Result<std::vector<TelemetryRecord>> DecodeSeriesBlock(std::string_view blob) {
-  BlockReader reader(blob);
-  std::vector<DirectoryEntry> directory;
-  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockInfo info,
-                           ReadEnvelope(blob, &reader, &directory));
-  const size_t n = static_cast<size_t>(info.total_samples);
-  std::vector<uint64_t> timestamps(n), values(n);
-  if (!reader.ReadWords(n, timestamps.data()) ||
-      !reader.ReadWords(n, values.data())) {
-    return Status::Invalid("SeriesBlock truncated: short columns");
+Status SeriesBlockCursor::ReadEnvelope(std::string_view blob) {
+  if (blob.size() < kHeaderBytes + kTrailerBytes) {
+    return Status::Invalid("SeriesBlock truncated: shorter than header");
+  }
+  if (std::memcmp(blob.data(), kMagic, 4) != 0) {
+    return Status::Invalid("not a SeriesBlock: bad magic");
+  }
+  const size_t body = blob.size() - kTrailerBytes;
+  BlockReader trailer(blob.substr(body));
+  int64_t stored_checksum = 0;
+  trailer.ReadI64(&stored_checksum);
+  if (static_cast<uint64_t>(stored_checksum) !=
+      Fnv1aFold(kFnvOffset, blob.data(), body)) {
+    return Status::DataLoss("SeriesBlock checksum mismatch (corrupt blob)");
   }
 
-  std::vector<TelemetryRecord> out;
-  out.reserve(n);
-  size_t cursor = 0;
-  for (const auto& entry : directory) {
-    for (int64_t i = 0; i < entry.sample_count; ++i, ++cursor) {
-      TelemetryRecord r;
-      r.server_id.assign(entry.id);
-      r.timestamp = static_cast<int64_t>(timestamps[cursor]);
-      r.avg_cpu = std::bit_cast<double>(values[cursor]);
-      r.default_backup_start = entry.backup_start;
-      r.default_backup_end = entry.backup_end;
-      out.push_back(std::move(r));
+  BlockReader reader(blob.substr(0, body));
+  std::string_view magic;
+  uint32_t reserved = 0;
+  if (!reader.ReadBytes(4, &magic) || !reader.ReadU32(&info_.version) ||
+      !reader.ReadU32(&reserved) || !reader.ReadI64(&info_.interval_minutes) ||
+      !reader.ReadI64(&info_.server_count) ||
+      !reader.ReadI64(&info_.total_samples)) {
+    return Status::Invalid("SeriesBlock truncated: short header");
+  }
+  if (info_.version != kVersion) {
+    return Status::Invalid(StringPrintf(
+        "unsupported SeriesBlock version %u", info_.version));
+  }
+  if (info_.interval_minutes <= 0 || info_.server_count < 0 ||
+      info_.total_samples < 0) {
+    return Status::Invalid("SeriesBlock header has negative counts");
+  }
+  // The checksum is no proof of sanity — anyone can compute it — so
+  // bound the header counts by the bytes actually present before they
+  // size an allocation or enter a multiply.
+  const size_t payload = reader.remaining();
+  if (static_cast<uint64_t>(info_.server_count) >
+      payload / kMinDirectoryEntryBytes) {
+    return Status::Invalid(
+        "SeriesBlock header lists more servers than the blob can hold");
+  }
+  if (static_cast<uint64_t>(info_.total_samples) > payload / kSampleBytes) {
+    return Status::Invalid(
+        "SeriesBlock header lists more samples than the blob can hold");
+  }
+
+  entries_.reserve(static_cast<size_t>(info_.server_count));
+  int64_t samples_listed = 0;
+  for (int64_t s = 0; s < info_.server_count; ++s) {
+    EntryMeta entry;
+    uint32_t id_len = 0;
+    if (!reader.ReadU32(&id_len) || id_len > kMaxServerIdBytes ||
+        !reader.ReadBytes(id_len, &entry.id) ||
+        !reader.ReadI64(&entry.backup_start) ||
+        !reader.ReadI64(&entry.backup_end) ||
+        !reader.ReadI64(&entry.sample_count)) {
+      return Status::Invalid("SeriesBlock truncated: bad directory entry");
     }
-  }
-  return out;
-}
-
-Result<std::vector<ServerTelemetry>> DecodeSeriesBlockToServers(
-    std::string_view blob) {
-  BlockReader reader(blob);
-  std::vector<DirectoryEntry> directory;
-  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockInfo info,
-                           ReadEnvelope(blob, &reader, &directory));
-  const size_t n = static_cast<size_t>(info.total_samples);
-  std::vector<uint64_t> timestamps(n), values(n);
-  if (!reader.ReadWords(n, timestamps.data()) ||
-      !reader.ReadWords(n, values.data())) {
-    return Status::Invalid("SeriesBlock truncated: short columns");
-  }
-
-  // Merge directory entries per id (a well-formed block has one entry
-  // per server, but duplicates must behave like interleaved CSV rows).
-  struct Span {
-    size_t begin = 0;
-    size_t count = 0;
-  };
-  struct Acc {
-    std::string_view id;
-    std::vector<Span> spans;
-    int64_t backup_start = 0;
-    int64_t backup_end = 0;
-    MinuteStamp min_t = 0;
-    MinuteStamp max_t = 0;
-    bool any = false;
-  };
-  std::unordered_map<std::string_view, size_t> index;
-  std::vector<Acc> accs;
-  accs.reserve(directory.size());
-  size_t cursor = 0;
-  for (const auto& entry : directory) {
-    const size_t begin = cursor;
-    cursor += static_cast<size_t>(entry.sample_count);
-    if (entry.sample_count == 0) continue;  // no rows -> server absent
-    auto [it, inserted] = index.try_emplace(entry.id, accs.size());
-    if (inserted) accs.emplace_back();
-    Acc& acc = accs[it->second];
-    acc.id = entry.id;
-    acc.spans.push_back({begin, static_cast<size_t>(entry.sample_count)});
-    acc.backup_start = entry.backup_start;
-    acc.backup_end = entry.backup_end;
-    for (size_t i = begin; i < cursor; ++i) {
-      const MinuteStamp t = static_cast<int64_t>(timestamps[i]);
-      if (t % info.interval_minutes != 0) {
-        return Status::Invalid(StringPrintf(
-            "timestamp %lld of server %s is off the %lld-minute grid",
-            static_cast<long long>(t), std::string(entry.id).c_str(),
-            static_cast<long long>(info.interval_minutes)));
-      }
-      if (!acc.any) {
-        acc.min_t = acc.max_t = t;
-        acc.any = true;
-      } else {
-        acc.min_t = std::min(acc.min_t, t);
-        acc.max_t = std::max(acc.max_t, t);
-      }
+    if (entry.sample_count < 0) {
+      return Status::Invalid("SeriesBlock directory has negative sample count");
     }
-  }
-  // GroupByServer iterates a std::map, so its output is sorted by id.
-  std::sort(accs.begin(), accs.end(),
-            [](const Acc& a, const Acc& b) { return a.id < b.id; });
-
-  std::vector<ServerTelemetry> out;
-  out.reserve(accs.size());
-  for (const auto& acc : accs) {
-    const int64_t len =
-        (acc.max_t - acc.min_t) / info.interval_minutes + 1;
-    SEAGULL_ASSIGN_OR_RETURN(
-        LoadSeries series,
-        LoadSeries::MakeEmpty(acc.min_t, info.interval_minutes, len));
-    for (const Span& span : acc.spans) {
-      for (size_t i = span.begin; i < span.begin + span.count; ++i) {
-        // Duplicate timestamps keep the last value, as in GroupByServer.
-        series.SetValue((static_cast<int64_t>(timestamps[i]) - acc.min_t) /
-                            info.interval_minutes,
-                        std::bit_cast<double>(values[i]));
-      }
+    if (entry.sample_count > info_.total_samples - samples_listed) {
+      return Status::Invalid(
+          "SeriesBlock directory lists more samples than the header");
     }
-    ServerTelemetry st;
-    st.server_id.assign(acc.id);
-    st.load = std::move(series);
-    st.default_backup_start = acc.backup_start;
-    st.default_backup_end = acc.backup_end;
-    out.push_back(std::move(st));
+    entry.sample_begin = samples_listed;
+    samples_listed += entry.sample_count;
+    entries_.push_back(entry);
   }
-  return out;
-}
-
-Result<SeriesBlockCursor> SeriesBlockCursor::OpenImpl(
-    std::string_view blob, std::shared_ptr<const void> pin) {
-  BlockReader reader(blob);
-  std::vector<DirectoryEntry> directory;
-  SeriesBlockCursor cursor;
-  SEAGULL_ASSIGN_OR_RETURN(cursor.info_,
-                           ReadEnvelope(blob, &reader, &directory));
-  cursor.entries_.reserve(directory.size());
-  int64_t prefix = 0;
-  for (const auto& entry : directory) {
-    EntryMeta meta;
-    meta.id = entry.id;
-    meta.backup_start = entry.backup_start;
-    meta.backup_end = entry.backup_end;
-    meta.sample_begin = prefix;
-    meta.sample_count = entry.sample_count;
-    prefix += entry.sample_count;
-    cursor.entries_.push_back(meta);
+  if (samples_listed != info_.total_samples) {
+    return Status::Invalid(
+        "SeriesBlock directory sample counts disagree with header");
   }
-  // ReadEnvelope leaves the reader at the first timestamp word and has
-  // verified the column section is exactly 16 * total_samples bytes.
-  cursor.timestamps_base_ = blob.data() + reader.offset();
-  cursor.values_base_ =
-      cursor.timestamps_base_ + cursor.info_.total_samples * 8;
-  cursor.pin_ = std::move(pin);
-  return cursor;
+  const size_t column_bytes = static_cast<size_t>(info_.total_samples) * 8;
+  if (reader.remaining() != 2 * column_bytes) {
+    return Status::Invalid("SeriesBlock column section has the wrong size");
+  }
+  timestamps_base_ = blob.data() + reader.offset();
+  values_base_ = timestamps_base_ + column_bytes;
+  return Status::OK();
 }
 
 Result<SeriesBlockCursor> SeriesBlockCursor::Open(std::string_view blob) {
-  return OpenImpl(blob, nullptr);
-}
-
-Result<SeriesBlockCursor> SeriesBlockCursor::Open(
-    std::shared_ptr<const std::string> blob) {
-  if (blob == nullptr) {
-    return Status::Invalid("SeriesBlockCursor: null blob");
-  }
-  std::string_view view = *blob;
-  return OpenImpl(view, std::move(blob));
+  SeriesBlockCursor cursor;
+  SEAGULL_RETURN_NOT_OK(cursor.ReadEnvelope(blob));
+  return cursor;
 }
 
 Result<SeriesBlockCursor> SeriesBlockCursor::Open(BlobRef blob) {
   if (!blob) {
     return Status::Invalid("SeriesBlockCursor: empty blob ref");
   }
-  std::string_view view = blob.view();
-  std::shared_ptr<const void> pin = blob.owner();
-  return OpenImpl(view, std::move(pin));
+  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockCursor cursor, Open(blob.view()));
+  cursor.pin_ = blob.owner();
+  return cursor;
 }
 
 SeriesBlockServerView SeriesBlockCursor::Entry(int64_t i) const {
@@ -453,13 +494,40 @@ bool SeriesBlockCursor::Next(SeriesBlockServerView* out) {
   return true;
 }
 
+Result<SeriesBlockInfo> PeekSeriesBlock(std::string_view blob) {
+  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockCursor cursor,
+                           SeriesBlockCursor::Open(blob));
+  return cursor.info();
+}
+
+Result<std::vector<TelemetryRecord>> DecodeSeriesBlock(std::string_view blob) {
+  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockCursor cursor,
+                           SeriesBlockCursor::Open(blob));
+  std::vector<TelemetryRecord> out;
+  out.reserve(static_cast<size_t>(cursor.info().total_samples));
+  SeriesBlockServerView view;
+  while (cursor.Next(&view)) {
+    for (int64_t i = 0; i < view.sample_count(); ++i) {
+      TelemetryRecord r;
+      r.server_id.assign(view.server_id);
+      r.timestamp = view.timestamps[i];
+      r.avg_cpu = view.values[i];
+      r.default_backup_start = view.default_backup_start;
+      r.default_backup_end = view.default_backup_end;
+      out.push_back(std::move(r));
+    }
+  }
+  return out;
+}
+
 Status StreamSeriesBlockServers(
     const SeriesBlockCursor& cursor,
     const std::function<Status(ServerTelemetry&&)>& fn) {
   // Pass 1, directory order: grid validation and per-id extent/window
-  // accumulation — the same walk DecodeSeriesBlockToServers does over
-  // its scratch vectors, so malformed blobs fail with the identical
-  // status on the identical entry. Only O(directory) state is kept.
+  // accumulation. Directory order is the row order DecodeSeriesBlock
+  // yields, so a malformed blob fails on the same sample, with the same
+  // status, as GroupByServer over the decoded rows. Only O(directory)
+  // state is kept.
   struct Acc {
     std::string_view id;
     std::vector<int64_t> entries;  ///< directory indices, in order
@@ -501,6 +569,7 @@ Status StreamSeriesBlockServers(
       }
     }
   }
+  // GroupByServer's output is sorted by id.
   std::sort(accs.begin(), accs.end(),
             [](const Acc& a, const Acc& b) { return a.id < b.id; });
 

@@ -1,12 +1,14 @@
 /// \file series_block.h
-/// \brief `SeriesBlock`: the binary columnar telemetry blob format.
+/// \brief `SeriesBlock`: the binary columnar telemetry blob format, its
+/// one encoder (`SeriesBlockWriter`) and its one decoder
+/// (`SeriesBlockCursor`).
 ///
 /// The text-CSV data plane re-parses every byte of a region-week
 /// extraction on every run; at fleet scale (Fig. 12a) that parse is the
 /// dominant ingestion cost. A `SeriesBlock` stores the same extraction
-/// in a packed columnar layout that decodes with column `memcpy`s
-/// instead of per-field `strtod`, and groups per server at write time
-/// so ingestion can skip the records intermediate entirely.
+/// in a packed columnar layout that decodes with column loads instead
+/// of per-field `strtod`, and groups per server at write time so
+/// ingestion can skip the records intermediate entirely.
 ///
 /// Layout (version 1, all integers little-endian):
 ///
@@ -35,10 +37,17 @@
 /// records preserves per-server row order; rows are canonicalized to
 /// server-major order (the order Load Extraction writes anyway), so
 /// emitter-produced CSV transcodes byte-identically in both directions.
+///
+/// Every SGB1 byte is produced by `SeriesBlockWriter` and every SGB1
+/// byte is read through `SeriesBlockCursor`; `EncodeSeriesBlock`,
+/// `DecodeSeriesBlock`, `PeekSeriesBlock` and `DecodeTelemetryBlob`
+/// are thin wrappers over those two. tests/golden/series_block_v1.json
+/// pins the encoder's output bytes.
 
 #pragma once
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -65,48 +74,142 @@ struct SeriesBlockInfo {
 /// enough to dispatch a telemetry blob to the right decoder.
 bool IsSeriesBlock(std::string_view blob);
 
-/// Serializes rows into a version-1 block. Values are quantized through
-/// the CSV round trip (see file comment); rows are grouped per server
-/// in first-appearance order, preserving per-server row order.
+/// \name Encoding.
+///
+/// `SeriesBlockWriter` produces a block incrementally while holding
+/// only (a) the directory metadata and (b) the value column, because
+/// the column layout (ALL timestamps server-major, then ALL values)
+/// lets exactly one of the two columns stream straight to the sink
+/// while the other waits for its turn.
+///
+/// Two-pass protocol:
+///
+///   1. *Sizing pass* — `Declare(id, sample_count, backup_start,
+///      backup_end)` once per server, in the order servers should
+///      appear. Declarations with zero samples are skipped entirely (a
+///      server with no rows has no directory entry). After the last
+///      declaration, `StartAppend()` emits the header and the complete
+///      directory to the sink.
+///   2. *Append pass* — `Append(id, timestamp, value)` for every
+///      sample, servers in declaration order with each server's samples
+///      contiguous and in row order. Timestamp words stream to the sink
+///      in 256 KB chunks as they arrive; quantized value words are
+///      buffered (8 bytes/sample — the irreducible second column).
+///      `Finish()` flushes the value column and the FNV-1a trailer.
+///
+/// The checksum is folded incrementally over every byte as it is
+/// emitted, so the writer never needs the blob in memory to compute the
+/// trailer. Peak resident cost is `8 * total_samples` plus one chunk —
+/// ~48 MB for a 1000-server region-week; `peak_resident_bytes()`
+/// reports the measured high-water mark for the bench gate.
+///
+/// Inputs with interleaved or duplicate server ids cannot stream (their
+/// groups are not contiguous); `WriteSeriesBlockFromRecords` handles
+/// them by grouping first.
+/// @{
+
+/// \brief Incremental SGB1 encoder; see above for the protocol.
+class SeriesBlockWriter {
+ public:
+  /// Receives consecutive byte ranges of the blob, in order. Returning
+  /// a non-OK status aborts the write and surfaces from the caller.
+  using Sink = std::function<Status(std::string_view)>;
+
+  explicit SeriesBlockWriter(Sink sink,
+                             int64_t interval_minutes = kServerIntervalMinutes);
+
+  /// Sizing pass: registers one server's directory entry. Zero-count
+  /// declarations are dropped. Declaring after `StartAppend` or a
+  /// duplicate id is an error.
+  Status Declare(std::string_view server_id, int64_t sample_count,
+                 int64_t default_backup_start, int64_t default_backup_end);
+
+  /// Ends the sizing pass: emits header + directory to the sink.
+  Status StartAppend();
+
+  /// Append pass: one sample. Servers must arrive in declaration order,
+  /// contiguously, each with exactly its declared sample count; the
+  /// value is quantized through the CSV round trip
+  /// (`QuantizeCpuForStorage`).
+  Status Append(std::string_view server_id, int64_t timestamp,
+                double avg_cpu);
+
+  /// Flushes the value column and the checksum trailer. After an OK
+  /// `Finish` the sink has received a complete, decodable SGB1 blob.
+  Status Finish();
+
+  /// Total bytes handed to the sink so far.
+  int64_t bytes_written() const { return bytes_written_; }
+
+  /// High-water mark of internal buffering (directory metadata + value
+  /// column + pending timestamp chunk) — the encoder's resident cost.
+  int64_t peak_resident_bytes() const { return peak_resident_bytes_; }
+
+ private:
+  enum class State { kDeclaring, kAppending, kFinished, kFailed };
+
+  struct Declared {
+    std::string id;
+    int64_t backup_start;
+    int64_t backup_end;
+    int64_t sample_count;
+  };
+
+  Status Emit(std::string_view bytes);
+  Status FlushTimestamps();
+  void NoteResident();
+  Status Fail(Status st);
+
+  Sink sink_;
+  int64_t interval_minutes_;
+  State state_ = State::kDeclaring;
+
+  std::vector<Declared> directory_;
+  int64_t declared_samples_ = 0;
+  int64_t directory_bytes_ = 0;
+
+  size_t append_slot_ = 0;      ///< directory index being filled
+  int64_t slot_remaining_ = 0;  ///< samples left for the current slot
+
+  std::string ts_chunk_;    ///< pending timestamp words, flushed at 256 KB
+  std::string value_words_; ///< whole value column, flushed in Finish
+
+  uint64_t checksum_;  ///< FNV-1a folded over every emitted byte
+  int64_t bytes_written_ = 0;
+  int64_t peak_resident_bytes_ = 0;
+};
+
+/// Streams `records` through a `SeriesBlockWriter`, grouping rows per
+/// server in first-appearance order (interleaved/duplicate ids merge,
+/// per-server row order is kept, the backup window comes from a
+/// group's last row). If `peak_resident_bytes` is non-null it receives
+/// the writer's high-water mark.
+Status WriteSeriesBlockFromRecords(const std::vector<TelemetryRecord>& records,
+                                   int64_t interval_minutes,
+                                   const SeriesBlockWriter::Sink& sink,
+                                   int64_t* peak_resident_bytes = nullptr);
+
+/// `WriteSeriesBlockFromRecords` collected into a string.
 std::string EncodeSeriesBlock(
     const std::vector<TelemetryRecord>& records,
     int64_t interval_minutes = kServerIntervalMinutes);
 
-/// Validates magic/version/bounds/checksum and returns the header.
-Result<SeriesBlockInfo> PeekSeriesBlock(std::string_view blob);
+/// @}
 
-/// Full inverse of `EncodeSeriesBlock`: back to flat rows, server-major.
-Result<std::vector<TelemetryRecord>> DecodeSeriesBlock(std::string_view blob);
-
-/// Reference path: decodes into grouped per-server series by first
-/// materializing both columns into scratch vectors (O(total_samples)
-/// transient memory), skipping the flat-records intermediate. Matches
-/// `GroupByServer(DecodeSeriesBlock(blob))` exactly: same grid
-/// validation, same duplicate-timestamp last-write-wins, same output
-/// order (sorted by server id). Ingestion uses the streaming cursor
-/// below instead; this stays as the equivalence oracle and the
-/// before/after baseline for the decode-footprint bench rows.
-Result<std::vector<ServerTelemetry>> DecodeSeriesBlockToServers(
-    std::string_view blob);
-
-/// \name Streaming, zero-copy decode.
+/// \name Decoding.
 ///
-/// The materializing decoders above copy every column word into scratch
-/// vectors before grouping — at fleet scale that transient is the
-/// dominant ingest allocation (16 bytes x total_samples on top of the
-/// blob and the grouped output). The cursor instead validates the
-/// envelope once and then yields per-server column *views* straight
-/// into the blob bytes; the only per-server allocation left is the
-/// output `LoadSeries` itself.
+/// `SeriesBlockCursor` validates the envelope once and then yields
+/// per-server column *views* straight into the blob bytes; the only
+/// per-server allocation left in grouped decode is the output
+/// `LoadSeries` itself.
 ///
 /// Lifetime contract: views alias the blob. A cursor opened on a
-/// `BlobRef` (the `LakeStore::GetBlob` / blob-cache form — a heap
-/// buffer or an mmap'd file, the cursor doesn't care) or a `shared_ptr`
-/// string pins the backing storage for the cursor's lifetime, so cache
-/// eviction or writer invalidation after `Open` cannot dangle the
-/// views — eviction drops the cache's reference, not the buffer or the
-/// mapping. A cursor opened on a raw `string_view` borrows: the caller
-/// must keep the bytes alive for as long as any view is read.
+/// `BlobRef` (the `LakeStore::GetBlob` / blob-cache form) pins the
+/// backing storage for the cursor's lifetime, so cache eviction or
+/// writer invalidation after `Open` cannot dangle the views — eviction
+/// drops the cache's reference, not the mapping. A cursor opened on a
+/// raw `string_view` borrows: the caller must keep the bytes alive for
+/// as long as any view is read.
 /// @{
 
 /// Little-endian 64-bit column over unaligned blob bytes. Elements are
@@ -162,24 +265,19 @@ struct SeriesBlockServerView {
   int64_t sample_count() const { return timestamps.size(); }
 };
 
-/// \brief Validates the SGB1 envelope (magic, version, checksum,
-/// directory arithmetic, column bounds) once, then serves per-server
-/// column views with no further copying or validation cost.
+/// \brief Validates the SGB1 envelope (magic, checksum, version, header
+/// counts against the blob size, directory arithmetic, column bounds)
+/// once, then serves per-server column views with no further copying
+/// or validation cost.
 class SeriesBlockCursor {
  public:
   /// Borrowing open: `blob` must outlive every view read.
   static Result<SeriesBlockCursor> Open(std::string_view blob);
 
-  /// Pinning open: keeps a reference to the shared buffer (the form
-  /// `LakeStore::GetShared` returns) so views stay valid independent of
-  /// blob-cache eviction.
-  static Result<SeriesBlockCursor> Open(
-      std::shared_ptr<const std::string> blob);
-
   /// Pinning open over a `BlobRef` (the form `LakeStore::GetBlob`
-  /// returns): decode aliases the ref's bytes directly — for a mapped
-  /// ref that is zero heap copies end to end — and the ref's owner
-  /// (heap buffer or mmap) stays alive for the cursor's lifetime.
+  /// returns): decode aliases the ref's bytes directly — zero heap
+  /// copies end to end for a mapped ref — and the ref's owner stays
+  /// alive for the cursor's lifetime.
   static Result<SeriesBlockCursor> Open(BlobRef blob);
 
   const SeriesBlockInfo& info() const { return info_; }
@@ -203,8 +301,8 @@ class SeriesBlockCursor {
     int64_t sample_count = 0;
   };
 
-  static Result<SeriesBlockCursor> OpenImpl(std::string_view blob,
-                                            std::shared_ptr<const void> pin);
+  /// Fills every member but `pin_` from `blob`, or says why it can't.
+  Status ReadEnvelope(std::string_view blob);
 
   SeriesBlockInfo info_;
   std::vector<EntryMeta> entries_;
@@ -214,13 +312,20 @@ class SeriesBlockCursor {
   std::shared_ptr<const void> pin_;  ///< type-erased owner; null = borrow
 };
 
-/// Streams the cursor's telemetry grouped per server — byte-identical
-/// to `DecodeSeriesBlockToServers` (same grid validation in directory
-/// order, same duplicate-entry merge, same last-write-wins, servers
-/// yielded sorted by id) but with peak transient memory O(largest
-/// single server), not O(total_samples): each `ServerTelemetry` is
-/// built from column views and handed to `fn` before the next one is
-/// touched. A non-OK status from `fn` stops the stream and is returned.
+/// Validates the whole blob and returns its header.
+Result<SeriesBlockInfo> PeekSeriesBlock(std::string_view blob);
+
+/// Inverse of `EncodeSeriesBlock`: back to flat rows, server-major.
+Result<std::vector<TelemetryRecord>> DecodeSeriesBlock(std::string_view blob);
+
+/// Streams the cursor's telemetry grouped per server, with the same
+/// result as `GroupByServer(DecodeSeriesBlock(blob))` (same grid
+/// validation and status text, same duplicate-entry merge, same
+/// last-write-wins, servers yielded sorted by id) but with peak
+/// transient memory O(largest single server), not O(total_samples):
+/// each `ServerTelemetry` is built from column views and handed to `fn`
+/// before the next one is touched. A non-OK status from `fn` stops the
+/// stream and is returned.
 Status StreamSeriesBlockServers(
     const SeriesBlockCursor& cursor,
     const std::function<Status(ServerTelemetry&&)>& fn);
@@ -229,8 +334,8 @@ Status StreamSeriesBlockServers(
 
 /// Format-sniffing reader for "recent load" consumers (CLI schedule /
 /// advise): decodes either a `SeriesBlock` or a telemetry CSV into the
-/// grouped per-server form. Takes a view so `GetShared`/cache callers
-/// hand over borrowed bytes instead of forcing a blob copy.
+/// grouped per-server form. Takes a view so `GetBlob` callers decode
+/// straight out of the mapping.
 Result<std::vector<ServerTelemetry>> DecodeTelemetryBlob(
     std::string_view blob);
 

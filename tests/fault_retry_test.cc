@@ -179,7 +179,7 @@ TEST(RetryPolicyTest, MaxAttemptsBelowOneStillRunsOnce) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ResilientStoreTest, LakeGetRecoversFromTransientOutage) {
+TEST(ResilientStoreTest, LakeGetBlobRecoversFromTransientOutage) {
   auto lake = LakeStore::OpenTemporary("resilient");
   ASSERT_TRUE(lake.ok());
   ASSERT_TRUE(lake->Put("a/blob.txt", "payload").ok());
@@ -187,9 +187,9 @@ TEST(ResilientStoreTest, LakeGetRecoversFromTransientOutage) {
   ScopedFaultInjection fault({1, 0.0});
   fault.registry().AddOutage("lake.get", "a/blob", 2);
   ResilientStore store(&*lake, nullptr, FastRetry(4));
-  auto value = store.LakeGet("a/blob.txt");
+  auto value = store.LakeGetBlob("a/blob.txt");
   ASSERT_TRUE(value.ok()) << value.status().ToString();
-  EXPECT_EQ(*value, "payload");
+  EXPECT_EQ(value->view(), "payload");
   EXPECT_EQ(store.total_retries(), 2);
 }
 
@@ -201,7 +201,7 @@ TEST(ResilientStoreTest, ExhaustedOutageSurfacesFinalError) {
   ScopedFaultInjection fault({1, 0.0});
   fault.registry().AddOutage("lake.get", "", -1);
   ResilientStore store(&*lake, nullptr, FastRetry(3));
-  auto value = store.LakeGet("a/blob.txt");
+  auto value = store.LakeGetBlob("a/blob.txt");
   EXPECT_TRUE(value.status().IsIOError());
   EXPECT_EQ(store.total_retries(), 2);  // 3 attempts = 2 retries
 }
@@ -230,7 +230,7 @@ TEST(ResilientStoreTest, DocOpsRetryUpsertGetAndQuery) {
 
 TEST(ResilientStoreTest, MissingStoresFailPrecondition) {
   ResilientStore store(nullptr, nullptr);
-  EXPECT_TRUE(store.LakeGet("k").status().IsFailedPrecondition());
+  EXPECT_TRUE(store.LakeGetBlob("k").status().IsFailedPrecondition());
   EXPECT_TRUE(store.LakePut("k", "v").IsFailedPrecondition());
   EXPECT_TRUE(store.LakeList("").status().IsFailedPrecondition());
   EXPECT_TRUE(store.Get("c", "p", "i").status().IsFailedPrecondition());

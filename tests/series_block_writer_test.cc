@@ -1,18 +1,21 @@
 /// \file series_block_writer_test.cc
-/// \brief The streaming SGB1 encoder: byte-identity with the
-/// materializing `EncodeSeriesBlock` across adversarial inputs, the
+/// \brief The SGB1 encoder: its output bytes against the frozen
+/// tests/golden/series_block_v1.json across adversarial inputs, the
 /// two-pass protocol's misuse statuses, sink-failure propagation, and
-/// the emitter-level `ExtractWeekBlockTo` equivalence plus its resident
-/// cost bound.
-
-#include "telemetry/series_block_writer.h"
+/// the emitter-level two-pass fleet walk (`ExtractWeekBlockTo`) against
+/// the records walk plus its resident cost bound.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "telemetry/emitter.h"
@@ -21,6 +24,51 @@
 
 namespace seagull {
 namespace {
+
+/// The encoder's bytes as frozen before it became the only encoder;
+/// never regenerated from the code under test.
+const Json& Golden() {
+  static const Json doc = [] {
+    const std::string path =
+        std::string(SEAGULL_TEST_DATA_DIR) + "/golden/series_block_v1.json";
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    auto parsed = Json::Parse(buffer.str());
+    EXPECT_TRUE(parsed.ok()) << path << ": " << parsed.status().ToString();
+    return parsed.ok() ? *parsed : Json::MakeObject();
+  }();
+  return doc;
+}
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+/// FNV-1a-64 over the whole blob (trailer included), as the golden
+/// file records it — computed here, independently of the encoder.
+std::string Fnv1aHex(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return StringPrintf("%016llx", static_cast<unsigned long long>(h));
+}
+
+/// Asserts `blob` has the golden byte size and digest in `row`.
+void ExpectGoldenDigest(const std::string& blob, const Json& row,
+                        const std::string& what) {
+  EXPECT_EQ(static_cast<int64_t>(blob.size()), row["bytes"].AsInt())
+      << what;
+  EXPECT_EQ(Fnv1aHex(blob), row["fnv1a64"].AsString()) << what;
+}
 
 /// Sink that accumulates the blob for comparison.
 SeriesBlockWriter::Sink CollectInto(std::string* out) {
@@ -52,7 +100,7 @@ std::vector<TelemetryRecord> SampleRecords() {
 }
 
 /// Random rows with gaps, several servers, *unquantized* values — the
-/// writer must reproduce the record encoder's quantization too.
+/// golden bytes pin the encoder's quantization too.
 std::vector<TelemetryRecord> RandomRecords(uint64_t seed) {
   Rng rng(seed);
   std::vector<TelemetryRecord> records;
@@ -84,27 +132,9 @@ std::string StreamedEncode(const std::vector<TelemetryRecord>& records) {
   return out;
 }
 
-TEST(SeriesBlockWriterTest, PropertyByteIdenticalToRecordEncoder) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
-    auto records = RandomRecords(seed);
-    EXPECT_EQ(StreamedEncode(records), EncodeSeriesBlock(records))
-        << "seed " << seed;
-  }
-}
-
-TEST(SeriesBlockWriterTest, EmptyInputProducesTheCanonicalEmptyBlock) {
-  const std::string streamed = StreamedEncode({});
-  EXPECT_EQ(streamed, EncodeSeriesBlock({}));
-  auto info = PeekSeriesBlock(streamed);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->server_count, 0);
-  EXPECT_EQ(info->total_samples, 0);
-}
-
-TEST(SeriesBlockWriterTest, InterleavedAndDuplicateIdsMatchEncoder) {
-  // srv-a's rows split around srv-b's: groups are non-contiguous, so
-  // the record front-end must merge them (first-appearance order, last
-  // row's backup window) exactly as EncodeSeriesBlock does.
+/// srv-a's rows split around srv-b's, plus a later srv-a row with a new
+/// backup window and a duplicate (server, timestamp) row.
+std::vector<TelemetryRecord> InterleavedRecords() {
   std::vector<TelemetryRecord> records = SampleRecords();
   TelemetryRecord again = records[0];
   again.timestamp = 100;
@@ -115,17 +145,76 @@ TEST(SeriesBlockWriterTest, InterleavedAndDuplicateIdsMatchEncoder) {
   TelemetryRecord dup = records[1];  // duplicate (server, timestamp)
   dup.avg_cpu = 99.0;
   records.push_back(dup);
-  EXPECT_EQ(StreamedEncode(records), EncodeSeriesBlock(records));
+  return records;
 }
 
-TEST(SeriesBlockWriterTest, SingleServerSingleSampleMatchesEncoder) {
+TelemetryRecord SingleSample() {
   TelemetryRecord r;
   r.server_id = "only";
   r.timestamp = 5;
   r.avg_cpu = 12.345678;  // quantizes through the writer
   r.default_backup_start = 0;
   r.default_backup_end = 60;
-  EXPECT_EQ(StreamedEncode({r}), EncodeSeriesBlock({r}));
+  return r;
+}
+
+TEST(SeriesBlockWriterTest, HandBuiltInputsReproduceGoldenBytes) {
+  const Json& hex = Golden()["hex"];
+  const std::vector<std::pair<const char*, std::vector<TelemetryRecord>>>
+      cases = {{"sample_records", SampleRecords()},
+               {"interleaved_duplicate_ids", InterleavedRecords()},
+               {"single_sample", {SingleSample()}},
+               {"empty", {}}};
+  for (const auto& [name, records] : cases) {
+    ASSERT_TRUE(hex.Contains(name)) << name;
+    const std::string& golden = hex[name].AsString();
+    EXPECT_EQ(Hex(EncodeSeriesBlock(records)), golden) << name;
+    EXPECT_EQ(Hex(StreamedEncode(records)), golden) << name;
+  }
+}
+
+TEST(SeriesBlockWriterTest, PropertyRandomRecordsReproduceGoldenDigests) {
+  const Json::Array& rows = Golden()["random_records"].AsArray();
+  ASSERT_EQ(rows.size(), 25u);
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    const Json& row = rows[static_cast<size_t>(seed - 1)];
+    ASSERT_EQ(row["seed"].AsInt(), static_cast<int64_t>(seed));
+    auto records = RandomRecords(seed);
+    ExpectGoldenDigest(EncodeSeriesBlock(records), row,
+                       "encode seed " + std::to_string(seed));
+    ExpectGoldenDigest(StreamedEncode(records), row,
+                       "stream seed " + std::to_string(seed));
+  }
+}
+
+TEST(SeriesBlockWriterTest, EmptyInputProducesTheCanonicalEmptyBlock) {
+  const std::string streamed = StreamedEncode({});
+  EXPECT_EQ(Hex(streamed), Golden()["hex"]["empty"].AsString());
+  auto info = PeekSeriesBlock(streamed);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->server_count, 0);
+  EXPECT_EQ(info->total_samples, 0);
+}
+
+TEST(SeriesBlockWriterTest, InterleavedIdsMergeInFirstAppearanceOrder) {
+  // srv-a's rows split around srv-b's: groups are non-contiguous, so
+  // the record front-end merges them (first-appearance order, per-server
+  // row order kept, last row's backup window).
+  const auto records = InterleavedRecords();
+  const TelemetryRecord& last_a = records.back();  // srv-a's last row
+  auto decoded = DecodeSeriesBlock(StreamedEncode(records));
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->size(), 9u);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ((*decoded)[i].server_id, "srv-a") << i;
+    EXPECT_EQ((*decoded)[i].default_backup_start,
+              last_a.default_backup_start)
+        << i;
+  }
+  EXPECT_EQ((*decoded)[6].timestamp, 100);
+  EXPECT_EQ((*decoded)[7].timestamp, 5);
+  EXPECT_EQ((*decoded)[7].avg_cpu, 99.0);
+  EXPECT_EQ((*decoded)[8].server_id, "srv-b");
 }
 
 TEST(SeriesBlockWriterTest, StreamedBlobDecodesAndSurvivesMutilation) {
@@ -155,7 +244,7 @@ TEST(SeriesBlockWriterTest, ZeroCountDeclarationsAreDropped) {
   ASSERT_TRUE(writer.Declare("ghost", 0, 0, 60).ok());
   ASSERT_TRUE(writer.Finish().ok());
   // A fleet of only empty servers is byte-identical to no fleet at all.
-  EXPECT_EQ(manual, EncodeSeriesBlock({}));
+  EXPECT_EQ(Hex(manual), Golden()["hex"]["empty"].AsString());
 }
 
 TEST(SeriesBlockWriterTest, ManualProtocolMatchesEncoder) {
@@ -169,7 +258,7 @@ TEST(SeriesBlockWriterTest, ManualProtocolMatchesEncoder) {
     ASSERT_TRUE(writer.Append(r.server_id, r.timestamp, r.avg_cpu).ok());
   }
   ASSERT_TRUE(writer.Finish().ok());
-  EXPECT_EQ(manual, EncodeSeriesBlock(records));
+  EXPECT_EQ(Hex(manual), Golden()["hex"]["sample_records"].AsString());
   EXPECT_EQ(writer.bytes_written(), static_cast<int64_t>(manual.size()));
 }
 
@@ -232,14 +321,21 @@ TEST(SeriesBlockWriterTest, SinkErrorAbortsTheWrite) {
   EXPECT_FALSE(writer.Finish().ok());  // sticky failure
 }
 
-TEST(SeriesBlockWriterTest, ExtractWeekBlockToMatchesExtractWeekBlock) {
+Fleet StreamFleet() {
   RegionConfig config;
   config.name = "stream";
   config.num_servers = 8;
   config.weeks = 4;
   config.seed = 11;
   config.telemetry.missing_sample_rate = 0.05;
-  Fleet fleet = Fleet::Generate(config);
+  return Fleet::Generate(config);
+}
+
+TEST(SeriesBlockWriterTest, ExtractWeekBlockToMatchesExtractWeekBlock) {
+  // The two-pass fleet walk (sizing pass, then regenerate-and-append)
+  // against the records walk (`ExtractWeek` grouped by
+  // `WriteSeriesBlockFromRecords`).
+  Fleet fleet = StreamFleet();
   for (int64_t week : {int64_t{1}, int64_t{3}}) {
     std::string streamed;
     int64_t peak = 0;
@@ -249,6 +345,18 @@ TEST(SeriesBlockWriterTest, ExtractWeekBlockToMatchesExtractWeekBlock) {
     const std::string reference = ExtractWeekBlock(fleet, week);
     EXPECT_EQ(streamed, reference) << "week " << week;
     EXPECT_GT(peak, 0);
+  }
+}
+
+TEST(SeriesBlockWriterTest, ExtractWeekBlockToReproducesGoldenDigests) {
+  Fleet fleet = StreamFleet();
+  const Json::Array& rows = Golden()["extract_week_block"].AsArray();
+  ASSERT_EQ(rows.size(), 2u);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const int64_t week = rows[i]["week"].AsInt();
+    std::string streamed;
+    ASSERT_TRUE(ExtractWeekBlockTo(fleet, week, CollectInto(&streamed)).ok());
+    ExpectGoldenDigest(streamed, rows[i], "week " + std::to_string(week));
   }
 }
 

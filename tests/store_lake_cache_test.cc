@@ -1,9 +1,9 @@
 /// \file store_lake_cache_test.cc
-/// \brief The shared-buffer lake cache: hit/miss/eviction accounting,
-/// writer- and fingerprint-driven invalidation, the mmap read path
-/// (mapping lifetime past eviction, staleness detection by inode and
-/// ctime), and the fleet-level contract that a second identical run is
-/// served from memory.
+/// \brief The lake's mmap read path and its shared-mapping cache:
+/// hit/miss/eviction accounting, writer- and fingerprint-driven
+/// invalidation, mapping lifetime past eviction, staleness detection by
+/// inode and ctime, and the fleet-level contract that a second
+/// identical run is served from memory.
 
 #include "store/blob_cache.h"
 
@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -45,33 +46,34 @@ struct EventDeltas {
   }
 };
 
-TEST(LakeCacheTest, GetSharedWorksWithoutCache) {
+TEST(LakeCacheTest, GetBlobWorksWithoutCache) {
   auto lake = LakeStore::OpenTemporary("cache_off");
   ASSERT_TRUE(lake.ok());
   ASSERT_TRUE(lake->Put("a/blob.txt", "hello").ok());
-  auto blob = lake->GetShared("a/blob.txt");
+  auto blob = lake->GetBlob("a/blob.txt");
   ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(**blob, "hello");
+  EXPECT_EQ(blob->view(), "hello");
   EXPECT_EQ(lake->cache(), nullptr);
-  EXPECT_TRUE(lake->GetShared("a/missing").status().IsNotFound());
+  EXPECT_TRUE(lake->GetBlob("a/missing").status().IsNotFound());
 }
 
-TEST(LakeCacheTest, RepeatReadsShareOneBuffer) {
+TEST(LakeCacheTest, RepeatReadsShareOneMapping) {
   auto lake = LakeStore::OpenTemporary("cache_hit");
   ASSERT_TRUE(lake.ok());
   lake->ConfigureCache(16 << 20);
   ASSERT_TRUE(lake->Put("k", "payload").ok());
   EventDeltas d;
-  auto first = lake->GetShared("k");
+  auto first = lake->GetBlob("k");
   ASSERT_TRUE(first.ok());
-  auto second = lake->GetShared("k");
+  auto second = lake->GetBlob("k");
   ASSERT_TRUE(second.ok());
-  // Same immutable buffer, not an equal copy.
-  EXPECT_EQ(first->get(), second->get());
+  // Same immutable mapping, not an equal copy.
+  EXPECT_EQ(first->data(), second->data());
+  EXPECT_EQ(first->owner(), second->owner());
   EXPECT_EQ(d.hits(), 1);
   EXPECT_EQ(d.misses(), 1);
   EXPECT_EQ(lake->cache()->entry_count(), 1);
-  EXPECT_EQ(lake->cache()->size_bytes(), 7);
+  EXPECT_EQ(lake->cache()->size_bytes(), MmapBlob::ResidentEstimate(7));
 }
 
 TEST(LakeCacheTest, PutThroughStoreInvalidates) {
@@ -79,13 +81,13 @@ TEST(LakeCacheTest, PutThroughStoreInvalidates) {
   ASSERT_TRUE(lake.ok());
   lake->ConfigureCache(16 << 20);
   ASSERT_TRUE(lake->Put("k", "one").ok());
-  ASSERT_TRUE(lake->GetShared("k").ok());  // warm
+  ASSERT_TRUE(lake->GetBlob("k").ok());  // warm
   EventDeltas d;
   ASSERT_TRUE(lake->Put("k", "two").ok());
   EXPECT_EQ(d.invalidations(), 1);
-  auto blob = lake->GetShared("k");
+  auto blob = lake->GetBlob("k");
   ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(**blob, "two");
+  EXPECT_EQ(blob->view(), "two");
   EXPECT_EQ(d.misses(), 1);  // re-read after the overwrite
 }
 
@@ -94,10 +96,10 @@ TEST(LakeCacheTest, DeleteThroughStoreInvalidates) {
   ASSERT_TRUE(lake.ok());
   lake->ConfigureCache(16 << 20);
   ASSERT_TRUE(lake->Put("k", "one").ok());
-  ASSERT_TRUE(lake->GetShared("k").ok());
+  ASSERT_TRUE(lake->GetBlob("k").ok());
   ASSERT_TRUE(lake->Delete("k").ok());
   EXPECT_EQ(lake->cache()->entry_count(), 0);
-  EXPECT_TRUE(lake->GetShared("k").status().IsNotFound());
+  EXPECT_TRUE(lake->GetBlob("k").status().IsNotFound());
 }
 
 TEST(LakeCacheTest, ExternalWriteCaughtByFingerprint) {
@@ -105,7 +107,7 @@ TEST(LakeCacheTest, ExternalWriteCaughtByFingerprint) {
   ASSERT_TRUE(cached.ok());
   cached->ConfigureCache(16 << 20);
   ASSERT_TRUE(cached->Put("k", "original").ok());
-  ASSERT_TRUE(cached->GetShared("k").ok());  // warm
+  ASSERT_TRUE(cached->GetBlob("k").ok());  // warm
 
   // A second store handle over the same directory bypasses the cache —
   // the moral equivalent of another process writing the blob. The new
@@ -116,26 +118,30 @@ TEST(LakeCacheTest, ExternalWriteCaughtByFingerprint) {
   ASSERT_TRUE(writer->Put("k", "rewritten elsewhere").ok());
 
   EventDeltas d;
-  auto blob = cached->GetShared("k");
+  auto blob = cached->GetBlob("k");
   ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(**blob, "rewritten elsewhere");
+  EXPECT_EQ(blob->view(), "rewritten elsewhere");
   EXPECT_EQ(d.invalidations(), 1);  // stale entry dropped on lookup
   EXPECT_EQ(d.misses(), 1);
 }
 
 TEST(LakeCacheTest, EvictsLeastRecentlyUsedWithinCapacity) {
-  BlobCache cache(/*capacity_bytes=*/8 * 100);  // 100 bytes per shard
+  // Entries charge a page-rounded mapping estimate, so 60 bytes cost
+  // one page and a shard of 1.5 pages holds exactly one entry.
+  const int64_t page = MmapBlob::ResidentEstimate(1);
+  BlobCache cache(/*capacity_bytes=*/8 * (page + page / 2));
   EventDeltas d;
-  const std::string payload(60, 'x');
-  auto blob = std::make_shared<const std::string>(payload);
-  // Two 60-byte blobs cannot share one 100-byte shard; hammering many
-  // keys must keep every shard within its slice and count evictions.
+  auto payload = std::make_shared<const std::string>(60, 'x');
+  const BlobRef blob(*payload, payload);
+  EXPECT_EQ(BlobCache::ChargeOf(blob), page);
+  // Two one-page blobs cannot share one shard; hammering many keys
+  // must keep every shard within its slice and count evictions.
   for (int i = 0; i < 64; ++i) {
     cache.Insert("key-" + std::to_string(i), {60, i}, blob);
   }
   EXPECT_GT(d.evictions(), 0);
   EXPECT_LE(cache.size_bytes(), cache.capacity_bytes());
-  EXPECT_LE(cache.entry_count(), 8);  // one 60-byte entry per shard
+  EXPECT_LE(cache.entry_count(), 8);  // one entry per shard
 }
 
 TEST(LakeCacheTest, OversizedBlobIsServedUncached) {
@@ -143,9 +149,9 @@ TEST(LakeCacheTest, OversizedBlobIsServedUncached) {
   ASSERT_TRUE(lake.ok());
   lake->ConfigureCache(8 * 16);  // 16-byte shards
   ASSERT_TRUE(lake->Put("big", std::string(1024, 'y')).ok());
-  auto blob = lake->GetShared("big");
+  auto blob = lake->GetBlob("big");
   ASSERT_TRUE(blob.ok());
-  EXPECT_EQ((*blob)->size(), 1024u);
+  EXPECT_EQ(blob->size(), 1024u);
   EXPECT_EQ(lake->cache()->entry_count(), 0);
 }
 
@@ -155,32 +161,26 @@ TEST(LakeCacheTest, StoreCopiesShareTheCache) {
   lake->ConfigureCache(16 << 20);
   ASSERT_TRUE(lake->Put("k", "shared").ok());
   LakeStore copy = *lake;  // how FleetRunner-style borrowers hold it
-  ASSERT_TRUE(copy.GetShared("k").ok());  // warm through the copy
+  ASSERT_TRUE(copy.GetBlob("k").ok());  // warm through the copy
   EventDeltas d;
-  auto blob = lake->GetShared("k");
+  auto blob = lake->GetBlob("k");
   ASSERT_TRUE(blob.ok());
   EXPECT_EQ(d.hits(), 1);
   EXPECT_EQ(d.misses(), 0);
 }
 
-TEST(LakeCacheTest, GetBlobMapsByDefaultAndHeapWhenDisabled) {
+TEST(LakeCacheTest, GetBlobMapsTheFile) {
   auto lake = LakeStore::OpenTemporary("mmap_default");
   ASSERT_TRUE(lake.ok());
   ASSERT_TRUE(lake->Put("k", "mapped payload").ok());
-  ASSERT_TRUE(lake->mmap_enabled());
   auto mapped = lake->GetBlob("k");
   ASSERT_TRUE(mapped.ok());
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_EQ(mapped->heap(), nullptr);
+  ASSERT_TRUE(*mapped);
   EXPECT_EQ(mapped->view(), "mapped payload");
-
-  lake->ConfigureMmap(false);
-  auto heap = lake->GetBlob("k");
-  ASSERT_TRUE(heap.ok());
-  EXPECT_FALSE(heap->mapped());
-  ASSERT_NE(heap->heap(), nullptr);
-  EXPECT_EQ(*heap->heap(), "mapped payload");
-  EXPECT_TRUE(lake->GetBlob("missing").status().IsNotFound());
+  // A mapping starts on a page boundary; a heap copy of 14 bytes
+  // would not.
+  const auto page = static_cast<uintptr_t>(MmapBlob::ResidentEstimate(1));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(mapped->data()) % page, 0u);
 }
 
 TEST(LakeCacheTest, MappedCacheEntryChargesResidentEstimate) {
@@ -209,7 +209,6 @@ TEST(LakeCacheTest, MappedPinOutlivesEvictionAndInvalidation) {
   ASSERT_TRUE(lake->Put("k", "generation one").ok());
   auto pinned = lake->GetBlob("k");
   ASSERT_TRUE(pinned.ok());
-  ASSERT_TRUE(pinned->mapped());
   std::string_view view = pinned->view();
 
   // Overwrite (tmp + rename: the mapped inode stays alive), then
@@ -273,21 +272,6 @@ TEST(LakeCacheTest, InPlaceSameSizeRewriteCaughtByCtime) {
   ASSERT_TRUE(blob.ok());
   EXPECT_EQ(blob->view(), "BBBB");
   EXPECT_EQ(d.invalidations(), 1);
-}
-
-TEST(LakeCacheTest, GetSharedCopiesOutOfMappedCacheEntry) {
-  auto lake = LakeStore::OpenTemporary("mmap_compat");
-  ASSERT_TRUE(lake.ok());
-  lake->ConfigureCache(16 << 20);
-  ASSERT_TRUE(lake->Put("k", "compat bytes").ok());
-  auto mapped = lake->GetBlob("k");
-  ASSERT_TRUE(mapped.ok());
-  ASSERT_TRUE(mapped->mapped());
-  // The legacy heap API stays heap: a caller holding the returned
-  // string must not be handed a disguised mapping.
-  auto shared = lake->GetShared("k");
-  ASSERT_TRUE(shared.ok());
-  EXPECT_EQ(**shared, "compat bytes");
 }
 
 TEST(LakeCacheTest, EmptyBlobMapsToEmptyView) {

@@ -1,7 +1,14 @@
+/// \file telemetry_series_block_test.cc
+/// \brief SGB1 decode: record round trips, the streaming cursor checked
+/// against the CSV path's grouping (`GroupByServer` over the decoded
+/// rows) as an independent oracle, and rejection of mutilated or
+/// hostile blobs all the way up to the ingestion module.
+
 #include "telemetry/series_block.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -9,6 +16,8 @@
 
 #include "common/random.h"
 #include "common/strings.h"
+#include "pipeline/ingestion.h"
+#include "store/lake_store.h"
 #include "telemetry/emitter.h"
 #include "telemetry/fleet.h"
 
@@ -59,6 +68,27 @@ std::vector<TelemetryRecord> RandomRecords(uint64_t seed) {
     }
   }
   return records;
+}
+
+/// Streams a blob through the cursor into grouped per-server form —
+/// the subject of every equivalence check below.
+Result<std::vector<ServerTelemetry>> StreamAll(const std::string& blob) {
+  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockCursor cursor,
+                           SeriesBlockCursor::Open(std::string_view(blob)));
+  std::vector<ServerTelemetry> out;
+  SEAGULL_RETURN_NOT_OK(
+      StreamSeriesBlockServers(cursor, [&](ServerTelemetry&& st) {
+        out.push_back(std::move(st));
+        return Status::OK();
+      }));
+  return out;
+}
+
+/// The oracle: decode to flat rows, then group them exactly as the CSV
+/// ingestion path does.
+Result<std::vector<ServerTelemetry>> GroupedRecords(const std::string& blob) {
+  SEAGULL_ASSIGN_OR_RETURN(auto records, DecodeSeriesBlock(blob));
+  return GroupByServer(records);
 }
 
 TEST(SeriesBlockTest, SniffsMagic) {
@@ -114,13 +144,13 @@ TEST(SeriesBlockTest, PropertyRandomFleetsRoundTripByteIdentically) {
   }
 }
 
-TEST(SeriesBlockTest, DecodeToServersMatchesGroupByServer) {
+TEST(SeriesBlockTest, StreamedServersMatchGroupByServerOfInputRows) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     auto records = RandomRecords(seed);
     if (records.empty()) continue;
     auto grouped = GroupByServer(records);
     ASSERT_TRUE(grouped.ok()) << "seed " << seed;
-    auto direct = DecodeSeriesBlockToServers(EncodeSeriesBlock(records));
+    auto direct = StreamAll(EncodeSeriesBlock(records));
     ASSERT_TRUE(direct.ok()) << "seed " << seed;
     ASSERT_EQ(direct->size(), grouped->size()) << "seed " << seed;
     for (size_t i = 0; i < grouped->size(); ++i) {
@@ -153,7 +183,7 @@ TEST(SeriesBlockTest, EmitterBlockMatchesEmitterCsv) {
   config.telemetry.missing_sample_rate = 0.05;
   Fleet fleet = Fleet::Generate(config);
   const std::string block = ExtractWeekBlock(fleet, 3);
-  auto from_block = DecodeSeriesBlockToServers(block);
+  auto from_block = StreamAll(block);
   ASSERT_TRUE(from_block.ok());
   auto from_csv = ParseTelemetryCsv(ExtractWeekCsvText(fleet, 3));
   ASSERT_TRUE(from_csv.ok());
@@ -181,7 +211,7 @@ TEST(SeriesBlockTest, DuplicateTimestampsKeepLastValue) {
   TelemetryRecord dup = records[1];  // srv-a, t=5
   dup.avg_cpu = 99.0;
   records.push_back(dup);
-  auto direct = DecodeSeriesBlockToServers(EncodeSeriesBlock(records));
+  auto direct = StreamAll(EncodeSeriesBlock(records));
   ASSERT_TRUE(direct.ok());
   EXPECT_DOUBLE_EQ((*direct)[0].load.ValueAtTime(5), 99.0);
 }
@@ -191,7 +221,7 @@ TEST(SeriesBlockTest, RejectsOffGridTimestamps) {
   r.server_id = "s";
   r.timestamp = 7;
   r.avg_cpu = 1.0;
-  auto decoded = DecodeSeriesBlockToServers(EncodeSeriesBlock({r}));
+  auto decoded = StreamAll(EncodeSeriesBlock({r}));
   EXPECT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("off the"), std::string::npos);
 }
@@ -204,7 +234,7 @@ TEST(SeriesBlockTest, RejectsCorruptAndTruncatedBlobs) {
                      blob.size() / 2, blob.size() - 1}) {
     EXPECT_FALSE(PeekSeriesBlock(blob.substr(0, cut)).ok()) << cut;
     EXPECT_FALSE(DecodeSeriesBlock(blob.substr(0, cut)).ok()) << cut;
-    EXPECT_FALSE(DecodeSeriesBlockToServers(blob.substr(0, cut)).ok()) << cut;
+    EXPECT_FALSE(StreamAll(blob.substr(0, cut)).ok()) << cut;
   }
 
   // Any single flipped byte breaks either the magic or the checksum.
@@ -235,20 +265,6 @@ TEST(SeriesBlockTest, QuantizerIsIdempotent) {
   }
 }
 
-/// Streams a blob through the cursor into the same grouped form the
-/// materializing decoder returns — the equivalence oracle's subject.
-Result<std::vector<ServerTelemetry>> StreamAll(const std::string& blob) {
-  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockCursor cursor,
-                           SeriesBlockCursor::Open(std::string_view(blob)));
-  std::vector<ServerTelemetry> out;
-  SEAGULL_RETURN_NOT_OK(
-      StreamSeriesBlockServers(cursor, [&](ServerTelemetry&& st) {
-        out.push_back(std::move(st));
-        return Status::OK();
-      }));
-  return out;
-}
-
 /// Bit-exact comparison of two grouped decodes (NaN missing slots
 /// compare via MissingAt, present values via exact equality).
 void ExpectSameServers(const std::vector<ServerTelemetry>& a,
@@ -272,12 +288,12 @@ void ExpectSameServers(const std::vector<ServerTelemetry>& a,
   }
 }
 
-TEST(SeriesBlockCursorTest, PropertyStreamMatchesMaterializingDecode) {
+TEST(SeriesBlockCursorTest, PropertyStreamMatchesGroupedRecordDecode) {
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     auto records = RandomRecords(seed);
     if (records.empty()) continue;
     const std::string blob = EncodeSeriesBlock(records);
-    auto reference = DecodeSeriesBlockToServers(blob);
+    auto reference = GroupedRecords(blob);
     ASSERT_TRUE(reference.ok()) << "seed " << seed;
     auto streamed = StreamAll(blob);
     ASSERT_TRUE(streamed.ok()) << "seed " << seed;
@@ -286,9 +302,9 @@ TEST(SeriesBlockCursorTest, PropertyStreamMatchesMaterializingDecode) {
 }
 
 TEST(SeriesBlockCursorTest, TruncatedAndCorruptBlobsMatchReferenceStatus) {
-  // On every mutilated input the cursor path must fail exactly when the
-  // materializing decoder fails, with the same status text — error
-  // parity is part of the equivalence contract.
+  // On every mutilated input the streaming path must fail exactly when
+  // the record decode + grouping fails, with the same status text —
+  // error parity is part of the equivalence contract.
   const std::string blob = EncodeSeriesBlock(SampleRecords());
   auto status_of = [](const Result<std::vector<ServerTelemetry>>& r) {
     return r.ok() ? std::string("ok") : r.status().ToString();
@@ -296,16 +312,14 @@ TEST(SeriesBlockCursorTest, TruncatedAndCorruptBlobsMatchReferenceStatus) {
   for (size_t cut : {size_t{0}, size_t{3}, size_t{10}, size_t{35},
                      blob.size() / 2, blob.size() - 1}) {
     const std::string bad = blob.substr(0, cut);
-    EXPECT_EQ(status_of(DecodeSeriesBlockToServers(bad)),
-              status_of(StreamAll(bad)))
+    EXPECT_EQ(status_of(GroupedRecords(bad)), status_of(StreamAll(bad)))
         << "cut " << cut;
     EXPECT_FALSE(StreamAll(bad).ok()) << "cut " << cut;
   }
   for (size_t at = 0; at < blob.size(); at += 7) {
     std::string bad = blob;
     bad[at] = static_cast<char>(bad[at] ^ 0x5a);
-    EXPECT_EQ(status_of(DecodeSeriesBlockToServers(bad)),
-              status_of(StreamAll(bad)))
+    EXPECT_EQ(status_of(GroupedRecords(bad)), status_of(StreamAll(bad)))
         << "flip " << at;
   }
 }
@@ -316,7 +330,7 @@ TEST(SeriesBlockCursorTest, OffGridTimestampFailsLikeReference) {
   r.timestamp = 7;
   r.avg_cpu = 1.0;
   const std::string blob = EncodeSeriesBlock({r});
-  auto reference = DecodeSeriesBlockToServers(blob);
+  auto reference = GroupedRecords(blob);
   auto streamed = StreamAll(blob);
   ASSERT_FALSE(reference.ok());
   ASSERT_FALSE(streamed.ok());
@@ -333,7 +347,7 @@ TEST(SeriesBlockCursorTest, DuplicateTimestampsKeepLastValueWhenStreamed) {
   auto streamed = StreamAll(EncodeSeriesBlock(records));
   ASSERT_TRUE(streamed.ok());
   EXPECT_DOUBLE_EQ((*streamed)[0].load.ValueAtTime(5), 99.0);
-  auto reference = DecodeSeriesBlockToServers(EncodeSeriesBlock(records));
+  auto reference = GroupedRecords(EncodeSeriesBlock(records));
   ASSERT_TRUE(reference.ok());
   ExpectSameServers(*reference, *streamed, 0);
 }
@@ -360,14 +374,14 @@ TEST(SeriesBlockCursorTest, ColumnsAliasTheBlobBytes) {
   }
 }
 
-TEST(SeriesBlockCursorTest, SharedOpenPinsTheBlobPastCallerRelease) {
-  // The blob-cache contract: a cursor opened on the cache's shared_ptr
+TEST(SeriesBlockCursorTest, BlobRefOpenPinsTheBlobPastCallerRelease) {
+  // The blob-cache contract: a cursor opened on the cache's `BlobRef`
   // keeps the bytes alive even after the cache (and every other owner)
   // drops its reference — eviction mid-decode must be harmless.
   auto records = SampleRecords();
   auto blob = std::make_shared<const std::string>(
       EncodeSeriesBlock(records));
-  auto cursor = SeriesBlockCursor::Open(blob);
+  auto cursor = SeriesBlockCursor::Open(BlobRef(*blob, blob));
   ASSERT_TRUE(cursor.ok());
   std::weak_ptr<const std::string> watch = blob;
   blob.reset();  // simulate cache eviction: cursor is now sole owner
@@ -381,9 +395,8 @@ TEST(SeriesBlockCursorTest, SharedOpenPinsTheBlobPastCallerRelease) {
   EXPECT_EQ(out[0].server_id, "srv-a");
 }
 
-TEST(SeriesBlockCursorTest, OpenRejectsNullSharedBlob) {
-  std::shared_ptr<const std::string> null_blob;
-  EXPECT_FALSE(SeriesBlockCursor::Open(null_blob).ok());
+TEST(SeriesBlockCursorTest, OpenRejectsEmptyBlobRef) {
+  EXPECT_FALSE(SeriesBlockCursor::Open(BlobRef()).ok());
 }
 
 TEST(SeriesBlockCursorTest, NextWalksDirectoryOrderAndRewinds) {
@@ -430,6 +443,109 @@ TEST(SeriesBlockTest, DecodeTelemetryBlobSniffsBothFormats) {
     EXPECT_EQ((*from_block)[i].server_id, (*from_csv)[i].server_id);
   }
   EXPECT_FALSE(DecodeTelemetryBlob("garbage").ok());
+}
+
+/// SGB1's trailer hash, written out independently of the library: FNV-1a
+/// with the 64-bit prime, over the format's offset basis
+/// 1469598103934665603 (not the standard 14695981039346656037).
+uint64_t TrailerHash(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+void PutLE(std::string* out, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+/// A version-1 header with the given counts.
+std::string HostileHeader(int64_t server_count, int64_t total_samples) {
+  std::string blob = "SGB1";
+  PutLE(&blob, 1, 4);  // version
+  PutLE(&blob, 0, 4);  // reserved
+  PutLE(&blob, static_cast<uint64_t>(kServerIntervalMinutes), 8);
+  PutLE(&blob, static_cast<uint64_t>(server_count), 8);
+  PutLE(&blob, static_cast<uint64_t>(total_samples), 8);
+  return blob;
+}
+
+void PutEntry(std::string* blob, std::string_view id, int64_t samples) {
+  PutLE(blob, id.size(), 4);
+  blob->append(id);
+  PutLE(blob, 0, 8);   // backup start
+  PutLE(blob, 60, 8);  // backup end
+  PutLE(blob, static_cast<uint64_t>(samples), 8);
+}
+
+/// Appends the trailer anyone can compute: the checksum proves nothing
+/// about the counts it covers.
+std::string Sealed(std::string blob) {
+  PutLE(&blob, TrailerHash(blob), 8);
+  return blob;
+}
+
+/// Header-only blob claiming 2^40 servers: sized naively, the directory
+/// reservation alone is tens of terabytes.
+std::string HugeServerCountBlob() {
+  return Sealed(HostileHeader(int64_t{1} << 40, 0));
+}
+
+/// One real directory entry whose sample count (and the header's total)
+/// is 2^60: 16 bytes per sample wraps the naive column-size product to
+/// zero, and the column base pointer overflows.
+std::string HugeSampleCountBlob() {
+  std::string blob = HostileHeader(1, int64_t{1} << 60);
+  PutEntry(&blob, "s", int64_t{1} << 60);
+  return Sealed(std::move(blob));
+}
+
+/// Two entries whose counts each exceed the header's total: summing
+/// them naively overflows a signed 64-bit integer.
+std::string OverlongEntryBlob() {
+  std::string blob = HostileHeader(2, 1);
+  PutEntry(&blob, "a", INT64_MAX);
+  PutEntry(&blob, "b", 2);
+  return Sealed(std::move(blob));
+}
+
+TEST(SeriesBlockHostileTest, HeaderCountsAreBoundedByTheBlobSize) {
+  ASSERT_EQ(HugeServerCountBlob().size(), 44u);
+  ASSERT_EQ(HugeSampleCountBlob().size(), 73u);
+  for (const std::string& blob :
+       {HugeServerCountBlob(), HugeSampleCountBlob(), OverlongEntryBlob()}) {
+    ASSERT_TRUE(IsSeriesBlock(blob));
+    EXPECT_TRUE(PeekSeriesBlock(blob).status().IsInvalid()) << blob.size();
+    EXPECT_TRUE(SeriesBlockCursor::Open(std::string_view(blob))
+                    .status()
+                    .IsInvalid())
+        << blob.size();
+    EXPECT_TRUE(DecodeSeriesBlock(blob).status().IsInvalid()) << blob.size();
+    EXPECT_TRUE(DecodeTelemetryBlob(blob).status().IsInvalid())
+        << blob.size();
+  }
+}
+
+TEST(SeriesBlockHostileTest, IngestionFailsWithAnIncident) {
+  for (const std::string& blob : {HugeServerCountBlob(), HugeSampleCountBlob()}) {
+    auto lake = LakeStore::OpenTemporary("hostile");
+    ASSERT_TRUE(lake.ok());
+    ASSERT_TRUE(lake->Put(LakeStore::TelemetryKey("r", 3), blob).ok());
+    PipelineContext ctx;
+    ctx.region = "r";
+    ctx.week = 3;
+    ctx.lake = &*lake;
+    DataIngestionModule ingestion;
+    EXPECT_FALSE(ingestion.Run(&ctx).ok()) << blob.size();
+    ASSERT_EQ(ctx.incidents.size(), 1u) << blob.size();
+    EXPECT_EQ(ctx.incidents[0].module, "ingestion");
+    EXPECT_EQ(ctx.incidents[0].severity, IncidentSeverity::kError);
+    EXPECT_TRUE(ctx.servers.empty());
+  }
 }
 
 }  // namespace

@@ -46,8 +46,8 @@
 #   tools/check.sh scale      # fleet-scale memory plane: Release build,
 #                             # then bench/fig12b_parallel --servers=100000
 #                             # (shard-by-shard streaming-writer staging,
-#                             # the {jobs=1, jobs=8} x {mmap, heap} pass
-#                             # grid digest-compared for byte-identity,
+#                             # a jobs=1 and a jobs=8 pass over mmap
+#                             # reads, digest-compared for byte-identity,
 #                             # gated on the fleet_scale peak-RSS /
 #                             # per-server / encoder-residency budgets
 #                             # in tests/budgets.json, writes
@@ -56,7 +56,8 @@
 #                             # ~95 GB of telemetry staged and retired
 #                             # shard-wise, allow a couple of hours),
 #                             # then micro_substrate with the
-#                             # ingest_memory footprint gate, then the
+#                             # ingest_memory per-server decode-peak
+#                             # ceiling, then the
 #                             # streaming decode/encode + mmap-cache
 #                             # suites, the `kernels` label (raw-pointer
 #                             # forecast kernels and their test-only
@@ -162,7 +163,7 @@ case "$MODE" in
       -DCMAKE_BUILD_TYPE=Release
     echo "=== [scale] bench/fig12b_parallel --servers=100000 (writes" \
          "BENCH_scale.json, gates on tests/budgets.json fleet_scale," \
-         "checks jobs and mmap-on/off digest byte-identity) ==="
+         "checks jobs=1 vs jobs=8 digest byte-identity) ==="
     (cd "$ROOT/build-release" &&
       ./bench/fig12b_parallel --servers=100000 --jobs=8 \
         --budgets="$ROOT/tests/budgets.json")
@@ -173,7 +174,7 @@ case "$MODE" in
         ./bench/fig12b_parallel --servers=1000000 --jobs=8 \
           --budgets="$ROOT/tests/budgets.json")
     fi
-    echo "=== [scale] bench/micro_substrate (ingest_memory footprint gate) ==="
+    echo "=== [scale] bench/micro_substrate (ingest_memory decode-peak ceiling) ==="
     (cd "$ROOT/build-release" &&
       ./bench/micro_substrate --benchmark_filter='IngestStreaming' \
         --budgets="$ROOT/tests/budgets.json")

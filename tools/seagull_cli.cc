@@ -7,11 +7,13 @@
 ///
 ///   seagull generate  --lake DIR --region NAME [--servers N] [--weeks W] [--seed S]
 ///   seagull pipeline  --lake DIR --docs FILE --region NAME[,NAME...] --week K
-///                     [--model FAMILY] [--threads N] [--jobs N] [--all-days]
-///                     [--retries N] [--fault-rate P --fault-seed S]
+///                     [--model FAMILY] [--threads N] [--jobs N]
+///                     [--lake-cache-mb MB] [--retries N]
+///                     [--fault-rate P --fault-seed S]
 ///                     [--trace-out FILE] [--metrics-out FILE]
 ///   seagull schedule  --lake DIR --docs FILE --region NAME[,NAME...] --day D
-///                     [--jobs N]
+///                     [--jobs N] [--lake-cache-mb MB] [--retries N]
+///                     [--fault-rate P --fault-seed S]
 ///
 /// `--fault-rate`/`--fault-seed` enable the deterministic fault
 /// substrate (common/fault.h) on the store layer — the operational
@@ -50,9 +52,13 @@
 /// (`--format binary` writes columnar SeriesBlock blobs instead of CSV);
 /// `transcode` converts a stored telemetry blob between the two formats
 /// in place (or to `--out`). `--lake-cache-mb` on pipeline/schedule
-/// enables the shared-buffer lake blob cache; `--lake-mmap` (default
-/// on) serves blob reads as page-cache-backed mappings instead of heap
-/// copies. Everything else is the production path.
+/// enables the shared lake blob cache. Everything else is the
+/// production path.
+///
+/// Each command accepts exactly the flags listed above (see
+/// `Commands()`); any other `--flag` — a typo such as `--job`, or a
+/// removed option — fails with exit 2 before the command does any
+/// work.
 
 #include <algorithm>
 #include <cstdio>
@@ -64,6 +70,7 @@
 #include <ostream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/fault.h"
 #include "forecast/persistent.h"
@@ -80,7 +87,6 @@
 #include "store/resilient_store.h"
 #include "telemetry/emitter.h"
 #include "telemetry/series_block.h"
-#include "telemetry/series_block_writer.h"
 
 using namespace seagull;
 
@@ -94,12 +100,24 @@ class Args {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) continue;
       key = key.substr(2);
+      order_.push_back(key);
       if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
         values_[key] = argv[++i];
       } else {
         values_[key] = "1";  // boolean flag
       }
     }
+  }
+
+  /// The first flag, in command-line order, that is not in `known`;
+  /// empty when every flag is known.
+  std::string FirstUnknown(const std::vector<std::string>& known) const {
+    for (const std::string& key : order_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        return key;
+      }
+    }
+    return "";
   }
 
   std::string Get(const std::string& key,
@@ -133,6 +151,7 @@ class Args {
 
  private:
   std::map<std::string, std::string> values_;
+  std::vector<std::string> order_;  ///< flag names as given
 };
 
 int Fail(const Status& status) {
@@ -270,7 +289,6 @@ int CmdPipeline(const Args& args) {
   if (!lake.ok()) return Fail(lake.status());
   const int64_t cache_mb = args.GetInt("lake-cache-mb", 0);
   if (cache_mb > 0) lake->ConfigureCache(cache_mb << 20);
-  lake->ConfigureMmap(args.GetInt("lake-mmap", 1) != 0);
   auto docs = OpenDocs(*docs_path);
   if (!docs.ok()) return Fail(docs.status());
   // After the snapshot load: the rehearsal faults the pipeline's store
@@ -386,7 +404,6 @@ int CmdSchedule(const Args& args) {
   if (!lake.ok()) return Fail(lake.status());
   const int64_t cache_mb = args.GetInt("lake-cache-mb", 0);
   if (cache_mb > 0) lake->ConfigureCache(cache_mb << 20);
-  lake->ConfigureMmap(args.GetInt("lake-mmap", 1) != 0);
   auto docs = OpenDocs(*docs_path);
   if (!docs.ok()) return Fail(docs.status());
   ResilientStore store(&*lake, *docs, ConfigureResilience(args));
@@ -849,11 +866,11 @@ void Usage() {
       "[--seed S] [--format csv|binary]\n"
       "  pipeline  --lake DIR --docs FILE --region NAME[,NAME...] "
       "--week K [--model FAMILY] [--threads N] [--jobs N] [--retries N] "
-      "[--lake-cache-mb MB] [--lake-mmap 0|1] "
-      "[--fault-rate P --fault-seed S] "
+      "[--lake-cache-mb MB] [--fault-rate P --fault-seed S] "
       "[--trace-out FILE] [--metrics-out FILE]\n"
       "  schedule  --lake DIR --docs FILE --region NAME[,NAME...] "
-      "--day D [--jobs N] [--lake-cache-mb MB] [--lake-mmap 0|1]\n"
+      "--day D [--jobs N] [--lake-cache-mb MB] [--retries N] "
+      "[--fault-rate P --fault-seed S]\n"
       "  transcode --lake DIR --key KEY [--to csv|binary] [--out KEY]\n"
       "  dashboard --docs FILE\n"
       "  incidents --docs FILE --region NAME\n"
@@ -865,7 +882,56 @@ void Usage() {
       "  loadtest  (same bootstrap flags as serve) "
       "[--profile ramp|spike|soak] [--mode open|closed] [--ticks N] "
       "[--base N] [--clients N] [--jobs N] [--batch-frac F] "
-      "[--batch-size N] [--subscribe-frac F] [--out FILE]\n");
+      "[--batch-size N] [--subscribe-frac F] [--out FILE]\n"
+      "unknown flags are rejected with exit status 2\n");
+}
+
+/// One subcommand: its handler and every flag it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+/// `base` followed by `more`: flag lists share groups.
+std::vector<std::string> Join(std::vector<std::string> base,
+                              const std::vector<std::string>& more) {
+  base.insert(base.end(), more.begin(), more.end());
+  return base;
+}
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = [] {
+    // Read by ConfigureResilience and by BuildServingSetup.
+    const std::vector<std::string> resilience = {"retries", "fault-rate",
+                                                 "fault-seed"};
+    const std::vector<std::string> bootstrap =
+        Join({"synthetic", "lake", "docs", "region", "week", "servers",
+              "seed"},
+             resilience);
+    return std::vector<Command>{
+        {"generate", CmdGenerate,
+         {"lake", "region", "servers", "weeks", "seed", "format"}},
+        {"pipeline", CmdPipeline,
+         Join({"lake", "docs", "region", "week", "model", "threads", "jobs",
+               "lake-cache-mb", "trace-out", "metrics-out"},
+              resilience)},
+        {"schedule", CmdSchedule,
+         Join({"lake", "docs", "region", "day", "jobs", "lake-cache-mb"},
+              resilience)},
+        {"transcode", CmdTranscode, {"lake", "key", "to", "out"}},
+        {"dashboard", CmdDashboard, {"docs"}},
+        {"incidents", CmdIncidents, {"docs", "region"}},
+        {"advise", CmdAdvise,
+         {"lake", "docs", "region", "server", "day", "start", "duration"}},
+        {"serve", CmdServe, Join(bootstrap, {"horizon", "threads"})},
+        {"loadtest", CmdLoadtest,
+         Join(bootstrap, {"profile", "mode", "ticks", "base", "clients",
+                          "jobs", "batch-frac", "batch-size",
+                          "subscribe-frac", "out"})},
+    };
+  }();
+  return commands;
 }
 
 }  // namespace
@@ -876,16 +942,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   Args args(argc, argv);
-  std::string command = argv[1];
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "pipeline") return CmdPipeline(args);
-  if (command == "schedule") return CmdSchedule(args);
-  if (command == "transcode") return CmdTranscode(args);
-  if (command == "dashboard") return CmdDashboard(args);
-  if (command == "incidents") return CmdIncidents(args);
-  if (command == "advise") return CmdAdvise(args);
-  if (command == "serve") return CmdServe(args);
-  if (command == "loadtest") return CmdLoadtest(args);
+  const std::string command = argv[1];
+  for (const Command& c : Commands()) {
+    if (command != c.name) continue;
+    const std::string unknown = args.FirstUnknown(c.flags);
+    if (!unknown.empty()) {
+      std::fprintf(stderr, "error: unknown flag --%s for %s\n",
+                   unknown.c_str(), c.name);
+      return 2;
+    }
+    return c.run(args);
+  }
   Usage();
   return 2;
 }
