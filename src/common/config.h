@@ -35,12 +35,14 @@ struct FleetConfig {
   /// Definition 3 / Definition 9: history required to call a server
   /// long-lived, and the span over which predictability is verified.
   int64_t long_lived_weeks = 3;
-  /// Servers are due for a full backup at least once a week (§2.2), so
-  /// the pipeline runs weekly per region.
-  int64_t pipeline_period_weeks = 1;
   /// §5.3.1: servers need at least this many days of history before their
   /// backup day for a model to be trained.
   int64_t min_history_days = 3;
 };
+
+/// §6.2: CPU load percentage above which a server is busy — "customer
+/// load over 60% of capacity". A backup window whose true load reaches
+/// it collides with customer activity. Fixed, not a parameter.
+inline constexpr double kBusyLoadPct = 60.0;
 
 }  // namespace seagull

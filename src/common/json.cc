@@ -36,6 +36,19 @@ Result<double> Json::GetNumber(const std::string& key) const {
   return v.AsDouble();
 }
 
+Result<int64_t> Json::GetInt64(const std::string& key) const {
+  if (!Contains(key)) return Status::NotFound("missing number field: " + key);
+  const Json& v = obj_.at(key);
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  // The negated comparison also rejects NaN.
+  if (!v.is_number() || !(std::fabs(v.num_) <= kMaxExact) ||
+      v.num_ != std::trunc(v.num_)) {
+    return Status::Invalid("field " + key +
+                           " must be an integer within +/-2^53");
+  }
+  return static_cast<int64_t>(v.num_);
+}
+
 Result<std::string> Json::GetString(const std::string& key) const {
   const Json& v = (*this)[key];
   if (!v.is_string()) return Status::NotFound("missing string field: " + key);
@@ -169,7 +182,7 @@ class Parser {
 
   Result<Json> Parse() {
     SkipWs();
-    SEAGULL_ASSIGN_OR_RETURN(Json v, ParseValue());
+    SEAGULL_ASSIGN_OR_RETURN(Json v, ParseValue(0));
     SkipWs();
     if (pos_ != s_.size()) return Err("trailing characters after JSON value");
     return v;
@@ -197,14 +210,18 @@ class Parser {
     return false;
   }
 
-  Result<Json> ParseValue() {
+  /// `depth` counts the arrays and objects enclosing this value.
+  Result<Json> ParseValue(int depth) {
     if (pos_ >= s_.size()) return Err("unexpected end of input");
     char c = s_[pos_];
+    if ((c == '{' || c == '[') && depth >= kMaxJsonDepth) {
+      return Err(StringPrintf("nesting deeper than %d levels", kMaxJsonDepth));
+    }
     switch (c) {
       case '{':
-        return ParseObject();
+        return ParseObject(depth + 1);
       case '[':
-        return ParseArray();
+        return ParseArray(depth + 1);
       case '"': {
         SEAGULL_ASSIGN_OR_RETURN(std::string str, ParseString());
         return Json(std::move(str));
@@ -232,7 +249,7 @@ class Parser {
     }
   }
 
-  Result<Json> ParseObject() {
+  Result<Json> ParseObject(int depth) {
     ++pos_;  // '{'
     Json::Object obj;
     SkipWs();
@@ -244,7 +261,7 @@ class Parser {
       SkipWs();
       if (!Consume(':')) return Err("expected ':'");
       SkipWs();
-      SEAGULL_ASSIGN_OR_RETURN(Json v, ParseValue());
+      SEAGULL_ASSIGN_OR_RETURN(Json v, ParseValue(depth));
       obj.emplace(std::move(key), std::move(v));
       SkipWs();
       if (Consume(',')) continue;
@@ -254,14 +271,14 @@ class Parser {
     return Json(std::move(obj));
   }
 
-  Result<Json> ParseArray() {
+  Result<Json> ParseArray(int depth) {
     ++pos_;  // '['
     Json::Array arr;
     SkipWs();
     if (Consume(']')) return Json(std::move(arr));
     while (true) {
       SkipWs();
-      SEAGULL_ASSIGN_OR_RETURN(Json v, ParseValue());
+      SEAGULL_ASSIGN_OR_RETURN(Json v, ParseValue(depth));
       arr.push_back(std::move(v));
       SkipWs();
       if (Consume(',')) continue;

@@ -18,6 +18,12 @@
 
 namespace seagull {
 
+/// Deepest array/object nesting `Json::Parse` accepts; deeper input is
+/// `Invalid`. Parsing, `Dump` and destruction all recurse once per level,
+/// so without the bound one hostile request line could overflow the
+/// stack of a long-lived process.
+inline constexpr int kMaxJsonDepth = 512;
+
 /// \brief A JSON value: null, bool, number, string, array, or object.
 class Json {
  public:
@@ -81,6 +87,11 @@ class Json {
 
   /// Checked member lookup on objects.
   Result<double> GetNumber(const std::string& key) const;
+  /// Checked integer member for untrusted documents: NotFound when `key`
+  /// is absent; Invalid when its value is not a number, is not
+  /// integral, or lies beyond ±2^53 (past which a double no longer
+  /// holds every integer). NaN and ±inf fail the same way.
+  Result<int64_t> GetInt64(const std::string& key) const;
   Result<std::string> GetString(const std::string& key) const;
   Result<bool> GetBool(const std::string& key) const;
 
@@ -93,7 +104,7 @@ class Json {
   /// Serializes with 2-space indentation.
   std::string DumpPretty() const;
 
-  /// Parses JSON text.
+  /// Parses JSON text; nesting deeper than `kMaxJsonDepth` is Invalid.
   static Result<Json> Parse(const std::string& text);
 
   bool operator==(const Json& other) const;

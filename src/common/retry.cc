@@ -47,33 +47,14 @@ RetryOutcome RunWithRetry(
     const std::function<void(int, const Status&)>& on_retry) {
   RetryOutcome outcome;
   const int max_attempts = std::max(policy.max_attempts, 1);
-  const auto loop_start = std::chrono::steady_clock::now();
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-    const auto attempt_start = std::chrono::steady_clock::now();
     Status status = op();
-    const auto now = std::chrono::steady_clock::now();
     outcome.attempts = attempt;
-    const double attempt_millis =
-        std::chrono::duration<double, std::milli>(now - attempt_start)
-            .count();
-    if (status.ok() && policy.attempt_timeout_millis > 0.0 &&
-        attempt_millis > policy.attempt_timeout_millis) {
-      status = Status::ResourceExhausted(
-          "attempt timed out: " + op_key);
-    }
-    if (status.ok()) {
+    if (status.ok() || !IsRetryableStatus(status)) {
       outcome.status = status;
       return outcome;
     }
-    if (!IsRetryableStatus(status)) {
-      outcome.status = status;
-      return outcome;
-    }
-    const double elapsed_millis =
-        std::chrono::duration<double, std::milli>(now - loop_start).count();
-    const bool budget_spent = policy.max_elapsed_millis > 0.0 &&
-                              elapsed_millis >= policy.max_elapsed_millis;
-    if (attempt == max_attempts || budget_spent) {
+    if (attempt == max_attempts) {
       outcome.status = status;
       outcome.exhausted = true;
       return outcome;

@@ -6,9 +6,10 @@
 /// §2.2). This is the reproduction's equivalent: exponential backoff
 /// with *deterministic* jitter (a hash of the operation key and attempt
 /// index, never a live RNG), a retryable-status taxonomy over
-/// `StatusCode`, and attempt/time budgets. Used by `ResilientStore`,
-/// by `Pipeline::Run` around each module, and by the post-run
-/// record-keeping in the scheduler and incident manager.
+/// `StatusCode`, and an attempt budget. `RunWithRetry` is the one retry
+/// loop: `Pipeline::Run` wraps each module in it, the scheduler and
+/// incident manager wrap their post-run record-keeping in it, and the
+/// CLI wraps its telemetry reads (`LakeStore::GetBlob`) in it.
 
 #pragma once
 
@@ -30,15 +31,6 @@ struct RetryPolicy {
   double base_backoff_millis = 1.0;
   double backoff_multiplier = 2.0;
   double max_backoff_millis = 64.0;
-  /// Stops retrying (not the in-flight attempt — operations are
-  /// synchronous and cannot be preempted) once the loop has spent this
-  /// long overall. 0 disables the budget.
-  double max_elapsed_millis = 0.0;
-  /// An attempt that ran longer than this is treated as expired:
-  /// its status is replaced by a retryable `ResourceExhausted` so the
-  /// loop retries (or reports exhaustion) exactly as for a transient
-  /// error. 0 disables the check.
-  double attempt_timeout_millis = 0.0;
   /// Seed of the deterministic jitter stream.
   uint64_t jitter_seed = 0;
   /// Backoff is scaled by a factor in [1 - f, 1 + f).
@@ -63,8 +55,8 @@ struct RetryOutcome {
   int attempts = 0;   ///< attempts actually made (>= 1)
   /// Retries = attempts beyond the first.
   int64_t retries() const { return attempts > 0 ? attempts - 1 : 0; }
-  /// True when the loop gave up on a *retryable* failure (attempt or
-  /// time budget spent) — the caller should degrade, not crash.
+  /// True when the loop gave up on a *retryable* failure (attempt
+  /// budget spent) — the caller should degrade, not crash.
   bool exhausted = false;
 };
 

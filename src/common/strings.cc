@@ -22,16 +22,6 @@ std::vector<std::string> SplitString(std::string_view s, char delim) {
   return out;
 }
 
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view delim) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += delim;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view TrimWhitespace(std::string_view s) {
   const char* ws = " \t\r\n\f\v";
   size_t b = s.find_first_not_of(ws);
@@ -42,11 +32,6 @@ std::string_view TrimWhitespace(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 Result<double> ParseDouble(std::string_view s) {

@@ -14,18 +14,11 @@ namespace seagull {
 /// Splits on a single-character delimiter; keeps empty fields.
 std::vector<std::string> SplitString(std::string_view s, char delim);
 
-/// Joins with a delimiter.
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view delim);
-
 /// Strips ASCII whitespace from both ends.
 std::string_view TrimWhitespace(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// True if `s` ends with `suffix`.
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Parses a double; rejects trailing garbage.
 Result<double> ParseDouble(std::string_view s);

@@ -64,10 +64,4 @@ std::vector<std::string> ModelFactory::Names() const {
   return names;
 }
 
-Json WrapModelDoc(const ForecastModel& model, const Json& params) {
-  Json doc = params;
-  doc["model"] = model.name();
-  return doc;
-}
-
 }  // namespace seagull

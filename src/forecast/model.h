@@ -97,7 +97,4 @@ class ModelFactory {
   std::map<std::string, Constructor> ctors_;
 };
 
-/// Convenience: wraps a serialized model with its family name.
-Json WrapModelDoc(const ForecastModel& model, const Json& params);
-
 }  // namespace seagull

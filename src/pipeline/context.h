@@ -106,14 +106,6 @@ struct PipelineContext {
                    const std::string& message) {
     incidents.push_back({severity, module, message});
   }
-
-  /// Features lookup by server id; nullptr if absent.
-  const ServerFeatures* FindFeatures(const std::string& server_id) const {
-    for (const auto& f : features) {
-      if (f.server_id == server_id) return &f;
-    }
-    return nullptr;
-  }
 };
 
 }  // namespace seagull

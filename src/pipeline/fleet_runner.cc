@@ -74,8 +74,7 @@ FleetRunResult FleetRunner::Run(const std::vector<FleetJob>& jobs,
     // Fresh pipeline + scheduler per job: modules keep per-run state and
     // must not be shared across concurrently executing regions.
     Pipeline pipeline = factory_();
-    PipelineScheduler scheduler(&pipeline, lake_, docs_,
-                                options_.period_weeks, options_.retry);
+    PipelineScheduler scheduler(&pipeline, lake_, docs_, options_.retry);
     PipelineContext config = config_template;
     if (pool != nullptr) config.pool = pool.get();
     PipelineScheduler::ScheduledRun& run = result.runs[static_cast<size_t>(i)];

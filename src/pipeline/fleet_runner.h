@@ -47,8 +47,6 @@ struct FleetOptions {
   /// the calling thread (the Fig. 12b reference mode), 0 is treated as
   /// 1. Per-server fan-out inside each pipeline shares the same pool.
   int jobs = 1;
-  /// Scheduler cadence passed through to `PipelineScheduler`.
-  int64_t period_weeks = 1;
   /// Transient-failure policy for every region's modules and
   /// record-keeping (see `PipelineScheduler`).
   RetryPolicy retry;

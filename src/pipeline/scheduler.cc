@@ -17,7 +17,7 @@ int64_t PipelineScheduler::LastSuccessfulWeek(
 
 bool PipelineScheduler::IsDue(const std::string& region, int64_t week) const {
   int64_t last = LastSuccessfulWeek(region);
-  return last < 0 || week - last >= period_weeks_;
+  return last < 0 || week > last;
 }
 
 PipelineScheduler::ScheduledRun PipelineScheduler::RunIfDue(

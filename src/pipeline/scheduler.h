@@ -11,26 +11,23 @@
 
 namespace seagull {
 
-/// \brief Weekly per-region cadence driver.
+/// \brief Weekly per-region cadence driver: "servers are due for full
+/// backup at least once a week. Thus, the load extraction query runs
+/// once a week per region" (§2.2).
 class PipelineScheduler {
  public:
-  /// `period_weeks` follows `FleetConfig::pipeline_period_weeks` —
-  /// "servers are due for full backup at least once a week. Thus, the
-  /// load extraction query runs once a week per region" (§2.2).
   /// `retry` governs transient-failure handling for the pipeline's
   /// modules and for the scheduler's own post-run record-keeping
   /// (dashboard + incident persistence).
   PipelineScheduler(const Pipeline* pipeline, const LakeStore* lake,
-                    DocStore* docs, int64_t period_weeks = 1,
-                    RetryPolicy retry = {})
-      : pipeline_(pipeline), lake_(lake), docs_(docs),
-        period_weeks_(period_weeks), retry_(retry) {}
+                    DocStore* docs, RetryPolicy retry = {})
+      : pipeline_(pipeline), lake_(lake), docs_(docs), retry_(retry) {}
 
   /// Last week a region ran successfully; -1 before the first run.
   int64_t LastSuccessfulWeek(const std::string& region) const;
 
-  /// True if the region's run for `week` is due (never ran, or the
-  /// period elapsed).
+  /// True if the region's run for `week` is due (never ran, or its last
+  /// successful run was an earlier week).
   bool IsDue(const std::string& region, int64_t week) const;
 
   /// \brief Outcome of one scheduled run.
@@ -49,7 +46,6 @@ class PipelineScheduler {
   const Pipeline* pipeline_;
   const LakeStore* lake_;
   DocStore* docs_;
-  int64_t period_weeks_;
   RetryPolicy retry_;
 };
 

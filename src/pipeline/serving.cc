@@ -19,8 +19,8 @@ Json SeriesToJson(const LoadSeries& series) {
 }
 
 Result<LoadSeries> SeriesFromJson(const Json& doc) {
-  SEAGULL_ASSIGN_OR_RETURN(double start, doc.GetNumber("start"));
-  SEAGULL_ASSIGN_OR_RETURN(double interval, doc.GetNumber("interval"));
+  SEAGULL_ASSIGN_OR_RETURN(MinuteStamp start, doc.GetInt64("start"));
+  SEAGULL_ASSIGN_OR_RETURN(int64_t interval, doc.GetInt64("interval"));
   if (!doc["values"].is_array()) {
     return Status::Invalid("series doc has no values array");
   }
@@ -35,8 +35,7 @@ Result<LoadSeries> SeriesFromJson(const Json& doc) {
       return Status::Invalid("series value is neither number nor null");
     }
   }
-  return LoadSeries::Make(static_cast<MinuteStamp>(start),
-                          static_cast<int64_t>(interval), std::move(values));
+  return LoadSeries::Make(start, interval, std::move(values));
 }
 
 Result<ForecastRequest> ForecastRequest::FromJson(const Json& doc) {
@@ -45,11 +44,9 @@ Result<ForecastRequest> ForecastRequest::FromJson(const Json& doc) {
   if (req.server_id.empty()) {
     return Status::Invalid("server id must not be empty");
   }
-  SEAGULL_ASSIGN_OR_RETURN(double start, doc.GetNumber("start"));
-  SEAGULL_ASSIGN_OR_RETURN(double horizon,
-                           doc.GetNumber("horizon_minutes"));
-  req.start = static_cast<MinuteStamp>(start);
-  req.horizon_minutes = static_cast<int64_t>(horizon);
+  SEAGULL_ASSIGN_OR_RETURN(req.start, doc.GetInt64("start"));
+  SEAGULL_ASSIGN_OR_RETURN(req.horizon_minutes,
+                           doc.GetInt64("horizon_minutes"));
   if (req.horizon_minutes <= 0) {
     return Status::Invalid("horizon must be positive");
   }

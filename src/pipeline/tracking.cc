@@ -5,6 +5,13 @@
 
 namespace seagull {
 
+namespace {
+
+/// Absolute drop in predictable fraction that triggers fallback.
+constexpr double kRegressionThreshold = 0.15;
+
+}  // namespace
+
 Status ModelTrackingModule::Run(PipelineContext* ctx) {
   if (ctx->docs == nullptr) {
     return Status::FailedPrecondition("no document store configured");
@@ -56,7 +63,7 @@ Status ModelTrackingModule::Run(PipelineContext* ctx) {
 
   // Fallback decision.
   if (previous_fraction >= 0.0 &&
-      previous_fraction - fraction > options_.regression_threshold) {
+      previous_fraction - fraction > kRegressionThreshold) {
     SEAGULL_RETURN_NOT_OK(SetActiveVersion(
         ctx->docs, ctx->region, previous_version,
         StringPrintf("fallback: v%lld predictable fraction %.3f dropped "

@@ -17,23 +17,12 @@ namespace seagull {
 /// Container holding per-version accuracy summaries.
 inline constexpr const char* kVersionStatsContainer = "model_version_stats";
 
-/// \brief Tracking options.
-struct ModelTrackingOptions {
-  /// Absolute drop in predictable fraction that triggers fallback.
-  double regression_threshold = 0.15;
-};
-
-/// \brief Records version accuracy and falls back on regression.
+/// \brief Records version accuracy and falls back on regression (a drop
+/// in predictable fraction beyond `kRegressionThreshold`, tracking.cc).
 class ModelTrackingModule final : public PipelineModule {
  public:
-  explicit ModelTrackingModule(ModelTrackingOptions options = {})
-      : options_(options) {}
-
   std::string name() const override { return "tracking"; }
   Status Run(PipelineContext* ctx) override;
-
- private:
-  ModelTrackingOptions options_;
 };
 
 }  // namespace seagull

@@ -74,8 +74,8 @@ Status DataValidationModule::Run(PipelineContext* ctx) {
 
   const std::string schema_key = SchemaKey(ctx->region);
   if (ctx->lake != nullptr && ctx->lake->Exists(schema_key)) {
-    SEAGULL_ASSIGN_OR_RETURN(std::string text, ctx->lake->Get(schema_key));
-    SEAGULL_ASSIGN_OR_RETURN(Json doc, Json::Parse(text));
+    SEAGULL_ASSIGN_OR_RETURN(BlobRef blob, ctx->lake->GetBlob(schema_key));
+    SEAGULL_ASSIGN_OR_RETURN(Json doc, Json::Parse(std::string(blob.view())));
     SEAGULL_ASSIGN_OR_RETURN(SchemaProperties expected,
                              SchemaProperties::FromJson(doc));
     if (expected.columns != observed.columns) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/config.h"
+
 namespace seagull {
 
 double PlannedMinutes(double size_mb, const BackupEngineConfig& config) {
@@ -12,8 +14,7 @@ double PlannedMinutes(double size_mb, const BackupEngineConfig& config) {
 
 Result<BackupRun> SimulateBackup(const LoadSeries& true_load,
                                  MinuteStamp start, double size_mb,
-                                 const BackupEngineConfig& config,
-                                 double busy_threshold) {
+                                 const BackupEngineConfig& config) {
   if (size_mb <= 0) return Status::Invalid("backup size must be positive");
   if (config.idle_throughput_mb_per_min <= 0) {
     return Status::Invalid("idle throughput must be positive");
@@ -49,7 +50,7 @@ Result<BackupRun> SimulateBackup(const LoadSeries& true_load,
       remaining_mb -= produced;
     }
     load_sum += load * tick_minutes;
-    if (load >= busy_threshold) run.contended_minutes += tick_minutes;
+    if (load >= kBusyLoadPct) run.contended_minutes += tick_minutes;
     if (remaining_mb <= 0) {
       // Round the end up to the next grid point the backup touched.
       run.end = t + static_cast<MinuteStamp>(std::ceil(tick_minutes));

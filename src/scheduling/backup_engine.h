@@ -40,7 +40,7 @@ struct BackupRun {
   bool completed = false;
   /// Average customer load overlapped by the running backup.
   double avg_overlapped_load = 0.0;
-  /// Customer-load minutes overlapped above `busy_threshold` (the
+  /// Customer-load minutes overlapped at or above `kBusyLoadPct` (the
   /// quality-of-service damage proxy).
   double contended_minutes = 0.0;
 
@@ -54,12 +54,10 @@ struct BackupRun {
 };
 
 /// Simulates a backup of `size_mb` starting at `start` against the true
-/// customer load (missing samples are treated as idle). `busy_threshold`
-/// feeds `contended_minutes`.
+/// customer load (missing samples are treated as idle).
 Result<BackupRun> SimulateBackup(const LoadSeries& true_load,
                                  MinuteStamp start, double size_mb,
-                                 const BackupEngineConfig& config = {},
-                                 double busy_threshold = 60.0);
+                                 const BackupEngineConfig& config = {});
 
 /// Expected idle-speed duration of a backup, in minutes.
 double PlannedMinutes(double size_mb, const BackupEngineConfig& config);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/config.h"
+
 namespace seagull {
 
 BackupExecution BackupService::Execute(const std::string& server_id,
@@ -30,7 +32,7 @@ BackupExecution BackupService::Execute(const std::string& server_id,
   double peak = window.Max();
   exec.avg_true_load = IsMissing(avg) ? 0.0 : avg;
   exec.peak_true_load = IsMissing(peak) ? 0.0 : peak;
-  exec.collided = exec.peak_true_load >= busy_threshold_;
+  exec.collided = exec.peak_true_load >= kBusyLoadPct;
   return exec;
 }
 

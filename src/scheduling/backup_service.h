@@ -36,12 +36,10 @@ struct BackupExecution {
 /// \brief Executes backups against ground-truth load.
 class BackupService {
  public:
-  /// `busy_threshold` is the CPU percentage above which a window counts
-  /// as colliding with customer activity (§6.2 reports busy servers with
-  /// "customer load over 60% of capacity").
-  explicit BackupService(const ServiceFabricProperties* properties,
-                         double busy_threshold = 60.0)
-      : properties_(properties), busy_threshold_(busy_threshold) {}
+  /// A window whose true load peaks at `kBusyLoadPct` or above counts
+  /// as colliding with customer activity.
+  explicit BackupService(const ServiceFabricProperties* properties)
+      : properties_(properties) {}
 
   /// Runs one server's backup for `day_index`. The window is the
   /// service-fabric property when present, else the default.
@@ -52,7 +50,6 @@ class BackupService {
 
  private:
   const ServiceFabricProperties* properties_;
-  double busy_threshold_;
 };
 
 }  // namespace seagull

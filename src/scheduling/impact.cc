@@ -7,6 +7,13 @@
 
 namespace seagull {
 
+namespace {
+
+/// Fig. 13(b): a weekly max CPU at or above this counts as at capacity.
+constexpr double kCapacityPct = 99.5;
+
+}  // namespace
+
 double ImpactReport::FractionMoved() const {
   return backups == 0 ? 0.0
                       : static_cast<double>(moved_to_ll) /
@@ -83,16 +90,16 @@ BackupPlacement ImpactEvaluator::AddBackup(const ScheduledBackup& backup,
           .Slice(backup.day_index * kMinutesPerDay,
                  (backup.day_index + 1) * kMinutesPerDay)
           .Max();
-  if (!IsMissing(day_peak) && day_peak >= busy_threshold_) {
+  if (!IsMissing(day_peak) && day_peak >= kBusyLoadPct) {
     ++impact_.busy_backups;
     double peak_default =
         true_load.Slice(backup.default_start, backup.default_end).Max();
     double peak_exec =
         true_load.Slice(backup.window_start, backup.window_end).Max();
-    if (!IsMissing(peak_default) && peak_default >= busy_threshold_) {
+    if (!IsMissing(peak_default) && peak_default >= kBusyLoadPct) {
       ++impact_.busy_default_collisions;
     }
-    if (!IsMissing(peak_exec) && peak_exec >= busy_threshold_) {
+    if (!IsMissing(peak_exec) && peak_exec >= kBusyLoadPct) {
       ++impact_.busy_executed_collisions;
     }
   }
@@ -107,7 +114,7 @@ void ImpactEvaluator::AddServerWeek(const std::string& server_id,
   ++capacity_.servers;
   int bucket = std::clamp(static_cast<int>(peak / 10.0), 0, 9);
   ++capacity_.histogram[static_cast<size_t>(bucket)];
-  if (peak >= capacity_epsilon_) ++capacity_.at_capacity;
+  if (peak >= kCapacityPct) ++capacity_.at_capacity;
 }
 
 std::string ImpactEvaluator::Render() const {

@@ -68,7 +68,7 @@ struct CapacityReport {
   /// [10k, 10(k+1)) percent; the last bucket is [90, 100].
   std::array<int64_t, 10> histogram = {};
   int64_t servers = 0;
-  int64_t at_capacity = 0;  ///< weekly max reached >= capacity_epsilon
+  int64_t at_capacity = 0;  ///< weekly max CPU >= `kCapacityPct` (impact.cc)
 
   double FractionAtCapacity() const;
 };
@@ -76,11 +76,8 @@ struct CapacityReport {
 /// \brief Accumulates placements into the Figure 13 reports.
 class ImpactEvaluator {
  public:
-  explicit ImpactEvaluator(AccuracyConfig accuracy = {},
-                           double busy_threshold = 60.0,
-                           double capacity_epsilon = 99.5)
-      : accuracy_(accuracy), busy_threshold_(busy_threshold),
-        capacity_epsilon_(capacity_epsilon) {}
+  explicit ImpactEvaluator(AccuracyConfig accuracy = {})
+      : accuracy_(accuracy) {}
 
   /// Classifies one scheduled backup against ground truth and folds it
   /// into the report. Returns the placement for inspection.
@@ -99,8 +96,6 @@ class ImpactEvaluator {
 
  private:
   AccuracyConfig accuracy_;
-  double busy_threshold_;
-  double capacity_epsilon_;
   ImpactReport impact_;
   CapacityReport capacity_;
 };

@@ -40,12 +40,6 @@ ServerFilter FilterLongLived() {
   return [](const ServerProfile& p) { return !p.IsShortLived(); };
 }
 
-ServerFilter FilterArchetype(ServerArchetype archetype) {
-  return [archetype](const ServerProfile& p) {
-    return !p.IsShortLived() && p.archetype == archetype;
-  };
-}
-
 ServerFilter FilterStableOrPattern() {
   return [](const ServerProfile& p) {
     return !p.IsShortLived() &&

@@ -61,7 +61,6 @@ Result<ModelEvalResult> EvaluateModelOnFleet(
 
 /// Convenience filters for the paper's cohorts.
 ServerFilter FilterLongLived();
-ServerFilter FilterArchetype(ServerArchetype archetype);
 ServerFilter FilterStableOrPattern();
 ServerFilter FilterUnstableNoPattern();
 

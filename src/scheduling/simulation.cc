@@ -42,16 +42,13 @@ Result<SimulationResult> RunSimulation(const SimulationOptions& options) {
   }
 
   Pipeline pipeline = Pipeline::Standard();
-  PipelineScheduler scheduler(&pipeline, &lake, &docs,
-                              options.fleet.pipeline_period_weeks);
-  ImpactEvaluator impact(options.accuracy, options.busy_threshold);
+  PipelineScheduler scheduler(&pipeline, &lake, &docs);
+  ImpactEvaluator impact(options.accuracy);
   // Cohort evaluators keyed by generator archetype (Figure 13(a) reports
   // per-cohort numbers).
   ImpactEvaluator cohort[4] = {
-      ImpactEvaluator(options.accuracy, options.busy_threshold),
-      ImpactEvaluator(options.accuracy, options.busy_threshold),
-      ImpactEvaluator(options.accuracy, options.busy_threshold),
-      ImpactEvaluator(options.accuracy, options.busy_threshold)};
+      ImpactEvaluator(options.accuracy), ImpactEvaluator(options.accuracy),
+      ImpactEvaluator(options.accuracy), ImpactEvaluator(options.accuracy)};
 
   PipelineContext config;
   config.accuracy = options.accuracy;
@@ -66,7 +63,7 @@ Result<SimulationResult> RunSimulation(const SimulationOptions& options) {
 
     ServiceFabricProperties properties;
     BackupScheduler backup_scheduler(&docs, &properties);
-    BackupService backup_service(&properties, options.busy_threshold);
+    BackupService backup_service(&properties);
 
     const int64_t first_pipeline_week = options.fleet.long_lived_weeks - 1;
     const int64_t last_week = region_config.weeks - 1;

@@ -29,8 +29,6 @@ struct SimulationOptions {
   FleetConfig fleet;
   /// Worker threads for the pipeline's parallel modules; 0 = sequential.
   int threads = 0;
-  /// CPU percentage above which a window collides with customer load.
-  double busy_threshold = 60.0;
 };
 
 /// \brief Per-region outcome of the simulation.

@@ -8,7 +8,6 @@
 
 // Foundations.
 #include "common/config.h"    // IWYU pragma: export
-#include "common/csv.h"       // IWYU pragma: export
 #include "common/fault.h"     // IWYU pragma: export
 #include "common/json.h"      // IWYU pragma: export
 #include "common/logging.h"   // IWYU pragma: export
@@ -32,12 +31,10 @@
 #include "telemetry/load_generator.h"  // IWYU pragma: export
 #include "telemetry/records.h"         // IWYU pragma: export
 #include "telemetry/server_profile.h"  // IWYU pragma: export
-#include "telemetry/signals.h"         // IWYU pragma: export
 
 // Storage.
 #include "store/doc_store.h"        // IWYU pragma: export
 #include "store/lake_store.h"       // IWYU pragma: export
-#include "store/resilient_store.h"  // IWYU pragma: export
 
 // Parallelism.
 #include "parallel/thread_pool.h"  // IWYU pragma: export
@@ -88,6 +85,5 @@
 // Auto-scale (Appendix A).
 #include "autoscale/classify.h"     // IWYU pragma: export
 #include "autoscale/eval.h"         // IWYU pragma: export
-#include "autoscale/overbooking.h"  // IWYU pragma: export
 #include "autoscale/policy.h"       // IWYU pragma: export
 #include "autoscale/sql_fleet.h"    // IWYU pragma: export

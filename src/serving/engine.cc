@@ -30,6 +30,14 @@ Json WindowToJson(const WindowResult& window) {
   return doc;
 }
 
+/// An optional integer request field: `fallback` when absent, else the
+/// checked `Json::GetInt64` value.
+Result<int64_t> OptionalInt64(const Json& request, const std::string& key,
+                              int64_t fallback) {
+  if (!request.Contains(key)) return fallback;
+  return request.GetInt64(key);
+}
+
 }  // namespace
 
 Json Notification::ToJson() const {
@@ -105,9 +113,9 @@ Status ServingEngine::Bootstrap(const std::vector<ServerTelemetry>& fleet) {
     std::lock_guard<std::mutex> lock(shard.mu);
     ServerState& state = shard.servers[st.server_id];
     state.tail = st.load;
-    if (state.tail.end() - state.tail.start() > options_.tail_cap_minutes) {
+    if (state.tail.end() - state.tail.start() > kTailCapMinutes) {
       state.tail = state.tail.Slice(
-          state.tail.end() - options_.tail_cap_minutes, state.tail.end());
+          state.tail.end() - kTailCapMinutes, state.tail.end());
     }
     state.dirty = true;
   }
@@ -182,15 +190,11 @@ Result<Json> ServingEngine::PredictFromSnapshot(const FleetEpoch& snap,
   doc["ok"] = true;
   doc["tick"] = entry.last_refit_tick;
   if (request.Contains("start") || request.Contains("horizon_minutes")) {
-    SEAGULL_ASSIGN_OR_RETURN(double start, request.GetNumber("start"));
-    SEAGULL_ASSIGN_OR_RETURN(double horizon,
-                             request.GetNumber("horizon_minutes"));
-    if (static_cast<int64_t>(horizon) <= 0) {
-      return Status::Invalid("horizon must be positive");
-    }
-    LoadSeries sliced = entry.forecast->Slice(
-        static_cast<MinuteStamp>(start),
-        static_cast<MinuteStamp>(start) + static_cast<int64_t>(horizon));
+    SEAGULL_ASSIGN_OR_RETURN(MinuteStamp start, request.GetInt64("start"));
+    SEAGULL_ASSIGN_OR_RETURN(int64_t horizon,
+                             request.GetInt64("horizon_minutes"));
+    if (horizon <= 0) return Status::Invalid("horizon must be positive");
+    LoadSeries sliced = entry.forecast->Slice(start, start + horizon);
     if (sliced.empty()) {
       return Status::FailedPrecondition(
           "requested range is outside the cached forecast for " + server_id);
@@ -287,10 +291,8 @@ Result<Json> ServingEngine::HandleLLWindow(const Json& request) {
   if (server_id.empty()) {
     return Status::Invalid("server id must not be empty");
   }
-  const int64_t duration = static_cast<int64_t>(
-      request.Contains("duration_minutes")
-          ? request["duration_minutes"].AsDouble()
-          : 60);
+  SEAGULL_ASSIGN_OR_RETURN(int64_t duration,
+                           OptionalInt64(request, "duration_minutes", 60));
   if (duration <= 0) return Status::Invalid("duration must be positive");
 
   std::shared_ptr<const FleetEpoch> snap = Snapshot();
@@ -307,10 +309,14 @@ Result<Json> ServingEngine::HandleLLWindow(const Json& request) {
                                       " yet");
   }
   const LoadSeries& forecast = *it->second.forecast;
-  const int64_t day = static_cast<int64_t>(
-      request.Contains("day") ? request["day"].AsDouble()
-                              : DayIndex(forecast.start()));
-  WindowResult window = LowestLoadWindow(forecast, day, duration);
+  SEAGULL_ASSIGN_OR_RETURN(
+      int64_t day, OptionalInt64(request, "day", DayIndex(forecast.start())));
+  // A day outside the forecast has no window. Answering it before the
+  // search also keeps `day * kMinutesPerDay` from overflowing.
+  WindowResult window;
+  if (day >= DayIndex(forecast.start()) && day <= DayIndex(forecast.end())) {
+    window = LowestLoadWindow(forecast, day, duration);
+  }
   if (!window.found) {
     return Status::FailedPrecondition(
         "cached forecast covers no complete window on day " +
@@ -331,10 +337,8 @@ Result<Json> ServingEngine::HandleSubscribe(const Json& request) {
   if (server_id.empty()) {
     return Status::Invalid("server id must not be empty");
   }
-  const int64_t duration = static_cast<int64_t>(
-      request.Contains("duration_minutes")
-          ? request["duration_minutes"].AsDouble()
-          : 60);
+  SEAGULL_ASSIGN_OR_RETURN(int64_t duration,
+                           OptionalInt64(request, "duration_minutes", 60));
   if (duration <= 0) return Status::Invalid("duration must be positive");
   std::string id;
   if (request.Contains("id")) {
@@ -407,10 +411,12 @@ Result<Json> ServingEngine::HandleIngest(const Json& request) {
   if (increment.empty()) {
     return Status::Invalid("ingest increment is empty");
   }
-  const int64_t seq =
-      request.Contains("seq")
-          ? static_cast<int64_t>(request["seq"].AsDouble())
-          : arrival_seq_.fetch_add(1, std::memory_order_relaxed);
+  int64_t seq = 0;
+  if (request.Contains("seq")) {
+    SEAGULL_ASSIGN_OR_RETURN(seq, request.GetInt64("seq"));
+  } else {
+    seq = arrival_seq_.fetch_add(1, std::memory_order_relaxed);
+  }
   {
     Shard& shard = ShardOf(server_id);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -438,8 +444,8 @@ Result<Json> ServingEngine::HandleIngest(const Json& request) {
             : (!state.pending.empty() ? &state.pending.front().second
                                       : nullptr);
     if (anchor != nullptr) {
-      const MinuteStamp lo = anchor->end() - options_.tail_cap_minutes;
-      const MinuteStamp hi = anchor->end() + options_.tail_cap_minutes;
+      const MinuteStamp lo = anchor->end() - kTailCapMinutes;
+      const MinuteStamp hi = anchor->end() + kTailCapMinutes;
       if (increment.start() < lo || increment.end() > hi) {
         return Status::OutOfRange(
             "increment [" + std::to_string(increment.start()) + ", " +
@@ -535,11 +541,9 @@ TickResult ServingEngine::Tick() {
             static_cast<int64_t>(state.pending.size()),
             std::memory_order_relaxed);
         state.pending.clear();
-        if (state.tail.end() - state.tail.start() >
-            options_.tail_cap_minutes) {
-          state.tail = state.tail.Slice(
-              state.tail.end() - options_.tail_cap_minutes,
-              state.tail.end());
+        if (state.tail.end() - state.tail.start() > kTailCapMinutes) {
+          state.tail = state.tail.Slice(state.tail.end() - kTailCapMinutes,
+                                        state.tail.end());
         }
         if (!state.dirty) {
           state.dirty = true;

@@ -78,15 +78,16 @@
 
 namespace seagull {
 
+/// Rolling telemetry kept per server; older samples are trimmed at tick
+/// time so steady-state memory is O(servers * cap). Ingest increments
+/// must also lie within this distance of the server's telemetry (see
+/// `ServingEngine::Handle`).
+inline constexpr int64_t kTailCapMinutes = 14 * kMinutesPerDay;
+
 /// \brief Serving-engine knobs.
 struct ServingOptions {
   /// Forecast horizon recomputed for each dirty server at every tick.
   int64_t horizon_minutes = kMinutesPerDay;
-  /// Rolling telemetry kept per server; older samples are trimmed at
-  /// tick time so steady-state memory is O(servers * cap). Ingest
-  /// increments must also lie within this distance of the server's
-  /// telemetry (see `Handle`).
-  int64_t tail_cap_minutes = 14 * kMinutesPerDay;
   /// Shards of the mutable ingest state (power of two recommended);
   /// each shard has its own lock so ingests on unrelated servers never
   /// contend. Queries take no shard lock at all.
@@ -173,17 +174,21 @@ class ServingEngine {
   ///              "series":{series}}
   ///     Enqueues the increment for the next tick. Unknown servers are
   ///     auto-registered. An increment reaching more than
-  ///     `tail_cap_minutes` from the server's anchor — its tail's end,
+  ///     `kTailCapMinutes` from the server's anchor — its tail's end,
   ///     or before it has a tail the first pending increment's end —
   ///     is rejected as OutOfRange. `seq` orders same-server merges;
   ///     omitted seqs draw from an arrival counter (schedule-dependent
   ///     — loadgen always assigns explicit seqs).
+  /// M, H, D, B, N and a series' "start"/"interval" are read through
+  /// `Json::GetInt64`: a string, a fraction or a magnitude past 2^53 is
+  /// Invalid. Request lines nested deeper than `kMaxJsonDepth` are
+  /// Invalid too.
   /// Success responses carry {"ok":true,...}; failures the structured
   /// {"ok":false,"error":...,"code":...} form.
   std::string Handle(const std::string& request_text);
 
   /// Advances one epoch: drains pending ingests (per server, in seq
-  /// order), trims tails to `tail_cap_minutes`, re-forecasts the dirty
+  /// order), trims tails to `kTailCapMinutes`, re-forecasts the dirty
   /// set in sorted server order into a shadow epoch, publishes it with
   /// one pointer swap, and evaluates subscriptions against the new
   /// epoch. Must not run concurrently with itself; queries, ingests,

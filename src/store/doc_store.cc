@@ -102,12 +102,6 @@ std::vector<Document> Container::Query(
   return out;
 }
 
-Result<std::vector<Document>> Container::QueryChecked(
-    const std::function<bool(const Document&)>& pred) const {
-  SEAGULL_FAULT_POINT("doc.query", name_);
-  return Query(pred);
-}
-
 int64_t Container::Count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int64_t>(docs_.size());

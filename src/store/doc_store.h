@@ -8,10 +8,10 @@
 /// filtered scans — with optional JSON-file persistence.
 ///
 /// Mutating and point-read operations are instrumented with
-/// fault-injection points (`doc.upsert`, `doc.insert`, `doc.get`,
-/// `doc.query` — see common/fault.h); snapshot/restore and the
-/// non-fallible scans are deliberately not, so test oracles can read
-/// ground-truth state while faults are active.
+/// fault-injection points (`doc.upsert`, `doc.insert`, `doc.get` — see
+/// common/fault.h); snapshot/restore and the scans are deliberately
+/// not, so test oracles can read ground-truth state while faults are
+/// active.
 
 #pragma once
 
@@ -66,12 +66,6 @@ class Container {
 
   /// Full scan with a predicate over the JSON body.
   std::vector<Document> Query(
-      const std::function<bool(const Document&)>& pred) const;
-
-  /// `Query` behind the `doc.query` fault-injection point, for callers
-  /// (e.g. `ResilientStore`) that want scan failures to be observable
-  /// and retryable instead of silently absent.
-  Result<std::vector<Document>> QueryChecked(
       const std::function<bool(const Document&)>& pred) const;
 
   int64_t Count() const;

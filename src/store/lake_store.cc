@@ -26,23 +26,6 @@ namespace {
 /// half-written key into a listing.
 constexpr char kTmpPrefix[] = ".seagull-tmp.";
 
-/// Single sized read of a whole file: one allocation, one `read()`,
-/// instead of the streambuf-chunked `ostringstream << rdbuf()` copy.
-Result<std::string> ReadWholeFile(const std::string& path,
-                                  const std::string& key) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no such blob: " + key);
-  std::error_code ec;
-  const auto size = fs::file_size(path, ec);
-  if (ec) return Status::NotFound("no such blob: " + key);
-  std::string content(static_cast<size_t>(size), '\0');
-  if (size > 0 &&
-      !in.read(content.data(), static_cast<std::streamsize>(size))) {
-    return Status::IOError("short read: " + key);
-  }
-  return content;
-}
-
 /// The (size, mtime, inode, ctime) identity the cache keys entries on —
 /// one `stat(2)` instead of the two `std::filesystem` calls it
 /// replaces. Inode catches rename-replacement, ctime catches in-place
@@ -163,15 +146,6 @@ Status LakeStore::PutStreamed(
   }());
 }
 
-Result<std::string> LakeStore::Get(const std::string& key) const {
-  ObsOp op("seagull.lake", "get");
-  return op.Done([&]() -> Result<std::string> {
-    SEAGULL_FAULT_POINT("lake.get", key);
-    SEAGULL_ASSIGN_OR_RETURN(std::string path, ResolvePath(key));
-    return ReadWholeFile(path, key);
-  }());
-}
-
 Result<BlobRef> LakeStore::GetBlob(const std::string& key) const {
   ObsOp op("seagull.lake", "get_blob");
   return op.Done([&]() -> Result<BlobRef> {
@@ -253,15 +227,6 @@ Result<int64_t> LakeStore::SizeOf(const std::string& key) const {
   auto size = fs::file_size(path, ec);
   if (ec) return Status::NotFound("no such blob: " + key);
   return static_cast<int64_t>(size);
-}
-
-Status LakeStore::PutCsv(const std::string& key, const CsvTable& table) const {
-  return Put(key, WriteCsv(table));
-}
-
-Result<CsvTable> LakeStore::GetCsv(const std::string& key) const {
-  SEAGULL_ASSIGN_OR_RETURN(std::string text, Get(key));
-  return ParseCsv(text);
 }
 
 std::string LakeStore::TelemetryKey(const std::string& region,

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/blob_ref.h"
-#include "common/csv.h"
 #include "common/result.h"
 
 namespace seagull {
@@ -25,7 +24,7 @@ class BlobCache;
 
 /// \brief Hierarchical blob storage rooted at a local directory.
 ///
-/// `Put`, `Get`, and `List` are instrumented with fault-injection
+/// `Put`, `GetBlob`, and `List` are instrumented with fault-injection
 /// points (`lake.put`, `lake.get`, `lake.list` — see common/fault.h)
 /// so chaos tests and the CLI's `--fault-rate` can exercise transient
 /// blob failures deterministically.
@@ -58,11 +57,9 @@ class LakeStore {
   Status PutStreamed(const std::string& key,
                      const std::function<Status(std::ostream&)>& writer) const;
 
-  /// Reads a whole blob.
-  Result<std::string> Get(const std::string& key) const;
-
-  /// Reads a blob as a shared immutable `BlobRef` — the telemetry read
-  /// path. The ref aliases a read-only page-cache-backed mapping
+  /// Reads a blob as a shared immutable `BlobRef` — the store's one
+  /// read path, for telemetry, schemas and `transcode` alike. The ref
+  /// aliases a read-only page-cache-backed mapping
   /// (store/mmap_blob.h): zero heap copies, bytes faulted on first
   /// touch, reclaimable by the kernel. With the cache enabled
   /// (`ConfigureCache`), repeat reads of an unchanged file return the
@@ -92,12 +89,6 @@ class LakeStore {
 
   /// Size of a blob in bytes.
   Result<int64_t> SizeOf(const std::string& key) const;
-
-  /// \name CSV conveniences.
-  /// @{
-  Status PutCsv(const std::string& key, const CsvTable& table) const;
-  Result<CsvTable> GetCsv(const std::string& key) const;
-  /// @}
 
   /// Canonical key of one region-week telemetry extraction.
   static std::string TelemetryKey(const std::string& region,

@@ -91,11 +91,6 @@ std::vector<TelemetryRecord> ExtractWeek(const Fleet& fleet,
   return out;
 }
 
-CsvTable ExtractWeekCsv(const Fleet& fleet, int64_t week_index,
-                        const ExtractionOptions& options) {
-  return RecordsToCsv(ExtractWeek(fleet, week_index, options));
-}
-
 std::string ExtractWeekCsvText(const Fleet& fleet, int64_t week_index,
                                const ExtractionOptions& options) {
   return RecordsToCsvText(ExtractWeek(fleet, week_index, options));

@@ -28,10 +28,6 @@ std::vector<TelemetryRecord> ExtractWeek(const Fleet& fleet,
                                          int64_t week_index,
                                          const ExtractionOptions& options = {});
 
-/// Convenience: extraction straight to a CSV table.
-CsvTable ExtractWeekCsv(const Fleet& fleet, int64_t week_index,
-                        const ExtractionOptions& options = {});
-
 /// Convenience: extraction straight to CSV text (streaming writer; use
 /// this for large regions).
 std::string ExtractWeekCsvText(const Fleet& fleet, int64_t week_index,

@@ -12,46 +12,6 @@ const char* const kTelemetryColumns[5] = {
     "server_id", "timestamp_minutes", "avg_cpu_pct",
     "default_backup_start", "default_backup_end"};
 
-CsvTable RecordsToCsv(const std::vector<TelemetryRecord>& records) {
-  CsvTable table;
-  table.header.assign(kTelemetryColumns, kTelemetryColumns + 5);
-  table.rows.reserve(records.size());
-  for (const auto& r : records) {
-    table.rows.push_back({
-        r.server_id,
-        StringPrintf("%lld", static_cast<long long>(r.timestamp)),
-        StringPrintf("%.4f", r.avg_cpu),
-        StringPrintf("%lld", static_cast<long long>(r.default_backup_start)),
-        StringPrintf("%lld", static_cast<long long>(r.default_backup_end)),
-    });
-  }
-  return table;
-}
-
-Result<std::vector<TelemetryRecord>> CsvToRecords(const CsvTable& table) {
-  if (table.header.size() != 5) {
-    return Status::Invalid("telemetry CSV must have 5 columns");
-  }
-  for (int i = 0; i < 5; ++i) {
-    if (table.header[static_cast<size_t>(i)] != kTelemetryColumns[i]) {
-      return Status::Invalid("unexpected telemetry column: " +
-                             table.header[static_cast<size_t>(i)]);
-    }
-  }
-  std::vector<TelemetryRecord> out;
-  out.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    TelemetryRecord r;
-    r.server_id = row[0];
-    SEAGULL_ASSIGN_OR_RETURN(r.timestamp, ParseInt64(row[1]));
-    SEAGULL_ASSIGN_OR_RETURN(r.avg_cpu, ParseDouble(row[2]));
-    SEAGULL_ASSIGN_OR_RETURN(r.default_backup_start, ParseInt64(row[3]));
-    SEAGULL_ASSIGN_OR_RETURN(r.default_backup_end, ParseInt64(row[4]));
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 std::string RecordsToCsvText(const std::vector<TelemetryRecord>& records) {
   std::string out;
   // server_id(~20) + 4 numeric fields: ~64 bytes per row.

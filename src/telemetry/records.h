@@ -10,9 +10,10 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "common/csv.h"
+#include "common/result.h"
 #include "timeseries/series.h"
 
 namespace seagull {
@@ -40,12 +41,6 @@ struct ServerTelemetry {
 
 /// Column names of the telemetry CSV schema, in order.
 extern const char* const kTelemetryColumns[5];
-
-/// Converts rows to a CSV table.
-CsvTable RecordsToCsv(const std::vector<TelemetryRecord>& records);
-
-/// Parses a CSV table into rows, validating the header.
-Result<std::vector<TelemetryRecord>> CsvToRecords(const CsvTable& table);
 
 /// Streaming writer: serializes rows straight to CSV text. Telemetry
 /// fields never need quoting, so this avoids materializing a string

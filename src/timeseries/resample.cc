@@ -1,7 +1,5 @@
 #include "timeseries/resample.h"
 
-#include <algorithm>
-
 namespace seagull {
 
 Result<LoadSeries> Downsample(const LoadSeries& series,
@@ -63,15 +61,6 @@ LoadSeries InterpolateMissing(const LoadSeries& series) {
   }
   if (prev >= 0) {
     for (int64_t j = prev + 1; j < n; ++j) out.SetValue(j, out.ValueAt(prev));
-  }
-  return out;
-}
-
-LoadSeries ClampValues(const LoadSeries& series, double lo, double hi) {
-  LoadSeries out = series;
-  for (int64_t i = 0; i < out.size(); ++i) {
-    if (out.MissingAt(i)) continue;
-    out.SetValue(i, std::clamp(out.ValueAt(i), lo, hi));
   }
   return out;
 }

@@ -19,7 +19,4 @@ Result<LoadSeries> Downsample(const LoadSeries& series,
 /// present value. A series with no present samples is returned unchanged.
 LoadSeries InterpolateMissing(const LoadSeries& series);
 
-/// Clamps all present samples into [lo, hi] (CPU load is a percentage).
-LoadSeries ClampValues(const LoadSeries& series, double lo, double hi);
-
 }  // namespace seagull

@@ -73,15 +73,6 @@ int64_t LoadSeries::CountPresent() const {
   return n;
 }
 
-bool LoadSeries::CoversComplete(MinuteStamp from, MinuteStamp to) const {
-  if (from < start_ || to > end()) return false;
-  for (MinuteStamp t = from; t < to; t += interval_) {
-    int64_t i = IndexOf(t);
-    if (i < 0 || MissingAt(i)) return false;
-  }
-  return true;
-}
-
 double LoadSeries::Mean() const { return MeanInRange(start_, end()); }
 
 double LoadSeries::Min() const {

@@ -82,9 +82,6 @@ class LoadSeries {
   /// Number of missing samples.
   int64_t CountMissing() const { return size() - CountPresent(); }
 
-  /// True if the series fully covers [from, to) with no missing samples.
-  bool CoversComplete(MinuteStamp from, MinuteStamp to) const;
-
   /// Mean of present samples; missing if none present.
   double Mean() const;
   /// Min / max over present samples; missing if none present.

@@ -30,32 +30,6 @@ SeriesSummary Summarize(const LoadSeries& series) {
   return s;
 }
 
-double StdDev(const std::vector<double>& values) {
-  double sum = 0.0, sum_sq = 0.0;
-  int64_t n = 0;
-  for (double v : values) {
-    if (IsMissing(v)) continue;
-    sum += v;
-    sum_sq += v * v;
-    ++n;
-  }
-  if (n < 2) return 0.0;
-  double mean = sum / static_cast<double>(n);
-  double var = sum_sq / static_cast<double>(n) - mean * mean;
-  return var > 0 ? std::sqrt(var) : 0.0;
-}
-
-double MeanOf(const std::vector<double>& values) {
-  double sum = 0.0;
-  int64_t n = 0;
-  for (double v : values) {
-    if (IsMissing(v)) continue;
-    sum += v;
-    ++n;
-  }
-  return n == 0 ? kMissingValue : sum / static_cast<double>(n);
-}
-
 double Quantile(std::vector<double> values, double q) {
   values.erase(std::remove_if(values.begin(), values.end(),
                               [](double v) { return IsMissing(v); }),
@@ -68,31 +42,6 @@ double Quantile(std::vector<double> values, double q) {
   size_t hi = std::min(lo + 1, values.size() - 1);
   double frac = pos - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-Result<LoadSeries> ElementwiseMean(const std::vector<LoadSeries>& days,
-                                   MinuteStamp out_start) {
-  if (days.empty()) return Status::Invalid("no day slices to average");
-  const int64_t n = days[0].size();
-  const int64_t interval = days[0].interval_minutes();
-  for (const auto& d : days) {
-    if (d.size() != n || d.interval_minutes() != interval) {
-      return Status::Invalid("day slices are not aligned");
-    }
-  }
-  std::vector<double> out(static_cast<size_t>(n), kMissingValue);
-  for (int64_t i = 0; i < n; ++i) {
-    double sum = 0.0;
-    int64_t cnt = 0;
-    for (const auto& d : days) {
-      double v = d.ValueAt(i);
-      if (IsMissing(v)) continue;
-      sum += v;
-      ++cnt;
-    }
-    if (cnt > 0) out[static_cast<size_t>(i)] = sum / static_cast<double>(cnt);
-  }
-  return LoadSeries::Make(out_start, interval, std::move(out));
 }
 
 }  // namespace seagull

@@ -22,20 +22,8 @@ struct SeriesSummary {
 /// Computes a full summary in one pass.
 SeriesSummary Summarize(const LoadSeries& series);
 
-/// Population standard deviation of present samples (0 for < 2 samples).
-double StdDev(const std::vector<double>& values);
-
-/// Mean of present samples; missing if none.
-double MeanOf(const std::vector<double>& values);
-
 /// Linear-interpolated quantile `q` in [0,1] of present samples;
 /// missing if none present.
 double Quantile(std::vector<double> values, double q);
-
-/// Element-wise mean of several aligned day slices: output[i] is the mean
-/// of input[k].ValueAt(i) over all k where present. All inputs must have
-/// equal size and interval. Used by the previous-week-average forecast.
-Result<LoadSeries> ElementwiseMean(const std::vector<LoadSeries>& days,
-                                   MinuteStamp out_start);
 
 }  // namespace seagull

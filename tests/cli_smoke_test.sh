@@ -13,8 +13,10 @@ die() {
   echo "cli_smoke_test FAILED: $*" >&2
   for f in generate.out pipeline.out pipeline2.out fleet.out \
            transcode.out transcode2.out cached.out \
-           schedule.out dashboard.out incidents.out advise.out \
-           unknown.out hostile.out hostile-incidents.out; do
+           schedule.out retry1.out retry8.out \
+           dashboard.out incidents.out advise.out \
+           unknown.out hostile.out hostile-incidents.out \
+           serve-hostile.out serve-hostile.err deep-docs.out; do
     if [ -f "$f" ]; then
       echo "--- $f ---" >&2
       cat "$f" >&2
@@ -85,6 +87,20 @@ run schedule "$CLI" schedule --lake lake --docs docs.json --region smoke \
   --day 28 > schedule.out
 grep -q "servers due" schedule.out || die "schedule output wrong"
 
+# Telemetry reads run under the --retries policy. With half of all
+# store operations faulted, one attempt per read fails the day, and
+# eight attempts ride the faults out.
+"$CLI" schedule --lake lake --docs docs.json --region smoke --day 28 \
+  --fault-rate 0.5 --fault-seed 1 --retries 1 > retry1.out 2>&1
+status=$?
+[ "$status" -eq 1 ] || die "schedule --retries 1 exited $status, expected 1"
+grep -q "injected fault at lake.get" retry1.out \
+  || die "schedule --retries 1 did not fail on an injected lake.get fault"
+run schedule-retried "$CLI" schedule --lake lake --docs docs.json \
+  --region smoke --day 28 --fault-rate 0.5 --fault-seed 1 --retries 8 \
+  > retry8.out 2>&1
+grep -q "servers due" retry8.out || die "retried schedule output wrong"
+
 run dashboard "$CLI" dashboard --docs docs.json > dashboard.out
 grep -q "smoke" dashboard.out || die "dashboard missing region"
 
@@ -138,5 +154,39 @@ run incidents-hostile "$CLI" incidents --docs docs-hostile.json \
   --region hostile > hostile-incidents.out
 grep -q "ingestion: .*more servers than the blob can hold" \
   hostile-incidents.out || die "no ingestion incident for hostile blob"
+
+# Hostile JSON. A request line nested 20,000 deep (40 KB) used to
+# overflow the stack of `serve` (exit 139), and a day of 1e300 was cast
+# to int64_t unchecked. Each must get a structured Invalid, and the
+# request after them must still be answered.
+deep() {
+  printf '%20000s' '' | tr ' ' '['
+  printf '%20000s' '' | tr ' ' ']'
+}
+{
+  printf '{"verb":"predict","server_id":'
+  deep
+  printf '}\n'
+  printf '{"verb":"ll_window","server_id":"serve-srv-00000","day":1e300}\n'
+  printf '{"verb":"ll_window","server_id":"serve-srv-00000"}\n'
+} > hostile-requests.jsonl
+[ "$(wc -c < hostile-requests.jsonl)" -gt 40000 ] \
+  || die "hostile request line is not 40 KB"
+"$CLI" serve --synthetic --servers 2 < hostile-requests.jsonl \
+  > serve-hostile.out 2> serve-hostile.err
+status=$?
+[ "$status" -eq 0 ] || die "serve exited $status on hostile requests"
+sed -n 1p serve-hostile.out | grep -q '"code":"Invalid"' \
+  || die "nested request line not answered Invalid"
+sed -n 2p serve-hostile.out | grep -q '"code":"Invalid"' \
+  || die "day 1e300 not answered Invalid"
+sed -n 3p serve-hostile.out | grep -q '"ok":true' \
+  || die "serve stopped answering after hostile requests"
+
+# The same parser reads --docs files.
+deep > deep-docs.json
+"$CLI" dashboard --docs deep-docs.json > deep-docs.out 2>&1
+status=$?
+[ "$status" -eq 1 ] || die "20000-deep --docs file exited $status, expected 1"
 
 echo "cli smoke test ok"

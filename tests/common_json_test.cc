@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace seagull {
 namespace {
 
@@ -126,6 +129,67 @@ TEST(JsonTest, LargeIntegersDumpWithoutScientific) {
 
 TEST(JsonTest, NonAsciiUnicodeEscapeRejected) {
   EXPECT_FALSE(Json::Parse("\"\\u00e9\"").ok());
+}
+
+TEST(JsonTest, GetInt64ChecksRangeAndIntegrality) {
+  Json obj = Json::MakeObject();
+  obj["int"] = int64_t{-1440};
+  obj["limit"] = 9007199254740992.0;  // 2^53
+  obj["past_limit"] = 9007199254740994.0;
+  obj["huge"] = 1e300;
+  obj["neg_huge"] = -1e300;
+  obj["fraction"] = 1.5;
+  obj["inf"] = std::numeric_limits<double>::infinity();
+  obj["nan"] = std::numeric_limits<double>::quiet_NaN();
+  obj["string"] = "7";
+  obj["null"] = Json();
+  EXPECT_EQ(*obj.GetInt64("int"), -1440);
+  EXPECT_EQ(*obj.GetInt64("limit"), int64_t{1} << 53);
+  EXPECT_TRUE(obj.GetInt64("missing").status().IsNotFound());
+  for (const char* key : {"past_limit", "huge", "neg_huge", "fraction", "inf",
+                          "nan", "string", "null"}) {
+    EXPECT_TRUE(obj.GetInt64(key).status().IsInvalid()) << key;
+  }
+}
+
+std::string Nested(int depth) {
+  return std::string(static_cast<size_t>(depth), '[') +
+         std::string(static_cast<size_t>(depth), ']');
+}
+
+TEST(JsonTest, NestingAtTheDepthCapParsesDumpsAndDestroys) {
+  const std::string text = Nested(kMaxJsonDepth);
+  {
+    auto v = Json::Parse(text);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    EXPECT_EQ(v->Dump(), text);
+    EXPECT_FALSE(v->DumpPretty().empty());
+  }  // destroyed here, 512 levels deep
+  std::string objects;
+  for (int i = 0; i < kMaxJsonDepth; ++i) objects += "{\"k\":";
+  objects += "1";
+  objects += std::string(static_cast<size_t>(kMaxJsonDepth), '}');
+  auto o = Json::Parse(objects);
+  ASSERT_TRUE(o.ok()) << o.status().ToString();
+  EXPECT_EQ(o->Dump(), objects);
+}
+
+TEST(JsonTest, NestingPastTheDepthCapIsInvalid) {
+  EXPECT_EQ(kMaxJsonDepth, 512);
+  for (int depth : {kMaxJsonDepth + 1, 20000}) {
+    auto v = Json::Parse(Nested(depth));
+    EXPECT_TRUE(v.status().IsInvalid()) << depth;
+  }
+  // The serving-engine repro: one 40 KB request line used to overflow
+  // the stack.
+  const std::string line =
+      "{\"verb\":\"predict\",\"server_id\":" + Nested(20000) + "}";
+  EXPECT_TRUE(Json::Parse(line).status().IsInvalid());
+  std::string objects;
+  for (int i = 0; i <= kMaxJsonDepth; ++i) objects += "{\"k\":";
+  objects += "1";
+  objects += std::string(static_cast<size_t>(kMaxJsonDepth) + 1, '}');
+  EXPECT_TRUE(Json::Parse(objects).status().IsInvalid());
 }
 
 }  // namespace

@@ -25,13 +25,6 @@ TEST(StringsTest, SplitEmptyString) {
   EXPECT_EQ(parts[0], "");
 }
 
-TEST(StringsTest, JoinRoundTrip) {
-  std::vector<std::string> parts = {"x", "y", "z"};
-  EXPECT_EQ(JoinStrings(parts, ","), "x,y,z");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"only"}, "--"), "only");
-}
-
 TEST(StringsTest, TrimWhitespace) {
   EXPECT_EQ(TrimWhitespace("  abc \t\n"), "abc");
   EXPECT_EQ(TrimWhitespace("abc"), "abc");
@@ -40,13 +33,10 @@ TEST(StringsTest, TrimWhitespace) {
   EXPECT_EQ(TrimWhitespace(" a b "), "a b");
 }
 
-TEST(StringsTest, StartsEndsWith) {
+TEST(StringsTest, StartsWith) {
   EXPECT_TRUE(StartsWith("telemetry/region", "telemetry/"));
   EXPECT_FALSE(StartsWith("tel", "telemetry"));
-  EXPECT_TRUE(EndsWith("week-0003.csv", ".csv"));
-  EXPECT_FALSE(EndsWith(".csv", "week.csv"));
   EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_TRUE(EndsWith("x", ""));
 }
 
 TEST(StringsTest, ParseDoubleValid) {

@@ -1,11 +1,9 @@
 /// \file extensions_test.cc
 /// \brief Tests for the paper's follow-up features: backup-day
-/// optimization (§6.1), the customer window advisor (§6.2), and the
-/// overbooking analysis (§6.2).
+/// optimization (§6.1) and the customer window advisor (§6.2).
 
 #include <gtest/gtest.h>
 
-#include "autoscale/overbooking.h"
 #include "forecast/persistent.h"
 #include "scheduling/day_optimizer.h"
 #include "scheduling/window_advisor.h"
@@ -149,49 +147,6 @@ TEST(WindowAdvisorTest, RejectsCrossDayWindow) {
   EXPECT_TRUE(AdviseCustomerWindow(endpoint, "srv", history, customer, 120)
                   .status()
                   .IsInvalid());
-}
-
-TEST(OverbookingTest, ReportShapes) {
-  RegionConfig config;
-  config.name = "overbook";
-  config.num_servers = 120;
-  config.weeks = 4;
-  config.seed = 64;
-  Fleet fleet = Fleet::Generate(config);
-  OverbookingReport report = AnalyzeOverbooking(fleet, 3);
-  EXPECT_GT(report.servers, 50);
-  EXPECT_GT(report.provisioned, 0.0);
-  // Demand ordering: mean <= p95 <= peak <= provisioned.
-  EXPECT_LE(report.mean_demand, report.p95_demand + 1e-9);
-  EXPECT_LE(report.p95_demand, report.peak_demand + 1e-9);
-  EXPECT_LE(report.peak_demand, report.provisioned);
-  // The headline: most capacity is idle even at per-server peaks.
-  EXPECT_GT(report.PeakHeadroom(), 0.3);
-  EXPECT_GT(report.PackingFactor(), 1.5);
-}
-
-TEST(OverbookingTest, PackingFitsMultipleServersWithFewViolations) {
-  RegionConfig config;
-  config.name = "packing";
-  config.num_servers = 100;
-  config.weeks = 4;
-  config.seed = 65;
-  Fleet fleet = Fleet::Generate(config);
-  PackingOutcome outcome = SimulatePacking(fleet, 3, 10.0);
-  EXPECT_GE(outcome.servers_per_host, 2);
-  EXPECT_LT(outcome.violation_rate, 0.05);
-}
-
-TEST(OverbookingTest, HigherMarginPacksFewer) {
-  RegionConfig config;
-  config.name = "margin";
-  config.num_servers = 100;
-  config.weeks = 4;
-  config.seed = 66;
-  Fleet fleet = Fleet::Generate(config);
-  PackingOutcome tight = SimulatePacking(fleet, 3, 5.0);
-  PackingOutcome safe = SimulatePacking(fleet, 3, 60.0);
-  EXPECT_GE(tight.servers_per_host, safe.servers_per_host);
 }
 
 }  // namespace

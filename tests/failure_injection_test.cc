@@ -117,8 +117,7 @@ TEST_F(FailureTest, TransientStoreFaultRecoveredByRetry) {
   retry.max_attempts = 4;
   retry.base_backoff_millis = 0.0;
   Pipeline pipeline = Pipeline::Standard();
-  PipelineScheduler scheduler(&pipeline, lake_.get(), &docs_,
-                              /*period_weeks=*/1, retry);
+  PipelineScheduler scheduler(&pipeline, lake_.get(), &docs_, retry);
   PipelineContext config;
   auto run = scheduler.RunIfDue("fail", 2, config);
   EXPECT_TRUE(run.report.success) << run.report.failure;
@@ -136,8 +135,7 @@ TEST_F(FailureTest, ExhaustedRetriesMarkTheRunForQuarantine) {
   retry.max_attempts = 3;
   retry.base_backoff_millis = 0.0;
   Pipeline pipeline = Pipeline::Standard();
-  PipelineScheduler scheduler(&pipeline, lake_.get(), &docs_,
-                              /*period_weeks=*/1, retry);
+  PipelineScheduler scheduler(&pipeline, lake_.get(), &docs_, retry);
   PipelineContext config;
   auto run = scheduler.RunIfDue("fail", 2, config);
   EXPECT_FALSE(run.report.success);

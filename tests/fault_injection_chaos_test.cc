@@ -213,9 +213,9 @@ TEST(FaultInjectionChaosTest, QuarantinedRegionDoesNotSinkTheFleet) {
   // week the run just produced verdicts for (accuracy docs cover
   // `week + 1`).
   const int64_t day = (kWeek + 1) * 7;
-  auto text = lake.Get(LakeStore::TelemetryKey("chaos-a", kWeek));
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  auto records = ParseTelemetryCsv(*text);
+  auto blob = lake.GetBlob(LakeStore::TelemetryKey("chaos-a", kWeek));
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto records = ParseTelemetryCsv(blob->view());
   ASSERT_TRUE(records.ok());
   auto telemetry = GroupByServer(*records);
   ASSERT_TRUE(telemetry.ok()) << telemetry.status().ToString();

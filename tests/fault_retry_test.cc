@@ -1,7 +1,7 @@
 /// \file fault_retry_test.cc
 /// \brief Unit coverage of the resilience substrate: the deterministic
 /// `FaultRegistry`, the `RetryPolicy` classification/backoff/budget
-/// behavior, and the `ResilientStore` wrapper that joins them.
+/// behavior, and `RunWithRetry` over faulted store reads and writes.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,8 @@
 
 #include "common/fault.h"
 #include "common/retry.h"
-#include "store/resilient_store.h"
+#include "store/doc_store.h"
+#include "store/lake_store.h"
 
 namespace seagull {
 namespace {
@@ -179,65 +180,70 @@ TEST(RetryPolicyTest, MaxAttemptsBelowOneStillRunsOnce) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ResilientStoreTest, LakeGetBlobRecoversFromTransientOutage) {
-  auto lake = LakeStore::OpenTemporary("resilient");
+/// `GetBlob` under `RunWithRetry`, the way the CLI reads telemetry.
+Result<BlobRef> RetriedGetBlob(const LakeStore& lake, const RetryPolicy& policy,
+                               const std::string& key, int64_t* retries) {
+  BlobRef blob;
+  RetryOutcome outcome = RunWithRetry(policy, "lake.get/" + key, [&] {
+    SEAGULL_ASSIGN_OR_RETURN(blob, lake.GetBlob(key));
+    return Status::OK();
+  });
+  *retries = outcome.retries();
+  if (!outcome.status.ok()) return outcome.status;
+  return blob;
+}
+
+TEST(RetriedLakeReadTest, GetBlobRecoversFromTransientOutage) {
+  auto lake = LakeStore::OpenTemporary("retried_read");
   ASSERT_TRUE(lake.ok());
   ASSERT_TRUE(lake->Put("a/blob.txt", "payload").ok());
 
   ScopedFaultInjection fault({1, 0.0});
   fault.registry().AddOutage("lake.get", "a/blob", 2);
-  ResilientStore store(&*lake, nullptr, FastRetry(4));
-  auto value = store.LakeGetBlob("a/blob.txt");
+  int64_t retries = 0;
+  auto value = RetriedGetBlob(*lake, FastRetry(4), "a/blob.txt", &retries);
   ASSERT_TRUE(value.ok()) << value.status().ToString();
   EXPECT_EQ(value->view(), "payload");
-  EXPECT_EQ(store.total_retries(), 2);
+  EXPECT_EQ(retries, 2);
 }
 
-TEST(ResilientStoreTest, ExhaustedOutageSurfacesFinalError) {
-  auto lake = LakeStore::OpenTemporary("resilient");
+TEST(RetriedLakeReadTest, ExhaustedOutageSurfacesFinalError) {
+  auto lake = LakeStore::OpenTemporary("retried_read");
   ASSERT_TRUE(lake.ok());
   ASSERT_TRUE(lake->Put("a/blob.txt", "payload").ok());
 
   ScopedFaultInjection fault({1, 0.0});
   fault.registry().AddOutage("lake.get", "", -1);
-  ResilientStore store(&*lake, nullptr, FastRetry(3));
-  auto value = store.LakeGetBlob("a/blob.txt");
+  int64_t retries = 0;
+  auto value = RetriedGetBlob(*lake, FastRetry(3), "a/blob.txt", &retries);
   EXPECT_TRUE(value.status().IsIOError());
-  EXPECT_EQ(store.total_retries(), 2);  // 3 attempts = 2 retries
+  EXPECT_EQ(retries, 2);  // 3 attempts = 2 retries
 }
 
-TEST(ResilientStoreTest, DocOpsRetryUpsertGetAndQuery) {
+TEST(RetriedDocOpsTest, UpsertAndGetRecover) {
   DocStore docs;
   ScopedFaultInjection fault({1, 0.0});
   fault.registry().AddOutage("doc.upsert", "c/p/", 1);
   fault.registry().AddOutage("doc.get", "c/p/", 1);
-  fault.registry().AddOutage("doc.query", "c", 1);
 
-  ResilientStore store(nullptr, &docs, FastRetry(3));
+  Container* c = docs.GetContainer("c");
   Document doc;
   doc.partition_key = "p";
   doc.id = "d1";
   doc.body = Json::MakeObject();
   doc.body["v"] = 1.0;
-  ASSERT_TRUE(store.Upsert("c", doc).ok());
-  auto got = store.Get("c", "p", "d1");
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  auto scanned = store.Query("c", [](const Document&) { return true; });
-  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
-  EXPECT_EQ(scanned->size(), 1u);
-  EXPECT_EQ(store.total_retries(), 3);  // one per faulted operation
-}
-
-TEST(ResilientStoreTest, MissingStoresFailPrecondition) {
-  ResilientStore store(nullptr, nullptr);
-  EXPECT_TRUE(store.LakeGetBlob("k").status().IsFailedPrecondition());
-  EXPECT_TRUE(store.LakePut("k", "v").IsFailedPrecondition());
-  EXPECT_TRUE(store.LakeList("").status().IsFailedPrecondition());
-  EXPECT_TRUE(store.Get("c", "p", "i").status().IsFailedPrecondition());
-  EXPECT_TRUE(
-      store.Query("c", [](const Document&) { return true; })
-          .status()
-          .IsFailedPrecondition());
+  int64_t retries = 0;
+  // `Container::Upsert` consumes its document: copy it per attempt.
+  RetryOutcome upsert =
+      RunWithRetry(FastRetry(3), "upsert", [&] { return c->Upsert(doc); });
+  ASSERT_TRUE(upsert.status.ok()) << upsert.status.ToString();
+  retries += upsert.retries();
+  RetryOutcome get = RunWithRetry(FastRetry(3), "get", [&] {
+    return c->Get("p", "d1").status();
+  });
+  ASSERT_TRUE(get.status.ok()) << get.status.ToString();
+  retries += get.retries();
+  EXPECT_EQ(retries, 2);  // one per faulted operation
 }
 
 }  // namespace

@@ -97,14 +97,5 @@ TEST(ModelFactoryTest, CustomRegistration) {
   EXPECT_EQ(factory.Names(), (std::vector<std::string>{"custom"}));
 }
 
-TEST(WrapModelDocTest, AddsFamilyName) {
-  PersistentForecast model;
-  Json params = Json::MakeObject();
-  params["x"] = 1;
-  Json doc = WrapModelDoc(model, params);
-  EXPECT_EQ(doc["model"].AsString(), model.name());
-  EXPECT_DOUBLE_EQ(doc["x"].AsDouble(), 1.0);
-}
-
 }  // namespace
 }  // namespace seagull

@@ -111,8 +111,6 @@ TEST(ModelEvalTest, CohortFilters) {
   EXPECT_FALSE(FilterStableOrPattern()(chaotic));
   EXPECT_TRUE(FilterUnstableNoPattern()(chaotic));
   EXPECT_FALSE(FilterUnstableNoPattern()(stable));
-  EXPECT_TRUE(FilterArchetype(ServerArchetype::kNoPattern)(chaotic));
-  EXPECT_FALSE(FilterArchetype(ServerArchetype::kNoPattern)(stable));
 }
 
 TEST(ModelEvalTest, EarlyTargetWeekLimitsEvidence) {

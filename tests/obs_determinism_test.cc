@@ -126,7 +126,7 @@ TEST(ObsDeterminismTest, MetricsAndSpansMatchAcrossJobsCleanRun) {
   // Sanity: the snapshot actually covered the layers, it is not
   // vacuously equal.
   EXPECT_GT(seq.counters.at("seagull.fleet.regions_run"), 0);
-  EXPECT_GT(seq.counters.at("seagull.lake.ops{op=get}"), 0);
+  EXPECT_GT(seq.counters.at("seagull.lake.ops{op=get_blob}"), 0);
   EXPECT_GT(seq.counters.at("seagull.doc.ops{op=upsert}"), 0);
 }
 

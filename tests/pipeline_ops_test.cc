@@ -318,7 +318,7 @@ class SchedulerFixture : public ::testing::Test {
 };
 
 TEST_F(SchedulerFixture, RunsWhenDueAndRecords) {
-  PipelineScheduler scheduler(&pipeline_, lake_.get(), &docs_, 1);
+  PipelineScheduler scheduler(&pipeline_, lake_.get(), &docs_);
   EXPECT_TRUE(scheduler.IsDue("sched", 2));
   EXPECT_EQ(scheduler.LastSuccessfulWeek("sched"), -1);
   PipelineContext config;
@@ -329,20 +329,21 @@ TEST_F(SchedulerFixture, RunsWhenDueAndRecords) {
 }
 
 TEST_F(SchedulerFixture, SkipsWhenNotDue) {
-  PipelineScheduler scheduler(&pipeline_, lake_.get(), &docs_, 2);
+  PipelineScheduler scheduler(&pipeline_, lake_.get(), &docs_);
   PipelineContext config;
   auto first = scheduler.RunIfDue("sched", 2, config);
   EXPECT_TRUE(first.report.success);
-  // Period 2: week 3 is not yet due.
-  EXPECT_FALSE(scheduler.IsDue("sched", 3));
-  auto skipped = scheduler.RunIfDue("sched", 3, config);
+  // Weekly cadence: week 2 (and anything earlier) already ran.
+  EXPECT_FALSE(scheduler.IsDue("sched", 2));
+  EXPECT_FALSE(scheduler.IsDue("sched", 1));
+  auto skipped = scheduler.RunIfDue("sched", 2, config);
   EXPECT_TRUE(skipped.report.success);
   EXPECT_TRUE(skipped.report.timings.empty());  // no-op
-  EXPECT_TRUE(scheduler.IsDue("sched", 4));
+  EXPECT_TRUE(scheduler.IsDue("sched", 3));
 }
 
 TEST_F(SchedulerFixture, FailedRunLeavesRegionDue) {
-  PipelineScheduler scheduler(&pipeline_, lake_.get(), &docs_, 1);
+  PipelineScheduler scheduler(&pipeline_, lake_.get(), &docs_);
   PipelineContext config;
   // Week 4 was never extracted: ingestion fails.
   auto run = scheduler.RunIfDue("sched", 4, config);

@@ -232,8 +232,8 @@ TEST(ImpactTest, IncorrectWindow) {
 }
 
 TEST(ImpactTest, BusyCohortCollisionAccounting) {
-  ImpactEvaluator impact(AccuracyConfig{}, 60.0);
-  // Peak above 60 midday; valley at night.
+  ImpactEvaluator impact;
+  // Peak above kBusyLoadPct (60) midday; valley at night.
   std::vector<double> day(288, 30.0);
   for (int64_t i = 140; i < 170; ++i) day[static_cast<size_t>(i)] = 80.0;
   for (int64_t i = 0; i < 48; ++i) day[static_cast<size_t>(i)] = 5.0;

@@ -192,7 +192,7 @@ TEST_F(ServingEngineTest, IngestValidation) {
   Json no_series = MustParse(engine_.Handle(doc.Dump()));
   EXPECT_FALSE(no_series["ok"].AsBool());
 
-  // Increments more than tail_cap_minutes away from the tail's end
+  // Increments more than kTailCapMinutes away from the tail's end
   // would make the next tick's merge allocate the whole gap.
   const Json before = MustParse(engine_.SnapshotText());
   for (MinuteStamp start :
@@ -454,6 +454,85 @@ TEST_F(ServingEngineTest, SeqOrderControlsMergeNotArrival) {
   ASSERT_TRUE(forecast.ok());
   // Prev-day forecast of the slot one day after the merged sample.
   EXPECT_DOUBLE_EQ(forecast->ValueAt(0), 70.0);
+}
+
+TEST_F(ServingEngineTest, HostileIntegerFieldsAreInvalid) {
+  BootstrapThree();
+  engine_.Tick();
+
+  // Each request below is valid except for the one field the loop
+  // overwrites. Before the checked accessor, 1e300 was cast straight to
+  // int64_t (undefined behaviour) and "x" read as 0.
+  auto with = [](Json doc, const std::string& field, const Json& value) {
+    if (field.rfind("series.", 0) == 0) {
+      doc["series"][field.substr(7)] = value;
+    } else if (field.rfind("recent.", 0) == 0) {
+      doc["recent"][field.substr(7)] = value;
+    } else {
+      doc[field] = value;
+    }
+    return doc;
+  };
+  Json predict = Json::MakeObject();
+  predict["verb"] = "predict";
+  predict["server_id"] = "srv-a";
+  predict["start"] = kMinutesPerDay;
+  predict["horizon_minutes"] = 60;
+  Json batch = predict;
+  batch.AsObject().erase("server_id");
+  batch["servers"] = Json::MakeArray();
+  batch["servers"].Append("srv-a");
+  Json stateless = predict;
+  stateless["recent"] = SeriesToJson(DayOfLoad());
+  Json ll_window = Json::MakeObject();
+  ll_window["verb"] = "ll_window";
+  ll_window["server_id"] = "srv-a";
+  ll_window["day"] = 1;
+  ll_window["duration_minutes"] = 60;
+  Json subscribe = Json::MakeObject();
+  subscribe["verb"] = "subscribe_ll";
+  subscribe["server_id"] = "srv-a";
+  subscribe["duration_minutes"] = 60;
+  Json ingest = MustParse(
+      IngestRequest("srv-a", 1, OneSample(kMinutesPerDay, 1.0)));
+  const std::vector<std::pair<Json, std::vector<std::string>>> cases = {
+      {predict, {"start", "horizon_minutes"}},
+      {batch, {"start", "horizon_minutes"}},
+      {stateless,
+       {"start", "horizon_minutes", "recent.start", "recent.interval"}},
+      {ll_window, {"day", "duration_minutes"}},
+      {subscribe, {"duration_minutes"}},
+      {ingest, {"seq", "series.start", "series.interval"}},
+  };
+  for (const auto& [base, fields] : cases) {
+    // The unmodified request is served, so each failure below is the
+    // overwritten field's alone.
+    Json ok = MustParse(engine_.Handle(base.Dump()));
+    ASSERT_TRUE(ok["ok"].AsBool()) << base.Dump() << " -> " << ok.Dump();
+    if (base.Contains("servers")) {
+      ASSERT_TRUE(ok["results"].AsArray()[0]["ok"].AsBool()) << ok.Dump();
+    }
+    for (const std::string& field : fields) {
+      for (const Json& value : {Json(1e300), Json(-1e300), Json(1.5),
+                                Json("x")}) {
+        Json response =
+            MustParse(engine_.Handle(with(base, field, value).Dump()));
+        const Json& verdict =
+            base.Contains("servers") ? response["results"].AsArray()[0]
+                                     : response;
+        EXPECT_FALSE(verdict["ok"].AsBool())
+            << field << "=" << value.Dump() << " -> " << response.Dump();
+        EXPECT_EQ(verdict["code"].AsString(), "Invalid")
+            << field << "=" << value.Dump() << " -> " << response.Dump();
+      }
+    }
+  }
+  // Of the ingests only the valid one was queued, and the engine still
+  // ticks and serves.
+  EXPECT_EQ(engine_.pending_ingests(), 1);
+  engine_.Tick();
+  EXPECT_TRUE(MustParse(engine_.Handle(PredictRequest("srv-a")))["ok"]
+                  .AsBool());
 }
 
 }  // namespace

@@ -16,15 +16,15 @@ class LakeStoreTest : public ::testing::Test {
   std::unique_ptr<LakeStore> lake_;
 };
 
-TEST_F(LakeStoreTest, PutGetRoundTrip) {
+TEST_F(LakeStoreTest, PutGetBlobRoundTrip) {
   ASSERT_TRUE(lake_->Put("a/b/c.txt", "payload").ok());
-  auto got = lake_->Get("a/b/c.txt");
+  auto got = lake_->GetBlob("a/b/c.txt");
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, "payload");
+  EXPECT_EQ(got->view(), "payload");
 }
 
-TEST_F(LakeStoreTest, GetMissingIsNotFound) {
-  EXPECT_TRUE(lake_->Get("nope.txt").status().IsNotFound());
+TEST_F(LakeStoreTest, GetBlobMissingIsNotFound) {
+  EXPECT_TRUE(lake_->GetBlob("nope.txt").status().IsNotFound());
 }
 
 TEST_F(LakeStoreTest, ExistsAndDelete) {
@@ -38,7 +38,7 @@ TEST_F(LakeStoreTest, ExistsAndDelete) {
 TEST_F(LakeStoreTest, OverwriteReplaces) {
   ASSERT_TRUE(lake_->Put("k", "v1").ok());
   ASSERT_TRUE(lake_->Put("k", "v2").ok());
-  EXPECT_EQ(*lake_->Get("k"), "v2");
+  EXPECT_EQ(lake_->GetBlob("k")->view(), "v2");
 }
 
 TEST_F(LakeStoreTest, ListByPrefixSorted) {
@@ -67,17 +67,7 @@ TEST_F(LakeStoreTest, RejectsUnsafeKeys) {
   EXPECT_FALSE(lake_->Put("", "x").ok());
   EXPECT_FALSE(lake_->Put("/abs/path", "x").ok());
   EXPECT_FALSE(lake_->Put("../escape", "x").ok());
-  EXPECT_FALSE(lake_->Get("a/../../etc/passwd").ok());
-}
-
-TEST_F(LakeStoreTest, CsvConvenience) {
-  CsvTable t;
-  t.header = {"a", "b"};
-  t.rows = {{"1", "2"}};
-  ASSERT_TRUE(lake_->PutCsv("table.csv", t).ok());
-  auto back = lake_->GetCsv("table.csv");
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->rows, t.rows);
+  EXPECT_FALSE(lake_->GetBlob("a/../../etc/passwd").ok());
 }
 
 TEST_F(LakeStoreTest, TelemetryKeyFormat) {
@@ -89,7 +79,7 @@ TEST_F(LakeStoreTest, BinaryContentSurvives) {
   std::string blob;
   for (int i = 0; i < 256; ++i) blob.push_back(static_cast<char>(i));
   ASSERT_TRUE(lake_->Put("bin", blob).ok());
-  EXPECT_EQ(*lake_->Get("bin"), blob);
+  EXPECT_EQ(lake_->GetBlob("bin")->view(), blob);
 }
 
 TEST(LakeStoreOpenTest, TemporaryStoresAreDistinct) {

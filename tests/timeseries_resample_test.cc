@@ -86,14 +86,5 @@ TEST(ResampleTest, InterpolateCompleteSeriesUnchanged) {
   EXPECT_EQ(f.values(), s.values());
 }
 
-TEST(ResampleTest, ClampValues) {
-  LoadSeries s = MakeSeries({-5, 50, 150, kMissingValue});
-  LoadSeries c = ClampValues(s, 0, 100);
-  EXPECT_DOUBLE_EQ(c.ValueAt(0), 0.0);
-  EXPECT_DOUBLE_EQ(c.ValueAt(1), 50.0);
-  EXPECT_DOUBLE_EQ(c.ValueAt(2), 100.0);
-  EXPECT_TRUE(c.MissingAt(3));
-}
-
 }  // namespace
 }  // namespace seagull

@@ -125,13 +125,6 @@ TEST(SeriesTest, MeanInRange) {
   EXPECT_TRUE(IsMissing(s.MeanInRange(100, 200)));
 }
 
-TEST(SeriesTest, CoversComplete) {
-  LoadSeries s = MakeSeries(0, {1, 2, kMissingValue, 4});
-  EXPECT_TRUE(s.CoversComplete(0, 10));
-  EXPECT_FALSE(s.CoversComplete(0, 20));  // missing at index 2
-  EXPECT_FALSE(s.CoversComplete(0, 25));  // beyond end
-}
-
 TEST(SeriesTest, MergeExtendsRange) {
   LoadSeries a = MakeSeries(0, {1, 2});
   LoadSeries b = MakeSeries(20, {5, 6});

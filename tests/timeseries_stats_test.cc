@@ -28,23 +28,6 @@ TEST(StatsTest, SummarizeEmpty) {
   EXPECT_DOUBLE_EQ(s.stddev, 0.0);
 }
 
-TEST(StatsTest, StdDevOfConstantIsZero) {
-  EXPECT_DOUBLE_EQ(StdDev({5, 5, 5, 5}), 0.0);
-  EXPECT_DOUBLE_EQ(StdDev({1}), 0.0);  // < 2 samples
-  EXPECT_DOUBLE_EQ(StdDev({}), 0.0);
-}
-
-TEST(StatsTest, StdDevIgnoresMissing) {
-  EXPECT_DOUBLE_EQ(StdDev({2, kMissingValue, 4}), 1.0);
-}
-
-TEST(StatsTest, MeanOf) {
-  EXPECT_DOUBLE_EQ(MeanOf({1, 2, 3}), 2.0);
-  EXPECT_DOUBLE_EQ(MeanOf({1, kMissingValue, 3}), 2.0);
-  EXPECT_TRUE(IsMissing(MeanOf({})));
-  EXPECT_TRUE(IsMissing(MeanOf({kMissingValue})));
-}
-
 TEST(StatsTest, QuantileInterpolates) {
   std::vector<double> v = {1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.0), 1.0);
@@ -57,31 +40,6 @@ TEST(StatsTest, QuantileInterpolates) {
 TEST(StatsTest, QuantileClampsAndSkipsMissing) {
   EXPECT_DOUBLE_EQ(Quantile({1, kMissingValue, 3}, 2.0), 3.0);
   EXPECT_DOUBLE_EQ(Quantile({1, kMissingValue, 3}, -1.0), 1.0);
-}
-
-TEST(StatsTest, ElementwiseMeanAverages) {
-  std::vector<LoadSeries> days = {MakeSeries({1, 2}), MakeSeries({3, 4}),
-                                  MakeSeries({5, 6})};
-  auto mean = ElementwiseMean(days, 100 * 5);
-  ASSERT_TRUE(mean.ok());
-  EXPECT_EQ(mean->start(), 500);
-  EXPECT_DOUBLE_EQ(mean->ValueAt(0), 3.0);
-  EXPECT_DOUBLE_EQ(mean->ValueAt(1), 4.0);
-}
-
-TEST(StatsTest, ElementwiseMeanSkipsMissingPerSlot) {
-  std::vector<LoadSeries> days = {MakeSeries({1, kMissingValue}),
-                                  MakeSeries({3, 8})};
-  auto mean = ElementwiseMean(days, 0);
-  ASSERT_TRUE(mean.ok());
-  EXPECT_DOUBLE_EQ(mean->ValueAt(0), 2.0);
-  EXPECT_DOUBLE_EQ(mean->ValueAt(1), 8.0);
-}
-
-TEST(StatsTest, ElementwiseMeanValidatesShape) {
-  EXPECT_FALSE(ElementwiseMean({}, 0).ok());
-  std::vector<LoadSeries> mismatched = {MakeSeries({1, 2}), MakeSeries({1})};
-  EXPECT_FALSE(ElementwiseMean(mismatched, 0).ok());
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 #
 # Builds and tests two configurations:
 #   1. Release        — what the benchmarks and CLI ship as.
-#   2. tsan+ubsan     — -fsanitize=thread,undefined, which is what makes
-#                       the parallel test layer (parallel_stress_test,
-#                       fleet_determinism_test) an actual data-race gate
-#                       rather than a convention.
+#   2. tsan+ubsan     — -fsanitize=thread,undefined,float-cast-overflow,
+#                       which is what makes the parallel test layer
+#                       (parallel_stress_test, fleet_determinism_test) an
+#                       actual data-race gate rather than a convention.
 #
 # Usage:
 #   tools/check.sh            # both configurations
@@ -61,10 +61,17 @@
 #                             # streaming decode/encode + mmap-cache
 #                             # suites, the `kernels` label (raw-pointer
 #                             # forecast kernels and their test-only
-#                             # reference loops) and serving_engine_test
-#                             # (ingest admission bounds) under
-#                             # asan+ubsan (a separate build dir — asan
-#                             # and tsan cannot compose)
+#                             # reference loops), the untrusted-input
+#                             # suites (serving_engine_test's ingest
+#                             # admission and integer fields,
+#                             # common_json_test's nesting cap,
+#                             # pipeline_serving_test) and
+#                             # cli_smoke_test (hostile serve and
+#                             # --docs input) under asan+ubsan with
+#                             # float-cast-overflow, which gcc's
+#                             # -fsanitize=undefined leaves out (a
+#                             # separate build dir — asan and tsan
+#                             # cannot compose)
 #   tools/check.sh serving-soak
 #                             # ~60-second chaos soak under tsan+ubsan:
 #                             # bench/loadgen on the spike profile with
@@ -83,6 +90,11 @@ set -eu
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 MODE="${1:-all}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
+# gcc's -fsanitize=undefined leaves out float-cast-overflow (a double
+# outside the target integer's range cast to it), so both sanitizer
+# builds name it.
+TSAN_FLAGS="-fsanitize=thread,undefined,float-cast-overflow"
+ASAN_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
 
 # run_config <name> <build_dir> <ctest label or ''> [cmake args...]
 run_config() {
@@ -111,8 +123,8 @@ sanitize_config() {
   export TSAN_OPTIONS
   run_config tsan+ubsan "$ROOT/build-sanitize" "$label" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread,undefined -fno-sanitize-recover=all" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread,undefined"
+    -DCMAKE_CXX_FLAGS="$TSAN_FLAGS -fno-sanitize-recover=all" \
+    -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
 }
 
 case "$MODE" in
@@ -148,8 +160,8 @@ case "$MODE" in
     export TSAN_OPTIONS
     cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=thread,undefined -fno-sanitize-recover=all" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread,undefined"
+      -DCMAKE_CXX_FLAGS="$TSAN_FLAGS -fno-sanitize-recover=all" \
+      -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
     cmake --build "$ROOT/build-sanitize" -j "$JOBS" \
       --target serving_determinism_test loadgen
     (cd "$ROOT/build-sanitize" &&
@@ -178,23 +190,24 @@ case "$MODE" in
     (cd "$ROOT/build-release" &&
       ./bench/micro_substrate --benchmark_filter='IngestStreaming' \
         --budgets="$ROOT/tests/budgets.json")
-    echo "=== [scale] streaming decode/encode + mmap, forecast kernel and" \
-         "serving ingest suites under asan+ubsan ==="
+    echo "=== [scale] streaming decode/encode + mmap, forecast kernel," \
+         "serving and untrusted-input suites under asan+ubsan ==="
     # A dedicated build dir: asan is incompatible with the tsan config
     # that build-sanitize holds.
     cmake -B "$ROOT/build-asan" -S "$ROOT" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+      -DCMAKE_CXX_FLAGS="$ASAN_FLAGS -fno-sanitize-recover=all" \
+      -DCMAKE_EXE_LINKER_FLAGS="$ASAN_FLAGS"
     cmake --build "$ROOT/build-asan" -j "$JOBS" \
       --target telemetry_series_block_test series_block_writer_test \
       store_lake_cache_test telemetry_records_test \
       store_doc_test pipeline_modules_test \
       forecast_linalg_test forecast_linalg_kernel_test \
       forecast_batch_equivalence_test forecast_golden_test \
-      serving_engine_test
+      serving_engine_test common_json_test pipeline_serving_test \
+      seagull_cli
     (cd "$ROOT/build-asan" && ctest --output-on-failure -R \
-      'telemetry_series_block_test|series_block_writer_test|store_lake_cache_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test')
+      'telemetry_series_block_test|series_block_writer_test|store_lake_cache_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_json_test|pipeline_serving_test|cli_smoke_test')
     (cd "$ROOT/build-asan" && ctest --output-on-failure -L kernels)
     echo "=== [scale] OK ==="
     ;;
@@ -203,8 +216,8 @@ case "$MODE" in
     export TSAN_OPTIONS
     cmake -B "$ROOT/build-sanitize" -S "$ROOT" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS="-fsanitize=thread,undefined -fno-sanitize-recover=all" \
-      -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread,undefined"
+      -DCMAKE_CXX_FLAGS="$TSAN_FLAGS -fno-sanitize-recover=all" \
+      -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS"
     cmake --build "$ROOT/build-sanitize" -j "$JOBS" --target loadgen
     echo "=== [serving-soak] ~60s tsan chaos soak (spike, 10% refit faults) ==="
     (cd "$ROOT/build-sanitize" &&

@@ -69,10 +69,12 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/retry.h"
 #include "forecast/persistent.h"
 #include "serving/loadgen.h"
 #include "common/obs/metrics.h"
@@ -84,7 +86,6 @@
 #include "pipeline/scheduler.h"
 #include "scheduling/backup_scheduler.h"
 #include "scheduling/window_advisor.h"
-#include "store/resilient_store.h"
 #include "telemetry/emitter.h"
 #include "telemetry/series_block.h"
 
@@ -169,21 +170,26 @@ Result<DocStore*> OpenDocs(const std::string& path) {
 }
 
 /// Reads the latest telemetry for one region from the lake and groups it
-/// per server (the online components' view of "recent load"). Goes
-/// through `ResilientStore` so transient blob faults are retried the way
-/// the production reader would.
-Result<std::vector<ServerTelemetry>> LoadTelemetry(const ResilientStore& store,
+/// per server (the online components' view of "recent load"). Each read
+/// runs under `retry`, so transient blob faults are retried the way the
+/// production reader would.
+Result<std::vector<ServerTelemetry>> LoadTelemetry(const LakeStore& lake,
+                                                   const RetryPolicy& retry,
                                                    const std::string& region,
                                                    int64_t up_to_week) {
   for (int64_t w = up_to_week; w >= 0; --w) {
     std::string key = LakeStore::TelemetryKey(region, w);
-    auto blob = store.LakeGetBlob(key);
-    if (blob.status().IsNotFound()) continue;
-    if (!blob.ok()) return blob.status();
+    BlobRef blob;
+    const RetryOutcome read = RunWithRetry(retry, "lake.get/" + key, [&] {
+      SEAGULL_ASSIGN_OR_RETURN(blob, lake.GetBlob(key));
+      return Status::OK();
+    });
+    if (read.status.IsNotFound()) continue;
+    if (!read.status.ok()) return read.status;
     // Telemetry may be stored as CSV or as a binary SeriesBlock;
     // DecodeTelemetryBlob sniffs the magic and dispatches. The decode
     // consumes the view before the ref (and any mapping) is released.
-    return DecodeTelemetryBlob(blob->view());
+    return DecodeTelemetryBlob(blob.view());
   }
   return Status::NotFound("no telemetry for region " + region);
 }
@@ -406,14 +412,14 @@ int CmdSchedule(const Args& args) {
   if (cache_mb > 0) lake->ConfigureCache(cache_mb << 20);
   auto docs = OpenDocs(*docs_path);
   if (!docs.ok()) return Fail(docs.status());
-  ResilientStore store(&*lake, *docs, ConfigureResilience(args));
+  const RetryPolicy retry = ConfigureResilience(args);
 
   // One region's daily pass, rendered to a string so multi-region runs
   // can print in region order regardless of completion order.
   auto schedule_region =
       [&](const std::string& r) -> Result<std::string> {
     SEAGULL_ASSIGN_OR_RETURN(auto telemetry,
-                             LoadTelemetry(store, r, day / 7));
+                             LoadTelemetry(*lake, retry, r, day / 7));
 
     // Servers due on `day`: default window falls on that weekday.
     std::vector<DueServer> due;
@@ -552,8 +558,7 @@ int CmdAdvise(const Args& args) {
   auto endpoint = LoadActiveEndpoint(*docs, *region);
   if (!endpoint.ok()) return Fail(endpoint.status());
 
-  ResilientStore store(&*lake, *docs);
-  auto telemetry = LoadTelemetry(store, *region, day / 7);
+  auto telemetry = LoadTelemetry(*lake, RetryPolicy{}, *region, day / 7);
   if (!telemetry.ok()) return Fail(telemetry.status());
   const ServerTelemetry* found = nullptr;
   for (const auto& st : *telemetry) {
@@ -591,10 +596,14 @@ int CmdTranscode(const Args& args) {
 
   auto lake = LakeStore::Open(*lake_dir);
   if (!lake.ok()) return Fail(lake.status());
-  auto blob = lake->Get(*key);
+  // The source stays mapped while the result is written, also when it
+  // goes back to the same key: both puts stage a tmp file and rename it
+  // over the key, so the mapping keeps the old inode alive.
+  auto blob = lake->GetBlob(*key);
   if (!blob.ok()) return Fail(blob.status());
+  const std::string_view source = blob->view();
 
-  const bool is_block = IsSeriesBlock(*blob);
+  const bool is_block = IsSeriesBlock(source);
   const std::string to = args.Get("to", is_block ? "csv" : "binary");
   if (to != "csv" && to != "binary") {
     return Fail(Status::Invalid("--to must be csv or binary"));
@@ -609,12 +618,12 @@ int CmdTranscode(const Args& args) {
   int64_t streamed_bytes = -1;  // >= 0 once the streamed path has written
   if (to == "binary") {
     if (is_block) {
-      converted = *blob;  // already binary; re-put verbatim
+      converted.assign(source);  // already binary; re-put verbatim
       auto info = PeekSeriesBlock(converted);
       if (!info.ok()) return Fail(info.status());
       rows = info->total_samples;
     } else {
-      auto records = ParseTelemetryCsv(*blob);
+      auto records = ParseTelemetryCsv(source);
       if (!records.ok()) return Fail(records.status());
       rows = static_cast<int64_t>(records->size());
       // Stream the encode straight into the atomic put: the SGB1 bytes
@@ -637,12 +646,12 @@ int CmdTranscode(const Args& args) {
     }
   } else {
     if (!is_block) {
-      converted = *blob;
+      converted.assign(source);
       auto records = ParseTelemetryCsv(converted);
       if (!records.ok()) return Fail(records.status());
       rows = static_cast<int64_t>(records->size());
     } else {
-      auto records = DecodeSeriesBlock(*blob);
+      auto records = DecodeSeriesBlock(source);
       if (!records.ok()) return Fail(records.status());
       rows = static_cast<int64_t>(records->size());
       converted = RecordsToCsvText(*records);
@@ -715,10 +724,9 @@ Result<ServingSetup> LakeSetup(const Args& args) {
   ServingSetup setup;
   SEAGULL_ASSIGN_OR_RETURN(setup.endpoint,
                            LoadActiveEndpoint(docs, region));
-  ResilientStore store(&lake, docs, ConfigureResilience(args));
   SEAGULL_ASSIGN_OR_RETURN(
-      setup.tails,
-      LoadTelemetry(store, region, args.GetInt("week", 12)));
+      setup.tails, LoadTelemetry(lake, ConfigureResilience(args), region,
+                                 args.GetInt("week", 12)));
   return setup;
 }
 
