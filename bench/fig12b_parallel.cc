@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/hash.h"
 #include "common/obs/metrics.h"
 #include "common/strings.h"
 #include "pipeline/accuracy.h"
@@ -71,17 +72,16 @@ struct Prepared {
 };
 
 Prepared* PrepareRegion(int num_servers) {
-  static auto* lake = new Result<LakeStore>(
-      LakeStore::OpenTemporary("fig12b"));
-  lake->status().Abort();
+  static const Result<LakeStore> lake = LakeStore::OpenTemporary("fig12b");
+  lake.status().Abort();
   auto* prepared = new Prepared();
   std::string region = "par-" + std::to_string(num_servers);
   Fleet fleet = ProductionFleet(region, num_servers, 900, 4);
-  (*lake)->Put(LakeStore::TelemetryKey(region, 3), ExtractWeekBlock(fleet, 3))
+  lake->Put(LakeStore::TelemetryKey(region, 3), ExtractWeekBlock(fleet, 3))
       .Abort();
   prepared->ctx.region = region;
   prepared->ctx.week = 3;
-  prepared->ctx.lake = &**lake;
+  prepared->ctx.lake = &*lake;
   prepared->ctx.docs = &prepared->docs;
 
   Pipeline prefix;  // everything before accuracy evaluation
@@ -276,15 +276,6 @@ void RunFleetComparison() {
   }
 }
 
-/// FNV-1a over a string — the scale run's determinism digest primitive.
-uint64_t FoldFnv(uint64_t h, const std::string& text) {
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 /// Digest of one region's gated containers (predictions, accuracy,
 /// model registry) — the same containers the in-bench determinism spot
 /// check dumps, hashed instead of retained so a 100k-server fleet can
@@ -296,11 +287,11 @@ uint64_t DigestRegion(DocStore* docs, const std::string& region) {
   uint64_t h = 1469598103934665603ULL;
   for (const char* container :
        {kPredictionsContainer, kAccuracyContainer, kModelRegistryContainer}) {
-    h = FoldFnv(h, container);
+    h = Fnv1aFold(h, container);
     for (const auto& doc :
          docs->GetContainer(container)->ReadPartition(region)) {
-      h = FoldFnv(h, doc.id);
-      h = FoldFnv(h, doc.body.Dump());
+      h = Fnv1aFold(h, doc.id);
+      h = Fnv1aFold(h, doc.body.Dump());
     }
   }
   return h;

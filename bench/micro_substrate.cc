@@ -2,16 +2,15 @@
 /// \brief Micro-benchmarks of the hot substrate kernels: the min-average
 /// window sweep (every LL-window query), the bucket-ratio comparison
 /// (every accuracy evaluation), telemetry ingestion over both wire
-/// formats (CSV parse+group vs SeriesBlock decode), the lake blob cache
-/// hit path, and SSA fitting (the cheapest trainable model).
+/// formats (CSV parse+group vs SeriesBlock decode), and SSA fitting (the
+/// cheapest trainable model).
 ///
 /// Not a paper figure — a regression guard for the paths every
 /// experiment runs through thousands of times. Also emits
 /// BENCH_ingest.json: the data-plane trajectory (rows/sec and bytes/sec
 /// per format at the 1200-server region, the SeriesBlock decode's
-/// peak-RSS footprint, the SGB1 writer's wall time and resident cost,
-/// and the lake-cache hit rate of a repeated fleet run) for future
-/// changes to regress against. With `--budgets=<path>` the decode
+/// peak-RSS footprint, and the SGB1 writer's wall time and resident
+/// cost) for future changes to regress against. With `--budgets=<path>` the decode
 /// footprint per server is gated against the `ingest_memory` section
 /// of tests/budgets.json.
 
@@ -35,8 +34,6 @@
 #include "common/random.h"
 #include "forecast/ssa.h"
 #include "metrics/bucket_ratio.h"
-#include "pipeline/fleet_runner.h"
-#include "store/lake_store.h"
 #include "telemetry/emitter.h"
 #include "telemetry/series_block.h"
 #include "timeseries/window.h"
@@ -133,25 +130,6 @@ void BM_IngestStreaming(benchmark::State& state) {
                           static_cast<int64_t>(block.size()));
 }
 
-/// The lake-cache hit path: stat + shard lookup + BlobRef copy — the
-/// ref aliases the cached page-cache mapping, no heap buffer at all.
-void BM_LakeCacheHit(benchmark::State& state) {
-  static auto* lake = [] {
-    auto opened = LakeStore::OpenTemporary("micro_cache");
-    opened.status().Abort();
-    auto* owned = new LakeStore(std::move(opened).ValueUnsafe());
-    owned->ConfigureCache(16 << 20);
-    owned->Put("bench/blob", std::string(1 << 20, 'x')).Abort();
-    owned->GetBlob("bench/blob").status().Abort();  // warm
-    return owned;
-  }();
-  for (auto _ : state) {
-    auto blob = lake->GetBlob("bench/blob");
-    benchmark::DoNotOptimize(blob->data());
-  }
-  state.SetBytesProcessed(state.iterations() * (1 << 20));
-}
-
 void BM_SsaFit(benchmark::State& state) {
   LoadSeries week = RandomDay(4, 7);
   for (auto _ : state) {
@@ -178,13 +156,10 @@ void BM_GenerateLoadWeek(benchmark::State& state) {
 
 /// Emits BENCH_ingest.json: CSV vs SeriesBlock ingestion throughput at
 /// the paper-scale 1200-server region (min-of-3 wall times), the
-/// SeriesBlock decode's peak-RSS footprint, the SGB1 writer's cost,
-/// plus the cache-hit rate of a second identical fleet run over a
-/// cache-enabled lake with a per-phase metrics snapshot embedded.
+/// SeriesBlock decode's peak-RSS footprint, and the SGB1 writer's cost.
 int RunIngestTrajectory(const std::string& budgets_path) {
   using Clock = std::chrono::steady_clock;
-  seagull::bench::PrintHeader("Data plane",
-                              "CSV vs SeriesBlock ingestion, lake cache");
+  seagull::bench::PrintHeader("Data plane", "CSV vs SeriesBlock ingestion");
 
   constexpr int64_t kServers = 1200;
   RegionConfig config;
@@ -292,43 +267,6 @@ int RunIngestTrajectory(const std::string& budgets_path) {
               "encode (streaming)", stream_encode_ms,
               static_cast<double>(writer_peak) / 1e6);
 
-  // Cache trajectory: two identical fleet runs against one cache-enabled
-  // lake; run two's telemetry reads should all hit.
-  auto opened = LakeStore::OpenTemporary("ingest_cache");
-  opened.status().Abort();
-  LakeStore lake = std::move(opened).ValueUnsafe();
-  lake.ConfigureCache(256 << 20);
-  std::vector<FleetJob> jobs;
-  for (int r = 0; r < 2; ++r) {
-    std::string region = "cache-" + std::to_string(r);
-    Fleet f = seagull::bench::ProductionFleet(region, 60,
-                                              77 + static_cast<uint64_t>(r),
-                                              4);
-    lake.Put(LakeStore::TelemetryKey(region, 3), ExtractWeekBlock(f, 3))
-        .Abort();
-    jobs.push_back({region, 3});
-  }
-  auto run_once = [&] {
-    DocStore docs;  // fresh docs: the scheduler sees the week as due
-    FleetRunner runner(&lake, &docs);
-    PipelineContext ctx;
-    ctx.model_name = "persistent_prev_day";
-    FleetRunResult result = runner.Run(jobs, ctx);
-    if (result.FailureCount() != 0) std::abort();
-  };
-  run_once();  // cold: fill the cache
-  Json warm_metrics = seagull::bench::MetricsForPhase(run_once);
-  auto& reg = MetricsRegistry::Global();
-  const double hits = static_cast<double>(
-      reg.GetCounter("seagull.lake.cache_events", {{"event", "hit"}})
-          ->Value());
-  const double misses = static_cast<double>(
-      reg.GetCounter("seagull.lake.cache_events", {{"event", "miss"}})
-          ->Value());
-  const double hit_rate = hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
-  std::printf("%-28s %10.1f%%  (%0.0f hits / %0.0f misses, target >= 90%%)\n",
-              "warm-run cache hit rate", hit_rate * 100.0, hits, misses);
-
   Json out = Json::MakeObject();
   out["benchmark"] = "ingest_data_plane";
   out["hardware_threads"] =
@@ -358,12 +296,6 @@ int RunIngestTrajectory(const std::string& budgets_path) {
   enc_j["streaming_resident_bytes"] = writer_peak;
   out["encode"] = std::move(enc_j);
   out["speedup"] = speedup;
-  Json cache_j = Json::MakeObject();
-  cache_j["warm_hits"] = hits;
-  cache_j["warm_misses"] = misses;
-  cache_j["hit_rate"] = hit_rate;
-  cache_j["warm_metrics"] = std::move(warm_metrics);
-  out["cache"] = std::move(cache_j);
   std::FILE* f = std::fopen("BENCH_ingest.json", "w");
   if (f != nullptr) {
     std::string text = out.DumpPretty();
@@ -416,7 +348,6 @@ BENCHMARK(BM_TelemetryCsvParse)->Arg(10)->Arg(40)
 BENCHMARK(BM_IngestCsv)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IngestStreaming)->Arg(10)->Arg(40)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LakeCacheHit);
 BENCHMARK(BM_SsaFit)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GenerateLoadWeek)->Unit(benchmark::kMillisecond);
 

@@ -7,11 +7,10 @@
 /// those bytes alive without knowing how they are held. `BlobRef` is a
 /// `string_view` of the bytes plus a type-erased `shared_ptr` keeping
 /// whatever owns them alive. The empty (default-constructed) ref has no
-/// bytes and no owner; it is the cache miss sentinel.
+/// bytes and no owner.
 ///
-/// A `BlobRef` held by a reader pins the backing storage past cache
-/// eviction or writer invalidation: eviction drops the cache's
-/// reference, never the mapping.
+/// A `BlobRef` held by a reader pins the backing storage past a
+/// replace or delete of the blob it was read from.
 
 #pragma once
 

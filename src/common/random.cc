@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/hash.h"
+
 namespace seagull {
 
 namespace {
@@ -82,13 +84,7 @@ Rng Rng::Fork(uint64_t salt) const {
 }
 
 uint64_t Rng::HashString(const std::string& s) {
-  // FNV-1a.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+  return Fnv1aFold(kFnv1aBasis, s);
 }
 
 }  // namespace seagull

@@ -48,7 +48,8 @@ class Rng {
   /// siblings (e.g. one stream per server id).
   Rng Fork(uint64_t salt) const;
 
-  /// Stable 64-bit hash of a string, for seeding per-name streams.
+  /// Stable 64-bit hash of a string (FNV-1a, common/hash.h), for
+  /// seeding per-name streams.
   static uint64_t HashString(const std::string& s);
 
  private:

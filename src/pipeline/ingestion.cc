@@ -28,7 +28,7 @@ Status DataIngestionModule::Run(PipelineContext* ctx) {
     // column scratch copies, and no heap copy of the blob either: the
     // views alias the page-cache-backed mapping GetBlob returns. The
     // cursor pins the blob's owner, so the views stay valid even if
-    // the blob cache evicts the entry while this module runs.
+    // the blob is replaced or deleted while this module runs.
     // Validation detects the pre-grouped input via ctx->servers.
     format = "binary";
     auto cursor = SeriesBlockCursor::Open(blob);

@@ -15,7 +15,7 @@ namespace seagull {
 /// (validation groups them). A binary `SeriesBlock` goes through the
 /// streaming `SeriesBlockCursor`: the envelope is validated once, then
 /// servers are decoded one at a time from column views aliasing the
-/// cached blob — peak transient memory is O(largest single server)
+/// mapped blob — peak transient memory is O(largest single server)
 /// on top of the blob and the grouped output, instead of the old
 /// O(total_samples) column scratch. The module samples the process-RSS
 /// gauges at its phase boundary and reports per-server amortized cost

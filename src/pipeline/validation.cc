@@ -184,8 +184,9 @@ Status DataValidationModule::Run(PipelineContext* ctx) {
 Status DataValidationModule::RunGrouped(PipelineContext* ctx) {
   // The grouped mirror of the flat row rules. Each present sample is
   // one "row". Off-grid rows cannot exist here (the block decoder
-  // rejects them) and duplicates were collapsed at encode time, so
-  // those two counters are structurally zero.
+  // rejects them) and duplicate rows, which the SGB1 writer keeps, were
+  // collapsed by `StreamSeriesBlockServers` at decode (last write
+  // wins), so those two counters are structurally zero.
   int64_t total_rows = 0;
   for (const auto& st : ctx->servers) total_rows += st.load.CountPresent();
 

@@ -20,16 +20,6 @@ const char* ScheduleDecisionName(ScheduleDecision d) {
   return "unknown";
 }
 
-bool BackupScheduler::IsPredictable(const std::string& region, int64_t week,
-                                    const std::string& server_id) const {
-  Container* container = docs_->GetContainer(kAccuracyContainer);
-  auto doc = container->Get(
-      region, StringPrintf("w%04lld:%s", static_cast<long long>(week),
-                           server_id.c_str()));
-  if (!doc.ok()) return false;
-  return doc->body.GetBool("predictable").ValueOr(false);
-}
-
 std::vector<ScheduledBackup> BackupScheduler::ScheduleDay(
     const std::string& region, int64_t day_index,
     const std::vector<DueServer>& due_servers) {

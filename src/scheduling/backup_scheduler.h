@@ -84,10 +84,6 @@ class BackupScheduler {
       const std::vector<DueServer>& due_servers);
 
  private:
-  /// Looks up the pipeline's predictability verdict for a server.
-  bool IsPredictable(const std::string& region, int64_t week,
-                     const std::string& server_id) const;
-
   DocStore* docs_;
   ServiceFabricProperties* properties_;
   BackupSchedulerOptions options_;

@@ -9,6 +9,7 @@
 // Foundations.
 #include "common/config.h"    // IWYU pragma: export
 #include "common/fault.h"     // IWYU pragma: export
+#include "common/hash.h"      // IWYU pragma: export
 #include "common/json.h"      // IWYU pragma: export
 #include "common/logging.h"   // IWYU pragma: export
 #include "common/random.h"    // IWYU pragma: export

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string_view>
 
+#include "common/hash.h"
 #include "common/obs/clock.h"
 #include "common/random.h"
 #include "common/strings.h"
@@ -27,16 +29,12 @@ double Percentile(std::vector<double>* samples, double q) {
   return (*samples)[lo] + frac * ((*samples)[hi] - (*samples)[lo]);
 }
 
-uint64_t Fnv1a(uint64_t hash, const void* data, size_t len) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+/// The raw bytes of a trivially copyable value, for hashing.
+template <typename T>
+std::string_view BytesOf(const T& value) {
+  return std::string_view(reinterpret_cast<const char*>(&value),
+                          sizeof(value));
 }
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
 
 }  // namespace
 
@@ -322,7 +320,7 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
   std::map<std::string, size_t> ingest_cursor;
   double lag_sum = 0.0;
   int64_t notify_count = 0;
-  uint64_t notify_digest = kFnvOffset;
+  uint64_t notify_digest = kFnv1aBasis;
 
   const int64_t wall_t0 = ObsClock::NowMicros();
   size_t cursor = 0;
@@ -379,7 +377,7 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
     for (const Notification& n : tr.notifications) {
       ++notify_count;
       const std::string dump = n.ToJson().Dump();
-      notify_digest = Fnv1a(notify_digest, dump.data(), dump.size());
+      notify_digest = Fnv1aFold(notify_digest, dump);
       // Consume this server's ingests up to the fire tick; the oldest
       // one consumed bounds how long the move waited to surface. The
       // server's first notification only sets the baseline — it drains
@@ -407,7 +405,7 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
   // actually interleaved.
   std::map<std::string, std::vector<double>> samples;
   int64_t queries = 0;
-  uint64_t digest = kFnvOffset;
+  uint64_t digest = kFnv1aBasis;
   for (size_t i = 0; i < schedule.size(); ++i) {
     const ScheduledRequest& req = schedule[i];
     Outcome& out = outcomes[i];
@@ -431,8 +429,8 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
       report.predictions +=
           static_cast<int64_t>((*body)["servers"].AsArray().size());
     }
-    digest = Fnv1a(digest, &req.seq, sizeof(req.seq));
-    digest = Fnv1a(digest, responses[i].data(), responses[i].size());
+    digest = Fnv1aFold(digest, BytesOf(req.seq));
+    digest = Fnv1aFold(digest, responses[i]);
   }
   for (auto& [verb, verb_samples] : samples) {
     LatencySummary& summary = report.latency[verb];
@@ -447,7 +445,7 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
   report.notifications = notify_count;
   report.notify_lag_ticks =
       notify_count > 0 ? lag_sum / static_cast<double>(notify_count) : 0.0;
-  digest = Fnv1a(digest, &notify_digest, sizeof(notify_digest));
+  digest = Fnv1aFold(digest, BytesOf(notify_digest));
   report.response_digest = digest;
   report.throughput_rps =
       report.wall_millis > 0.0

@@ -1,10 +1,12 @@
 #include "store/lake_store.h"
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -12,7 +14,6 @@
 #include "common/fault.h"
 #include "common/obs/op.h"
 #include "common/strings.h"
-#include "store/blob_cache.h"
 #include "store/mmap_blob.h"
 
 namespace fs = std::filesystem;
@@ -26,27 +27,21 @@ namespace {
 /// half-written key into a listing.
 constexpr char kTmpPrefix[] = ".seagull-tmp.";
 
-/// The (size, mtime, inode, ctime) identity the cache keys entries on —
-/// one `stat(2)` instead of the two `std::filesystem` calls it
-/// replaces. Inode catches rename-replacement, ctime catches in-place
-/// same-size rewrites with a restored mtime (ctime is kernel-controlled
-/// and can't be forged from userspace), both of which must never let a
-/// cached mapping serve stale pages.
-Result<BlobCache::Fingerprint> StatFingerprint(const std::string& path,
-                                               const std::string& key) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return Status::NotFound("no such blob: " + key);
+/// A temporary lake's directory, removed with everything under it when
+/// the last `LakeStore` copy sharing it is destroyed.
+class TempDir {
+ public:
+  explicit TempDir(std::string path) : path_(std::move(path)) {}
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
   }
-  BlobCache::Fingerprint fp;
-  fp.size = static_cast<int64_t>(st.st_size);
-  fp.mtime_ns =
-      static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 + st.st_mtim.tv_nsec;
-  fp.inode = static_cast<int64_t>(st.st_ino);
-  fp.ctime_ns =
-      static_cast<int64_t>(st.st_ctim.tv_sec) * 1000000000 + st.st_ctim.tv_nsec;
-  return fp;
-}
+
+ private:
+  std::string path_;
+};
 
 }  // namespace
 
@@ -61,12 +56,18 @@ Result<LakeStore> LakeStore::Open(const std::string& root_dir) {
 }
 
 Result<LakeStore> LakeStore::OpenTemporary(const std::string& name_hint) {
-  static std::atomic<uint64_t> counter{0};
-  fs::path base = fs::temp_directory_path() / "seagull-lake";
-  std::string dir = StringPrintf(
-      "%s-%s-%llu", base.string().c_str(), name_hint.c_str(),
-      static_cast<unsigned long long>(counter.fetch_add(1)));
-  return Open(dir);
+  std::error_code ec;
+  const fs::path base = fs::temp_directory_path(ec);
+  if (ec) return Status::IOError("no temp directory: " + ec.message());
+  std::string dir =
+      (base / ("seagull-lake-" + name_hint + "-XXXXXX")).string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    return Status::IOError("cannot create lake root '" + dir +
+                           "': " + std::strerror(errno));
+  }
+  LakeStore lake(dir);
+  lake.temp_dir_ = std::make_shared<const TempDir>(std::move(dir));
+  return lake;
 }
 
 Result<std::string> LakeStore::ResolvePath(const std::string& key) const {
@@ -119,7 +120,6 @@ Status LakeStore::WriteAtomic(
     return Status::IOError("rename failed for blob '" + key +
                            "': " + ec.message());
   }
-  if (cache_) cache_->Invalidate(key);
   return Status::OK();
 }
 
@@ -150,22 +150,9 @@ Result<BlobRef> LakeStore::GetBlob(const std::string& key) const {
   ObsOp op("seagull.lake", "get_blob");
   return op.Done([&]() -> Result<BlobRef> {
     SEAGULL_ASSIGN_OR_RETURN(std::string path, ResolvePath(key));
-    BlobCache::Fingerprint fp;
-    if (cache_) {
-      SEAGULL_ASSIGN_OR_RETURN(fp, StatFingerprint(path, key));
-      if (BlobRef cached = cache_->Lookup(key, fp)) return cached;
-    }
-    // Miss path: the real read, where transient blob faults live.
     SEAGULL_FAULT_POINT("lake.get", key);
-    SEAGULL_ASSIGN_OR_RETURN(BlobRef blob, MmapBlob::Map(path, key));
-    if (cache_) cache_->Insert(key, fp, blob);
-    return blob;
+    return MmapBlob::Map(path, key);
   }());
-}
-
-void LakeStore::ConfigureCache(int64_t capacity_bytes) {
-  cache_ = capacity_bytes > 0 ? std::make_shared<BlobCache>(capacity_bytes)
-                              : nullptr;
 }
 
 bool LakeStore::Exists(const std::string& key) const {
@@ -182,7 +169,6 @@ Status LakeStore::Delete(const std::string& key) const {
     if (!fs::remove(path, ec) || ec) {
       return Status::NotFound("cannot delete blob: " + key);
     }
-    if (cache_) cache_->Invalidate(key);
     return Status::OK();
   }());
 }

@@ -20,8 +20,6 @@
 
 namespace seagull {
 
-class BlobCache;
-
 /// \brief Hierarchical blob storage rooted at a local directory.
 ///
 /// `Put`, `GetBlob`, and `List` are instrumented with fault-injection
@@ -38,7 +36,10 @@ class LakeStore {
   /// Creates (if needed) and opens a store rooted at `root_dir`.
   static Result<LakeStore> Open(const std::string& root_dir);
 
-  /// Opens a store in a fresh unique temporary directory.
+  /// Opens a store in a fresh directory made by `mkdtemp(3)` under the
+  /// system temp dir, so no two calls (or processes) share one. The
+  /// directory tree is removed when the last copy of the handle is
+  /// destroyed.
   static Result<LakeStore> OpenTemporary(const std::string& name_hint);
 
   const std::string& root() const { return root_; }
@@ -58,26 +59,12 @@ class LakeStore {
                      const std::function<Status(std::ostream&)>& writer) const;
 
   /// Reads a blob as a shared immutable `BlobRef` — the store's one
-  /// read path, for telemetry, schemas and `transcode` alike. The ref
-  /// aliases a read-only page-cache-backed mapping
-  /// (store/mmap_blob.h): zero heap copies, bytes faulted on first
-  /// touch, reclaimable by the kernel. With the cache enabled
-  /// (`ConfigureCache`), repeat reads of an unchanged file return the
-  /// same ref without touching the filesystem beyond a `stat`; parallel
-  /// readers share one mapping. Fault injection fires on the miss (real
-  /// read) path only — a cache hit never re-reads.
+  /// read path, for telemetry, schemas and `transcode` alike. Every
+  /// call resolves the key, fires the `lake.get` fault point and maps
+  /// the file: the ref aliases a read-only page-cache-backed mapping
+  /// (store/mmap_blob.h) — zero heap copies, bytes faulted on first
+  /// touch, reclaimable by the kernel.
   Result<BlobRef> GetBlob(const std::string& key) const;
-
-  /// Enables an LRU blob cache of `capacity_bytes` serving `GetBlob`
-  /// (0 disables, the default). Copies of this store made after the
-  /// call share the cache. Entries are keyed on
-  /// key + file (size, mtime, inode, ctime), so external writes —
-  /// including rename-replaces and same-size in-place rewrites — are
-  /// detected; writes through this store invalidate eagerly.
-  void ConfigureCache(int64_t capacity_bytes);
-
-  /// The cache, if one is configured (test/bench introspection).
-  const std::shared_ptr<BlobCache>& cache() const { return cache_; }
 
   bool Exists(const std::string& key) const;
 
@@ -102,7 +89,8 @@ class LakeStore {
                      const std::function<Status(std::ostream&)>& writer) const;
 
   std::string root_;
-  std::shared_ptr<BlobCache> cache_;  ///< null = caching disabled
+  /// Set by `OpenTemporary` only: the last copy removes the directory.
+  std::shared_ptr<const void> temp_dir_;
 };
 
 }  // namespace seagull

@@ -11,24 +11,6 @@
 
 namespace seagull {
 
-namespace {
-
-int64_t PageSize() {
-  static const int64_t page = []() {
-    const long p = ::sysconf(_SC_PAGESIZE);
-    return p > 0 ? static_cast<int64_t>(p) : 4096;
-  }();
-  return page;
-}
-
-}  // namespace
-
-int64_t MmapBlob::ResidentEstimate(int64_t size) {
-  if (size <= 0) return 0;
-  const int64_t page = PageSize();
-  return (size + page - 1) / page * page;
-}
-
 Result<BlobRef> MmapBlob::Map(const std::string& path,
                               const std::string& key) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);

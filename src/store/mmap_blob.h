@@ -10,23 +10,18 @@
 /// shared with every other mapper of the same inode, and reclaimable by
 /// the kernel under pressure without the process doing anything.
 ///
-/// Staleness/safety contract (DESIGN.md "memory-plane round 2"):
+/// Safety contract (DESIGN.md "memory-plane round 2"):
 ///   - `LakeStore::Put` replaces blobs via tmp + `rename(2)`, never by
 ///     truncating in place, so a live mapping always covers a fully
 ///     written immutable inode — readers can never fault on a page a
 ///     writer is mid-truncate on (`SIGBUS`).
-///   - `BlobCache` fingerprints include the inode and ctime, so a
-///     rename-replace (new inode) or an in-place rewrite by an external
-///     process (ctime bump) invalidates the cached mapping on the next
-///     lookup instead of serving stale pages.
 ///   - The mapping is `MAP_PRIVATE` + `PROT_READ`: this process never
-///     writes through it, and post-map changes to the file are not
-///     required to be visible — the fingerprint check makes them a new
-///     entry anyway.
+///     writes through it. Each `GetBlob` maps the file anew, so a read
+///     after a replace sees the new inode's bytes.
 
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -38,9 +33,8 @@ namespace seagull {
 /// \brief Owns one read-only file mapping; unmapped on destruction.
 ///
 /// Constructed only through `Map`, which hands back a `BlobRef` whose
-/// type-erased owner is the `MmapBlob` — holders of the ref (cache
-/// entries, pinned cursors) keep the mapping alive, and the last one
-/// out unmaps.
+/// type-erased owner is the `MmapBlob` — holders of the ref (pinned
+/// cursors) keep the mapping alive, and the last one out unmaps.
 class MmapBlob {
  public:
   /// Maps `path` read-only. An empty file yields a valid ref with an
@@ -56,11 +50,6 @@ class MmapBlob {
     if (addr_ == nullptr) return std::string_view();
     return std::string_view(static_cast<const char*>(addr_), len_);
   }
-
-  /// Page-rounded resident-memory estimate for a mapping of `size`
-  /// bytes — what a fully faulted-in mapping costs, and what the cache
-  /// charges mapped entries at.
-  static int64_t ResidentEstimate(int64_t size);
 
  private:
   MmapBlob(void* addr, size_t len) : addr_(addr), len_(len) {}

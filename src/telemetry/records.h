@@ -48,8 +48,8 @@ extern const char* const kTelemetryColumns[5];
 std::string RecordsToCsvText(const std::vector<TelemetryRecord>& records);
 
 /// Streaming parser: the inverse of `RecordsToCsvText`. Validates the
-/// header and field count per line. Takes a view so blob-cache readers
-/// parse in place instead of copying the extraction first.
+/// header and field count per line. Takes a view so lake readers parse
+/// the mapped blob in place instead of copying the extraction first.
 Result<std::vector<TelemetryRecord>> ParseTelemetryCsv(
     std::string_view text);
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace seagull {
@@ -27,15 +28,10 @@ constexpr size_t kSampleBytes = 16;
 constexpr uint32_t kMaxServerIdBytes = 1 << 16;
 constexpr size_t kTimestampChunkBytes = 256 * 1024;
 
+// SGB1's trailer basis. It is not the standard FNV-1a basis (one digit
+// short of 14695981039346656037), but every blob ever written carries
+// it, so it is part of the format.
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-uint64_t Fnv1aFold(uint64_t h, const char* data, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void AppendLE(std::string* out, uint64_t v, int bytes) {
   for (int i = 0; i < bytes; ++i) {
@@ -134,7 +130,7 @@ Status SeriesBlockWriter::Fail(Status st) {
 }
 
 Status SeriesBlockWriter::Emit(std::string_view bytes) {
-  checksum_ = Fnv1aFold(checksum_, bytes.data(), bytes.size());
+  checksum_ = Fnv1aFold(checksum_, bytes);
   bytes_written_ += static_cast<int64_t>(bytes.size());
   Status st = sink_(bytes);
   if (!st.ok()) return Fail(std::move(st));
@@ -389,7 +385,7 @@ Status SeriesBlockCursor::ReadEnvelope(std::string_view blob) {
   int64_t stored_checksum = 0;
   trailer.ReadI64(&stored_checksum);
   if (static_cast<uint64_t>(stored_checksum) !=
-      Fnv1aFold(kFnvOffset, blob.data(), body)) {
+      Fnv1aFold(kFnvOffset, blob.substr(0, body))) {
     return Status::DataLoss("SeriesBlock checksum mismatch (corrupt blob)");
   }
 

@@ -204,10 +204,9 @@ std::string EncodeSeriesBlock(
 /// `LoadSeries` itself.
 ///
 /// Lifetime contract: views alias the blob. A cursor opened on a
-/// `BlobRef` (the `LakeStore::GetBlob` / blob-cache form) pins the
-/// backing storage for the cursor's lifetime, so cache eviction or
-/// writer invalidation after `Open` cannot dangle the views — eviction
-/// drops the cache's reference, not the mapping. A cursor opened on a
+/// `BlobRef` (the `LakeStore::GetBlob` form) pins the backing storage
+/// for the cursor's lifetime, so a replace or delete of the blob after
+/// `Open` cannot dangle the views. A cursor opened on a
 /// raw `string_view` borrows: the caller must keep the bytes alive for
 /// as long as any view is read.
 /// @{

@@ -12,7 +12,7 @@ set -u
 die() {
   echo "cli_smoke_test FAILED: $*" >&2
   for f in generate.out pipeline.out pipeline2.out fleet.out \
-           transcode.out transcode2.out cached.out \
+           transcode.out transcode2.out transcoded.out \
            schedule.out retry1.out retry8.out \
            dashboard.out incidents.out advise.out \
            unknown.out hostile.out hostile-incidents.out \
@@ -56,13 +56,13 @@ grep -q "not due" pipeline2.out || die "rerun was not a cadence no-op"
 
 # Fleet mode: two more regions run concurrently through --jobs. fleet-a
 # is staged in the binary SeriesBlock format, fleet-b as CSV — both run
-# through the same pipeline, with the lake blob cache turned on.
+# through the same pipeline.
 run generate-f1 "$CLI" generate --lake lake --region fleet-a --servers 15 \
   --weeks 5 --seed 6 --format binary > /dev/null
 run generate-f2 "$CLI" generate --lake lake --region fleet-b --servers 15 \
   --weeks 5 --seed 7 > /dev/null
 run fleet "$CLI" pipeline --lake lake --docs docs.json \
-  --region fleet-a,fleet-b --week 3 --jobs 2 --lake-cache-mb 64 > fleet.out
+  --region fleet-a,fleet-b --week 3 --jobs 2 > fleet.out
 grep -q "pipeline fleet-a week 3: ok" fleet.out || die "fleet-a not ok"
 grep -q "pipeline fleet-b week 3: ok" fleet.out || die "fleet-b not ok"
 grep -q "fleet: 2 regions, 2 ok" fleet.out || die "fleet summary wrong"
@@ -76,11 +76,12 @@ run transcode-back "$CLI" transcode --lake lake \
   --key telemetry/smoke/week-0003.csv --to csv > transcode2.out
 grep -q "binary.*-> .*csv" transcode2.out || die "transcode to csv wrong"
 
-# A cached re-run of week 3 in a fresh doc store reads the transcoded
-# blob through the blob cache and must still succeed.
-run pipeline-cached "$CLI" pipeline --lake lake --docs docs-cached.json \
-  --region smoke --week 3 --lake-cache-mb 64 > cached.out
-grep -q "pipeline smoke week 3: ok" cached.out || die "cached run not ok"
+# A re-run of week 3 in a fresh doc store reads the transcoded blob and
+# must still succeed.
+run pipeline-transcoded "$CLI" pipeline --lake lake \
+  --docs docs-transcoded.json --region smoke --week 3 > transcoded.out
+grep -q "pipeline smoke week 3: ok" transcoded.out \
+  || die "run over the transcoded blob not ok"
 
 # Day 28 = first day of week 4, the scheduled week.
 run schedule "$CLI" schedule --lake lake --docs docs.json --region smoke \
@@ -120,19 +121,30 @@ if "$CLI" pipeline --region smoke > /dev/null 2>&1; then
 fi
 
 # Unknown flags fail with exit 2 before the command does any work.
+# expect_unknown_flag <command> <flag> <value> [other flags...]
 expect_unknown_flag() {
-  "$CLI" pipeline --lake lake --docs docs-unknown.json --region smoke \
-    --week 3 --"$1" "$2" > unknown.out 2>&1
+  cmd="$1"
+  flag="$2"
+  value="$3"
+  shift 3
+  "$CLI" "$cmd" "$@" --"$flag" "$value" < /dev/null > unknown.out 2>&1
   status=$?
-  [ "$status" -eq 2 ] || die "--$1 exited $status, expected 2"
-  grep -q "error: unknown flag --$1 for pipeline" unknown.out \
-    || die "--$1 rejection message wrong"
-  [ ! -e docs-unknown.json ] || die "--$1 run still wrote its docs"
+  [ "$status" -eq 2 ] || die "$cmd --$flag exited $status, expected 2"
+  grep -q "error: unknown flag --$flag for $cmd" unknown.out \
+    || die "$cmd --$flag rejection message wrong"
+  [ ! -e docs-unknown.json ] || die "$cmd --$flag run still wrote its docs"
 }
-# The removed mmap on/off switch (spelled in two pieces so no live
-# reference to it remains in the tree) and a typo of --jobs.
-expect_unknown_flag "lake-""mmap" 0
-expect_unknown_flag job 4
+STORE="--lake lake --docs docs-unknown.json --region smoke"
+# The removed mmap on/off switch and blob cache size (spelled in two
+# pieces so no live reference to either remains in the tree), the
+# removed worker-count spelling --threads (--jobs sizes the one pool),
+# and a typo of --jobs.
+expect_unknown_flag pipeline "lake-""mmap" 0 $STORE --week 3
+expect_unknown_flag pipeline "lake-""cache-mb" 64 $STORE --week 3
+expect_unknown_flag schedule "lake-""cache-mb" 64 $STORE --day 28
+expect_unknown_flag pipeline threads 2 $STORE --week 3
+expect_unknown_flag serve threads 2 --synthetic
+expect_unknown_flag pipeline job 4 $STORE --week 3
 
 # A 44-byte SGB1 blob with a valid trailer (FNV-1a of the first 36
 # bytes) over a header claiming 2^40 servers: the region must fail

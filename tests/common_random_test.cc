@@ -123,6 +123,11 @@ TEST(RngTest, HashStringStableAndSpread) {
   EXPECT_EQ(Rng::HashString("server-1"), Rng::HashString("server-1"));
   EXPECT_NE(Rng::HashString("server-1"), Rng::HashString("server-2"));
   EXPECT_NE(Rng::HashString(""), Rng::HashString("a"));
+  // The published FNV-1a 64 vectors: the fault and retry schedules and
+  // the serving shard map are keyed on these exact values.
+  EXPECT_EQ(Rng::HashString(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(Rng::HashString("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(Rng::HashString("foobar"), 0x85944171f73967e8ULL);
 }
 
 }  // namespace

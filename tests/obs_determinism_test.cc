@@ -34,10 +34,10 @@ const char* const kRegions[] = {"obs-a", "obs-b", "obs-c"};
 /// Shared fixed-seed lake, schema-pre-warmed like the fleet determinism
 /// suite so every observed run sees identical lake state.
 const LakeStore& SharedLake() {
-  static const LakeStore* lake = [] {
+  static const LakeStore lake = [] {
     auto opened = LakeStore::OpenTemporary("obs_det");
     opened.status().Abort();
-    auto* owned = new LakeStore(std::move(opened).ValueUnsafe());
+    LakeStore owned = std::move(opened).ValueUnsafe();
     uint64_t seed = 7100;
     for (const char* region : kRegions) {
       RegionConfig config;
@@ -46,19 +46,19 @@ const LakeStore& SharedLake() {
       config.weeks = 5;
       config.seed = seed++;
       Fleet fleet = Fleet::Generate(config);
-      owned->Put(LakeStore::TelemetryKey(region, kWeek),
-                 ExtractWeekCsvText(fleet, kWeek))
+      owned.Put(LakeStore::TelemetryKey(region, kWeek),
+                ExtractWeekCsvText(fleet, kWeek))
           .Abort();
     }
     DocStore scratch;
-    FleetRunner warmup(owned, &scratch);
+    FleetRunner warmup(&owned, &scratch);
     std::vector<FleetJob> jobs;
     for (const char* region : kRegions) jobs.push_back({region, kWeek});
     PipelineContext config;
     warmup.Run(jobs, config);
     return owned;
   }();
-  return *lake;
+  return lake;
 }
 
 struct ObservedRun {

@@ -40,16 +40,15 @@ const char* const kRegions[] = {"bud-a", "bud-b"};
 
 /// The measured workload: 2 regions x 25 servers, schema-pre-warmed,
 /// persistent_prev_day (no training fan-out noise), jobs=1. Everything
-/// is fixed-seed so the counter values are exact, not statistical. The
-/// lake runs with its blob cache on and one region staged per telemetry
-/// format, so the data-plane counters (cache hits, get_blob ops, and
-/// both ingest_rows formats) are part of the budgeted surface.
+/// is fixed-seed so the counter values are exact, not statistical. One
+/// region is staged per telemetry format, so the data-plane counters
+/// (get_blob ops and both ingest_rows formats) are part of the budgeted
+/// surface.
 std::map<std::string, int64_t> MeasuredCounters() {
   static const std::map<std::string, int64_t>* counters = [] {
     auto opened = LakeStore::OpenTemporary("perf_budget");
     opened.status().Abort();
-    auto* lake = new LakeStore(std::move(opened).ValueUnsafe());
-    lake->ConfigureCache(256 << 20);
+    const LakeStore lake = std::move(opened).ValueUnsafe();
     uint64_t seed = 8200;
     for (const char* region : kRegions) {
       RegionConfig config;
@@ -59,14 +58,14 @@ std::map<std::string, int64_t> MeasuredCounters() {
       config.seed = seed++;
       Fleet fleet = Fleet::Generate(config);
       const bool binary = region == kRegions[0];
-      lake->Put(LakeStore::TelemetryKey(region, kWeek),
-                binary ? ExtractWeekBlock(fleet, kWeek)
-                       : ExtractWeekCsvText(fleet, kWeek))
+      lake.Put(LakeStore::TelemetryKey(region, kWeek),
+               binary ? ExtractWeekBlock(fleet, kWeek)
+                      : ExtractWeekCsvText(fleet, kWeek))
           .Abort();
     }
     {
       DocStore scratch;
-      FleetRunner warmup(lake, &scratch);
+      FleetRunner warmup(&lake, &scratch);
       std::vector<FleetJob> jobs;
       for (const char* region : kRegions) jobs.push_back({region, kWeek});
       PipelineContext config;
@@ -76,7 +75,7 @@ std::map<std::string, int64_t> MeasuredCounters() {
     ScopedFrozenClock frozen;
     MetricsRegistry::Global().Reset();
     DocStore docs;
-    FleetRunner runner(lake, &docs);
+    FleetRunner runner(&lake, &docs);
     std::vector<FleetJob> jobs;
     for (const char* region : kRegions) jobs.push_back({region, kWeek});
     PipelineContext config;

@@ -1,6 +1,14 @@
 #include "store/lake_store.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <filesystem>
+#include <memory>
+#include <ostream>
+#include <string>
+#include <string_view>
 
 namespace seagull {
 namespace {
@@ -32,6 +40,7 @@ TEST_F(LakeStoreTest, ExistsAndDelete) {
   EXPECT_TRUE(lake_->Exists("x.txt"));
   ASSERT_TRUE(lake_->Delete("x.txt").ok());
   EXPECT_FALSE(lake_->Exists("x.txt"));
+  EXPECT_TRUE(lake_->GetBlob("x.txt").status().IsNotFound());
   EXPECT_FALSE(lake_->Delete("x.txt").ok());
 }
 
@@ -82,12 +91,106 @@ TEST_F(LakeStoreTest, BinaryContentSurvives) {
   EXPECT_EQ(lake_->GetBlob("bin")->view(), blob);
 }
 
+TEST_F(LakeStoreTest, GetBlobMapsTheFile) {
+  ASSERT_TRUE(lake_->Put("k", "mapped payload").ok());
+  auto mapped = lake_->GetBlob("k");
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(*mapped);
+  EXPECT_EQ(mapped->view(), "mapped payload");
+  // A mapping starts on a page boundary; a heap copy of 14 bytes
+  // would not.
+  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(mapped->data()) % page, 0u);
+}
+
+TEST_F(LakeStoreTest, EmptyBlobMapsToEmptyView) {
+  ASSERT_TRUE(lake_->Put("empty", "").ok());
+  auto blob = lake_->GetBlob("empty");
+  ASSERT_TRUE(blob.ok());
+  EXPECT_EQ(blob->size(), 0);
+  EXPECT_TRUE(blob->view().empty());
+}
+
+TEST_F(LakeStoreTest, PutStreamedWritesAtomicallyAndHidesTmpFiles) {
+  ASSERT_TRUE(lake_
+                  ->PutStreamed("dir/streamed.bin",
+                                [](std::ostream& out) {
+                                  out << "part one,";
+                                  out << "part two";
+                                  return Status::OK();
+                                })
+                  .ok());
+  auto blob = lake_->GetBlob("dir/streamed.bin");
+  ASSERT_TRUE(blob.ok());
+  EXPECT_EQ(blob->view(), "part one,part two");
+
+  // A failing writer must leave no blob and no staging debris behind.
+  EXPECT_FALSE(lake_
+                   ->PutStreamed("dir/failed.bin",
+                                 [](std::ostream& out) {
+                                   out << "half-written";
+                                   return Status::IOError("writer gave up");
+                                 })
+                   .ok());
+  EXPECT_FALSE(lake_->Exists("dir/failed.bin"));
+  auto keys = lake_->List("");
+  ASSERT_TRUE(keys.ok());
+  ASSERT_EQ(keys->size(), 1u);
+  EXPECT_EQ((*keys)[0], "dir/streamed.bin");
+}
+
+TEST_F(LakeStoreTest, HeldBlobOutlivesReplaceAndDelete) {
+  ASSERT_TRUE(lake_->Put("k", "generation one").ok());
+  auto pinned = lake_->GetBlob("k");
+  ASSERT_TRUE(pinned.ok());
+  std::string_view view = pinned->view();
+
+  // Overwrite (tmp + rename: the mapped inode stays alive), then
+  // delete. Neither may disturb the outstanding mapping — this is the
+  // pin contract SeriesBlockCursor relies on when decoding straight
+  // out of the lake.
+  ASSERT_TRUE(lake_->Put("k", "generation two").ok());
+  auto fresh = lake_->GetBlob("k");
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(fresh->view(), "generation two");
+  ASSERT_TRUE(lake_->Delete("k").ok());
+  EXPECT_EQ(view, "generation one");  // old pages still readable
+  EXPECT_EQ(pinned->view(), "generation one");
+}
+
+TEST_F(LakeStoreTest, ReadAfterOtherHandleReplaceSeesNewBytes) {
+  ASSERT_TRUE(lake_->Put("k", "AAAA").ok());
+  ASSERT_EQ(lake_->GetBlob("k")->view(), "AAAA");
+
+  // A second handle over the same directory — the moral equivalent of
+  // another process — replaces the blob at the same size.
+  auto writer = LakeStore::Open(lake_->root());
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Put("k", "BBBB").ok());
+
+  auto blob = lake_->GetBlob("k");
+  ASSERT_TRUE(blob.ok());
+  EXPECT_EQ(blob->view(), "BBBB");
+}
+
 TEST(LakeStoreOpenTest, TemporaryStoresAreDistinct) {
   auto a = LakeStore::OpenTemporary("x");
   auto b = LakeStore::OpenTemporary("x");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_NE(a->root(), b->root());
+
+  // The directory lives while any copy of its handle does, and goes
+  // with the last one.
+  const std::string root = a->root();
+  ASSERT_TRUE(a->Put("dir/k", "v").ok());
+  auto copy = std::make_unique<LakeStore>(*a);
+  { const LakeStore dropped = std::move(a).ValueUnsafe(); }
+  EXPECT_TRUE(std::filesystem::exists(root));
+  EXPECT_EQ(copy->GetBlob("dir/k")->view(), "v");
+  copy.reset();
+  EXPECT_FALSE(std::filesystem::exists(root));
+  EXPECT_TRUE(std::filesystem::exists(b->root()));
 }
 
 }  // namespace

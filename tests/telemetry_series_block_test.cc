@@ -375,16 +375,16 @@ TEST(SeriesBlockCursorTest, ColumnsAliasTheBlobBytes) {
 }
 
 TEST(SeriesBlockCursorTest, BlobRefOpenPinsTheBlobPastCallerRelease) {
-  // The blob-cache contract: a cursor opened on the cache's `BlobRef`
-  // keeps the bytes alive even after the cache (and every other owner)
-  // drops its reference — eviction mid-decode must be harmless.
+  // The pinning contract: a cursor opened on a `BlobRef` keeps the
+  // bytes alive even after every other owner drops its reference, so
+  // a replace or delete of the blob mid-decode is harmless.
   auto records = SampleRecords();
   auto blob = std::make_shared<const std::string>(
       EncodeSeriesBlock(records));
   auto cursor = SeriesBlockCursor::Open(BlobRef(*blob, blob));
   ASSERT_TRUE(cursor.ok());
   std::weak_ptr<const std::string> watch = blob;
-  blob.reset();  // simulate cache eviction: cursor is now sole owner
+  blob.reset();  // the cursor is now the sole owner
   EXPECT_FALSE(watch.expired());
   std::vector<ServerTelemetry> out;
   ASSERT_TRUE(StreamSeriesBlockServers(*cursor, [&](ServerTelemetry&& st) {

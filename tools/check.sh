@@ -23,8 +23,8 @@
 #   tools/check.sh perf       # data-plane throughput: the perf-label
 #                             # tests plus bench/micro_substrate, which
 #                             # writes BENCH_ingest.json (CSV vs
-#                             # SeriesBlock ingestion rates and the
-#                             # lake-cache hit trajectory), and
+#                             # SeriesBlock ingestion rates, the decode
+#                             # footprint and the SGB1 writer's cost), and
 #                             # bench/micro_forecast, which writes
 #                             # BENCH_forecast.json (per-model Fit
 #                             # p50/p99, the batched-fleet row, and
@@ -58,7 +58,7 @@
 #                             # then micro_substrate with the
 #                             # ingest_memory per-server decode-peak
 #                             # ceiling, then the
-#                             # streaming decode/encode + mmap-cache
+#                             # streaming decode/encode + mmap lake read
 #                             # suites, the `kernels` label (raw-pointer
 #                             # forecast kernels and their test-only
 #                             # reference loops), the untrusted-input
@@ -141,7 +141,7 @@ case "$MODE" in
       -DCMAKE_BUILD_TYPE=Release
     echo "=== [perf] bench/micro_substrate (writes BENCH_ingest.json) ==="
     (cd "$ROOT/build-release" &&
-      ./bench/micro_substrate --benchmark_filter='Ingest|CacheHit')
+      ./bench/micro_substrate --benchmark_filter='Ingest')
     echo "=== [perf] bench/micro_forecast (writes BENCH_forecast.json," \
          "gates on tests/budgets.json forecast_train_micros) ==="
     (cd "$ROOT/build-release" &&
@@ -200,14 +200,14 @@ case "$MODE" in
       -DCMAKE_EXE_LINKER_FLAGS="$ASAN_FLAGS"
     cmake --build "$ROOT/build-asan" -j "$JOBS" \
       --target telemetry_series_block_test series_block_writer_test \
-      store_lake_cache_test telemetry_records_test \
+      store_lake_test telemetry_records_test \
       store_doc_test pipeline_modules_test \
       forecast_linalg_test forecast_linalg_kernel_test \
       forecast_batch_equivalence_test forecast_golden_test \
       serving_engine_test common_json_test pipeline_serving_test \
       seagull_cli
     (cd "$ROOT/build-asan" && ctest --output-on-failure -R \
-      'telemetry_series_block_test|series_block_writer_test|store_lake_cache_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_json_test|pipeline_serving_test|cli_smoke_test')
+      'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_json_test|pipeline_serving_test|cli_smoke_test')
     (cd "$ROOT/build-asan" && ctest --output-on-failure -L kernels)
     echo "=== [scale] OK ==="
     ;;

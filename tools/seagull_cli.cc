@@ -7,12 +7,11 @@
 ///
 ///   seagull generate  --lake DIR --region NAME [--servers N] [--weeks W] [--seed S]
 ///   seagull pipeline  --lake DIR --docs FILE --region NAME[,NAME...] --week K
-///                     [--model FAMILY] [--threads N] [--jobs N]
-///                     [--lake-cache-mb MB] [--retries N]
+///                     [--model FAMILY] [--jobs N] [--retries N]
 ///                     [--fault-rate P --fault-seed S]
 ///                     [--trace-out FILE] [--metrics-out FILE]
 ///   seagull schedule  --lake DIR --docs FILE --region NAME[,NAME...] --day D
-///                     [--jobs N] [--lake-cache-mb MB] [--retries N]
+///                     [--jobs N] [--retries N]
 ///                     [--fault-rate P --fault-seed S]
 ///
 /// `--fault-rate`/`--fault-seed` enable the deterministic fault
@@ -30,7 +29,7 @@
 ///                     --day D --start HH:MM [--duration MIN]
 ///   seagull serve     --lake DIR --docs FILE --region NAME [--week K]
 ///                     | --synthetic [--servers N] [--seed S]
-///                     [--horizon MIN] [--threads N]
+///                     [--horizon MIN] [--jobs N]
 ///   seagull loadtest  (same bootstrap flags as serve)
 ///                     [--profile ramp|spike|soak] [--mode open|closed]
 ///                     [--ticks N] [--base N] [--clients N] [--jobs N]
@@ -51,9 +50,7 @@
 /// `generate` plays the role of Azure telemetry + Load Extraction
 /// (`--format binary` writes columnar SeriesBlock blobs instead of CSV);
 /// `transcode` converts a stored telemetry blob between the two formats
-/// in place (or to `--out`). `--lake-cache-mb` on pipeline/schedule
-/// enables the shared lake blob cache. Everything else is the
-/// production path.
+/// in place (or to `--out`). Everything else is the production path.
 ///
 /// Each command accepts exactly the flags listed above (see
 /// `Commands()`); any other `--flag` — a typo such as `--job`, or a
@@ -293,8 +290,6 @@ int CmdPipeline(const Args& args) {
 
   auto lake = LakeStore::Open(*lake_dir);
   if (!lake.ok()) return Fail(lake.status());
-  const int64_t cache_mb = args.GetInt("lake-cache-mb", 0);
-  if (cache_mb > 0) lake->ConfigureCache(cache_mb << 20);
   auto docs = OpenDocs(*docs_path);
   if (!docs.ok()) return Fail(docs.status());
   // After the snapshot load: the rehearsal faults the pipeline's store
@@ -312,15 +307,10 @@ int CmdPipeline(const Args& args) {
 
   PipelineContext config;
   config.model_name = args.Get("model", "persistent_prev_day");
-  std::unique_ptr<ThreadPool> pool;
-  int64_t threads = args.GetInt("threads", 0);
-  if (threads > 0) {
-    pool = std::make_unique<ThreadPool>(static_cast<int>(threads));
-    config.pool = pool.get();
-  }
 
-  // Fan regions across the fleet engine: --jobs N pipelines run
-  // concurrently; jobs=1 is the sequential reference.
+  // Fan regions across the fleet engine: one pool of --jobs N workers
+  // runs the region pipelines and their per-server loops; jobs=1 is the
+  // sequential reference.
   std::vector<std::string> regions = SplitString(*region, ',');
   FleetOptions fleet_options;
   fleet_options.jobs = static_cast<int>(args.GetInt("jobs", 1));
@@ -408,8 +398,6 @@ int CmdSchedule(const Args& args) {
 
   auto lake = LakeStore::Open(*lake_dir);
   if (!lake.ok()) return Fail(lake.status());
-  const int64_t cache_mb = args.GetInt("lake-cache-mb", 0);
-  if (cache_mb > 0) lake->ConfigureCache(cache_mb << 20);
   auto docs = OpenDocs(*docs_path);
   if (!docs.ok()) return Fail(docs.status());
   const RetryPolicy retry = ConfigureResilience(args);
@@ -750,9 +738,9 @@ int CmdServe(const Args& args) {
   options.horizon_minutes =
       args.GetInt("horizon", options.horizon_minutes);
   std::unique_ptr<ThreadPool> pool;
-  const int64_t threads = args.GetInt("threads", 0);
-  if (threads > 1) {
-    pool = std::make_unique<ThreadPool>(static_cast<int>(threads));
+  const int64_t jobs = args.GetInt("jobs", 1);
+  if (jobs > 1) {
+    pool = std::make_unique<ThreadPool>(static_cast<int>(jobs));
     options.pool = pool.get();
   }
 
@@ -873,11 +861,11 @@ void Usage() {
       "  generate  --lake DIR --region NAME [--servers N] [--weeks W] "
       "[--seed S] [--format csv|binary]\n"
       "  pipeline  --lake DIR --docs FILE --region NAME[,NAME...] "
-      "--week K [--model FAMILY] [--threads N] [--jobs N] [--retries N] "
-      "[--lake-cache-mb MB] [--fault-rate P --fault-seed S] "
+      "--week K [--model FAMILY] [--jobs N] [--retries N] "
+      "[--fault-rate P --fault-seed S] "
       "[--trace-out FILE] [--metrics-out FILE]\n"
       "  schedule  --lake DIR --docs FILE --region NAME[,NAME...] "
-      "--day D [--jobs N] [--lake-cache-mb MB] [--retries N] "
+      "--day D [--jobs N] [--retries N] "
       "[--fault-rate P --fault-seed S]\n"
       "  transcode --lake DIR --key KEY [--to csv|binary] [--out KEY]\n"
       "  dashboard --docs FILE\n"
@@ -886,7 +874,7 @@ void Usage() {
       "--day D --start HH:MM [--duration MIN]\n"
       "  serve     (--lake DIR --docs FILE --region NAME [--week K] | "
       "--synthetic [--servers N] [--seed S]) [--horizon MIN] "
-      "[--threads N]\n"
+      "[--jobs N]\n"
       "  loadtest  (same bootstrap flags as serve) "
       "[--profile ramp|spike|soak] [--mode open|closed] [--ticks N] "
       "[--base N] [--clients N] [--jobs N] [--batch-frac F] "
@@ -921,18 +909,17 @@ const std::vector<Command>& Commands() {
         {"generate", CmdGenerate,
          {"lake", "region", "servers", "weeks", "seed", "format"}},
         {"pipeline", CmdPipeline,
-         Join({"lake", "docs", "region", "week", "model", "threads", "jobs",
-               "lake-cache-mb", "trace-out", "metrics-out"},
+         Join({"lake", "docs", "region", "week", "model", "jobs", "trace-out",
+               "metrics-out"},
               resilience)},
         {"schedule", CmdSchedule,
-         Join({"lake", "docs", "region", "day", "jobs", "lake-cache-mb"},
-              resilience)},
+         Join({"lake", "docs", "region", "day", "jobs"}, resilience)},
         {"transcode", CmdTranscode, {"lake", "key", "to", "out"}},
         {"dashboard", CmdDashboard, {"docs"}},
         {"incidents", CmdIncidents, {"docs", "region"}},
         {"advise", CmdAdvise,
          {"lake", "docs", "region", "server", "day", "start", "duration"}},
-        {"serve", CmdServe, Join(bootstrap, {"horizon", "threads"})},
+        {"serve", CmdServe, Join(bootstrap, {"horizon", "jobs"})},
         {"loadtest", CmdLoadtest,
          Join(bootstrap, {"profile", "mode", "ticks", "base", "clients",
                           "jobs", "batch-frac", "batch-size",
