@@ -11,9 +11,12 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/obs/metrics.h"
 #include "scheduling/model_eval.h"
 #include "telemetry/fleet.h"
@@ -79,6 +82,37 @@ inline Json MetricsForPhase(Fn&& body) {
   MetricsRegistry::Global().Reset();
   body();
   return MetricsRegistry::Global().Snapshot().ToJson();
+}
+
+/// Writes `doc` pretty-printed to the BENCH_*.json trajectory file at
+/// `path` and says so on stdout; an unwritable path is an IOError,
+/// also reported on stderr.
+inline Status WriteBenchJson(const std::string& path, const Json& doc) {
+  std::ofstream out(path);
+  out << doc.DumpPretty() << '\n';
+  if (!out.flush()) {
+    std::fprintf(stderr, "could not write %s\n", path.c_str());
+    return Status::IOError("could not write " + path);
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return Status::OK();
+}
+
+/// Reads the budgets file at `path` and returns its top-level
+/// `section`: IOError when the file cannot be read, the parse status
+/// when it is not JSON, NotFound when the section is absent.
+inline Result<Json> LoadBudgets(const std::string& path,
+                                const std::string& section) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot open budgets file: " + path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  SEAGULL_ASSIGN_OR_RETURN(Json doc, Json::Parse(buffer.str()));
+  if (!doc.Contains(section)) {
+    return Status::NotFound("budgets file " + path + " has no " + section +
+                            " section");
+  }
+  return doc[section];
 }
 
 }  // namespace seagull::bench

@@ -10,17 +10,16 @@
 /// With `--servers=N` the binary instead runs the fleet-scale memory
 /// plane deliverable: N servers staged shard-by-shard as per-region
 /// SeriesBlock blobs through the streaming SGB1 writer, the full
-/// pipeline executed over each shard at jobs=1 and jobs=`--jobs` with
-/// the shard's blobs deleted before the next shard is staged (both disk
+/// pipeline executed over each shard at jobs=1 and jobs=`--jobs` (one
+/// `FleetRunner::Run` per shard and pass), each region digested and its
+/// partitions dropped as soon as its shard's run returns, and the
+/// shard's blobs deleted before the next shard is staged (both disk
 /// and RSS stay shard-bounded, which is what makes `--servers=1000000`
-/// runnable), per-region digests compared for byte-identity across the
-/// two passes, and (with `--budgets=<path>`)
-/// peak RSS, per-server costs, and encoder residency gated against the
-/// `fleet_scale` section of tests/budgets.json. Writes
-/// BENCH_scale.json. `--shard=K` overrides the staging/resident shard
-/// width (default 8); `--shard=0` disables retire-as-you-go entirely —
-/// the pre-memory-plane O(fleet) retention, kept as the honest
-/// "before" row for the RSS table.
+/// runnable). Per-region digests are compared for byte-identity across
+/// the two passes, and (with `--budgets=<path>`) peak RSS, per-server
+/// costs, and encoder residency are gated against the `fleet_scale`
+/// section of tests/budgets.json. Writes BENCH_scale.json. `--shard=K`
+/// sets the shard width in regions (default 8, at least 1).
 
 #include <benchmark/benchmark.h>
 
@@ -30,15 +29,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 #include <map>
 #include <memory>
 #include <ostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -264,16 +258,7 @@ void RunFleetComparison() {
         "on >=4 cores";
   }
   out["phases"] = std::move(phases);
-  std::FILE* f = std::fopen("BENCH_parallel.json", "w");
-  if (f != nullptr) {
-    std::string text = out.DumpPretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote BENCH_parallel.json\n");
-  } else {
-    std::fprintf(stderr, "could not write BENCH_parallel.json\n");
-  }
+  (void)WriteBenchJson("BENCH_parallel.json", out);
 }
 
 /// Digest of one region's gated containers (predictions, accuracy,
@@ -309,7 +294,7 @@ struct PassConfig {
 /// Accumulated results of one pass across every staging shard.
 struct PassStats {
   std::vector<uint64_t> digests;  ///< per region, job order
-  double wall_millis = 0.0;       ///< fleet-runner time only (no staging)
+  double wall_millis = 0.0;       ///< `Run` only (no staging or digests)
   int64_t peak_rss_bytes = 0;     ///< max over per-shard windows
   int64_t ingest_resident_bytes = 0;
   int64_t failures = 0;
@@ -330,34 +315,23 @@ struct PassStats {
 ///
 /// Peak RSS per pass is the max over its per-shard windows, each opened
 /// with a malloc trim + HWM reset so (a) a pass never inherits another
-/// pass's arena floor and (b) the shard-retire sample cannot miss a
-/// mid-shard spike — the window *is* the shard.
+/// pass's arena floor and (b) no mid-shard spike escapes the reading —
+/// the window *is* the shard.
 ///
 /// Digest identity is required across the two passes: jobs=1 vs
-/// jobs=N (determinism). `--shard=0` disables sharding: all regions staged
-/// up front and retained to the end — the pre-memory-plane behavior,
-/// kept as the honest "before" row (it still reports
-/// `per_server_resident_bytes` so BENCH_scale.json rows stay
-/// comparable across modes).
+/// jobs=N (determinism).
 int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
                   const std::string& budgets_path) {
   constexpr int64_t kWeek = 3;
   constexpr int64_t kRegionServers = 1000;
   const int64_t regions =
       (servers + kRegionServers - 1) / kRegionServers;
-  const int64_t shard_width = shard > 0 ? shard : regions;
   PrintHeader("Fleet scale",
               "bounded-RSS pipeline run, jobs=1 vs jobs=N, digest compare");
-  if (shard > 0) {
-    std::printf("%-28s %10lld servers in %lld regions (shard %lld)\n",
-                "fleet", static_cast<long long>(servers),
-                static_cast<long long>(regions),
-                static_cast<long long>(shard));
-  } else {
-    std::printf("%-28s %10lld servers in %lld regions (unsharded)\n",
-                "fleet", static_cast<long long>(servers),
-                static_cast<long long>(regions));
-  }
+  std::printf("%-28s %10lld servers in %lld regions (shard %lld)\n",
+              "fleet", static_cast<long long>(servers),
+              static_cast<long long>(regions),
+              static_cast<long long>(shard));
 
   auto lake = LakeStore::OpenTemporary("fig12b_scale");
   lake.status().Abort();
@@ -386,8 +360,8 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
   int64_t next_region = 0;
 
   for (int64_t shard_begin = 0; shard_begin < regions;
-       shard_begin += shard_width) {
-    const int64_t shard_end = std::min(regions, shard_begin + shard_width);
+       shard_begin += shard) {
+    const int64_t shard_end = std::min(regions, shard_begin + shard);
 
     // Stage this shard's blobs through the streaming writer: the SGB1
     // bytes go from the encoder straight into the lake's atomic put.
@@ -430,20 +404,9 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
     // (pass, shard) window gets a trimmed, reset HWM so per-pass peak
     // is the max over windows and never inherits a neighbor's floor.
     for (size_t p = 0; p < pass_configs.size(); ++p) {
-      const PassConfig& cfg = pass_configs[p];
       FleetOptions options;
-      options.jobs = cfg.jobs;
-      options.max_resident_regions = 0;  // the slice is one shard already
-      options.trim_at_shard_edges = true;
+      options.jobs = pass_configs[p].jobs;
       DocStore* pass_docs = docs[p].get();
-      PassStats* pass_stats = &stats[p];
-      options.retire = [pass_docs, pass_stats](
-                           const FleetJob& job,
-                           const PipelineScheduler::ScheduledRun& run) {
-        (void)run;
-        pass_stats->digests.push_back(DigestRegion(pass_docs, job.region));
-        pass_docs->DropPartition(job.region);
-      };
       TrimMallocArenas();
       ResetPeakRss();
       const int64_t ingest_before = ingest_resident_ctr->Value();
@@ -451,6 +414,12 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
       PipelineContext config;
       config.model_name = "persistent_prev_day";
       FleetRunResult result = runner.Run(shard_jobs, config);
+      // Retire the shard in job order: digest each region, then drop its
+      // partitions before the next shard materializes.
+      for (const FleetJob& job : shard_jobs) {
+        stats[p].digests.push_back(DigestRegion(pass_docs, job.region));
+        pass_docs->DropPartition(job.region);
+      }
       stats[p].wall_millis += result.wall_millis;
       stats[p].failures += result.FailureCount();
       stats[p].peak_rss_bytes =
@@ -461,10 +430,8 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
 
     // Retire the staged blobs: at 1M servers the whole fleet's
     // telemetry (~95 GB) never exists on disk at once.
-    if (shard > 0) {
-      for (const FleetJob& job : shard_jobs) {
-        lake->Delete(LakeStore::TelemetryKey(job.region, job.week)).Abort();
-      }
+    for (const FleetJob& job : shard_jobs) {
+      lake->Delete(LakeStore::TelemetryKey(job.region, job.week)).Abort();
     }
     if (regions > 100) {
       std::printf("  ... %lld/%lld regions done\n",
@@ -529,16 +496,7 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
   out["per_server_peak_rss_bytes"] = per_server_peak;
   out["deterministic"] = deterministic;
   out["jobs_identical"] = deterministic;
-  std::FILE* f = std::fopen("BENCH_scale.json", "w");
-  if (f != nullptr) {
-    std::string text = out.DumpPretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote BENCH_scale.json\n");
-  } else {
-    std::fprintf(stderr, "could not write BENCH_scale.json\n");
-  }
+  (void)WriteBenchJson("BENCH_scale.json", out);
 
   int violations = 0;
   if (!deterministic) {
@@ -546,20 +504,12 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
     ++violations;
   }
   if (!budgets_path.empty()) {
-    std::ifstream in(budgets_path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = Json::Parse(buffer.str());
-    if (!in.good() && buffer.str().empty()) {
-      std::fprintf(stderr, "cannot open budgets file: %s\n",
-                   budgets_path.c_str());
+    auto budgets = LoadBudgets(budgets_path, "fleet_scale");
+    if (!budgets.ok()) {
+      std::fprintf(stderr, "%s\n", budgets.status().ToString().c_str());
       return 1;
     }
-    if (!parsed.ok() || !parsed->Contains("fleet_scale")) {
-      std::fprintf(stderr, "budgets file has no fleet_scale section\n");
-      return 1;
-    }
-    const Json& scale = (*parsed)["fleet_scale"];
+    const Json& scale = *budgets;
     const double rss_ceiling = scale["max_peak_rss_bytes"].AsDouble();
     // The ceiling is calibrated at the full 100k-server fleet; smaller
     // smokes must fit under it a fortiori.
@@ -596,11 +546,9 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
     }
     // Per-server peak RSS only amortizes at fleet scale: a small smoke
     // divides a fixed process floor by few servers and would trip the
-    // ceiling spuriously, so the gate arms at >= 100k servers (and only
-    // for sharded runs — the --shard=0 "before" row retains the whole
-    // fleet by design).
+    // ceiling spuriously, so the gate arms at >= 100k servers.
     if (scale.Contains("max_per_server_peak_rss_bytes") &&
-        servers >= 100000 && shard > 0) {
+        servers >= 100000) {
       const double peak_ceiling =
           scale["max_per_server_peak_rss_bytes"].AsDouble();
       if (per_server_peak > peak_ceiling) {
@@ -644,7 +592,7 @@ int main(int argc, char** argv) {
 
   if (scale_servers > 0) {
     return RunScaleFleet(scale_servers, scale_jobs < 1 ? 1 : scale_jobs,
-                         scale_shard, budgets_path);
+                         scale_shard < 1 ? 1 : scale_shard, budgets_path);
   }
 
   unsigned cores = std::thread::hardware_concurrency();

@@ -23,9 +23,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <thread>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -92,27 +90,14 @@ std::vector<ServerTelemetry> MakeTails(const Fleet& fleet) {
 /// Per-verb p50/p99 ceilings + throughput floor for the soak/open row.
 /// Returns the number of violations.
 int CheckBudgets(const std::string& path, const Json& soak_row) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open budgets file: %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto doc = Json::Parse(buffer.str());
-  if (!doc.ok()) {
-    std::fprintf(stderr, "budgets parse error: %s\n",
-                 doc.status().ToString().c_str());
-    return 1;
-  }
-  const Json& ceilings = (*doc)["serving_micros"];
-  if (!ceilings.is_object()) {
-    std::fprintf(stderr, "budgets file has no serving_micros section\n");
+  auto ceilings = bench::LoadBudgets(path, "serving_micros");
+  if (!ceilings.ok()) {
+    std::fprintf(stderr, "%s\n", ceilings.status().ToString().c_str());
     return 1;
   }
   int violations = 0;
   const Json& latency = soak_row["latency_micros"];
-  for (const auto& [verb, ceiling] : ceilings.AsObject()) {
+  for (const auto& [verb, ceiling] : ceilings->AsObject()) {
     const Json& measured = latency[verb];
     if (!measured.is_object()) {
       std::fprintf(stderr, "BUDGET VIOLATION: no %s requests measured\n",
@@ -132,7 +117,10 @@ int CheckBudgets(const std::string& path, const Json& soak_row) {
       ++violations;
     }
   }
-  const double min_rps = (*doc)["serving_min_throughput_rps"].AsDouble();
+  const double min_rps =
+      bench::LoadBudgets(path, "serving_min_throughput_rps")
+          .ValueOr(Json())
+          .AsDouble();
   const double rps = soak_row["throughput_rps"].AsDouble();
   if (min_rps > 0.0 && rps < min_rps) {
     std::fprintf(stderr,
@@ -143,8 +131,10 @@ int CheckBudgets(const std::string& path, const Json& soak_row) {
   }
   // Subscription freshness: the mean window-move lag must stay under
   // its ceiling (clean runs sit at ~0; refit faults push it up).
-  if ((*doc).Contains("serving_notify_lag_ticks_max")) {
-    const double lag_max = (*doc)["serving_notify_lag_ticks_max"].AsDouble();
+  if (auto lag_budget =
+          bench::LoadBudgets(path, "serving_notify_lag_ticks_max");
+      lag_budget.ok()) {
+    const double lag_max = lag_budget->AsDouble();
     const double lag = soak_row["notify_lag_ticks"].AsDouble();
     const int64_t fired = soak_row["notifications"].AsInt();
     if (fired <= 0) {
@@ -303,17 +293,7 @@ int main(int argc, char** argv) {
   out["fleet"] = std::move(fleet_doc);
   out["profiles"] = std::move(profiles);
 
-  std::FILE* f = std::fopen("BENCH_serving.json", "w");
-  if (f != nullptr) {
-    std::string text = out.DumpPretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote BENCH_serving.json\n");
-  } else {
-    std::fprintf(stderr, "could not write BENCH_serving.json\n");
-    return 1;
-  }
+  if (!bench::WriteBenchJson("BENCH_serving.json", out).ok()) return 1;
 
   int violations = 0;
   if (!budgets_path.empty()) {

@@ -19,8 +19,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +33,7 @@
 #include "forecast/model.h"
 #include "forecast/scratch.h"
 #include "forecast/ssa.h"
+#include "timeseries/stats.h"
 
 using namespace seagull;
 
@@ -64,16 +63,6 @@ double MicrosSince(Clock::time_point t0) {
       .count();
 }
 
-double Percentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  if (samples.empty()) return 0.0;
-  const double idx = q * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return samples[lo] + frac * (samples[hi] - samples[lo]);
-}
-
 struct FitTiming {
   double p50_micros = 0.0;
   double p99_micros = 0.0;
@@ -99,9 +88,9 @@ FitTiming TimeModel(const std::string& model_name, int reps) {
     predict_samples.push_back(MicrosSince(t1));
     benchmark::DoNotOptimize(forecast->size());
   }
-  out.p50_micros = Percentile(fit_samples, 0.5);
-  out.p99_micros = Percentile(fit_samples, 0.99);
-  out.predict_micros = Percentile(predict_samples, 0.5);
+  out.p50_micros = Quantile(fit_samples, 0.5);
+  out.p99_micros = Quantile(fit_samples, 0.99);
+  out.predict_micros = Quantile(predict_samples, 0.5);
   return out;
 }
 
@@ -228,8 +217,8 @@ Json BatchFleetRow() {
 
   Json row = Json::MakeObject();
   Json fit_j = Json::MakeObject();
-  fit_j["p50"] = Percentile(item_micros, 0.5) + overhead;
-  fit_j["p99"] = Percentile(item_micros, 0.99) + overhead;
+  fit_j["p50"] = Quantile(item_micros, 0.5) + overhead;
+  fit_j["p99"] = Quantile(item_micros, 0.99) + overhead;
   row["fit"] = std::move(fit_j);
   row["servers"] = static_cast<double>(kServers);
   row["groups"] = static_cast<double>(stats.groups);
@@ -242,27 +231,13 @@ Json BatchFleetRow() {
 /// Checks per-model fit timings against the "forecast_train_micros"
 /// section of the budgets file. Returns the number of violations.
 int CheckBudgets(const std::string& path, const Json& models) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "cannot open budgets file: %s\n", path.c_str());
-    return 1;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = Json::Parse(buffer.str());
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "budgets parse error: %s\n",
-                 parsed.status().ToString().c_str());
-    return 1;
-  }
-  if (!parsed->Contains("forecast_train_micros")) {
-    std::fprintf(stderr,
-                 "budgets file has no forecast_train_micros section\n");
+  auto budgets = bench::LoadBudgets(path, "forecast_train_micros");
+  if (!budgets.ok()) {
+    std::fprintf(stderr, "%s\n", budgets.status().ToString().c_str());
     return 1;
   }
   int violations = 0;
-  for (const auto& [name, ceiling] : (*parsed)["forecast_train_micros"]
-                                         .AsObject()) {
+  for (const auto& [name, ceiling] : budgets->AsObject()) {
     if (!models.Contains(name)) {
       std::fprintf(stderr, "budgeted model was not measured: %s\n",
                    name.c_str());
@@ -341,16 +316,7 @@ int main(int argc, char** argv) {
       static_cast<int64_t>(std::thread::hardware_concurrency());
   out["models"] = std::move(models);
   out["kernels"] = std::move(kernels);
-  std::FILE* f = std::fopen("BENCH_forecast.json", "w");
-  if (f != nullptr) {
-    std::string text = out.DumpPretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote BENCH_forecast.json\n");
-  } else {
-    std::fprintf(stderr, "could not write BENCH_forecast.json\n");
-  }
+  (void)bench::WriteBenchJson("BENCH_forecast.json", out);
 
   if (!budgets_path.empty() && CheckBudgets(budgets_path, out["models"]) > 0) {
     return 1;

@@ -20,11 +20,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -296,32 +294,19 @@ int RunIngestTrajectory(const std::string& budgets_path) {
   enc_j["streaming_resident_bytes"] = writer_peak;
   out["encode"] = std::move(enc_j);
   out["speedup"] = speedup;
-  std::FILE* f = std::fopen("BENCH_ingest.json", "w");
-  if (f != nullptr) {
-    std::string text = out.DumpPretty();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::printf("wrote BENCH_ingest.json\n");
-  } else {
-    std::fprintf(stderr, "could not write BENCH_ingest.json\n");
-  }
+  (void)bench::WriteBenchJson("BENCH_ingest.json", out);
 
   // `--budgets`: gate the decode footprint against the `ingest_memory`
   // section (tools/check.sh scale wires this up).
   int violations = 0;
   if (!budgets_path.empty()) {
-    std::ifstream in(budgets_path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    auto parsed = Json::Parse(buffer.str());
-    if (!parsed.ok() || !parsed->Contains("ingest_memory")) {
-      std::fprintf(stderr, "budgets file has no ingest_memory section\n");
+    auto budgets = bench::LoadBudgets(budgets_path, "ingest_memory");
+    if (!budgets.ok()) {
+      std::fprintf(stderr, "%s\n", budgets.status().ToString().c_str());
       return 1;
     }
     const double ceiling =
-        (*parsed)["ingest_memory"]["max_decode_peak_bytes_per_server"]
-            .AsDouble();
+        (*budgets)["max_decode_peak_bytes_per_server"].AsDouble();
     if (!rss_supported) {
       std::printf("ingest_memory budget skipped: kernel cannot reset "
                   "VmHWM\n");

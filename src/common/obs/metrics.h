@@ -239,8 +239,8 @@ bool ResetPeakRss();
 /// Samples both values into the global registry:
 /// `seagull.process.peak_rss_bytes` (high-water: `Gauge::Max`) and
 /// `seagull.process.rss_bytes` (last sample). Call at phase boundaries
-/// — shard retirement in the fleet runner, module completion in
-/// ingestion, bench phase edges — so snapshots carry the memory
+/// — the end of a fleet run, module completion in ingestion, bench
+/// phase edges — so snapshots carry the memory
 /// trajectory without a sampler thread (which would break the
 /// determinism contract). Returns the sampled peak, -1 if unavailable.
 int64_t SampleProcessRss();
@@ -248,8 +248,9 @@ int64_t SampleProcessRss();
 /// Returns freed heap pages to the kernel (`malloc_trim(0)` on glibc;
 /// a no-op elsewhere, returning false). Call before an RSS sample
 /// whose job is to observe *live* memory: without the trim, pages the
-/// allocator retains for reuse after a retire/drop keep the sample at
-/// its historical high even though nothing references them.
+/// allocator retains for reuse after a `DocStore::DropPartition` keep
+/// the sample at its historical high even though nothing references
+/// them.
 bool TrimMallocArenas();
 
 /// @}

@@ -25,15 +25,6 @@ ShapeKey KeyOf(const LoadSeries& s) {
   return {s.start(), s.end(), s.interval_minutes(), s.size()};
 }
 
-void RunLoop(ThreadPool* pool, int64_t n,
-             const std::function<void(int64_t)>& fn) {
-  if (pool != nullptr) {
-    ParallelFor(pool, n, fn);
-  } else {
-    SequentialFor(n, fn);
-  }
-}
-
 /// Serializes a fitted model into `out`, finalizing its status.
 void FinishItem(const ForecastModel& model, Status fit,
                 BatchTrainResult* out) {
@@ -80,7 +71,7 @@ void BatchTrainer::FitAdditiveGroup(const std::string& name,
       builder_or.ok() ? dynamic_cast<AdditiveForecast*>(builder_or->get())
                       : nullptr;
   if (builder == nullptr) {
-    RunLoop(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
+    ParallelFor(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
       const int64_t i = members[static_cast<size_t>(k)];
       GenericFit(name, *items[static_cast<size_t>(i)].train,
                  &(*results)[static_cast<size_t>(i)]);
@@ -102,7 +93,7 @@ void BatchTrainer::FitAdditiveGroup(const std::string& name,
   }
   const Matrix gram = AtA(design);
 
-  RunLoop(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
+  ParallelFor(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
     const int64_t i = members[static_cast<size_t>(k)];
     BatchTrainResult& out = (*results)[static_cast<size_t>(i)];
     const LoadSeries& train = *items[static_cast<size_t>(i)].train;
@@ -147,7 +138,7 @@ void BatchTrainer::FitFeedForwardGroup(
       builder_or.ok() ? dynamic_cast<FeedForwardForecast*>(builder_or->get())
                       : nullptr;
   if (builder == nullptr) {
-    RunLoop(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
+    ParallelFor(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
       const int64_t i = members[static_cast<size_t>(k)];
       GenericFit(name, *items[static_cast<size_t>(i)].train,
                  &(*results)[static_cast<size_t>(i)]);
@@ -160,7 +151,7 @@ void BatchTrainer::FitFeedForwardGroup(
   Matrix mom(b, np);
   Matrix vel(b, np);
 
-  RunLoop(pool, b, [&](int64_t k) {
+  ParallelFor(pool, b, [&](int64_t k) {
     const int64_t i = members[static_cast<size_t>(k)];
     BatchTrainResult& out = (*results)[static_cast<size_t>(i)];
     const LoadSeries& train = *items[static_cast<size_t>(i)].train;
@@ -204,7 +195,7 @@ Result<std::vector<BatchTrainResult>> BatchTrainer::Fit(
 
   if (!is_additive && !is_feedforward) {
     // No value-independent structure to share — plain per-item fits.
-    RunLoop(pool, static_cast<int64_t>(items.size()), [&](int64_t i) {
+    ParallelFor(pool, static_cast<int64_t>(items.size()), [&](int64_t i) {
       GenericFit(model_name, *items[static_cast<size_t>(i)].train,
                  &results[static_cast<size_t>(i)]);
     });

@@ -1,7 +1,6 @@
 #include "parallel/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/obs/metrics.h"
 
@@ -61,13 +60,8 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  auto packaged =
-      std::make_shared<std::packaged_task<void()>>(std::move(task));
-  std::future<void> fut = packaged->get_future();
-  const size_t shard =
-      submit_cursor_.fetch_add(1) %
-      shards_.size();
+void ThreadPool::Enqueue(std::function<void()> task) {
+  const size_t shard = submit_cursor_.fetch_add(1) % shards_.size();
   // Count before publishing so `queued_` never under-reports: a task
   // visible in a shard always has its count already registered.
   const int64_t depth = queued_.fetch_add(1) + 1;
@@ -76,7 +70,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   metrics.queue_peak->Max(static_cast<double>(depth));
   {
     std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-    shards_[shard]->tasks.emplace_back([packaged] { (*packaged)(); });
+    shards_[shard]->tasks.push_back(std::move(task));
   }
   {
     // Empty critical section pairs with the sleep path: a worker that
@@ -84,7 +78,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
   }
   cv_.notify_one();
-  return fut;
 }
 
 bool ThreadPool::TryAcquire(int home, std::function<void()>* task) {
@@ -101,9 +94,6 @@ bool ThreadPool::TryAcquire(int home, std::function<void()>* task) {
       shard.tasks.pop_back();
       GetPoolMetrics().stolen->Increment();
     }
-    // active_ rises before queued_ falls so (queued_ + active_) never
-    // dips to zero while a task is in hand (WaitIdle's predicate).
-    active_.fetch_add(1);
     queued_.fetch_sub(1);
     GetPoolMetrics().executed->Increment();
     return true;
@@ -111,45 +101,11 @@ bool ThreadPool::TryAcquire(int home, std::function<void()>* task) {
   return false;
 }
 
-bool ThreadPool::RunOneTask() {
-  std::function<void()> task;
-  const int home = static_cast<int>(
-      submit_cursor_.load() % shards_.size());
-  if (!TryAcquire(home, &task)) return false;
-  task();  // packaged_task: exceptions land in the submitter's future
-  if (active_.fetch_sub(1) == 1 &&
-      queued_.load() == 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    idle_cv_.notify_all();
-  }
-  return true;
-}
-
-void ThreadPool::HelpWhileWaiting(std::future<void>& fut) {
-  using namespace std::chrono_literals;
-  while (fut.wait_for(0s) != std::future_status::ready) {
-    if (!RunOneTask()) fut.wait_for(200us);
-  }
-}
-
-void ThreadPool::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    return queued_.load() == 0 &&
-           active_.load() == 0;
-  });
-}
-
 void ThreadPool::WorkerLoop(int home_shard) {
   while (true) {
     std::function<void()> task;
     if (TryAcquire(home_shard, &task)) {
       task();
-      if (active_.fetch_sub(1) == 1 &&
-          queued_.load() == 0) {
-        std::lock_guard<std::mutex> lock(mu_);
-        idle_cv_.notify_all();
-      }
       continue;
     }
     std::unique_lock<std::mutex> lock(mu_);
@@ -162,18 +118,19 @@ void ThreadPool::WorkerLoop(int home_shard) {
 
 namespace {
 
-/// Shared state of one chunked loop. Kept alive by shared_ptr so helper
-/// tasks that start after the caller has already returned (possible when
-/// the queue is deep) find only an exhausted cursor, never freed memory.
+/// Shared state of one loop. Kept alive by shared_ptr so helpers that
+/// start after the caller has already returned (possible when the queue
+/// is deep) find only an exhausted cursor, never freed memory.
 struct LoopState {
-  std::function<void(int64_t, int64_t)> body;
+  /// The caller's body; only dereferenced for a claimed chunk, and no
+  /// chunk can be claimed once the caller returns.
+  const std::function<void(int64_t)>* fn = nullptr;
   int64_t n = 0;
   int64_t grain = 1;
-  CancellationToken* cancel = nullptr;
   std::atomic<int64_t> cursor{0};
   /// Participants currently inside the claim loop. The caller's final
-  /// wait on busy_ == 0 is what guarantees no chunk body can still be
-  /// running (or start) once ParallelForChunked returns.
+  /// wait on busy == 0 is what guarantees no chunk body can still be
+  /// running (or start) once ParallelFor returns.
   std::atomic<int64_t> busy{0};
   std::atomic<bool> failed{false};
   std::mutex mu;
@@ -183,14 +140,12 @@ struct LoopState {
 
 void RunChunks(const std::shared_ptr<LoopState>& state) {
   state->busy.fetch_add(1);
-  while (!state->failed.load() &&
-         !(state->cancel != nullptr && state->cancel->cancelled())) {
-    const int64_t begin =
-        state->cursor.fetch_add(state->grain);
+  while (!state->failed.load()) {
+    const int64_t begin = state->cursor.fetch_add(state->grain);
     if (begin >= state->n) break;
     const int64_t end = std::min(begin + state->grain, state->n);
     try {
-      state->body(begin, end);
+      for (int64_t i = begin; i < end; ++i) (*state->fn)(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(state->mu);
       if (state->first_error == nullptr) {
@@ -208,10 +163,8 @@ void RunChunks(const std::shared_ptr<LoopState>& state) {
 
 }  // namespace
 
-void ParallelForChunked(
-    ThreadPool* pool, int64_t n, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& body,
-    CancellationToken* cancel) {
+void ParallelFor(ThreadPool* pool, int64_t n,
+                 const std::function<void(int64_t)>& fn, int64_t grain) {
   if (n <= 0) return;
   const int threads = pool != nullptr ? pool->num_threads() : 1;
   if (grain <= 0) {
@@ -219,56 +172,31 @@ void ParallelForChunked(
   }
   const int64_t num_chunks = (n + grain - 1) / grain;
   if (threads <= 1 || num_chunks == 1) {
-    // Sequential path: same chunking, exception, and cancellation
-    // semantics without dispatch.
-    for (int64_t begin = 0; begin < n; begin += grain) {
-      if (cancel != nullptr && cancel->cancelled()) return;
-      body(begin, std::min(begin + grain, n));
-    }
+    for (int64_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
   auto state = std::make_shared<LoopState>();
-  state->body = body;
+  state->fn = &fn;
   state->n = n;
   state->grain = grain;
-  state->cancel = cancel;
 
   const int64_t helpers =
       std::min<int64_t>(threads, num_chunks - 1);  // caller takes a share
   for (int64_t h = 0; h < helpers; ++h) {
-    pool->Submit([state] { RunChunks(state); });
+    pool->Enqueue([state] { RunChunks(state); });
   }
   RunChunks(state);
 
   // Foreclose any chunk claims by helpers that have not started yet
-  // (relevant when the loop stopped early on failure or cancellation);
-  // claims already made are covered by the busy counter below.
+  // (relevant when the loop stopped early on failure); claims already
+  // made are covered by the busy counter below.
   state->cursor.store(n);
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->done_cv.wait(lock, [&] {
-      return state->busy.load() == 0;
-    });
-    if (state->first_error != nullptr) {
-      std::rethrow_exception(state->first_error);
-    }
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->done_cv.wait(lock, [&] { return state->busy.load() == 0; });
+  if (state->first_error != nullptr) {
+    std::rethrow_exception(state->first_error);
   }
-}
-
-void ParallelFor(ThreadPool* pool, int64_t n,
-                 const std::function<void(int64_t)>& fn,
-                 CancellationToken* cancel) {
-  ParallelForChunked(
-      pool, n, /*grain=*/0,
-      [&fn](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) fn(i);
-      },
-      cancel);
-}
-
-void SequentialFor(int64_t n, const std::function<void(int64_t)>& fn) {
-  for (int64_t i = 0; i < n; ++i) fn(i);
 }
 
 }  // namespace seagull

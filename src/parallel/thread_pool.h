@@ -2,25 +2,26 @@
 /// \brief Work-stealing worker pool — the library's Dask stand-in.
 ///
 /// The paper partitions pipeline work per server and runs it on Dask
-/// workers (§2.1, §6.1). Here a sharded task pool provides the same
+/// workers (§2.1, §6.1). Here one loop, `ParallelFor`, provides the same
 /// partition-per-server parallelism for accuracy evaluation, model
-/// training, inference, and the fleet runner that executes many
-/// per-region pipelines concurrently.
+/// training, inference, serving refits, and the fleet runner that
+/// executes many per-region pipelines concurrently.
 ///
 /// Design (see DESIGN.md "Fleet execution engine"):
-///  - Each worker owns a deque shard. `Submit` round-robins tasks across
-///    shards; a worker pops from the front of its own shard and steals
-///    from the back of the others, so unrelated submissions rarely
-///    contend on one lock.
-///  - Exceptions thrown by tasks propagate: through the future returned
-///    by `Submit`, and out of `ParallelFor`/`ParallelForChunked` (the
-///    first exception wins; remaining chunks are abandoned).
-///  - Loops are cooperative: a `CancellationToken` stops further chunks
-///    from being claimed without tearing down the pool.
+///  - Each worker owns a deque shard. Loop helpers are queued
+///    round-robin across shards; a worker pops from the front of its own
+///    shard and steals from the back of the others, so unrelated loops
+///    rarely contend on one lock.
+///  - A null or one-thread pool runs the loop in index order on the
+///    caller; that is the determinism reference every parallel run
+///    must match.
 ///  - Loop callers participate: the thread calling `ParallelFor` claims
-///    chunks like any worker, so nested parallelism (a pool task running
+///    chunks like any worker, so nested parallelism (a loop body running
 ///    its own `ParallelFor` on the same pool) cannot deadlock — with
 ///    zero free workers the caller simply drains the range itself.
+///  - Exceptions thrown by a loop body propagate out of `ParallelFor`
+///    (the first exception wins; remaining chunks are abandoned) and
+///    the pool stays usable.
 
 #pragma once
 
@@ -28,7 +29,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -36,27 +36,33 @@
 
 namespace seagull {
 
-/// \brief Cooperative cancellation flag shared between a loop's caller
-/// and its workers. Cancelling stops new chunks from being claimed;
-/// chunks already running finish normally.
-class CancellationToken {
- public:
-  void Cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
+class ThreadPool;
 
- private:
-  std::atomic<bool> cancelled_{false};
-};
+/// \brief Runs `fn(i)` for every i in [0, n).
+///
+/// With a null or one-thread pool the loop runs in index order on the
+/// calling thread. Otherwise the range is cut into chunks of at most
+/// `grain` indices (<= 0 picks a size that balances dispatch overhead
+/// against load imbalance, as the paper's regions range from hundreds
+/// of kilobytes to gigabytes) and the caller claims chunks beside the
+/// pool's workers. If any call throws, the loop stops claiming, the
+/// first exception is rethrown here, and the pool remains usable.
+///
+/// Determinism contract: every index in [0, n) is visited exactly once
+/// (absent an exception); which thread visits it is unspecified, so
+/// bodies must only write state owned by their indices.
+void ParallelFor(ThreadPool* pool, int64_t n,
+                 const std::function<void(int64_t)>& fn,
+                 int64_t grain = 0);
 
 /// \brief A fixed pool of worker threads over sharded work-stealing
-/// deques.
+/// deques. Its only client is `ParallelFor`.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>= 1; <= 0 means hardware
   /// concurrency, with a fallback of 4 when the hardware cannot tell).
   explicit ThreadPool(int num_threads);
+  /// Runs every queued helper, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -64,30 +70,18 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Enqueues a task; the future resolves when it completes and
-  /// rethrows anything the task threw.
-  std::future<void> Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.
-  void WaitIdle();
-
-  /// Runs one queued task on the calling thread if any is available.
-  /// Returns false when every shard is empty. This is how loop callers
-  /// and nested waiters help instead of blocking.
-  bool RunOneTask();
-
-  /// Blocks until `fut` is ready, executing queued tasks on the calling
-  /// thread in the meantime. Safe to call from inside a pool task —
-  /// waiting on work that sits behind you in the queue makes progress
-  /// instead of deadlocking.
-  void HelpWhileWaiting(std::future<void>& fut);
-
  private:
+  friend void ParallelFor(ThreadPool*, int64_t,
+                          const std::function<void(int64_t)>&, int64_t);
+
   struct Shard {
     std::mutex mu;
     std::deque<std::function<void()>> tasks;
   };
 
+  /// Queues one loop helper. Helpers never throw: the loop records a
+  /// body's exception and rethrows it on the calling thread.
+  void Enqueue(std::function<void()> task);
   void WorkerLoop(int home_shard);
   /// Pops from `home`'s front, else steals from the back of the others.
   bool TryAcquire(int home, std::function<void()>* task);
@@ -96,37 +90,9 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   std::atomic<uint64_t> submit_cursor_{0};
   std::atomic<int64_t> queued_{0};
-  std::atomic<int64_t> active_{0};
-  std::mutex mu_;  // sleep/wake + idle coordination only
+  std::mutex mu_;  // sleep/wake only
   std::condition_variable cv_;
-  std::condition_variable idle_cv_;
   bool stop_ = false;
 };
-
-/// \brief Runs `body(begin, end)` over disjoint chunks covering [0, n).
-///
-/// `grain` caps the chunk size (<= 0 picks one that balances dispatch
-/// overhead against load imbalance, as the paper's regions range from
-/// hundreds of kilobytes to gigabytes). The calling thread participates.
-/// If any chunk throws, the loop stops claiming, the first exception is
-/// rethrown here, and the pool remains usable. If `cancel` is cancelled,
-/// remaining chunks are skipped and the call returns normally.
-///
-/// Determinism contract: every index in [0, n) is visited exactly once
-/// (absent exception/cancellation); which thread visits it is
-/// unspecified, so bodies must only write state owned by their indices.
-void ParallelForChunked(
-    ThreadPool* pool, int64_t n, int64_t grain,
-    const std::function<void(int64_t, int64_t)>& body,
-    CancellationToken* cancel = nullptr);
-
-/// \brief Runs `fn(i)` for i in [0, n) across a pool (auto grain).
-void ParallelFor(ThreadPool* pool, int64_t n,
-                 const std::function<void(int64_t)>& fn,
-                 CancellationToken* cancel = nullptr);
-
-/// Single-threaded reference loop with the same signature, for the
-/// Fig. 12(b) single-vs-parallel comparison.
-void SequentialFor(int64_t n, const std::function<void(int64_t)>& fn);
 
 }  // namespace seagull

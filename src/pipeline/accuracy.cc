@@ -73,11 +73,7 @@ Status AccuracyEvaluationModule::Run(PipelineContext* ctx) {
         ctx->features[static_cast<size_t>(i)], target_week, ctx->accuracy,
         ctx->fleet, options_.evaluate_all_days);
   };
-  if (ctx->pool != nullptr) {
-    ParallelFor(ctx->pool, n, work);
-  } else {
-    SequentialFor(n, work);
-  }
+  ParallelFor(ctx->pool, n, work);
 
   // Persist per-server accuracy documents for the online scheduler.
   Container* container = ctx->docs->GetContainer(kAccuracyContainer);

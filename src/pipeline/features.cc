@@ -59,11 +59,7 @@ Status FeatureExtractionModule::Run(PipelineContext* ctx) {
         ExtractFeatures(ctx->servers[static_cast<size_t>(i)], obs_from,
                         obs_to, ctx->accuracy, ctx->fleet);
   };
-  if (ctx->pool != nullptr) {
-    ParallelFor(ctx->pool, static_cast<int64_t>(ctx->servers.size()), work);
-  } else {
-    SequentialFor(static_cast<int64_t>(ctx->servers.size()), work);
-  }
+  ParallelFor(ctx->pool, static_cast<int64_t>(ctx->servers.size()), work);
 
   ClassCounts counts;
   for (const auto& f : ctx->features) {

@@ -1,6 +1,5 @@
 #include "pipeline/fleet_runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 
@@ -51,8 +50,8 @@ FleetRunResult FleetRunner::Run(const std::vector<FleetJob>& jobs,
 
   // One pool serves both levels: region jobs fan out here, and each
   // pipeline's per-server loops nest into the same workers via
-  // `ctx.pool`. With jobs <= 1 no pool exists and every module falls
-  // back to `SequentialFor` — the determinism reference.
+  // `ctx.pool`. With jobs <= 1 no pool exists and every loop runs in
+  // index order on this thread — the determinism reference.
   std::unique_ptr<ThreadPool> pool;
   if (result.jobs > 1) pool = std::make_unique<ThreadPool>(result.jobs);
 
@@ -86,41 +85,12 @@ FleetRunResult FleetRunner::Run(const std::vector<FleetJob>& jobs,
     if (!run.report.success) region_failures->Increment();
     if (run.report.retries > 0) fleet_retries->Increment(run.report.retries);
   };
-  const int64_t n = static_cast<int64_t>(jobs.size());
-  // Shards partition the job list at fixed indices (independent of the
-  // job count), each shard runs to a barrier, then the retire hook
-  // walks its runs sequentially in job order — so a bounded-RSS driver
-  // releases one shard's working set before the next one starts, and
-  // the byte-determinism contract is untouched.
-  const int64_t shard =
-      options_.max_resident_regions > 0 ? options_.max_resident_regions : n;
-  for (int64_t shard_begin = 0; shard_begin < n; shard_begin += shard) {
-    const int64_t shard_end = std::min(n, shard_begin + shard);
-    if (pool != nullptr) {
-      // Grain 1: a chunk is one whole region pipeline.
-      ParallelForChunked(pool.get(), shard_end - shard_begin, /*grain=*/1,
-                         [&](int64_t begin, int64_t end) {
-                           for (int64_t i = begin; i < end; ++i) {
-                             run_job(shard_begin + i);
-                           }
-                         });
-    } else {
-      SequentialFor(shard_end - shard_begin,
-                    [&](int64_t i) { run_job(shard_begin + i); });
-    }
-    if (options_.retire) {
-      for (int64_t i = shard_begin; i < shard_end; ++i) {
-        options_.retire(jobs[static_cast<size_t>(i)],
-                        result.runs[static_cast<size_t>(i)]);
-      }
-    }
-    // Shard edges are the fleet's phase boundaries: the peak-RSS gauge
-    // sampled here shows whether retirement actually bounded the run.
-    // The optional trim first returns the retired shard's freed pages
-    // so the current-RSS reading reflects live memory, not arena reuse.
-    if (options_.trim_at_shard_edges) TrimMallocArenas();
-    SampleProcessRss();
-  }
+  // Grain 1: a chunk is one whole region pipeline.
+  ParallelFor(pool.get(), static_cast<int64_t>(jobs.size()), run_job,
+              /*grain=*/1);
+  // The end of the run is the fleet's phase boundary: the peak-RSS
+  // gauge sampled here covers every region it held.
+  SampleProcessRss();
   const auto end = std::chrono::steady_clock::now();
   result.wall_millis =
       std::chrono::duration<double, std::milli>(end - start).count();

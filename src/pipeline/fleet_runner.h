@@ -18,12 +18,10 @@
 /// seeds its RNGs from configuration, never from global state. The
 /// contract is enforced by tests/fleet_determinism_test.cc.
 ///
-/// Memory plane: `FleetOptions::max_resident_regions` executes the job
-/// list in fixed shards (same boundaries at every job count) with a
-/// barrier between shards, and `FleetOptions::retire` runs sequentially
-/// in job order at each shard edge so a driver can digest + drop a
-/// region's partitions before the next shard materializes — peak RSS is
-/// then bounded by one shard's working set instead of the whole fleet's.
+/// Memory plane: `Run` holds every job's results until it returns, so a
+/// bounded-RSS driver passes one shard of regions per call and digests
+/// and `DocStore::DropPartition`s them before staging the next shard
+/// (`fig12b_parallel --servers`).
 
 #pragma once
 
@@ -44,35 +42,12 @@ struct FleetJob {
 /// \brief Fleet execution knobs.
 struct FleetOptions {
   /// Concurrent region pipelines; <= 1 runs strictly sequentially on
-  /// the calling thread (the Fig. 12b reference mode), 0 is treated as
-  /// 1. Per-server fan-out inside each pipeline shares the same pool.
+  /// the calling thread (the Fig. 12b reference mode). Per-server
+  /// fan-out inside each pipeline shares the same pool.
   int jobs = 1;
   /// Transient-failure policy for every region's modules and
   /// record-keeping (see `PipelineScheduler`).
   RetryPolicy retry;
-  /// Memory-plane shard width: with a value > 0 the job list is
-  /// executed in consecutive shards of at most this many regions, with
-  /// a barrier between shards, so at most one shard's working set is
-  /// ever resident. <= 0 (the default) runs the whole fleet as one
-  /// shard. Shard boundaries fall at the same job indices regardless
-  /// of `jobs`, so sharding never perturbs the determinism contract.
-  int64_t max_resident_regions = 0;
-  /// Retire hook, called once per completed region run — sequentially,
-  /// in job order, at that region's shard boundary (after the shard's
-  /// barrier). This is where a bounded-RSS driver digests a region's
-  /// results and calls `DocStore::DropPartition` to release them
-  /// before the next shard materializes. Runs on the calling thread;
-  /// sequential job order makes anything it folds deterministic.
-  std::function<void(const FleetJob&, const PipelineScheduler::ScheduledRun&)>
-      retire;
-  /// Return freed heap pages to the kernel (`TrimMallocArenas`) at each
-  /// shard edge, after the retire hooks and before the RSS sample. At
-  /// fleet scale the allocator otherwise retains a retired shard's
-  /// pages for reuse, so the mid-run `process.rss_bytes` trajectory
-  /// would show the historical high instead of live memory — and a
-  /// per-shard RSS gate could miss (or misattribute) a mid-shard
-  /// spike. Off by default: trimming costs a syscall sweep per shard.
-  bool trim_at_shard_edges = false;
 };
 
 /// \brief One region removed from the healthy fleet this run: its

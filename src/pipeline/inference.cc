@@ -71,11 +71,7 @@ Status InferenceModule::Run(PipelineContext* ctx) {
           {st.server_id, day, window});
     }
   };
-  if (ctx->pool != nullptr) {
-    ParallelFor(ctx->pool, n, work);
-  } else {
-    SequentialFor(n, work);
-  }
+  ParallelFor(ctx->pool, n, work);
 
   Container* container = ctx->docs->GetContainer(kPredictionsContainer);
   int64_t stored = 0;

@@ -6,9 +6,9 @@
 /// After deployment, this module forecasts the scheduling week for every
 /// server through the freshly activated endpoint and materializes each
 /// day's *predicted lowest-load window* into the document store — the
-/// compact form the scheduler actually consumes. The scheduler prefers
-/// these stored predictions and falls back to a live endpoint query for
-/// servers or days that lack one.
+/// week's compact forecast record. The daily `BackupScheduler` does not
+/// read it: it queries the endpoint live with telemetry through
+/// yesterday (§2.3).
 
 #pragma once
 

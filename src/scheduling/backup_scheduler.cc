@@ -2,7 +2,6 @@
 
 #include "common/strings.h"
 #include "metrics/ll_window.h"
-#include "pipeline/inference.h"
 
 namespace seagull {
 
@@ -56,44 +55,21 @@ std::vector<ScheduledBackup> BackupScheduler::ScheduleDay(
       out.push_back(sched);
       continue;
     }
-    // Optionally serve from the pipeline's stored predictions (§2.2:
-    // "the predictions are input to the backup scheduling algorithm");
-    // otherwise — or when none is stored — query the endpoint live with
-    // telemetry through yesterday.
-    WindowResult window;
-    if (options_.prefer_stored_predictions) {
-      Container* predictions = docs_->GetContainer(kPredictionsContainer);
-      auto stored = predictions->Get(
-          region, InferenceModule::PredictionId(day_index, due.server_id));
-      if (stored.ok() &&
-          static_cast<int64_t>(
-              stored->body.GetNumber("duration_minutes").ValueOr(0)) ==
-              due.backup_duration_minutes) {
-        window.found = true;
-        window.start = static_cast<MinuteStamp>(
-            stored->body.GetNumber("window_start").ValueOr(0));
-        window.duration_minutes = due.backup_duration_minutes;
-        window.average_load =
-            stored->body.GetNumber("predicted_avg_load").ValueOr(0.0);
-      }
+    if (!endpoint.ok() || !endpoint->Serves(due.server_id)) {
+      sched.decision = ScheduleDecision::kDefaultForecastFailed;
+      properties_->Clear(due.server_id, kBackupWindowProperty);
+      out.push_back(sched);
+      continue;
     }
-
-    if (!window.found) {
-      if (!endpoint.ok() || !endpoint->Serves(due.server_id)) {
-        sched.decision = ScheduleDecision::kDefaultForecastFailed;
-        properties_->Clear(due.server_id, kBackupWindowProperty);
-        out.push_back(sched);
-        continue;
-      }
-      // Live path: predict tomorrow and pick its lowest-load window
-      // (Definition 7).
-      MinuteStamp day_start = day_index * kMinutesPerDay;
-      auto predicted = endpoint->Predict(due.server_id, due.recent_load,
-                                         day_start, kMinutesPerDay);
-      if (predicted.ok()) {
-        window = LowestLoadWindow(*predicted, day_index,
-                                  due.backup_duration_minutes);
-      }
+    // Query the endpoint live with telemetry through yesterday: predict
+    // tomorrow and pick its lowest-load window (Definition 7).
+    MinuteStamp day_start = day_index * kMinutesPerDay;
+    auto predicted = endpoint->Predict(due.server_id, due.recent_load,
+                                       day_start, kMinutesPerDay);
+    WindowResult window;
+    if (predicted.ok()) {
+      window = LowestLoadWindow(*predicted, day_index,
+                                due.backup_duration_minutes);
     }
     if (!window.found) {
       sched.decision = ScheduleDecision::kDefaultForecastFailed;

@@ -61,21 +61,11 @@ struct DueServer {
   int64_t backup_duration_minutes = 0;
 };
 
-/// \brief Scheduling policy knobs.
-struct BackupSchedulerOptions {
-  /// Use the inference module's stored predictions (computed at weekly
-  /// pipeline time) before querying the endpoint live. The live query
-  /// conditions on telemetry through yesterday and is therefore fresher;
-  /// stored predictions avoid any model evaluation on the serving path.
-  bool prefer_stored_predictions = false;
-};
-
 /// \brief The daily scheduling pass.
 class BackupScheduler {
  public:
-  BackupScheduler(DocStore* docs, ServiceFabricProperties* properties,
-                  BackupSchedulerOptions options = {})
-      : docs_(docs), properties_(properties), options_(options) {}
+  BackupScheduler(DocStore* docs, ServiceFabricProperties* properties)
+      : docs_(docs), properties_(properties) {}
 
   /// Schedules every due server for `day_index` using the region's
   /// active endpoint and the accuracy documents of the covering week.
@@ -86,7 +76,6 @@ class BackupScheduler {
  private:
   DocStore* docs_;
   ServiceFabricProperties* properties_;
-  BackupSchedulerOptions options_;
 };
 
 }  // namespace seagull

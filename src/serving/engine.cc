@@ -604,11 +604,7 @@ TickResult ServingEngine::Tick() {
                                       options_.horizon_minutes)
                   : Result<LoadSeries>(task.injected));
     };
-    if (options_.pool != nullptr && n > 1) {
-      ParallelFor(options_.pool, n, refit);
-    } else {
-      SequentialFor(n, refit);
-    }
+    ParallelFor(options_.pool, n, refit);
   } else {
     // Batched refit: group the non-faulted dirty tails by shape so the
     // expensive per-fit structures are built once per group, then each
@@ -641,12 +637,7 @@ TickResult ServingEngine::Tick() {
       }();
       install(task, std::move(forecast));
     };
-    const int64_t fit_count = static_cast<int64_t>(items.size());
-    if (options_.pool != nullptr && fit_count > 1) {
-      ParallelFor(options_.pool, fit_count, finish);
-    } else {
-      SequentialFor(fit_count, finish);
-    }
+    ParallelFor(options_.pool, static_cast<int64_t>(items.size()), finish);
   }
   result.refits = n;
   for (const auto& task : tasks) {

@@ -8,6 +8,7 @@
 #include "common/obs/clock.h"
 #include "common/random.h"
 #include "common/strings.h"
+#include "timeseries/stats.h"
 
 namespace seagull {
 
@@ -17,16 +18,6 @@ namespace {
 /// survive a JSON round trip bit-for-bit.
 double Quantize4(double v) {
   return std::floor(v * 10000.0 + 0.5) / 10000.0;
-}
-
-double Percentile(std::vector<double>* samples, double q) {
-  if (samples->empty()) return 0.0;
-  std::sort(samples->begin(), samples->end());
-  const double idx = q * static_cast<double>(samples->size() - 1);
-  const size_t lo = static_cast<size_t>(idx);
-  const size_t hi = std::min(lo + 1, samples->size() - 1);
-  const double frac = idx - static_cast<double>(lo);
-  return (*samples)[lo] + frac * ((*samples)[hi] - (*samples)[lo]);
 }
 
 /// The raw bytes of a trivially copyable value, for hashing.
@@ -329,15 +320,9 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
     while (cursor < schedule.size() && schedule[cursor].tick == t) ++cursor;
     const int64_t count = static_cast<int64_t>(cursor - begin);
     if (count > 0 && options.mode == DriverMode::kOpenLoop) {
-      if (pool != nullptr) {
-        ParallelFor(pool.get(), count, [&](int64_t i) {
-          execute(static_cast<int64_t>(begin) + i);
-        });
-      } else {
-        SequentialFor(count, [&](int64_t i) {
-          execute(static_cast<int64_t>(begin) + i);
-        });
-      }
+      ParallelFor(pool.get(), count, [&](int64_t i) {
+        execute(static_cast<int64_t>(begin) + i);
+      });
     } else if (count > 0) {
       // Closed loop: one sequential stream per virtual client. Clients'
       // requests are contiguous within the epoch by construction.
@@ -356,17 +341,8 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
           execute(static_cast<int64_t>(i));
         }
       };
-      const int64_t n_clients = static_cast<int64_t>(clients.size());
-      if (pool != nullptr) {
-        ParallelForChunked(pool.get(), n_clients, /*grain=*/1,
-                           [&](int64_t lo, int64_t hi) {
-                             for (int64_t c = lo; c < hi; ++c) {
-                               run_client(c);
-                             }
-                           });
-      } else {
-        SequentialFor(n_clients, run_client);
-      }
+      ParallelFor(pool.get(), static_cast<int64_t>(clients.size()),
+                  run_client, /*grain=*/1);
     }
     TickResult tr = engine->Tick();
     ++report.ticks;
@@ -432,11 +408,11 @@ LoadgenReport RunLoadTest(ServingEngine* engine,
     digest = Fnv1aFold(digest, BytesOf(req.seq));
     digest = Fnv1aFold(digest, responses[i]);
   }
-  for (auto& [verb, verb_samples] : samples) {
+  for (const auto& [verb, verb_samples] : samples) {
     LatencySummary& summary = report.latency[verb];
-    summary.p50 = Percentile(&verb_samples, 0.5);
-    summary.p95 = Percentile(&verb_samples, 0.95);
-    summary.p99 = Percentile(&verb_samples, 0.99);
+    summary.p50 = Quantile(verb_samples, 0.5);
+    summary.p95 = Quantile(verb_samples, 0.95);
+    summary.p99 = Quantile(verb_samples, 0.99);
   }
   report.refit_per_query =
       static_cast<double>(report.refits) /

@@ -15,7 +15,7 @@ die() {
            transcode.out transcode2.out transcoded.out \
            schedule.out retry1.out retry8.out \
            dashboard.out incidents.out advise.out \
-           unknown.out hostile.out hostile-incidents.out \
+           unknown.out jobs.out hostile.out hostile-incidents.out \
            serve-hostile.out serve-hostile.err deep-docs.out; do
     if [ -f "$f" ]; then
       echo "--- $f ---" >&2
@@ -145,6 +145,30 @@ expect_unknown_flag schedule "lake-""cache-mb" 64 $STORE --day 28
 expect_unknown_flag pipeline threads 2 $STORE --week 3
 expect_unknown_flag serve threads 2 --synthetic
 expect_unknown_flag pipeline job 4 $STORE --week 3
+
+# --jobs is parsed before any work into [1, 256] (each job is one OS
+# thread). Zero, one past the ceiling and a non-integer fail with exit 1
+# and write no docs.
+# expect_bad_jobs <command> <value> [other flags...]
+expect_bad_jobs() {
+  cmd="$1"
+  value="$2"
+  shift 2
+  "$CLI" "$cmd" "$@" --jobs "$value" < /dev/null > jobs.out 2>&1
+  status=$?
+  [ "$status" -eq 1 ] || die "$cmd --jobs $value exited $status, expected 1"
+  grep -q 'error: Invalid: --jobs must be an integer in \[1, 256\]' jobs.out \
+    || die "$cmd --jobs $value rejection message wrong"
+  [ ! -e docs-jobs.json ] || die "$cmd --jobs $value still wrote its docs"
+}
+for value in 0 257 x; do
+  expect_bad_jobs pipeline "$value" --lake lake --docs docs-jobs.json \
+    --region smoke --week 3
+  expect_bad_jobs schedule "$value" --lake lake --docs docs-jobs.json \
+    --region smoke --day 28
+  expect_bad_jobs serve "$value" --synthetic --servers 2
+  expect_bad_jobs loadtest "$value" --synthetic --servers 2 --ticks 1
+done
 
 # A 44-byte SGB1 blob with a valid trailer (FNV-1a of the first 36
 # bytes) over a header claiming 2^40 servers: the region must fail

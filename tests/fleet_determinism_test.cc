@@ -288,71 +288,6 @@ TEST_P(FleetDeterminismTest, MetricsSnapshotsMatchAcrossJobs) {
             0);
 }
 
-FleetOutcome RunFleetSharded(int jobs, int64_t max_resident,
-                             const std::string& model,
-                             FleetOptions extra = {}) {
-  RegisterQuickFamilies();
-  FleetOutcome out;
-  out.docs = std::make_unique<DocStore>();
-  FleetOptions options = std::move(extra);
-  options.jobs = jobs;
-  options.max_resident_regions = max_resident;
-  FleetRunner runner(&SharedLake(), out.docs.get(), options);
-  std::vector<FleetJob> fleet_jobs;
-  for (const char* region : kRegions) fleet_jobs.push_back({region, kWeek});
-  PipelineContext config;
-  config.model_name = model;
-  out.result = runner.Run(fleet_jobs, config);
-  return out;
-}
-
-TEST(FleetRunnerTest, ShardedRunMatchesUnshardedByteForByte) {
-  // The memory plane must be invisible in the results: running the
-  // fleet one region at a time (shard barriers between every region),
-  // sequentially or with per-server fan-out, lands on the same bytes
-  // as the unsharded run.
-  FleetOutcome unsharded = RunFleet(1, "persistent_prev_day");
-  FleetOutcome sharded_seq = RunFleetSharded(1, 1, "persistent_prev_day");
-  FleetOutcome sharded_par = RunFleetSharded(8, 2, "persistent_prev_day");
-  EXPECT_EQ(CanonicalSnapshot(*unsharded.docs),
-            CanonicalSnapshot(*sharded_seq.docs));
-  EXPECT_EQ(CanonicalSnapshot(*unsharded.docs),
-            CanonicalSnapshot(*sharded_par.docs));
-}
-
-TEST(FleetRunnerTest, RetireRunsInJobOrderAndCanDropPartitions) {
-  // The retire hook fires once per region, in job order even when the
-  // shard executed its regions concurrently, and dropping the retired
-  // region's partitions releases its documents before the run ends.
-  std::vector<std::string> retired;
-  FleetOptions extra;
-  FleetOutcome out;
-  out.docs = std::make_unique<DocStore>();
-  extra.jobs = 8;
-  extra.max_resident_regions = 2;
-  DocStore* docs = out.docs.get();
-  extra.retire = [&retired, docs](
-                     const FleetJob& job,
-                     const PipelineScheduler::ScheduledRun& run) {
-    EXPECT_TRUE(run.report.success) << run.report.failure;
-    retired.push_back(job.region);
-    EXPECT_GT(docs->DropPartition(job.region), 0);
-  };
-  FleetRunner runner(&SharedLake(), docs, extra);
-  std::vector<FleetJob> fleet_jobs;
-  for (const char* region : kRegions) fleet_jobs.push_back({region, kWeek});
-  PipelineContext config;
-  config.model_name = "persistent_prev_day";
-  out.result = runner.Run(fleet_jobs, config);
-  ASSERT_EQ(retired.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(retired[i], kRegions[i]);
-  // Every region was dropped at its shard boundary, so the store holds
-  // no predictions at the end.
-  EXPECT_EQ(out.docs->GetContainer(kPredictionsContainer)->Count(), 0);
-  // A second drop of an already-released partition is a harmless no-op.
-  EXPECT_EQ(out.docs->DropPartition(kRegions[0]), 0);
-}
-
 TEST(FleetRunnerTest, AggregatesReportsInJobOrder) {
   FleetOutcome outcome = RunFleet(4, "persistent_prev_day");
   ASSERT_EQ(outcome.result.runs.size(), 3u);

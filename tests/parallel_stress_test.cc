@@ -1,7 +1,7 @@
 /// \file parallel_stress_test.cc
 /// \brief Stress and failure-mode coverage for the work-stealing pool:
-/// contention, exception propagation, nested submission, cancellation,
-/// WaitIdle under load, and the hardware-concurrency fallback. The whole
+/// contention from many callers, exception propagation, nested loops,
+/// the grain cap, and the hardware-concurrency fallback. The whole
 /// binary also runs under -fsanitize=thread via tools/check.sh, which is
 /// what makes the "TSan-clean ParallelFor" claim enforceable.
 
@@ -22,42 +22,27 @@
 namespace seagull {
 namespace {
 
-TEST(ThreadPoolStressTest, ManySubmittersUnderContention) {
+TEST(ThreadPoolStressTest, ManyCallersShareOnePool) {
+  // Eight outside threads run loops on one four-worker pool at once:
+  // their helpers interleave in the same shards and steal from each
+  // other, and every loop still visits each of its indices once.
   ThreadPool pool(4);
+  constexpr int kCallers = 8;
+  constexpr int kLoopsEach = 10;
+  constexpr int64_t kN = 500;
   std::atomic<int64_t> counter{0};
-  constexpr int kSubmitters = 8;
-  constexpr int kTasksEach = 500;
-  std::vector<std::thread> submitters;
-  std::vector<std::vector<std::future<void>>> futures(kSubmitters);
-  for (int s = 0; s < kSubmitters; ++s) {
-    submitters.emplace_back([&, s] {
-      futures[s].reserve(kTasksEach);
-      for (int i = 0; i < kTasksEach; ++i) {
-        futures[s].push_back(
-            pool.Submit([&counter] { counter.fetch_add(1); }));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int loop = 0; loop < kLoopsEach; ++loop) {
+        ParallelFor(
+            &pool, kN, [&counter](int64_t) { counter.fetch_add(1); },
+            /*grain=*/1);
       }
     });
   }
-  for (auto& t : submitters) t.join();
-  for (auto& per_thread : futures) {
-    for (auto& f : per_thread) f.get();
-  }
-  EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
-}
-
-TEST(ThreadPoolStressTest, SubmitPropagatesExceptions) {
-  ThreadPool pool(2);
-  auto ok = pool.Submit([] {});
-  auto bad = pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_NO_THROW(ok.get());
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The worker that ran the throwing task must still be alive.
-  std::atomic<int> after{0};
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([&after] { after.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(after.load(), 20);
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(counter.load(), kCallers * kLoopsEach * kN);
 }
 
 TEST(ThreadPoolStressTest, ParallelForPropagatesFirstException) {
@@ -78,56 +63,19 @@ TEST(ThreadPoolStressTest, ParallelForPropagatesFirstException) {
   EXPECT_EQ(clean.load(), 1000);
 }
 
-TEST(ThreadPoolStressTest, NestedSubmitDoesNotDeadlock) {
-  // One worker: an outer task waiting naively on an inner task would
-  // deadlock. HelpWhileWaiting executes queued tasks on the waiting
-  // thread instead.
-  ThreadPool pool(1);
-  std::atomic<int> inner_ran{0};
-  auto outer = pool.Submit([&] {
-    auto inner = pool.Submit([&] { inner_ran.fetch_add(1); });
-    pool.HelpWhileWaiting(inner);
-    inner.get();
-  });
-  outer.get();
-  EXPECT_EQ(inner_ran.load(), 1);
-}
-
 TEST(ThreadPoolStressTest, NestedParallelForDoesNotDeadlock) {
   // Region-level and server-level loops share one pool in FleetRunner;
   // caller participation must make the nesting safe even with a single
   // worker and the caller's own thread saturated.
   ThreadPool pool(2);
   std::atomic<int64_t> total{0};
-  ParallelForChunked(&pool, 8, /*grain=*/1,
-                     [&](int64_t begin, int64_t end) {
-                       for (int64_t i = begin; i < end; ++i) {
-                         ParallelFor(&pool, 50,
-                                     [&](int64_t) { total.fetch_add(1); });
-                       }
-                     });
+  ParallelFor(
+      &pool, 8,
+      [&](int64_t) {
+        ParallelFor(&pool, 50, [&](int64_t) { total.fetch_add(1); });
+      },
+      /*grain=*/1);
   EXPECT_EQ(total.load(), 8 * 50);
-}
-
-TEST(ThreadPoolStressTest, WaitIdleUnderLoad) {
-  ThreadPool pool(4);
-  std::atomic<int64_t> done{0};
-  constexpr int kTasks = 300;
-  std::thread submitter([&] {
-    for (int i = 0; i < kTasks; ++i) {
-      pool.Submit([&done] {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-        done.fetch_add(1);
-      });
-    }
-  });
-  submitter.join();
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), kTasks);
-
-  // Repeated WaitIdle on an already-idle pool returns immediately.
-  pool.WaitIdle();
-  EXPECT_EQ(done.load(), kTasks);
 }
 
 TEST(ThreadPoolStressTest, ZeroAndNegativeThreadsFallBackToHardware) {
@@ -140,37 +88,43 @@ TEST(ThreadPoolStressTest, ZeroAndNegativeThreadsFallBackToHardware) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolStressTest, CancellationStopsClaimingChunks) {
-  ThreadPool pool(4);
-  CancellationToken cancel;
-  std::atomic<int64_t> visited{0};
-  constexpr int64_t kN = 1000000;
-  ParallelForChunked(&pool, kN, /*grain=*/1,
-                     [&](int64_t begin, int64_t end) {
-                       for (int64_t i = begin; i < end; ++i) {
-                         visited.fetch_add(1);
-                       }
-                       if (begin == 0) cancel.Cancel();
-                     },
-                     &cancel);
-  EXPECT_TRUE(cancel.cancelled());
-  // Chunks already claimed finish; the vast tail is skipped.
-  EXPECT_LT(visited.load(), kN);
-}
-
-TEST(ThreadPoolStressTest, ChunkedCoversEveryIndexOnceWithGrainCap) {
+TEST(ThreadPoolStressTest, GrainCapsChunksAndCoversEveryIndexOnce) {
   ThreadPool pool(4);
   constexpr int64_t kN = 25000;
   constexpr int64_t kGrain = 64;
   std::vector<std::atomic<int>> hits(kN);
-  ParallelForChunked(&pool, kN, kGrain, [&](int64_t begin, int64_t end) {
-    EXPECT_LE(end - begin, kGrain);
-    for (int64_t i = begin; i < end; ++i) {
-      hits[static_cast<size_t>(i)].fetch_add(1);
-    }
-  });
+  std::vector<std::thread::id> owner(kN);
+  // Index 0 waits until index kGrain has started. Only a chunk that
+  // ends at kGrain lets another participant reach it meanwhile; a chunk
+  // past the cap would run index kGrain after index 0 on the same
+  // thread, and the wait would time out.
+  std::atomic<bool> second_chunk_started{false};
+  ParallelFor(
+      &pool, kN,
+      [&](int64_t i) {
+        if (i == kGrain) second_chunk_started.store(true);
+        if (i == 0) {
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(30);
+          while (!second_chunk_started.load() &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          }
+          EXPECT_TRUE(second_chunk_started.load());
+        }
+        owner[static_cast<size_t>(i)] = std::this_thread::get_id();
+        hits[static_cast<size_t>(i)].fetch_add(1);
+      },
+      kGrain);
   for (int64_t i = 0; i < kN; ++i) {
     ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "index " << i;
+    // Chunks start on grain boundaries, so each grain block has one
+    // owner.
+    if (i % kGrain != 0) {
+      ASSERT_EQ(owner[static_cast<size_t>(i)],
+                owner[static_cast<size_t>(i - 1)])
+          << "index " << i;
+    }
   }
 }
 
@@ -183,32 +137,34 @@ TEST(ThreadPoolStressTest, ParallelForMatchesSequentialReduction) {
   int64_t parallel_sum =
       std::accumulate(values.begin(), values.end(), int64_t{0});
   int64_t expected = 0;
-  SequentialFor(kN, [&](int64_t i) { expected += i * 3; });
+  ParallelFor(nullptr, kN, [&](int64_t i) { expected += i * 3; });
   EXPECT_EQ(parallel_sum, expected);
 }
 
-TEST(ThreadPoolStressTest, InjectedFaultMidChunkedLoopPropagates) {
+TEST(ThreadPoolStressTest, InjectedFaultMidLoopPropagates) {
   // Drive the loop-body failure through the fault registry instead of a
-  // hard-coded index: the registry decides which task dies, the loop
-  // converts the injected Status into the exception the pool must carry
-  // back to the caller.
+  // hard-coded index: the registry decides which chunk dies (the body
+  // asks once per chunk, at its first index), the loop converts the
+  // injected Status into the exception the pool must carry back to the
+  // caller.
   ThreadPool pool(4);
   ScopedFaultInjection fault({/*seed=*/1, /*rate=*/0.0});
   fault.registry().AddOutage("stress.task", "chunk", /*count=*/1);
   std::atomic<int64_t> visited{0};
   constexpr int64_t kN = 100000;
+  constexpr int64_t kGrain = 16;
   EXPECT_THROW(
-      ParallelForChunked(&pool, kN, /*grain=*/16,
-                         [&](int64_t begin, int64_t end) {
-                           Status st = FaultRegistry::Global().Inject(
-                               "stress.task", "chunk");
-                           if (!st.ok()) {
-                             throw std::runtime_error(st.ToString());
-                           }
-                           for (int64_t i = begin; i < end; ++i) {
-                             visited.fetch_add(1);
-                           }
-                         }),
+      ParallelFor(
+          &pool, kN,
+          [&](int64_t i) {
+            if (i % kGrain == 0) {
+              Status st =
+                  FaultRegistry::Global().Inject("stress.task", "chunk");
+              if (!st.ok()) throw std::runtime_error(st.ToString());
+            }
+            visited.fetch_add(1);
+          },
+          kGrain),
       std::runtime_error);
   EXPECT_EQ(fault.registry().InjectedCount("stress.task"), 1);
   // The faulted chunk's indices were skipped.
@@ -217,10 +173,8 @@ TEST(ThreadPoolStressTest, InjectedFaultMidChunkedLoopPropagates) {
   // The pool is reusable after the failed loop: workers survived, the
   // queue drained, and a clean loop covers every index exactly once.
   std::atomic<int64_t> clean{0};
-  ParallelForChunked(&pool, 5000, /*grain=*/16,
-                     [&](int64_t begin, int64_t end) {
-                       clean.fetch_add(end - begin);
-                     });
+  ParallelFor(
+      &pool, 5000, [&](int64_t) { clean.fetch_add(1); }, kGrain);
   EXPECT_EQ(clean.load(), 5000);
 }
 
@@ -229,53 +183,25 @@ TEST(ThreadPoolStressTest, RepeatedInjectedFaultsNeverWedgeThePool) {
   // fault; every failure must propagate and the pool must stay usable.
   ThreadPool pool(4);
   ScopedFaultInjection fault({/*seed=*/3, /*rate=*/0.0});
+  constexpr int64_t kGrain = 8;
   for (int round = 0; round < 5; ++round) {
     const std::string key = "round-" + std::to_string(round);
     fault.registry().AddOutage("stress.round", key, /*count=*/1);
     EXPECT_THROW(
-        ParallelForChunked(&pool, 20000, /*grain=*/8,
-                           [&](int64_t begin, int64_t) {
-                             Status st = FaultRegistry::Global().Inject(
-                                 "stress.round", key);
-                             if (!st.ok()) {
-                               throw std::runtime_error(st.ToString());
-                             }
-                             (void)begin;
-                           }),
+        ParallelFor(
+            &pool, 20000,
+            [&](int64_t i) {
+              if (i % kGrain != 0) return;
+              Status st = FaultRegistry::Global().Inject("stress.round", key);
+              if (!st.ok()) throw std::runtime_error(st.ToString());
+            },
+            kGrain),
         std::runtime_error);
   }
   EXPECT_EQ(fault.registry().InjectedCount("stress.round"), 5);
   std::atomic<int64_t> total{0};
   ParallelFor(&pool, 1000, [&](int64_t) { total.fetch_add(1); });
   EXPECT_EQ(total.load(), 1000);
-}
-
-TEST(ThreadPoolStressTest, RunOneTaskDrainsQueue) {
-  ThreadPool pool(1);
-  // Saturate the single worker so tasks stay queued, then drain from
-  // this thread.
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  auto blocker = pool.Submit([&] {
-    started.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  });
-  // Wait for the worker to own the blocker; otherwise this thread's
-  // RunOneTask below could pop the blocker itself and spin forever.
-  while (!started.load()) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  while (pool.RunOneTask()) {
-  }
-  EXPECT_EQ(ran.load(), 10);
-  release.store(true);
-  blocker.get();
 }
 
 }  // namespace

@@ -4,31 +4,11 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace seagull {
 namespace {
-
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 100; ++i) {
-    futs.push_back(pool.Submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIdleBlocksUntilDrained) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.WaitIdle();
-  EXPECT_EQ(counter.load(), 50);
-}
 
 TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardware) {
   ThreadPool pool(0);
@@ -36,13 +16,14 @@ TEST(ThreadPoolTest, ZeroThreadsDefaultsToHardware) {
 }
 
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {
+  // Helpers the caller outran may still sit in the queue when the loop
+  // returns; destroying the pool right after must run them out and join.
   std::atomic<int> counter{0};
   {
     ThreadPool pool(3);
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.WaitIdle();
+    ParallelFor(
+        &pool, 20, [&counter](int64_t) { counter.fetch_add(1); },
+        /*grain=*/1);
   }
   EXPECT_EQ(counter.load(), 20);
 }
@@ -69,7 +50,7 @@ TEST(ParallelForTest, MatchesSequentialSum) {
   int64_t parallel_sum = std::accumulate(values.begin(), values.end(),
                                          int64_t{0});
   int64_t expected = 0;
-  SequentialFor(n, [&](int64_t i) { expected += i * i; });
+  ParallelFor(nullptr, n, [&](int64_t i) { expected += i * i; });
   EXPECT_EQ(parallel_sum, expected);
 }
 
@@ -92,10 +73,22 @@ TEST(ParallelForTest, SmallNLargePool) {
   EXPECT_EQ(counter.load(), 3);
 }
 
-TEST(SequentialForTest, InOrder) {
-  std::vector<int64_t> order;
-  SequentialFor(5, [&](int64_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+TEST(ParallelForTest, NullAndOneThreadPoolsRunInOrderOnTheCaller) {
+  const std::thread::id caller = std::this_thread::get_id();
+  ThreadPool one(1);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+    for (int64_t grain : {0, 1, 2}) {
+      std::vector<int64_t> order;
+      ParallelFor(
+          pool, 5,
+          [&](int64_t i) {
+            EXPECT_EQ(std::this_thread::get_id(), caller);
+            order.push_back(i);
+          },
+          grain);
+      EXPECT_EQ(order, (std::vector<int64_t>{0, 1, 2, 3, 4}));
+    }
+  }
 }
 
 }  // namespace

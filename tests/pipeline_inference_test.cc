@@ -1,14 +1,10 @@
 /// \file pipeline_inference_test.cc
-/// \brief Tests for the Inference module and the scheduler's
-/// stored-prediction path.
+/// \brief Tests for the Inference module's stored predictions.
 
 #include <gtest/gtest.h>
 
-#include "common/strings.h"
-
 #include "pipeline/inference.h"
 #include "pipeline/pipeline.h"
-#include "scheduling/backup_scheduler.h"
 #include "scheduling/simulation.h"
 #include "telemetry/emitter.h"
 
@@ -73,97 +69,6 @@ TEST_F(InferenceTest, PredictionsStoredPerServerDay) {
   MinuteStamp start =
       static_cast<MinuteStamp>(body["window_start"].AsDouble());
   EXPECT_EQ(DayIndex(start), day);
-}
-
-TEST_F(InferenceTest, SchedulerUsesStoredPrediction) {
-  ASSERT_TRUE(report_.success);
-  // Pick a predictable server with a stored prediction.
-  Container* predictions = docs_.GetContainer(kPredictionsContainer);
-  std::string server_id;
-  int64_t day = 0;
-  MinuteStamp stored_start = 0;
-  int64_t stored_duration = 0;
-  for (const auto& doc : predictions->ReadPartition("inf")) {
-    auto acc = docs_.GetContainer(kAccuracyContainer)
-                   ->Get("inf", StringPrintf(
-                                    "w0003:%s",
-                                    doc.body.GetString("server_id")
-                                        .ValueOr("")
-                                        .c_str()));
-    if (!acc.ok() || !acc->body.GetBool("predictable").ValueOr(false)) {
-      continue;
-    }
-    server_id = doc.body.GetString("server_id").ValueOr("");
-    day = static_cast<int64_t>(doc.body.GetNumber("day").ValueOr(0));
-    stored_start = static_cast<MinuteStamp>(
-        doc.body.GetNumber("window_start").ValueOr(0));
-    stored_duration = static_cast<int64_t>(
-        doc.body.GetNumber("duration_minutes").ValueOr(0));
-    break;
-  }
-  ASSERT_FALSE(server_id.empty()) << "no predictable server with prediction";
-
-  DueServer due;
-  due.server_id = server_id;
-  due.recent_load = LoadSeries();  // live path would fail
-  due.default_start = day * kMinutesPerDay;
-  due.default_end = due.default_start + stored_duration;
-  due.backup_duration_minutes = stored_duration;
-
-  ServiceFabricProperties properties;
-  BackupSchedulerOptions options;
-  options.prefer_stored_predictions = true;
-  BackupScheduler scheduler(&docs_, &properties, options);
-  auto schedules = scheduler.ScheduleDay("inf", day, {due});
-  ASSERT_EQ(schedules.size(), 1u);
-  EXPECT_EQ(schedules[0].decision, ScheduleDecision::kScheduledLowLoad);
-  EXPECT_EQ(schedules[0].window_start, stored_start);
-
-  // Without the option the live path runs — and fails here because the
-  // recent load is empty.
-  ServiceFabricProperties properties2;
-  BackupScheduler live_scheduler(&docs_, &properties2);
-  auto live = live_scheduler.ScheduleDay("inf", day, {due});
-  ASSERT_EQ(live.size(), 1u);
-  EXPECT_EQ(live[0].decision, ScheduleDecision::kDefaultForecastFailed);
-}
-
-TEST_F(InferenceTest, DurationMismatchFallsBackToLivePath) {
-  ASSERT_TRUE(report_.success);
-  Container* predictions = docs_.GetContainer(kPredictionsContainer);
-  auto docs = predictions->ReadPartition("inf");
-  ASSERT_FALSE(docs.empty());
-  std::string server_id = docs[0].body.GetString("server_id").ValueOr("");
-  int64_t day =
-      static_cast<int64_t>(docs[0].body.GetNumber("day").ValueOr(0));
-  // Mark predictable.
-  Document acc;
-  acc.partition_key = "inf";
-  acc.id = StringPrintf("w0003:%s", server_id.c_str());
-  acc.body = Json::MakeObject();
-  acc.body["predictable"] = true;
-  docs_.GetContainer(kAccuracyContainer)->Upsert(acc).Abort();
-
-  DueServer due;
-  due.server_id = server_id;
-  due.recent_load = LoadSeries();
-  due.default_start = day * kMinutesPerDay;
-  // A different duration than the stored prediction's.
-  due.backup_duration_minutes =
-      static_cast<int64_t>(
-          docs[0].body.GetNumber("duration_minutes").ValueOr(60)) +
-      kServerIntervalMinutes;
-  due.default_end = due.default_start + due.backup_duration_minutes;
-
-  ServiceFabricProperties properties;
-  BackupSchedulerOptions options;
-  options.prefer_stored_predictions = true;
-  BackupScheduler scheduler(&docs_, &properties, options);
-  auto schedules = scheduler.ScheduleDay("inf", day, {due});
-  ASSERT_EQ(schedules.size(), 1u);
-  // Stored prediction rejected; live path fails on empty recent load.
-  EXPECT_EQ(schedules[0].decision,
-            ScheduleDecision::kDefaultForecastFailed);
 }
 
 }  // namespace

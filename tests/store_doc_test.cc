@@ -81,6 +81,26 @@ TEST(DocStoreTest, GetContainerCreatesOnce) {
             (std::vector<std::string>{"accuracy"}));
 }
 
+TEST(DocStoreTest, DropPartitionErasesAcrossContainersAndKeepsOthers) {
+  // The memory plane's release primitive: a bounded-RSS fleet driver
+  // drops each region once it has digested the region's results.
+  DocStore store;
+  store.GetContainer("predictions")->Upsert(MakeDoc("west", "a", 1.0)).Abort();
+  store.GetContainer("predictions")->Upsert(MakeDoc("west", "b", 2.0)).Abort();
+  store.GetContainer("predictions")->Upsert(MakeDoc("east", "a", 3.0)).Abort();
+  store.GetContainer("accuracy")->Upsert(MakeDoc("west", "a", 4.0)).Abort();
+  store.GetContainer("accuracy")->Upsert(MakeDoc("east", "b", 5.0)).Abort();
+
+  EXPECT_EQ(store.DropPartition("west"), 3);
+  EXPECT_TRUE(store.GetContainer("predictions")->ReadPartition("west").empty());
+  EXPECT_TRUE(store.GetContainer("accuracy")->ReadPartition("west").empty());
+  EXPECT_EQ(store.GetContainer("predictions")->ReadPartition("east").size(),
+            1u);
+  EXPECT_EQ(store.GetContainer("accuracy")->ReadPartition("east").size(), 1u);
+  // A second drop of an already-released partition is a harmless no-op.
+  EXPECT_EQ(store.DropPartition("west"), 0);
+}
+
 TEST(DocStoreTest, SnapshotRestoreRoundTrip) {
   DocStore store;
   store.GetContainer("c1")->Upsert(MakeDoc("p", "a", 1.5)).Abort();

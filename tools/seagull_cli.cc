@@ -55,7 +55,9 @@
 /// Each command accepts exactly the flags listed above (see
 /// `Commands()`); any other `--flag` — a typo such as `--job`, or a
 /// removed option — fails with exit 2 before the command does any
-/// work.
+/// work. `--jobs` sizes the command's one worker pool and must be an
+/// integer in [1, 256]; anything else fails with exit 1, also before
+/// any work.
 
 #include <algorithm>
 #include <cstdio>
@@ -155,6 +157,24 @@ class Args {
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
+}
+
+/// Ceiling on `--jobs`. Each job is one OS thread of the command's pool,
+/// so the flag must not let a typo (or a hostile wrapper) ask a
+/// long-lived `serve` for tens of thousands of threads; 256 is far
+/// above any core count the fleet runs on.
+constexpr int64_t kMaxJobs = 256;
+
+/// Parses `--jobs` (default 1) into [1, kMaxJobs]. Commands call it
+/// before any work, so a bad count fails without side effects.
+Result<int> ParseJobs(const Args& args) {
+  auto jobs = ParseInt64(args.Get("jobs", "1"));
+  if (!jobs.ok() || *jobs < 1 || *jobs > kMaxJobs) {
+    return Status::Invalid(StringPrintf(
+        "--jobs must be an integer in [1, %lld]",
+        static_cast<long long>(kMaxJobs)));
+  }
+  return static_cast<int>(*jobs);
 }
 
 Result<DocStore*> OpenDocs(const std::string& path) {
@@ -279,6 +299,8 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdPipeline(const Args& args) {
+  auto jobs = ParseJobs(args);
+  if (!jobs.ok()) return Fail(jobs.status());
   auto lake_dir = args.Require("lake");
   auto docs_path = args.Require("docs");
   auto region = args.Require("region");
@@ -313,7 +335,7 @@ int CmdPipeline(const Args& args) {
   // sequential reference.
   std::vector<std::string> regions = SplitString(*region, ',');
   FleetOptions fleet_options;
-  fleet_options.jobs = static_cast<int>(args.GetInt("jobs", 1));
+  fleet_options.jobs = *jobs;
   fleet_options.retry = retry;
   FleetRunner runner(&*lake, *docs, fleet_options);
   std::vector<FleetJob> fleet_jobs;
@@ -387,6 +409,8 @@ int CmdPipeline(const Args& args) {
 }
 
 int CmdSchedule(const Args& args) {
+  auto jobs = ParseJobs(args);
+  if (!jobs.ok()) return Fail(jobs.status());
   auto lake_dir = args.Require("lake");
   auto docs_path = args.Require("docs");
   auto region = args.Require("region");
@@ -452,23 +476,19 @@ int CmdSchedule(const Args& args) {
   };
 
   std::vector<std::string> regions = SplitString(*region, ',');
-  const int jobs = static_cast<int>(args.GetInt("jobs", 1));
   std::vector<Result<std::string>> rendered(
       regions.size(), Result<std::string>(std::string()));
-  auto work = [&](int64_t i) {
-    rendered[static_cast<size_t>(i)] =
-        schedule_region(regions[static_cast<size_t>(i)]);
-  };
-  const int64_t n = static_cast<int64_t>(regions.size());
-  if (jobs > 1 && n > 1) {
-    ThreadPool pool(jobs);
-    ParallelForChunked(&pool, n, /*grain=*/1,
-                       [&](int64_t begin, int64_t end) {
-                         for (int64_t i = begin; i < end; ++i) work(i);
-                       });
-  } else {
-    SequentialFor(n, work);
+  std::unique_ptr<ThreadPool> pool;
+  if (*jobs > 1 && regions.size() > 1) {
+    pool = std::make_unique<ThreadPool>(*jobs);
   }
+  ParallelFor(
+      pool.get(), static_cast<int64_t>(regions.size()),
+      [&](int64_t i) {
+        rendered[static_cast<size_t>(i)] =
+            schedule_region(regions[static_cast<size_t>(i)]);
+      },
+      /*grain=*/1);
   for (size_t i = 0; i < regions.size(); ++i) {
     if (!rendered[i].ok()) return Fail(rendered[i].status());
     if (regions.size() > 1) {
@@ -731,6 +751,8 @@ MinuteStamp TailsEnd(const std::vector<ServerTelemetry>& tails) {
 }
 
 int CmdServe(const Args& args) {
+  auto jobs = ParseJobs(args);
+  if (!jobs.ok()) return Fail(jobs.status());
   auto setup = BuildServingSetup(args);
   if (!setup.ok()) return Fail(setup.status());
 
@@ -738,9 +760,8 @@ int CmdServe(const Args& args) {
   options.horizon_minutes =
       args.GetInt("horizon", options.horizon_minutes);
   std::unique_ptr<ThreadPool> pool;
-  const int64_t jobs = args.GetInt("jobs", 1);
-  if (jobs > 1) {
-    pool = std::make_unique<ThreadPool>(static_cast<int>(jobs));
+  if (*jobs > 1) {
+    pool = std::make_unique<ThreadPool>(*jobs);
     options.pool = pool.get();
   }
 
@@ -784,6 +805,8 @@ int CmdServe(const Args& args) {
 }
 
 int CmdLoadtest(const Args& args) {
+  auto jobs = ParseJobs(args);
+  if (!jobs.ok()) return Fail(jobs.status());
   auto setup = BuildServingSetup(args);
   if (!setup.ok()) return Fail(setup.status());
   auto profile = ParseLoadProfile(args.Get("profile", "ramp"));
@@ -800,7 +823,7 @@ int CmdLoadtest(const Args& args) {
       args.GetInt("base", options.base_requests_per_tick);
   options.closed_loop_clients = static_cast<int>(
       args.GetInt("clients", options.closed_loop_clients));
-  options.jobs = static_cast<int>(args.GetInt("jobs", 1));
+  options.jobs = *jobs;
   options.batch_fraction = args.GetDouble("batch-frac", 0.0);
   options.batch_size = args.GetInt("batch-size", options.batch_size);
   options.subscribe_fraction = args.GetDouble("subscribe-frac", 0.0);
