@@ -8,10 +8,9 @@
 /// Incident Management run concurrently and are omitted. Paper shape:
 /// deployment is roughly constant; everything else grows linearly with
 /// input size; accuracy evaluation dominates at large inputs.
-
-/// Telemetry is staged in the SeriesBlock binary format (the production
-/// data plane); a second, CSV-staged run of each region adds one
-/// comparison row so the format speedup is visible in the same table.
+///
+/// Telemetry is staged in the SeriesBlock (SGB1) format, the only format
+/// the pipeline reads.
 
 #include "bench_common.h"
 #include "pipeline/pipeline.h"
@@ -32,8 +31,7 @@ int main() {
   struct Row {
     std::string region;
     int64_t bytes = 0;
-    PipelineRunReport report;      // binary (SeriesBlock) staging
-    PipelineRunReport csv_report;  // same fleet staged as CSV
+    PipelineRunReport report;
   };
   std::vector<Row> rows;
   int sizes[] = {40, 120, 400, 1200};
@@ -49,10 +47,6 @@ int main() {
     lake->Put(LakeStore::TelemetryKey(row.region, 3),
               ExtractWeekBlock(fleet, 3, extraction))
         .Abort();
-    const std::string csv_region = row.region + "-csv";
-    lake->Put(LakeStore::TelemetryKey(csv_region, 3),
-              ExtractWeekCsvText(fleet, 3, extraction))
-        .Abort();
     auto size = lake->SizeOf(LakeStore::TelemetryKey(row.region, 3));
     row.bytes = size.ValueOr(0);
 
@@ -62,13 +56,6 @@ int main() {
     ctx.lake = &*lake;
     ctx.docs = &docs;
     row.report = pipeline.Run(&ctx);
-
-    PipelineContext csv_ctx;
-    csv_ctx.region = csv_region;
-    csv_ctx.week = 3;
-    csv_ctx.lake = &*lake;
-    csv_ctx.docs = &docs;
-    row.csv_report = pipeline.Run(&csv_ctx);
     rows.push_back(std::move(row));
   }
 
@@ -95,29 +82,10 @@ int main() {
     std::printf(" %10.1fms", row.report.TotalMillis());
   }
   std::printf("\n");
-  // The same regions staged as CSV: only ingestion changes, so one
-  // comparison row (plus the format speedup) tells the data-plane story.
-  std::printf("%-12s %10s", "ingest(csv)", "");
-  for (const auto& row : rows) {
-    std::printf(" %10.1fms", row.csv_report.MillisOf("ingestion"));
-  }
-  std::printf("\n");
-  std::printf("%-12s %10s", "fmt speedup", "");
-  for (const auto& row : rows) {
-    const double binary_ms = row.report.MillisOf("ingestion");
-    const double csv_ms = row.csv_report.MillisOf("ingestion");
-    std::printf(" %10.1fx ", binary_ms > 0.0 ? csv_ms / binary_ms : 0.0);
-  }
-  std::printf("\n");
   for (const auto& row : rows) {
     if (!row.report.success) {
       std::printf("WARNING: run for %s failed: %s\n", row.region.c_str(),
                   row.report.failure.c_str());
-      return 1;
-    }
-    if (!row.csv_report.success) {
-      std::printf("WARNING: csv run for %s failed: %s\n", row.region.c_str(),
-                  row.csv_report.failure.c_str());
       return 1;
     }
   }

@@ -1,9 +1,9 @@
 /// \file micro_substrate.cc
 /// \brief Micro-benchmarks of the hot substrate kernels: the min-average
 /// window sweep (every LL-window query), the bucket-ratio comparison
-/// (every accuracy evaluation), telemetry ingestion over both wire
-/// formats (CSV parse+group vs SeriesBlock decode), and SSA fitting (the
-/// cheapest trainable model).
+/// (every accuracy evaluation), telemetry decode (SeriesBlock, and the
+/// CSV parse that a `seagull transcode` import runs, plus grouping), and
+/// SSA fitting (the cheapest trainable model).
 ///
 /// Not a paper figure — a regression guard for the paths every
 /// experiment runs through thousands of times. Also emits
@@ -76,7 +76,7 @@ void BM_TelemetryCsvParse(benchmark::State& state) {
   config.num_servers = static_cast<int>(state.range(0));
   config.weeks = 4;
   Fleet fleet = Fleet::Generate(config);
-  std::string text = ExtractWeekCsvText(fleet, 3);
+  std::string text = RecordsToCsvText(ExtractWeek(fleet, 3));
   for (auto _ : state) {
     auto records = ParseTelemetryCsv(text);
     benchmark::DoNotOptimize(records->size());
@@ -85,15 +85,15 @@ void BM_TelemetryCsvParse(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 
-/// Full CSV ingestion: parse + group into per-server series (what the
-/// pipeline does for a text blob).
+/// CSV parse + group into per-server series (the transcode edge; the
+/// pipeline reads SGB1 only).
 void BM_IngestCsv(benchmark::State& state) {
   RegionConfig config;
   config.name = "micro";
   config.num_servers = static_cast<int>(state.range(0));
   config.weeks = 4;
   Fleet fleet = Fleet::Generate(config);
-  std::string text = ExtractWeekCsvText(fleet, 3);
+  std::string text = RecordsToCsvText(ExtractWeek(fleet, 3));
   for (auto _ : state) {
     auto records = ParseTelemetryCsv(text);
     auto servers = GroupByServer(*records);
@@ -152,9 +152,10 @@ void BM_GenerateLoadWeek(benchmark::State& state) {
   }
 }
 
-/// Emits BENCH_ingest.json: CSV vs SeriesBlock ingestion throughput at
-/// the paper-scale 1200-server region (min-of-3 wall times), the
-/// SeriesBlock decode's peak-RSS footprint, and the SGB1 writer's cost.
+/// Emits BENCH_ingest.json: CSV parse+group (the transcode edge) vs
+/// SeriesBlock decode throughput at the paper-scale 1200-server region
+/// (min-of-3 wall times), the SeriesBlock decode's peak-RSS footprint,
+/// and the SGB1 writer's cost.
 int RunIngestTrajectory(const std::string& budgets_path) {
   using Clock = std::chrono::steady_clock;
   seagull::bench::PrintHeader("Data plane", "CSV vs SeriesBlock ingestion");
@@ -166,7 +167,7 @@ int RunIngestTrajectory(const std::string& budgets_path) {
   config.weeks = 4;
   config.seed = 42;
   Fleet fleet = Fleet::Generate(config);
-  const std::string csv = ExtractWeekCsvText(fleet, 3);
+  const std::string csv = RecordsToCsvText(ExtractWeek(fleet, 3));
   const std::string block = ExtractWeekBlock(fleet, 3);
   auto info = PeekSeriesBlock(block);
   info.status().Abort();

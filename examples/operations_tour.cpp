@@ -91,7 +91,7 @@ int main() {
   bad.model_name = "doomed";
 
   // --- act 1: healthy run ---
-  lake->Put(LakeStore::TelemetryKey("ops", 2), ExtractWeekCsvText(fleet, 2))
+  lake->Put(LakeStore::TelemetryKey("ops", 2), ExtractWeekBlock(fleet, 2))
       .Abort();
   auto run1 = scheduler.RunIfDue("ops", 2, good);
   PrintRun("act 1 (healthy, deploys v1)", run1);
@@ -100,7 +100,7 @@ int main() {
                   ActiveVersion(&docs, "ops").ValueOr(-1)));
 
   // --- act 2: a bad model ships; tracking falls back ---
-  lake->Put(LakeStore::TelemetryKey("ops", 3), ExtractWeekCsvText(fleet, 3))
+  lake->Put(LakeStore::TelemetryKey("ops", 3), ExtractWeekBlock(fleet, 3))
       .Abort();
   auto run2 = scheduler.RunIfDue("ops", 3, bad);
   PrintRun("act 2 (doomed model, v2)", run2);
@@ -116,7 +116,7 @@ int main() {
               scheduler.IsDue("ops", 4) ? "yes (catch-up)" : "no");
 
   // --- act 4: catch-up after the data arrives ---
-  lake->Put(LakeStore::TelemetryKey("ops", 4), ExtractWeekCsvText(fleet, 4))
+  lake->Put(LakeStore::TelemetryKey("ops", 4), ExtractWeekBlock(fleet, 4))
       .Abort();
   auto run4 = scheduler.RunIfDue("ops", 4, good);
   PrintRun("act 4 (catch-up)", run4);

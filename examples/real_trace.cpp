@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
         std::max(pipeline_week, WeekIndex(server.load.end() - 1));
   }
   lake->Put(LakeStore::TelemetryKey("trace", pipeline_week),
-            ExportToTelemetryCsv(*servers))
+            ExportToSeriesBlock(*servers))
       .Abort();
 
   DocStore docs;

@@ -2,19 +2,19 @@
 
 namespace seagull {
 
-const std::string& RoutedForecast::FamilyFor(ServerClass cls) const {
+const char* RoutedForecast::FamilyFor(ServerClass cls) {
   switch (cls) {
     case ServerClass::kStable:
-      return options_.stable_family;
+      return "persistent_week_avg";
     case ServerClass::kDailyPattern:
-      return options_.daily_family;
+      return "persistent_prev_day";
     case ServerClass::kWeeklyPattern:
-      return options_.weekly_family;
+      return "persistent_prev_eq_day";
     case ServerClass::kShortLived:
     case ServerClass::kNoPattern:
-      return options_.unstable_family;
+      break;
   }
-  return options_.unstable_family;
+  return "ssa";
 }
 
 std::string RoutedForecast::delegate_family() const {

@@ -18,15 +18,10 @@
 
 namespace seagull {
 
-/// \brief Router configuration: which family serves which class.
-struct RoutedOptions {
-  std::string stable_family = "persistent_week_avg";
-  std::string daily_family = "persistent_prev_day";
-  std::string weekly_family = "persistent_prev_eq_day";
-  std::string unstable_family = "ssa";
-};
-
-/// \brief Classify-then-delegate forecaster.
+/// \brief Classify-then-delegate forecaster. Stable servers route to
+/// `persistent_week_avg`, daily patterns to `persistent_prev_day`,
+/// weekly patterns to `persistent_prev_eq_day`, everything else to
+/// `ssa`.
 ///
 /// Note: with the §5.3.1 protocol (one week of training data) the weekly
 /// test has no day-7 lag to compare against, so weekly-pattern servers
@@ -34,9 +29,6 @@ struct RoutedOptions {
 /// the weekly route.
 class RoutedForecast final : public ForecastModel {
  public:
-  explicit RoutedForecast(RoutedOptions options = {})
-      : options_(std::move(options)) {}
-
   std::string name() const override { return "routed"; }
   Status Fit(const LoadSeries& train) override;
   Result<LoadSeries> Forecast(const LoadSeries& recent, MinuteStamp start,
@@ -50,9 +42,8 @@ class RoutedForecast final : public ForecastModel {
   std::string delegate_family() const;
 
  private:
-  const std::string& FamilyFor(ServerClass cls) const;
+  static const char* FamilyFor(ServerClass cls);
 
-  RoutedOptions options_;
   ServerClass routed_class_ = ServerClass::kNoPattern;
   std::unique_ptr<ForecastModel> delegate_;
 };

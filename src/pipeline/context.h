@@ -87,8 +87,7 @@ struct PipelineContext {
   ThreadPool* pool = nullptr;
 
   // --- data products, in module order ---
-  std::vector<TelemetryRecord> records;       // ingestion
-  std::vector<ServerTelemetry> servers;       // validation (grouped, clean)
+  std::vector<ServerTelemetry> servers;       // ingestion; validation cleans
   std::vector<ServerFeatures> features;       // feature extraction
   /// Serialized fitted model per server id (families that train); the
   /// heuristic families deploy a single fleet-wide entry under "".

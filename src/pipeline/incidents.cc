@@ -44,19 +44,18 @@ std::vector<Alert> IncidentManager::Process(const PipelineContext& ctx,
     }
 
     if (incident.severity == IncidentSeverity::kWarning) ++warnings;
-    if (incident.severity == IncidentSeverity::kError &&
-        rules_.alert_on_error) {
+    if (incident.severity == IncidentSeverity::kError) {
       alerts.push_back({ctx.region, ctx.week, "error_incident",
                         incident.module + ": " + incident.message});
     }
   }
-  if (warnings > rules_.warning_threshold) {
+  if (warnings > kWarningFloodThreshold) {
     alerts.push_back(
         {ctx.region, ctx.week, "warning_flood",
          StringPrintf("%lld warnings in one run",
                       static_cast<long long>(warnings))});
   }
-  if (!report.success && rules_.alert_on_failure) {
+  if (!report.success) {
     alerts.push_back(
         {ctx.region, ctx.week, "run_failed", report.failure});
   }

@@ -24,26 +24,21 @@ struct Alert {
   std::string message;
 };
 
-/// \brief Alert rule thresholds.
-struct IncidentRules {
-  /// Any error-severity incident alerts.
-  bool alert_on_error = true;
-  /// Alert when more than this many warnings accumulate in one run.
-  int64_t warning_threshold = 10;
-  /// Alert when the run failed outright.
-  bool alert_on_failure = true;
-};
+/// Alert when more than this many warnings accumulate in one run.
+inline constexpr int64_t kWarningFloodThreshold = 10;
 
-/// \brief Processes the incidents of finished runs.
+/// \brief Processes the incidents of finished runs. Every error-severity
+/// incident alerts (`error_incident`), more than `kWarningFloodThreshold`
+/// warnings in one run alert once (`warning_flood`), and a failed run
+/// alerts (`run_failed`).
 class IncidentManager {
  public:
   /// `retry` absorbs transient document-store faults while persisting;
   /// an incident whose write exhausts retries is dropped with an error
   /// log (never a crash) — mirroring production, where the telemetry
   /// path must not take down the pipeline it reports on.
-  explicit IncidentManager(DocStore* docs, IncidentRules rules = {},
-                           RetryPolicy retry = {})
-      : docs_(docs), rules_(rules), retry_(retry) {}
+  explicit IncidentManager(DocStore* docs, RetryPolicy retry = {})
+      : docs_(docs), retry_(retry) {}
 
   /// Persists the run's incidents and returns the alerts its rules fire.
   std::vector<Alert> Process(const PipelineContext& ctx,
@@ -54,7 +49,6 @@ class IncidentManager {
 
  private:
   DocStore* docs_;
-  IncidentRules rules_;
   RetryPolicy retry_;
   int64_t sequence_ = 0;
 };

@@ -53,7 +53,7 @@ PipelineScheduler::ScheduledRun PipelineScheduler::RunIfDue(
                     "failed to record run report: " +
                         recorded.status.ToString());
   }
-  IncidentManager incidents(docs_, IncidentRules{}, retry_);
+  IncidentManager incidents(docs_, retry_);
   out.alerts = incidents.Process(ctx, out.report);
   return out;
 }

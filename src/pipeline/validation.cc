@@ -1,7 +1,6 @@
 #include "pipeline/validation.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -38,37 +37,24 @@ std::string DataValidationModule::SchemaKey(const std::string& region) {
 }
 
 Status DataValidationModule::Run(PipelineContext* ctx) {
-  // Binary ingestion (SeriesBlock) delivers pre-grouped servers with no
-  // flat-records intermediate; the rules below have a grouped
-  // equivalent of every row rule so both paths validate identically.
-  const bool grouped = ctx->records.empty() && !ctx->servers.empty();
-  if (ctx->records.empty() && !grouped) {
+  if (ctx->servers.empty()) {
     return Status::FailedPrecondition("validation before ingestion");
   }
 
   // --- schema handling: deduce on first run, enforce afterwards ---
   SchemaProperties observed;
   observed.columns.assign(kTelemetryColumns, kTelemetryColumns + 5);
-  if (grouped) {
-    bool any = false;
-    for (const auto& st : ctx->servers) {
-      for (double v : st.load.values()) {
-        if (IsMissing(v)) continue;
-        if (!any) {
-          observed.cpu_min = observed.cpu_max = v;
-          any = true;
-        } else {
-          observed.cpu_min = std::min(observed.cpu_min, v);
-          observed.cpu_max = std::max(observed.cpu_max, v);
-        }
+  bool any = false;
+  for (const auto& st : ctx->servers) {
+    for (double v : st.load.values()) {
+      if (IsMissing(v)) continue;
+      if (!any) {
+        observed.cpu_min = observed.cpu_max = v;
+        any = true;
+      } else {
+        observed.cpu_min = std::min(observed.cpu_min, v);
+        observed.cpu_max = std::max(observed.cpu_max, v);
       }
-    }
-  } else {
-    observed.cpu_min = ctx->records.front().avg_cpu;
-    observed.cpu_max = ctx->records.front().avg_cpu;
-    for (const auto& r : ctx->records) {
-      observed.cpu_min = std::min(observed.cpu_min, r.avg_cpu);
-      observed.cpu_max = std::max(observed.cpu_max, r.avg_cpu);
     }
   }
 
@@ -107,117 +93,39 @@ Status DataValidationModule::Run(PipelineContext* ctx) {
   }
 
   // --- row-level rules ---
-  if (grouped) return RunGrouped(ctx);
-  int64_t dropped_bounds = 0, dropped_grid = 0, duplicates = 0,
-          dropped_window = 0;
-  // Dedup state: per server, the output index of each timestamp. Rows
-  // arrive grouped by server in practice, so the per-server map is
-  // looked up once per server run, not once per row.
-  std::unordered_map<std::string, std::unordered_map<MinuteStamp, size_t>>
-      seen;
-  std::unordered_map<MinuteStamp, size_t>* current = nullptr;
-  const std::string* current_id = nullptr;
-  std::vector<TelemetryRecord> clean;
-  clean.reserve(ctx->records.size());
-  for (const auto& r : ctx->records) {
-    if (r.avg_cpu < 0.0 || r.avg_cpu > 100.0) {
-      ++dropped_bounds;
-      continue;
-    }
-    if (r.timestamp % kServerIntervalMinutes != 0) {
-      ++dropped_grid;
-      continue;
-    }
-    if (r.default_backup_end <= r.default_backup_start ||
-        r.default_backup_end - r.default_backup_start > kMinutesPerDay) {
-      ++dropped_window;
-      continue;
-    }
-    if (current_id == nullptr || *current_id != r.server_id) {
-      auto [it, inserted] = seen.try_emplace(r.server_id);
-      if (inserted) {
-        it->second.reserve(4096);
-      }
-      current = &it->second;
-      current_id = &it->first;
-    }
-    auto [slot, inserted] = current->try_emplace(r.timestamp, clean.size());
-    if (!inserted) {
-      // Last write wins, as in the production de-duplication rule.
-      clean[slot->second] = r;
-      ++duplicates;
-      continue;
-    }
-    clean.push_back(r);
-  }
-
-  ctx->stats["validation.dropped_bounds"] = static_cast<double>(dropped_bounds);
-  ctx->stats["validation.dropped_grid"] = static_cast<double>(dropped_grid);
-  ctx->stats["validation.dropped_window"] = static_cast<double>(dropped_window);
-  ctx->stats["validation.duplicates"] = static_cast<double>(duplicates);
-  int64_t total_dropped = dropped_bounds + dropped_grid + dropped_window;
-  if (total_dropped > 0) {
-    ctx->AddIncident(IncidentSeverity::kWarning, name(),
-                     StringPrintf("dropped %lld invalid rows",
-                                  static_cast<long long>(total_dropped)));
-  }
-  if (clean.empty()) {
-    ctx->AddIncident(IncidentSeverity::kError, name(),
-                     "all rows failed validation");
-    return Status::DataLoss("all rows failed validation");
-  }
-  // Reject the file wholesale when the invalid fraction is implausible.
-  double invalid_fraction = static_cast<double>(total_dropped) /
-                            static_cast<double>(ctx->records.size());
-  if (invalid_fraction > 0.5) {
-    ctx->AddIncident(IncidentSeverity::kError, name(),
-                     "more than half of the rows are invalid");
-    return Status::DataLoss("invalid input data for region " + ctx->region);
-  }
-
-  SEAGULL_ASSIGN_OR_RETURN(ctx->servers, GroupByServer(clean));
-  ctx->records = std::move(clean);
-  ctx->stats["validation.servers"] = static_cast<double>(ctx->servers.size());
-  return Status::OK();
-}
-
-Status DataValidationModule::RunGrouped(PipelineContext* ctx) {
-  // The grouped mirror of the flat row rules. Each present sample is
-  // one "row". Off-grid rows cannot exist here (the block decoder
-  // rejects them) and duplicate rows, which the SGB1 writer keeps, were
-  // collapsed by `StreamSeriesBlockServers` at decode (last write
-  // wins), so those two counters are structurally zero.
-  int64_t total_rows = 0;
-  for (const auto& st : ctx->servers) total_rows += st.load.CountPresent();
-
-  int64_t dropped_bounds = 0, dropped_window = 0;
+  // Each present sample is one row. Off-grid rows cannot reach this
+  // point (the SGB1 decode rejects them) and duplicate rows were
+  // collapsed at decode (last write wins), so those two counters are
+  // structurally zero.
+  int64_t total_rows = 0, dropped_bounds = 0, dropped_window = 0;
   std::vector<ServerTelemetry> kept;
   kept.reserve(ctx->servers.size());
   for (auto& st : ctx->servers) {
-    // Out-of-bounds samples become gaps, exactly as dropped CSV rows do.
-    int64_t first = -1, last = -1;
+    // Out-of-bounds samples become gaps.
+    int64_t first = -1, last = -1, in_bounds = 0;
     for (int64_t i = 0; i < st.load.size(); ++i) {
       if (st.load.MissingAt(i)) continue;
+      ++total_rows;
       const double v = st.load.ValueAt(i);
       if (v < 0.0 || v > 100.0) {
         st.load.SetValue(i, kMissingValue);
         ++dropped_bounds;
         continue;
       }
+      ++in_bounds;
       if (first < 0) first = i;
       last = i;
     }
     if (first < 0) continue;  // every sample invalid: server vanishes
-    const int64_t in_bounds = st.load.CountPresent();
     if (st.default_backup_end <= st.default_backup_start ||
         st.default_backup_end - st.default_backup_start > kMinutesPerDay) {
-      // A broken backup window taints every row of the server, as each
-      // flat row carries the same window fields.
+      // A broken backup window drops the server: each of its present
+      // samples counts as one dropped row.
       dropped_window += in_bounds;
       continue;
     }
-    // GroupByServer derives the series extent from surviving rows, so
-    // re-trim when an edge sample was invalidated.
+    // A series spans its first to last present sample, so re-trim
+    // when an edge sample was invalidated.
     if (first > 0 || last < st.load.size() - 1) {
       st.load = st.load.Slice(st.load.TimeAt(first),
                               st.load.TimeAt(last) + st.load.interval_minutes());

@@ -5,8 +5,11 @@
 /// bound anomalies". §2.4: the schema and numeric data properties are
 /// auto-deduced from input data, persisted, verified by a domain expert,
 /// and then enforced on later runs. This module implements that loop
-/// against the lake store and additionally enforces the telemetry grid,
-/// deduplicates rows, and drops physically impossible CPU values.
+/// against the lake store and additionally drops physically impossible
+/// CPU values and servers with a broken backup window. The other two
+/// row rules live in the SGB1 decode that ingestion runs: it rejects
+/// off-grid timestamps and collapses duplicates (last write wins), so
+/// `validation.dropped_grid` and `validation.duplicates` read 0.
 
 #pragma once
 
@@ -25,7 +28,7 @@ struct SchemaProperties {
   static Result<SchemaProperties> FromJson(const Json& doc);
 };
 
-/// \brief Validates records and groups them per server.
+/// \brief Validates the ingested per-server telemetry in place.
 class DataValidationModule final : public PipelineModule {
  public:
   std::string name() const override { return "validation"; }
@@ -33,10 +36,6 @@ class DataValidationModule final : public PipelineModule {
 
   /// Lake key of the persisted schema file for a region.
   static std::string SchemaKey(const std::string& region);
-
- private:
-  /// Row rules applied to pre-grouped (binary-ingested) telemetry.
-  Status RunGrouped(PipelineContext* ctx);
 };
 
 }  // namespace seagull

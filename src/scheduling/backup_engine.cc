@@ -7,18 +7,13 @@
 
 namespace seagull {
 
-double PlannedMinutes(double size_mb, const BackupEngineConfig& config) {
-  if (config.idle_throughput_mb_per_min <= 0) return 0.0;
-  return size_mb / config.idle_throughput_mb_per_min;
+double PlannedMinutes(double size_mb) {
+  return size_mb / kBackupIdleThroughputMbPerMin;
 }
 
 Result<BackupRun> SimulateBackup(const LoadSeries& true_load,
-                                 MinuteStamp start, double size_mb,
-                                 const BackupEngineConfig& config) {
+                                 MinuteStamp start, double size_mb) {
   if (size_mb <= 0) return Status::Invalid("backup size must be positive");
-  if (config.idle_throughput_mb_per_min <= 0) {
-    return Status::Invalid("idle throughput must be positive");
-  }
   const int64_t interval = true_load.interval_minutes();
   if (start % interval != 0) {
     return Status::Invalid("backup start must be grid-aligned");
@@ -26,19 +21,19 @@ Result<BackupRun> SimulateBackup(const LoadSeries& true_load,
 
   BackupRun run;
   run.start = start;
-  run.planned_minutes = PlannedMinutes(size_mb, config);
+  run.planned_minutes = PlannedMinutes(size_mb);
 
   double remaining_mb = size_mb;
   double load_sum = 0.0;
   MinuteStamp t = start;
-  const MinuteStamp deadline = start + config.max_duration_minutes;
+  const MinuteStamp deadline = start + kBackupMaxDurationMinutes;
   while (remaining_mb > 0 && t < deadline) {
     double load = true_load.ValueAtTime(t);
     if (IsMissing(load)) load = 0.0;  // no telemetry = assume idle
     double share = std::pow(std::max(0.0, 1.0 - load / 100.0),
-                            config.contention_exponent);
-    share = std::max(share, config.min_share);
-    double rate = config.idle_throughput_mb_per_min * share;
+                            kBackupContentionExponent);
+    share = std::max(share, kBackupMinShare);
+    double rate = kBackupIdleThroughputMbPerMin * share;
 
     double tick_minutes = static_cast<double>(interval);
     double produced = rate * tick_minutes;

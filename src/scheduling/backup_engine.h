@@ -17,18 +17,15 @@
 
 namespace seagull {
 
-/// \brief Resource-contention model parameters.
-struct BackupEngineConfig {
-  /// Backup throughput on an idle server, MB per minute.
-  double idle_throughput_mb_per_min = 100.0;
-  /// The backup's share of throughput at customer load L (percent) is
-  /// max(min_share, (1 - L/100)^contention_exponent).
-  double contention_exponent = 1.0;
-  /// The backup never fully starves.
-  double min_share = 0.15;
-  /// Give up when a backup runs longer than this.
-  int64_t max_duration_minutes = 24 * 60;
-};
+/// Backup throughput on an idle server, MB per minute.
+inline constexpr double kBackupIdleThroughputMbPerMin = 100.0;
+/// The backup's share of throughput at customer load L (percent) is
+/// max(kBackupMinShare, (1 - L/100)^kBackupContentionExponent).
+inline constexpr double kBackupContentionExponent = 1.0;
+/// The backup never fully starves.
+inline constexpr double kBackupMinShare = 0.15;
+/// Give up when a backup runs longer than this.
+inline constexpr int64_t kBackupMaxDurationMinutes = 24 * 60;
 
 /// \brief Outcome of one simulated backup run.
 struct BackupRun {
@@ -56,10 +53,9 @@ struct BackupRun {
 /// Simulates a backup of `size_mb` starting at `start` against the true
 /// customer load (missing samples are treated as idle).
 Result<BackupRun> SimulateBackup(const LoadSeries& true_load,
-                                 MinuteStamp start, double size_mb,
-                                 const BackupEngineConfig& config = {});
+                                 MinuteStamp start, double size_mb);
 
 /// Expected idle-speed duration of a backup, in minutes.
-double PlannedMinutes(double size_mb, const BackupEngineConfig& config);
+double PlannedMinutes(double size_mb);
 
 }  // namespace seagull

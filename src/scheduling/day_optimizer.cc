@@ -8,8 +8,7 @@ Result<DayPlan> PlanBackupDay(const ModelEndpoint& endpoint,
                               const std::string& server_id,
                               const LoadSeries& recent, int64_t week,
                               DayOfWeek default_day,
-                              int64_t backup_duration_minutes,
-                              const DayOptimizerOptions& options) {
+                              int64_t backup_duration_minutes) {
   if (!endpoint.Serves(server_id)) {
     return Status::NotFound("endpoint has no model for " + server_id);
   }
@@ -49,7 +48,7 @@ Result<DayPlan> PlanBackupDay(const ModelEndpoint& endpoint,
   plan.predicted_saving = plan.default_day.window.average_load -
                           plan.chosen.window.average_load;
   if (plan.chosen.day_index != plan.default_day.day_index &&
-      plan.predicted_saving < options.min_saving) {
+      plan.predicted_saving < kMinDaySaving) {
     // Not worth the reschedule: stay on the default day.
     plan.chosen = plan.default_day;
     plan.predicted_saving = 0.0;

@@ -7,7 +7,7 @@
 /// Given the active endpoint, this module forecasts every day of the
 /// scheduling week, finds each day's lowest-load window, and picks the
 /// (day, window) with the lowest predicted load — holding on to the
-/// default day unless another day is better by a configurable margin
+/// default day unless another day is better by `kMinDaySaving` points
 /// (rescheduling has operational cost).
 
 #pragma once
@@ -37,12 +37,9 @@ struct DayPlan {
   std::vector<DayCandidate> candidates;
 };
 
-/// \brief Day-choice policy.
-struct DayOptimizerOptions {
-  /// Move off the default day only when the predicted LL-window average
-  /// improves by at least this many points.
-  double min_saving = 5.0;
-};
+/// Move off the default day only when the predicted LL-window average
+/// improves by at least this many points.
+inline constexpr double kMinDaySaving = 5.0;
 
 /// Plans the best backup day within `week` for one server. `recent` is
 /// the telemetry available at planning time (up to the start of the
@@ -51,7 +48,6 @@ Result<DayPlan> PlanBackupDay(const ModelEndpoint& endpoint,
                               const std::string& server_id,
                               const LoadSeries& recent, int64_t week,
                               DayOfWeek default_day,
-                              int64_t backup_duration_minutes,
-                              const DayOptimizerOptions& options = {});
+                              int64_t backup_duration_minutes);
 
 }  // namespace seagull

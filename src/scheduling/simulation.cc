@@ -71,7 +71,7 @@ Result<SimulationResult> RunSimulation(const SimulationOptions& options) {
       // Load extraction (§2.2): weekly per region, written to the lake.
       SEAGULL_RETURN_NOT_OK(
           lake.Put(LakeStore::TelemetryKey(region_config.name, week),
-                   ExtractWeekCsvText(fleet, week)));
+                   ExtractWeekBlock(fleet, week)));
 
       // Weekly AML-pipeline run.
       auto run = scheduler.RunIfDue(region_config.name, week, config);

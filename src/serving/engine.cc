@@ -14,6 +14,11 @@ namespace seagull {
 
 namespace {
 
+/// Shards of the mutable ingest state; each shard has its own lock so
+/// ingests on unrelated servers never contend. Queries take no shard
+/// lock at all.
+constexpr size_t kShards = 16;
+
 std::string ErrorResponse(const Status& status) {
   Json doc = Json::MakeObject();
   doc["ok"] = false;
@@ -73,11 +78,9 @@ Json TickResult::ToJson() const {
 
 ServingEngine::ServingEngine(ModelEndpoint endpoint, ServingOptions options)
     : endpoint_(std::move(endpoint)), options_(options) {
-  if (options_.shards < 1) options_.shards = 1;
   if (options_.horizon_minutes <= 0) options_.horizon_minutes = kMinutesPerDay;
-  if (options_.max_batch_servers < 1) options_.max_batch_servers = 1;
-  shards_.reserve(static_cast<size_t>(options_.shards));
-  for (int i = 0; i < options_.shards; ++i) {
+  shards_.reserve(kShards);
+  for (size_t i = 0; i < kShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
   published_ = std::make_shared<const FleetEpoch>();
@@ -243,10 +246,9 @@ Result<Json> ServingEngine::HandleBatchPredict(const Json& request) {
   if (list.empty()) {
     return Status::Invalid("servers array is empty");
   }
-  if (static_cast<int64_t>(list.size()) > options_.max_batch_servers) {
-    return Status::Invalid(
-        "batch predict exceeds max_batch_servers (" +
-        std::to_string(options_.max_batch_servers) + ")");
+  if (static_cast<int64_t>(list.size()) > kMaxBatchServers) {
+    return Status::Invalid("batch predict exceeds " +
+                           std::to_string(kMaxBatchServers) + " servers");
   }
   for (const auto& id : list) {
     if (!id.is_string()) {

@@ -88,10 +88,6 @@ inline constexpr int64_t kTailCapMinutes = 14 * kMinutesPerDay;
 struct ServingOptions {
   /// Forecast horizon recomputed for each dirty server at every tick.
   int64_t horizon_minutes = kMinutesPerDay;
-  /// Shards of the mutable ingest state (power of two recommended);
-  /// each shard has its own lock so ingests on unrelated servers never
-  /// contend. Queries take no shard lock at all.
-  int shards = 16;
   /// Refit fan-out pool; nullptr re-forecasts sequentially.
   ThreadPool* pool = nullptr;
   /// When non-empty, names a trainable model family: each tick re-fits
@@ -100,9 +96,10 @@ struct ServingOptions {
   /// the fresh fit, instead of predicting through the deployed
   /// endpoint. Byte-deterministic at any pool width.
   std::string refit_model;
-  /// Upper bound on `servers` per batch-predict request.
-  int64_t max_batch_servers = 256;
 };
+
+/// Upper bound on `servers` per batch-predict request.
+inline constexpr int64_t kMaxBatchServers = 256;
 
 /// \brief One subscription-fired low-load-window move.
 struct Notification {

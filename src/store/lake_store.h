@@ -1,7 +1,7 @@
 /// \file lake_store.h
 /// \brief File-backed blob store — the Azure Data Lake Store analog.
 ///
-/// Load Extraction writes per-region, per-week CSV files into ADLS and
+/// Load Extraction writes per-region, per-week SGB1 files into ADLS and
 /// the pipeline's ingestion module reads them back (§2.2). `LakeStore`
 /// provides that contract over a local directory tree with simple
 /// hierarchical keys like `telemetry/region-m/week-0003.csv`.

@@ -3,16 +3,20 @@
 #include <algorithm>
 
 #include "common/strings.h"
+#include "telemetry/series_block.h"
 
 namespace seagull {
 
+// Synthetic backup metadata for imported servers (the trace has none).
+constexpr int64_t kBackupDurationMinutes = 60;
+constexpr int64_t kDefaultBackupStartMinute = 2 * kMinutesPerHour;
+
 Result<std::vector<ServerTelemetry>> ImportAzureVmTrace(
-    const std::string& text, const AzureTraceOptions& options) {
+    const std::string& text) {
   std::vector<TelemetryRecord> records;
   size_t pos = 0;
   const size_t size = text.size();
   size_t line_no = 0;
-  int64_t dropped = 0;
   while (pos < size) {
     size_t end = text.find('\n', pos);
     if (end == std::string::npos) end = size;
@@ -56,14 +60,7 @@ Result<std::vector<ServerTelemetry>> ImportAzureVmTrace(
           "trace line %zu timestamp %lld is off the 300 s cadence",
           line_no, static_cast<long long>(*ts)));
     }
-    if (avg < 0.0 || avg > 100.0) {
-      if (options.drop_out_of_range) {
-        ++dropped;
-        continue;
-      }
-      return Status::Invalid(
-          StringPrintf("trace line %zu cpu out of range", line_no));
-    }
+    if (avg < 0.0 || avg > 100.0) continue;  // stray row: dropped
     TelemetryRecord r;
     r.server_id.assign(fields[1]);
     r.timestamp = *ts / 60;  // seconds -> minutes
@@ -75,19 +72,18 @@ Result<std::vector<ServerTelemetry>> ImportAzureVmTrace(
   }
 
   SEAGULL_ASSIGN_OR_RETURN(auto grouped, GroupByServer(records));
-  // Attach synthetic backup metadata: the trace has none, and the
-  // scheduler needs a default window per server.
+  // The scheduler needs a default window per server.
   for (auto& server : grouped) {
     int64_t first_day = DayIndex(server.load.start());
-    server.default_backup_start = first_day * kMinutesPerDay +
-                                  options.default_backup_start_minute;
+    server.default_backup_start =
+        first_day * kMinutesPerDay + kDefaultBackupStartMinute;
     server.default_backup_end =
-        server.default_backup_start + options.backup_duration_minutes;
+        server.default_backup_start + kBackupDurationMinutes;
   }
   return grouped;
 }
 
-std::string ExportToTelemetryCsv(
+std::string ExportToSeriesBlock(
     const std::vector<ServerTelemetry>& servers) {
   std::vector<TelemetryRecord> records;
   for (const auto& server : servers) {
@@ -103,7 +99,7 @@ std::string ExportToTelemetryCsv(
       records.push_back(std::move(r));
     }
   }
-  return RecordsToCsvText(records);
+  return EncodeSeriesBlock(records);
 }
 
 }  // namespace seagull

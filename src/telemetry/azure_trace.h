@@ -7,7 +7,9 @@
 /// `timestamp,vm_id,min_cpu,max_cpu,avg_cpu` with timestamps in seconds
 /// at a 300-second cadence. This adapter converts that format into the
 /// library's `ServerTelemetry` so the whole pipeline — classification,
-/// forecasting, scheduling — runs on real data unchanged.
+/// forecasting, scheduling — runs on real data unchanged. This is the
+/// trace's own CSV, parsed here and nowhere else; the lake itself holds
+/// SGB1 only.
 
 #pragma once
 
@@ -18,27 +20,19 @@
 
 namespace seagull {
 
-/// \brief Import options.
-struct AzureTraceOptions {
-  /// The trace has no backup metadata; imported servers get this default
-  /// backup duration and a default window at this minute of day.
-  int64_t backup_duration_minutes = 60;
-  int64_t default_backup_start_minute = 2 * kMinutesPerHour;
-  /// Rows whose avg_cpu lies outside [0, 100] are dropped (the public
-  /// trace normalizes utilization to percent; stray rows exist).
-  bool drop_out_of_range = true;
-};
-
 /// Parses Azure-Public-Dataset-style CSV text
 /// (`timestamp,vm_id,min_cpu,max_cpu,avg_cpu`, header optional,
 /// timestamps in seconds since trace start, 300 s cadence) into grouped
-/// per-server telemetry on the 5-minute grid.
+/// per-server telemetry on the 5-minute grid. Rows whose avg_cpu lies
+/// outside [0, 100] are dropped (the public trace normalizes utilization
+/// to percent; stray rows exist). The trace has no backup metadata, so
+/// every server gets a 60-minute default window at 02:00 of its first
+/// day.
 Result<std::vector<ServerTelemetry>> ImportAzureVmTrace(
-    const std::string& text, const AzureTraceOptions& options = {});
+    const std::string& text);
 
-/// Exports grouped telemetry back into the library's native telemetry
-/// CSV (e.g. to stage an imported trace into a lake store for the
-/// pipeline).
-std::string ExportToTelemetryCsv(const std::vector<ServerTelemetry>& servers);
+/// Exports grouped telemetry as an SGB1 blob, the lake's telemetry
+/// format (e.g. to stage an imported trace for the pipeline).
+std::string ExportToSeriesBlock(const std::vector<ServerTelemetry>& servers);
 
 }  // namespace seagull

@@ -6,7 +6,18 @@ namespace seagull {
 
 std::string ExtractWeekBlock(const Fleet& fleet, int64_t week_index,
                              const ExtractionOptions& options) {
-  return EncodeSeriesBlock(ExtractWeek(fleet, week_index, options));
+  std::string out;
+  // The sink never fails and the fleet walk always follows the writer's
+  // protocol, so the extraction cannot fail.
+  ExtractWeekBlockTo(
+      fleet, week_index,
+      [&out](std::string_view bytes) {
+        out.append(bytes);
+        return Status::OK();
+      },
+      options)
+      .Abort();
+  return out;
 }
 
 Status ExtractWeekBlockTo(const Fleet& fleet, int64_t week_index,
@@ -89,11 +100,6 @@ std::vector<TelemetryRecord> ExtractWeek(const Fleet& fleet,
     }
   }
   return out;
-}
-
-std::string ExtractWeekCsvText(const Fleet& fleet, int64_t week_index,
-                               const ExtractionOptions& options) {
-  return RecordsToCsvText(ExtractWeek(fleet, week_index, options));
 }
 
 }  // namespace seagull

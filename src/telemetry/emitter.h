@@ -1,6 +1,6 @@
 /// \file emitter.h
-/// \brief Load Extraction analog: turns the simulated fleet into the CSV
-/// files the pipeline ingests.
+/// \brief Load Extraction analog: turns the simulated fleet into the
+/// SGB1 (`SeriesBlock`) files the pipeline ingests.
 ///
 /// In production, Load Extraction is a recurring query over raw telemetry
 /// that writes per-region files into ADLS once a week (§2.2). Here the
@@ -28,23 +28,17 @@ std::vector<TelemetryRecord> ExtractWeek(const Fleet& fleet,
                                          int64_t week_index,
                                          const ExtractionOptions& options = {});
 
-/// Convenience: extraction straight to CSV text (streaming writer; use
-/// this for large regions).
-std::string ExtractWeekCsvText(const Fleet& fleet, int64_t week_index,
-                               const ExtractionOptions& options = {});
-
-/// Convenience: extraction straight to a binary `SeriesBlock` blob (the
-/// columnar format ingestion decodes without the records intermediate).
+/// `ExtractWeekBlockTo` collected into a string: one region-week as an
+/// SGB1 blob, ready for `LakeStore::Put`.
 std::string ExtractWeekBlock(const Fleet& fleet, int64_t week_index,
                              const ExtractionOptions& options = {});
 
-/// Streaming extraction straight into `sink` as SGB1 bytes —
-/// byte-identical to `ExtractWeekBlock` but never materializing the
-/// records vector or the blob: the fleet is walked twice (a sizing pass
-/// counting each server's present samples, then an append pass
-/// regenerating and emitting them), so the resident cost is one
-/// server's `LoadSeries` plus the writer's value-column buffer instead
-/// of a whole region-week of rows. Pair with `LakeStore::PutStreamed`
+/// Streaming extraction straight into `sink` as SGB1 bytes, never
+/// materializing the records vector or the blob: the fleet is walked
+/// twice (a sizing pass counting each server's present samples, then an
+/// append pass regenerating and emitting them), so the resident cost is
+/// one server's `LoadSeries` plus the writer's value-column buffer
+/// instead of a whole region-week of rows. Pair with `LakeStore::PutStreamed`
 /// to stage a region without ever holding its blob. If
 /// `peak_resident_bytes` is non-null it receives the writer's
 /// high-water mark.

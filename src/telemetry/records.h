@@ -1,11 +1,12 @@
 /// \file records.h
-/// \brief Telemetry record schema and per-server grouping.
+/// \brief Telemetry record schema, its CSV interchange codec, and
+/// per-server grouping.
 ///
-/// The load-extraction query writes CSV files whose rows are: server
-/// identifier, timestamp in minutes, average user CPU load percentage per
-/// five minutes, and the default backup start/end timestamps (§5.3.1).
-/// This header defines that row type and the per-server grouped form the
-/// pipeline operates on.
+/// A telemetry row is: server identifier, timestamp in minutes, average
+/// user CPU load percentage per five minutes, and the default backup
+/// start/end timestamps (§5.3.1). The lake stores rows as SGB1
+/// (series_block.h); CSV is the interchange text `seagull transcode`
+/// reads and writes.
 
 #pragma once
 
@@ -39,7 +40,7 @@ struct ServerTelemetry {
   }
 };
 
-/// Column names of the telemetry CSV schema, in order.
+/// Column names of the telemetry schema, in order (also the CSV header).
 extern const char* const kTelemetryColumns[5];
 
 /// Streaming writer: serializes rows straight to CSV text. Telemetry

@@ -595,22 +595,18 @@ Status StreamSeriesBlockServers(
 
 Result<std::vector<ServerTelemetry>> DecodeTelemetryBlob(
     std::string_view blob) {
-  if (IsSeriesBlock(blob)) {
-    // Borrowing cursor: `blob` outlives this call, and every view is
-    // consumed before returning.
-    SEAGULL_ASSIGN_OR_RETURN(SeriesBlockCursor cursor,
-                             SeriesBlockCursor::Open(blob));
-    std::vector<ServerTelemetry> out;
-    out.reserve(static_cast<size_t>(cursor.size()));
-    SEAGULL_RETURN_NOT_OK(
-        StreamSeriesBlockServers(cursor, [&](ServerTelemetry&& st) {
-          out.push_back(std::move(st));
-          return Status::OK();
-        }));
-    return out;
-  }
-  SEAGULL_ASSIGN_OR_RETURN(auto records, ParseTelemetryCsv(blob));
-  return GroupByServer(records);
+  // Borrowing cursor: `blob` outlives this call, and every view is
+  // consumed before returning.
+  SEAGULL_ASSIGN_OR_RETURN(SeriesBlockCursor cursor,
+                           SeriesBlockCursor::Open(blob));
+  std::vector<ServerTelemetry> out;
+  out.reserve(static_cast<size_t>(cursor.size()));
+  SEAGULL_RETURN_NOT_OK(
+      StreamSeriesBlockServers(cursor, [&](ServerTelemetry&& st) {
+        out.push_back(std::move(st));
+        return Status::OK();
+      }));
+  return out;
 }
 
 }  // namespace seagull

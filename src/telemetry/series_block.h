@@ -3,12 +3,13 @@
 /// one encoder (`SeriesBlockWriter`) and its one decoder
 /// (`SeriesBlockCursor`).
 ///
-/// The text-CSV data plane re-parses every byte of a region-week
-/// extraction on every run; at fleet scale (Fig. 12a) that parse is the
-/// dominant ingestion cost. A `SeriesBlock` stores the same extraction
-/// in a packed columnar layout that decodes with column loads instead
-/// of per-field `strtod`, and groups per server at write time so
-/// ingestion can skip the records intermediate entirely.
+/// SGB1 is the one telemetry format of the lake: Load Extraction writes
+/// it and every pipeline and CLI reader decodes it. It stores a
+/// region-week extraction in a packed columnar layout that decodes with
+/// column loads instead of per-field `strtod`, and groups per server at
+/// write time so ingestion never builds a records intermediate. CSV
+/// (records.h) is only an interchange edge: `seagull transcode`
+/// converts between the two.
 ///
 /// Layout (version 1, all integers little-endian):
 ///
@@ -31,12 +32,12 @@
 ///
 /// Losslessness contract: CPU values are quantized on encode through
 /// the exact CSV round trip (`"%.4f"` print + `strtod` parse), so a
-/// fleet stored as CSV and the same fleet stored as a `SeriesBlock`
-/// decode to bit-identical doubles — the pipeline produces byte-equal
-/// outputs from either representation. Decoding a block back to
-/// records preserves per-server row order; rows are canonicalized to
-/// server-major order (the order Load Extraction writes anyway), so
-/// emitter-produced CSV transcodes byte-identically in both directions.
+/// block transcoded to CSV and back reproduces its bytes, and CSV
+/// transcoded to a block and back reproduces the CSV (rows are
+/// canonicalized to server-major order, the order Load Extraction
+/// writes anyway). `SeriesBlockTest.EmitterBlockMatchesEmitterCsv` pins
+/// that the emitter's block decodes to exactly what its rows would
+/// parse to as CSV.
 ///
 /// Every SGB1 byte is produced by `SeriesBlockWriter` and every SGB1
 /// byte is read through `SeriesBlockCursor`; `EncodeSeriesBlock`,
@@ -69,9 +70,9 @@ struct SeriesBlockInfo {
   int64_t total_samples = 0;
 };
 
-/// True if `blob` starts with the SeriesBlock magic. CSV extractions
-/// start with their header line, so sniffing the first four bytes is
-/// enough to dispatch a telemetry blob to the right decoder.
+/// True if `blob` starts with the SeriesBlock magic. `seagull
+/// transcode` uses it to pick its direction; CSV starts with its header
+/// line, so the first four bytes tell the two apart.
 bool IsSeriesBlock(std::string_view blob);
 
 /// \name Encoding.
@@ -331,10 +332,11 @@ Status StreamSeriesBlockServers(
 
 /// @}
 
-/// Format-sniffing reader for "recent load" consumers (CLI schedule /
-/// advise): decodes either a `SeriesBlock` or a telemetry CSV into the
-/// grouped per-server form. Takes a view so `GetBlob` callers decode
-/// straight out of the mapping.
+/// Reader for "recent load" consumers (CLI schedule / advise / serve):
+/// decodes a `SeriesBlock` into the grouped per-server form through
+/// `StreamSeriesBlockServers`. Anything else — CSV included — fails with
+/// the cursor's `Invalid` status. Takes a view so `GetBlob` callers
+/// decode straight out of the mapping.
 Result<std::vector<ServerTelemetry>> DecodeTelemetryBlob(
     std::string_view blob);
 

@@ -5,6 +5,7 @@
 #include "common/strings.h"
 #include "pipeline/pipeline.h"
 #include "store/lake_store.h"
+#include "telemetry/series_block.h"
 
 namespace seagull {
 namespace {
@@ -55,10 +56,6 @@ TEST(AzureTraceTest, DropsOutOfRangeRows) {
   ASSERT_TRUE(servers.ok());
   // The bad sample is absent.
   EXPECT_TRUE(IsMissing((*servers)[0].load.ValueAtTime(86400 / 60)));
-
-  AzureTraceOptions strict;
-  strict.drop_out_of_range = false;
-  EXPECT_FALSE(ImportAzureVmTrace(trace, strict).ok());
 }
 
 TEST(AzureTraceTest, RejectsMalformedRows) {
@@ -69,16 +66,20 @@ TEST(AzureTraceTest, RejectsMalformedRows) {
   EXPECT_FALSE(ImportAzureVmTrace("x,vm,1,2,3\ny,vm,1,2,3\n").ok());
 }
 
-TEST(AzureTraceTest, ExportRoundTripsThroughNativeCsv) {
+TEST(AzureTraceTest, ExportRoundTripsThroughSeriesBlock) {
   auto servers = ImportAzureVmTrace(SampleTrace());
   ASSERT_TRUE(servers.ok());
-  std::string native = ExportToTelemetryCsv(*servers);
-  auto records = ParseTelemetryCsv(native);
-  ASSERT_TRUE(records.ok());
-  auto regrouped = GroupByServer(*records);
-  ASSERT_TRUE(regrouped.ok());
-  ASSERT_EQ(regrouped->size(), servers->size());
-  EXPECT_EQ((*regrouped)[0].load.values(), (*servers)[0].load.values());
+  auto decoded = DecodeTelemetryBlob(ExportToSeriesBlock(*servers));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->size(), servers->size());
+  for (size_t i = 0; i < servers->size(); ++i) {
+    EXPECT_EQ((*decoded)[i].server_id, (*servers)[i].server_id);
+    EXPECT_EQ((*decoded)[i].load.values(), (*servers)[i].load.values());
+    EXPECT_EQ((*decoded)[i].default_backup_start,
+              (*servers)[i].default_backup_start);
+    EXPECT_EQ((*decoded)[i].default_backup_end,
+              (*servers)[i].default_backup_end);
+  }
 }
 
 TEST(AzureTraceTest, ImportedTraceRunsThroughThePipeline) {
@@ -100,7 +101,7 @@ TEST(AzureTraceTest, ImportedTraceRunsThroughThePipeline) {
   auto lake = LakeStore::OpenTemporary("azure-trace");
   ASSERT_TRUE(lake.ok());
   ASSERT_TRUE(lake->Put(LakeStore::TelemetryKey("trace", 3),
-                        ExportToTelemetryCsv(*servers))
+                        ExportToSeriesBlock(*servers))
                   .ok());
   DocStore docs;
   PipelineContext ctx;

@@ -40,24 +40,20 @@ TEST(BackupEngineTest, BusyServerStretchesBackup) {
 
 TEST(BackupEngineTest, MinShareBoundsStarvation) {
   LoadSeries pegged = FlatLoad(100.0, 2000);
-  BackupEngineConfig config;
-  config.min_share = 0.25;
-  auto run = SimulateBackup(pegged, 0, 6000.0, config);
+  auto run = SimulateBackup(pegged, 0, 6000.0);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->completed);
-  EXPECT_NEAR(run->Stretch(), 4.0, 0.5);  // 1/0.25
+  EXPECT_NEAR(run->Stretch(), 1.0 / kBackupMinShare, 0.5);
 }
 
 TEST(BackupEngineTest, TimesOutOnEndlessContention) {
   LoadSeries pegged = FlatLoad(100.0, 30 * 288);
-  BackupEngineConfig config;
-  config.min_share = 0.01;
-  config.max_duration_minutes = 600;
-  // 60000 MB at 1 MB/min effective would need 60000 minutes.
-  auto run = SimulateBackup(pegged, 0, 60000.0, config);
+  // 60000 MB at the 15 MB/min starvation floor would need 4000 minutes,
+  // past the 24-hour give-up point.
+  auto run = SimulateBackup(pegged, 0, 60000.0);
   ASSERT_TRUE(run.ok());
   EXPECT_FALSE(run->completed);
-  EXPECT_EQ(run->end - run->start, 600);
+  EXPECT_EQ(run->end - run->start, kBackupMaxDurationMinutes);
 }
 
 TEST(BackupEngineTest, ValleyPlacementBeatsPeakPlacement) {
@@ -90,16 +86,10 @@ TEST(BackupEngineTest, InvalidInputsRejected) {
   LoadSeries idle = FlatLoad(0.0, 288);
   EXPECT_TRUE(SimulateBackup(idle, 0, -5.0).status().IsInvalid());
   EXPECT_TRUE(SimulateBackup(idle, 3, 100.0).status().IsInvalid());
-  BackupEngineConfig bad;
-  bad.idle_throughput_mb_per_min = 0.0;
-  EXPECT_TRUE(SimulateBackup(idle, 0, 100.0, bad).status().IsInvalid());
 }
 
 TEST(BackupEngineTest, PlannedMinutes) {
-  BackupEngineConfig config;
-  EXPECT_DOUBLE_EQ(PlannedMinutes(6000.0, config), 60.0);
-  config.idle_throughput_mb_per_min = 0.0;
-  EXPECT_DOUBLE_EQ(PlannedMinutes(6000.0, config), 0.0);
+  EXPECT_DOUBLE_EQ(PlannedMinutes(6000.0), 60.0);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Smoke test for the `seagull` CLI: generate -> pipeline -> schedule ->
 # dashboard -> incidents -> advise against a scratch lake + doc store,
-# plus a multi-region --jobs fleet run.
+# plus a multi-region --jobs fleet run, the CSV export/import round trip
+# through `transcode`, and flag validation.
 #
 # This script must carry the executable bit: ctest invokes it directly,
 # and a non-executable script fails as BAD_COMMAND with no output (the
@@ -12,7 +13,8 @@ set -u
 die() {
   echo "cli_smoke_test FAILED: $*" >&2
   for f in generate.out pipeline.out pipeline2.out fleet.out \
-           transcode.out transcode2.out transcoded.out \
+           transcode.out csv-pipeline.out transcode2.out transcoded.out \
+           numbers.out \
            schedule.out retry1.out retry8.out \
            dashboard.out incidents.out advise.out \
            unknown.out jobs.out hostile.out hostile-incidents.out \
@@ -54,11 +56,9 @@ run pipeline-rerun "$CLI" pipeline --lake lake --docs docs.json \
   --region smoke --week 3 > pipeline2.out
 grep -q "not due" pipeline2.out || die "rerun was not a cadence no-op"
 
-# Fleet mode: two more regions run concurrently through --jobs. fleet-a
-# is staged in the binary SeriesBlock format, fleet-b as CSV — both run
-# through the same pipeline.
+# Fleet mode: two more regions run concurrently through --jobs.
 run generate-f1 "$CLI" generate --lake lake --region fleet-a --servers 15 \
-  --weeks 5 --seed 6 --format binary > /dev/null
+  --weeks 5 --seed 6 > /dev/null
 run generate-f2 "$CLI" generate --lake lake --region fleet-b --servers 15 \
   --weeks 5 --seed 7 > /dev/null
 run fleet "$CLI" pipeline --lake lake --docs docs.json \
@@ -67,17 +67,33 @@ grep -q "pipeline fleet-a week 3: ok" fleet.out || die "fleet-a not ok"
 grep -q "pipeline fleet-b week 3: ok" fleet.out || die "fleet-b not ok"
 grep -q "fleet: 2 regions, 2 ok" fleet.out || die "fleet summary wrong"
 
-# Transcode the smoke region's CSV week to binary in place, and back:
-# the pipeline must keep accepting the key either way.
-run transcode "$CLI" transcode --lake lake \
-  --key telemetry/smoke/week-0003.csv > transcode.out
-grep -q "csv.*-> .*binary" transcode.out || die "transcode to binary wrong"
-run transcode-back "$CLI" transcode --lake lake \
-  --key telemetry/smoke/week-0003.csv --to csv > transcode2.out
-grep -q "binary.*-> .*csv" transcode2.out || die "transcode to csv wrong"
+# CSV is the interchange edge, not a lake format. Export the smoke
+# region's SGB1 week to CSV in place: the pipeline must then refuse the
+# key, naming the format. Importing it back reproduces the original
+# bytes, and the pipeline accepts the key again.
+SMOKE_KEY=telemetry/smoke/week-0003.csv
+cp "lake/$SMOKE_KEY" smoke-week3.sgb1 || die "copy of the smoke week failed"
+run transcode "$CLI" transcode --lake lake --key "$SMOKE_KEY" --to csv \
+  > transcode.out
+grep -q "binary.*-> .*csv" transcode.out || die "transcode to csv wrong"
+head -c 9 "lake/$SMOKE_KEY" | grep -q "server_id" \
+  || die "transcoded blob is not CSV"
+"$CLI" pipeline --lake lake --docs docs-csv.json --region smoke --week 3 \
+  > csv-pipeline.out 2>&1
+status=$?
+[ "$status" -eq 1 ] || die "pipeline over a CSV blob exited $status, expected 1"
+grep -q "pipeline smoke week 3: FAILED" csv-pipeline.out \
+  || die "pipeline over a CSV blob not reported FAILED"
+grep -q "not a SeriesBlock" csv-pipeline.out \
+  || die "pipeline over a CSV blob did not name the format"
+run transcode-back "$CLI" transcode --lake lake --key "$SMOKE_KEY" \
+  > transcode2.out
+grep -q "csv.*-> .*binary" transcode2.out || die "transcode to binary wrong"
+cmp -s "lake/$SMOKE_KEY" smoke-week3.sgb1 \
+  || die "SGB1 -> CSV -> SGB1 did not reproduce the original bytes"
 
-# A re-run of week 3 in a fresh doc store reads the transcoded blob and
-# must still succeed.
+# A re-run of week 3 in a fresh doc store reads the re-imported blob and
+# must succeed.
 run pipeline-transcoded "$CLI" pipeline --lake lake \
   --docs docs-transcoded.json --region smoke --week 3 > transcoded.out
 grep -q "pipeline smoke week 3: ok" transcoded.out \
@@ -145,6 +161,31 @@ expect_unknown_flag schedule "lake-""cache-mb" 64 $STORE --day 28
 expect_unknown_flag pipeline threads 2 $STORE --week 3
 expect_unknown_flag serve threads 2 --synthetic
 expect_unknown_flag pipeline job 4 $STORE --week 3
+# generate writes SGB1 only; its removed --format switch is unknown.
+expect_unknown_flag generate format csv --lake lake-format --region smoke
+[ ! -e lake-format ] || die "generate --format still wrote a lake"
+
+# Numeric flags are parsed once, before any work: a value that is not a
+# number exits 1 naming the flag, and writes no lake or docs file.
+# expect_not_a_number <flag> <command> [flags...]
+expect_not_a_number() {
+  flag="$1"
+  shift
+  "$CLI" "$@" < /dev/null > numbers.out 2>&1
+  status=$?
+  [ "$status" -eq 1 ] || die "$* exited $status, expected 1"
+  grep -q "error: Invalid: --$flag must be a number" numbers.out \
+    || die "$* rejection message wrong"
+  [ ! -e lake-numbers ] || die "$* still wrote a lake"
+  [ ! -e docs-numbers.json ] || die "$* still wrote its docs"
+}
+expect_not_a_number servers generate --lake lake-numbers --region smoke \
+  --servers 2O
+expect_not_a_number fault-rate pipeline --lake lake \
+  --docs docs-numbers.json --region smoke --week 3 --fault-rate 0.1x \
+  --fault-seed 1
+expect_not_a_number week pipeline --lake lake --docs docs-numbers.json \
+  --region smoke --week x
 
 # --jobs is parsed before any work into [1, 256] (each job is one OS
 # thread). Zero, one past the ceiling and a non-integer fail with exit 1

@@ -66,28 +66,30 @@ TEST(DayOptimizerTest, StaysOnDefaultWhenSavingSmall) {
   EXPECT_DOUBLE_EQ(plan->predicted_saving, 0.0);
 }
 
-TEST(DayOptimizerTest, MinSavingThresholdConfigurable) {
+TEST(DayOptimizerTest, MovesOnlyPastTheMinSavingMargin) {
   ModelEndpoint endpoint = WeeklyEndpoint();
-  // Sunday saves ~8 points: below the default threshold of 5? Above it.
-  std::vector<double> values;
-  for (int64_t i = 0; i < 2 * 7 * 288; ++i) {
-    int64_t day = (i / 288) % 7;
-    values.push_back(day == 6 ? 12.0 : 20.0);
-  }
-  LoadSeries history =
-      std::move(LoadSeries::Make(0, 5, std::move(values))).ValueOrDie();
-  DayOptimizerOptions strict;
-  strict.min_saving = 20.0;  // 8-point saving is not worth it
-  auto plan = PlanBackupDay(endpoint, "srv", history, 2,
-                            DayOfWeek::kMonday, 120, strict);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan->moved_day);
-  DayOptimizerOptions loose;
-  loose.min_saving = 2.0;
-  auto plan2 = PlanBackupDay(endpoint, "srv", history, 2,
-                             DayOfWeek::kMonday, 120, loose);
-  ASSERT_TRUE(plan2.ok());
-  EXPECT_TRUE(plan2->moved_day);
+  // Sunday sits `saving` points under every other day.
+  auto plan_with_sunday_saving = [&](double saving) {
+    std::vector<double> values;
+    for (int64_t i = 0; i < 2 * 7 * 288; ++i) {
+      int64_t day = (i / 288) % 7;
+      values.push_back(day == 6 ? 20.0 - saving : 20.0);
+    }
+    LoadSeries history =
+        std::move(LoadSeries::Make(0, 5, std::move(values))).ValueOrDie();
+    return PlanBackupDay(endpoint, "srv", history, 2, DayOfWeek::kMonday,
+                         120);
+  };
+  // One point short of the margin is not worth the reschedule...
+  auto short_of_margin = plan_with_sunday_saving(kMinDaySaving - 1.0);
+  ASSERT_TRUE(short_of_margin.ok());
+  EXPECT_FALSE(short_of_margin->moved_day);
+  // ...one point past it is.
+  auto past_margin = plan_with_sunday_saving(kMinDaySaving + 1.0);
+  ASSERT_TRUE(past_margin.ok());
+  EXPECT_TRUE(past_margin->moved_day);
+  EXPECT_EQ(DayOfWeekOf(past_margin->chosen.day_index * kMinutesPerDay),
+            DayOfWeek::kSunday);
 }
 
 TEST(DayOptimizerTest, UnknownServerFails) {

@@ -69,27 +69,51 @@ TEST_F(FailureTest, WrongHeaderFailsIngestion) {
   EXPECT_FALSE(report.success);
 }
 
-TEST_F(FailureTest, TruncatedCsvFailsCleanly) {
-  std::string good = ExtractWeekCsvText(*fleet_, 2);
-  // Chop mid-line.
+TEST_F(FailureTest, TruncatedBlockFailsCleanly) {
+  // A half-written SGB1 extraction: the cursor must reject it before
+  // any server is decoded.
+  std::string good = ExtractWeekBlock(*fleet_, 2);
   std::string truncated = good.substr(0, good.size() / 2);
-  while (!truncated.empty() && truncated.back() != '\n') {
-    truncated.pop_back();
-  }
-  truncated += "fail-srv-00001,100";  // incomplete row
   ASSERT_TRUE(
       lake_->Put(LakeStore::TelemetryKey("fail", 2), truncated).ok());
   Pipeline pipeline = Pipeline::Standard();
   PipelineContext ctx = MakeContext(2);
   PipelineRunReport report = pipeline.Run(&ctx);
   EXPECT_FALSE(report.success);
+  EXPECT_TRUE(ctx.servers.empty());
+  ASSERT_FALSE(ctx.incidents.empty());
+  EXPECT_EQ(ctx.incidents[0].severity, IncidentSeverity::kError);
+}
+
+TEST_F(FailureTest, CsvExtractionFailsIngestionNamingTheFormat) {
+  // SGB1 is the only telemetry format the pipeline reads: a well-formed
+  // CSV extraction under a telemetry key fails ingestion like any other
+  // foreign blob, and says why.
+  ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("fail", 2),
+                         RecordsToCsvText(ExtractWeek(*fleet_, 2)))
+                  .ok());
+  Pipeline pipeline = Pipeline::Standard();
+  PipelineContext ctx = MakeContext(2);
+  PipelineRunReport report = pipeline.Run(&ctx);
+  EXPECT_FALSE(report.success);
+  EXPECT_NE(report.failure.find("not a SeriesBlock"), std::string::npos)
+      << report.failure;
+  bool error_incident = false;
+  for (const auto& incident : ctx.incidents) {
+    if (incident.severity == IncidentSeverity::kError &&
+        incident.module == "ingestion" &&
+        incident.message.find("not a SeriesBlock") != std::string::npos) {
+      error_incident = true;
+    }
+  }
+  EXPECT_TRUE(error_incident);
 }
 
 TEST_F(FailureTest, FailedRunKeepsRegionDueForCatchUp) {
   // The data is fine; the telemetry store is down. The run must fail
   // without consuming the region's cadence slot.
   ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("fail", 2),
-                         ExtractWeekCsvText(*fleet_, 2))
+                         ExtractWeekBlock(*fleet_, 2))
                   .ok());
   Pipeline pipeline = Pipeline::Standard();
   PipelineScheduler scheduler(&pipeline, lake_.get(), &docs_);
@@ -109,7 +133,7 @@ TEST_F(FailureTest, FailedRunKeepsRegionDueForCatchUp) {
 
 TEST_F(FailureTest, TransientStoreFaultRecoveredByRetry) {
   ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("fail", 2),
-                         ExtractWeekCsvText(*fleet_, 2))
+                         ExtractWeekBlock(*fleet_, 2))
                   .ok());
   ScopedFaultInjection fault({/*seed=*/1, /*rate=*/0.0});
   fault.registry().AddOutage("lake.get", "telemetry/fail", /*count=*/2);
@@ -127,7 +151,7 @@ TEST_F(FailureTest, TransientStoreFaultRecoveredByRetry) {
 
 TEST_F(FailureTest, ExhaustedRetriesMarkTheRunForQuarantine) {
   ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("fail", 2),
-                         ExtractWeekCsvText(*fleet_, 2))
+                         ExtractWeekBlock(*fleet_, 2))
                   .ok());
   ScopedFaultInjection fault({/*seed=*/1, /*rate=*/0.0});
   fault.registry().AddOutage("lake.get", "telemetry/fail", /*count=*/-1);
@@ -148,7 +172,7 @@ TEST_F(FailureTest, ExhaustedRetriesMarkTheRunForQuarantine) {
 
 TEST_F(FailureTest, UnknownModelFamilyFailsTraining) {
   ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("fail", 2),
-                         ExtractWeekCsvText(*fleet_, 2))
+                         ExtractWeekBlock(*fleet_, 2))
                   .ok());
   Pipeline pipeline = Pipeline::Standard();
   PipelineContext ctx = MakeContext(2);

@@ -27,7 +27,7 @@
 #include "store/lake_store.h"
 #include "telemetry/emitter.h"
 #include "telemetry/fleet.h"
-#include "telemetry/records.h"
+#include "telemetry/series_block.h"
 
 namespace seagull {
 namespace {
@@ -51,7 +51,7 @@ const LakeStore& SharedLake() {
       config.seed = seed++;
       Fleet fleet = Fleet::Generate(config);
       owned.Put(LakeStore::TelemetryKey(region, kWeek),
-                ExtractWeekCsvText(fleet, kWeek))
+                ExtractWeekBlock(fleet, kWeek))
           .Abort();
     }
     // Pre-warm region schemas: the validation module writes a schema
@@ -214,9 +214,7 @@ TEST(FaultInjectionChaosTest, QuarantinedRegionDoesNotSinkTheFleet) {
   const int64_t day = (kWeek + 1) * 7;
   auto blob = lake.GetBlob(LakeStore::TelemetryKey("chaos-a", kWeek));
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-  auto records = ParseTelemetryCsv(blob->view());
-  ASSERT_TRUE(records.ok());
-  auto telemetry = GroupByServer(*records);
+  auto telemetry = DecodeTelemetryBlob(blob->view());
   ASSERT_TRUE(telemetry.ok()) << telemetry.status().ToString();
   std::vector<DueServer> due;
   for (const auto& st : *telemetry) {

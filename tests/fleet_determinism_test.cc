@@ -32,8 +32,9 @@ namespace {
 constexpr int64_t kWeek = 3;
 const char* const kRegions[] = {"det-a", "det-b", "det-c"};
 
-/// One lake shared by every run: 3 regions, 40 servers each, seeds fixed
-/// per region so any nondeterminism must come from execution order.
+/// One lake shared by every run: 3 regions, 40 servers each, staged as
+/// SGB1, seeds fixed per region so any nondeterminism must come from
+/// execution order.
 const LakeStore& SharedLake() {
   static const LakeStore lake = [] {
     auto opened = LakeStore::OpenTemporary("fleet_det");
@@ -48,7 +49,7 @@ const LakeStore& SharedLake() {
       config.seed = seed++;
       Fleet fleet = Fleet::Generate(config);
       owned.Put(LakeStore::TelemetryKey(region, kWeek),
-                ExtractWeekCsvText(fleet, kWeek))
+                ExtractWeekBlock(fleet, kWeek))
           .Abort();
     }
     // Pre-warm region schemas: the validation module writes a schema
@@ -57,38 +58,6 @@ const LakeStore& SharedLake() {
     // "deduced schema" incident no later run repeats. One throwaway
     // run makes every compared run see identical lake state instead of
     // relying on test execution order to absorb the asymmetry.
-    DocStore scratch;
-    FleetRunner warmup(&owned, &scratch);
-    std::vector<FleetJob> jobs;
-    for (const char* region : kRegions) jobs.push_back({region, kWeek});
-    PipelineContext config;
-    config.model_name = "persistent_prev_day";
-    warmup.Run(jobs, config);
-    return owned;
-  }();
-  return lake;
-}
-
-/// A second lake holding the same fleets stored as binary SeriesBlock
-/// blobs instead of CSV — the data-plane equivalence tests run the same
-/// fleet off both and require byte-identical results.
-const LakeStore& BlockLake() {
-  static const LakeStore lake = [] {
-    auto opened = LakeStore::OpenTemporary("fleet_det_block");
-    opened.status().Abort();
-    LakeStore owned = std::move(opened).ValueUnsafe();
-    uint64_t seed = 900;  // identical fleets to SharedLake()
-    for (const char* region : kRegions) {
-      RegionConfig config;
-      config.name = region;
-      config.num_servers = 40;
-      config.weeks = 5;
-      config.seed = seed++;
-      Fleet fleet = Fleet::Generate(config);
-      owned.Put(LakeStore::TelemetryKey(region, kWeek),
-                ExtractWeekBlock(fleet, kWeek))
-          .Abort();
-    }
     DocStore scratch;
     FleetRunner warmup(&owned, &scratch);
     std::vector<FleetJob> jobs;
@@ -131,14 +100,13 @@ void RegisterQuickFamilies() {
   (void)registered;
 }
 
-FleetOutcome RunFleetOn(const LakeStore& lake, int jobs,
-                        const std::string& model) {
+FleetOutcome RunFleet(int jobs, const std::string& model) {
   RegisterQuickFamilies();
   FleetOutcome out;
   out.docs = std::make_unique<DocStore>();
   FleetOptions options;
   options.jobs = jobs;
-  FleetRunner runner(&lake, out.docs.get(), options);
+  FleetRunner runner(&SharedLake(), out.docs.get(), options);
   std::vector<FleetJob> fleet_jobs;
   for (const char* region : kRegions) fleet_jobs.push_back({region, kWeek});
   PipelineContext config;
@@ -147,32 +115,15 @@ FleetOutcome RunFleetOn(const LakeStore& lake, int jobs,
   return out;
 }
 
-FleetOutcome RunFleet(int jobs, const std::string& model) {
-  return RunFleetOn(SharedLake(), jobs, model);
-}
-
 /// Snapshot text with wall-clock fields zeroed — the only part of the
-/// store the determinism contract does not cover. With
-/// `canonical_bytes` set, the `ingestion.bytes` stat is zeroed too: it
-/// reports the stored blob's size, which legitimately differs between
-/// the CSV and SeriesBlock representations of the same telemetry.
-std::string CanonicalSnapshot(const DocStore& docs,
-                              bool canonical_bytes = false) {
+/// store the determinism contract does not cover.
+std::string CanonicalSnapshot(const DocStore& docs) {
   Json snapshot = docs.Snapshot();
   if (snapshot.Contains(kRunsContainer)) {
     for (Json& doc : snapshot[kRunsContainer].AsArray()) {
       Json& body = doc["body"];
       body["total_millis"] = 0.0;
       body["timings"] = Json::MakeObject();
-      if (canonical_bytes && body.Contains("stats")) {
-        // Both report sizes of the stored/decoded representation, which
-        // legitimately differs between CSV and SeriesBlock forms of the
-        // same telemetry (flat records vs grouped series).
-        for (const char* stat : {"ingestion.bytes",
-                                 "ingestion.resident_bytes"}) {
-          if (body["stats"].Contains(stat)) body["stats"][stat] = 0.0;
-        }
-      }
     }
   }
   return snapshot.Dump();
@@ -227,28 +178,6 @@ TEST_P(FleetDeterminismTest, RepeatedParallelRunsAreStable) {
   FleetOutcome first = RunFleet(8, model);
   FleetOutcome second = RunFleet(8, model);
   EXPECT_EQ(CanonicalSnapshot(*first.docs), CanonicalSnapshot(*second.docs));
-}
-
-TEST_P(FleetDeterminismTest, BinaryTelemetryMatchesCsvByteForByte) {
-  // The same fleet stored as CSV and as SeriesBlock must produce
-  // byte-identical pipeline results — the binary path skips the flat
-  // records intermediate entirely, so this pins the whole grouped
-  // validation/ingestion equivalence. Only the `ingestion.bytes` stat
-  // (the stored blob's size) may differ and is canonicalized.
-  const std::string model = GetParam();
-  FleetOutcome csv = RunFleetOn(SharedLake(), 1, model);
-  FleetOutcome block = RunFleetOn(BlockLake(), 1, model);
-  FleetOutcome block_par = RunFleetOn(BlockLake(), 8, model);
-  for (size_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(block.result.runs[i].report.success)
-        << block.result.runs[i].report.failure;
-  }
-  EXPECT_EQ(ContainerDump(*csv.docs, kPredictionsContainer),
-            ContainerDump(*block.docs, kPredictionsContainer));
-  EXPECT_EQ(CanonicalSnapshot(*csv.docs, /*canonical_bytes=*/true),
-            CanonicalSnapshot(*block.docs, /*canonical_bytes=*/true));
-  EXPECT_EQ(CanonicalSnapshot(*block.docs),
-            CanonicalSnapshot(*block_par.docs));
 }
 
 // One heuristic family (no training), the additive family (RNG-seeded

@@ -84,14 +84,6 @@ TEST(RoutedTest, ForecastBeforeFitFails) {
                   .IsFailedPrecondition());
 }
 
-TEST(RoutedTest, CustomRoutingTable) {
-  RoutedOptions options;
-  options.stable_family = "persistent_prev_day";
-  RoutedForecast model(options);
-  ASSERT_TRUE(model.Fit(FlatWeek(20.0, 1.0, 6)).ok());
-  EXPECT_EQ(model.delegate_family(), "persistent_prev_day");
-}
-
 TEST(RoutedTest, SerializationRoundTripKeepsDelegate) {
   RoutedForecast model;
   LoadSeries train = ChaoticWeek(7);

@@ -41,7 +41,7 @@ TEST(ObsChaosTest, LiveCountersReadableWhileFleetRunsUnderFaults) {
     config.seed = seed++;
     Fleet fleet = Fleet::Generate(config);
     ASSERT_TRUE(lake->Put(LakeStore::TelemetryKey(region, kWeek),
-                          ExtractWeekCsvText(fleet, kWeek))
+                          ExtractWeekBlock(fleet, kWeek))
                     .ok());
   }
 
@@ -112,7 +112,7 @@ TEST(ObsChaosTest, QuarantineCountsSurfaceInLiveView) {
   config.seed = 9400;
   Fleet fleet = Fleet::Generate(config);
   ASSERT_TRUE(lake->Put(LakeStore::TelemetryKey("chaos-q", kWeek),
-                        ExtractWeekCsvText(fleet, kWeek))
+                        ExtractWeekBlock(fleet, kWeek))
                   .ok());
 
   MetricsRegistry::Global().Reset();

@@ -47,7 +47,7 @@ const LakeStore& SharedLake() {
       config.seed = seed++;
       Fleet fleet = Fleet::Generate(config);
       owned.Put(LakeStore::TelemetryKey(region, kWeek),
-                ExtractWeekCsvText(fleet, kWeek))
+                ExtractWeekBlock(fleet, kWeek))
           .Abort();
     }
     DocStore scratch;

@@ -40,10 +40,9 @@ const char* const kRegions[] = {"bud-a", "bud-b"};
 
 /// The measured workload: 2 regions x 25 servers, schema-pre-warmed,
 /// persistent_prev_day (no training fan-out noise), jobs=1. Everything
-/// is fixed-seed so the counter values are exact, not statistical. One
-/// region is staged per telemetry format, so the data-plane counters
-/// (get_blob ops and both ingest_rows formats) are part of the budgeted
-/// surface.
+/// is fixed-seed so the counter values are exact, not statistical. Both
+/// regions are staged as SGB1, so the data-plane counters (get_blob ops,
+/// ingest bytes and rows) are part of the budgeted surface.
 std::map<std::string, int64_t> MeasuredCounters() {
   static const std::map<std::string, int64_t>* counters = [] {
     auto opened = LakeStore::OpenTemporary("perf_budget");
@@ -57,10 +56,8 @@ std::map<std::string, int64_t> MeasuredCounters() {
       config.weeks = 5;
       config.seed = seed++;
       Fleet fleet = Fleet::Generate(config);
-      const bool binary = region == kRegions[0];
       lake.Put(LakeStore::TelemetryKey(region, kWeek),
-               binary ? ExtractWeekBlock(fleet, kWeek)
-                      : ExtractWeekCsvText(fleet, kWeek))
+               ExtractWeekBlock(fleet, kWeek))
           .Abort();
     }
     {

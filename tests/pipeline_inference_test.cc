@@ -24,7 +24,7 @@ class InferenceTest : public ::testing::Test {
     config.seed = 21;
     fleet_ = std::make_unique<Fleet>(Fleet::Generate(config));
     ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("inf", 2),
-                           ExtractWeekCsvText(*fleet_, 2))
+                           ExtractWeekBlock(*fleet_, 2))
                     .ok());
     ctx_.region = "inf";
     ctx_.week = 2;

@@ -28,7 +28,7 @@ class PipelineModulesTest : public ::testing::Test {
     config.seed = 404;
     fleet_ = std::make_unique<Fleet>(Fleet::Generate(config));
     ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("modtest", 2),
-                           ExtractWeekCsvText(*fleet_, 2))
+                           ExtractWeekBlock(*fleet_, 2))
                     .ok());
 
     ctx_.region = "modtest";
@@ -58,10 +58,18 @@ class PipelineModulesTest : public ::testing::Test {
   PipelineContext ctx_;
 };
 
-TEST_F(PipelineModulesTest, IngestionReadsRecords) {
+TEST_F(PipelineModulesTest, IngestionReadsServers) {
   ASSERT_TRUE(RunStages(1).ok());
-  EXPECT_GT(ctx_.records.size(), 1000u);
+  // SGB1 ingestion delivers the extraction already grouped per server.
+  EXPECT_FALSE(ctx_.servers.empty());
+  EXPECT_LE(ctx_.servers.size(), 40u);
+  EXPECT_GT(ctx_.stats["ingestion.rows"], 1000);
   EXPECT_GT(ctx_.stats["ingestion.bytes"], 0);
+  EXPECT_TRUE(std::is_sorted(
+      ctx_.servers.begin(), ctx_.servers.end(),
+      [](const ServerTelemetry& a, const ServerTelemetry& b) {
+        return a.server_id < b.server_id;
+      }));
 }
 
 TEST_F(PipelineModulesTest, IngestionMissingBlobRaisesIncident) {
@@ -83,22 +91,42 @@ TEST_F(PipelineModulesTest, ValidationGroupsServers) {
 
 TEST_F(PipelineModulesTest, ValidationDropsBadRows) {
   ASSERT_TRUE(RunStages(1).ok());
-  // Inject invalid rows.
-  TelemetryRecord bad_cpu = ctx_.records[0];
-  bad_cpu.avg_cpu = 250.0;
-  TelemetryRecord off_grid = ctx_.records[0];
-  off_grid.timestamp += 3;
-  TelemetryRecord bad_window = ctx_.records[0];
+  ASSERT_GE(ctx_.servers.size(), 2u);
+  // An impossible CPU sample in the middle of the first server.
+  ServerTelemetry& bad_cpu = ctx_.servers[0];
+  int64_t at = bad_cpu.load.size() / 2;
+  while (at < bad_cpu.load.size() && bad_cpu.load.MissingAt(at)) ++at;
+  ASSERT_LT(at, bad_cpu.load.size());
+  const MinuteStamp bad_time = bad_cpu.load.TimeAt(at);
+  bad_cpu.load.SetValue(at, 250.0);
+  const std::string bad_cpu_id = bad_cpu.server_id;
+  // A backup window that ends before it starts, on the second server.
+  ServerTelemetry& bad_window = ctx_.servers[1];
   bad_window.default_backup_end = bad_window.default_backup_start - 5;
-  ctx_.records.push_back(bad_cpu);
-  ctx_.records.push_back(off_grid);
-  ctx_.records.push_back(bad_window);
+  const std::string bad_window_id = bad_window.server_id;
+  const int64_t bad_window_rows = bad_window.load.CountPresent();
+  const size_t servers_before = ctx_.servers.size();
 
   DataValidationModule validation;
   ASSERT_TRUE(validation.Run(&ctx_).ok());
+  // The sample becomes a gap and counts once; the broken window drops
+  // the server and counts each of its present samples.
   EXPECT_DOUBLE_EQ(ctx_.stats["validation.dropped_bounds"], 1.0);
-  EXPECT_DOUBLE_EQ(ctx_.stats["validation.dropped_grid"], 1.0);
-  EXPECT_DOUBLE_EQ(ctx_.stats["validation.dropped_window"], 1.0);
+  EXPECT_DOUBLE_EQ(ctx_.stats["validation.dropped_window"],
+                   static_cast<double>(bad_window_rows));
+  // Off-grid and duplicate rows never survive the SGB1 decode.
+  EXPECT_DOUBLE_EQ(ctx_.stats["validation.dropped_grid"], 0.0);
+  EXPECT_DOUBLE_EQ(ctx_.stats["validation.duplicates"], 0.0);
+  ASSERT_EQ(ctx_.servers.size(), servers_before - 1);
+  bool kept_bad_cpu = false;
+  for (const auto& st : ctx_.servers) {
+    EXPECT_NE(st.server_id, bad_window_id);
+    if (st.server_id == bad_cpu_id) {
+      kept_bad_cpu = true;
+      EXPECT_TRUE(IsMissing(st.load.ValueAtTime(bad_time)));
+    }
+  }
+  EXPECT_TRUE(kept_bad_cpu);
   // A warning incident about dropped rows was raised.
   bool warned = false;
   for (const auto& incident : ctx_.incidents) {
@@ -107,54 +135,50 @@ TEST_F(PipelineModulesTest, ValidationDropsBadRows) {
   EXPECT_TRUE(warned);
 }
 
-TEST_F(PipelineModulesTest, ValidationDeduplicatesLastWins) {
-  ASSERT_TRUE(RunStages(1).ok());
-  TelemetryRecord dup = ctx_.records[0];
-  dup.avg_cpu = 42.0;
-  ctx_.records.push_back(dup);
-  DataValidationModule validation;
-  ASSERT_TRUE(validation.Run(&ctx_).ok());
-  EXPECT_DOUBLE_EQ(ctx_.stats["validation.duplicates"], 1.0);
-  // The duplicate's value won.
-  for (const auto& s : ctx_.servers) {
-    if (s.server_id == dup.server_id) {
-      EXPECT_DOUBLE_EQ(s.load.ValueAtTime(dup.timestamp), 42.0);
-    }
-  }
-}
-
 TEST_F(PipelineModulesTest, ValidationRejectsMostlyInvalidFile) {
   ASSERT_TRUE(RunStages(1).ok());
-  // Corrupt the majority of rows.
-  for (size_t i = 0; i < ctx_.records.size() * 3 / 4; ++i) {
-    ctx_.records[i].avg_cpu = 500.0;
+  // Corrupt three quarters of all present samples.
+  int64_t rows = 0;
+  for (const auto& st : ctx_.servers) rows += st.load.CountPresent();
+  int64_t corrupt = rows * 3 / 4;
+  for (auto& st : ctx_.servers) {
+    for (int64_t i = 0; i < st.load.size() && corrupt > 0; ++i) {
+      if (st.load.MissingAt(i)) continue;
+      st.load.SetValue(i, 500.0);
+      --corrupt;
+    }
   }
+  ASSERT_EQ(corrupt, 0);
   DataValidationModule validation;
   EXPECT_TRUE(validation.Run(&ctx_).IsDataLoss());
+  ASSERT_FALSE(ctx_.incidents.empty());
+  EXPECT_EQ(ctx_.incidents.back().severity, IncidentSeverity::kError);
+  EXPECT_EQ(ctx_.incidents.back().message,
+            "more than half of the rows are invalid");
 }
 
 TEST_F(PipelineModulesTest, ValidationDetectsSchemaBoundAnomaly) {
   // Build a region whose history sits in a narrow band, deduce its
   // schema, then feed data far outside that band.
-  auto make_records = [](double level) {
-    std::vector<TelemetryRecord> records;
-    for (int64_t t = 0; t < kMinutesPerDay; t += kServerIntervalMinutes) {
-      TelemetryRecord r;
-      r.server_id = "bound-srv";
-      r.timestamp = t;
-      r.avg_cpu = level;
-      r.default_backup_start = 0;
-      r.default_backup_end = 60;
-      records.push_back(r);
-    }
-    return records;
+  auto make_servers = [](double level) {
+    ServerTelemetry st;
+    st.server_id = "bound-srv";
+    st.load = std::move(LoadSeries::Make(
+                            0, kServerIntervalMinutes,
+                            std::vector<double>(
+                                kMinutesPerDay / kServerIntervalMinutes,
+                                level)))
+                  .ValueOrDie();
+    st.default_backup_start = 0;
+    st.default_backup_end = 60;
+    return std::vector<ServerTelemetry>{std::move(st)};
   };
   PipelineContext ctx;
   ctx.region = "bound-region";
   ctx.week = 0;
   ctx.lake = lake_.get();
   ctx.docs = &docs_;
-  ctx.records = make_records(20.0);
+  ctx.servers = make_servers(20.0);
   DataValidationModule validation;
   ASSERT_TRUE(validation.Run(&ctx).ok());  // deduces schema [20, 20]
 
@@ -163,11 +187,12 @@ TEST_F(PipelineModulesTest, ValidationDetectsSchemaBoundAnomaly) {
   ctx2.week = 1;
   ctx2.lake = lake_.get();
   ctx2.docs = &docs_;
-  ctx2.records = make_records(80.0);  // far above the historical band
+  ctx2.servers = make_servers(80.0);  // far above the historical band
   ASSERT_TRUE(validation.Run(&ctx2).ok());
   bool bound_anomaly = false;
   for (const auto& incident : ctx2.incidents) {
     if (incident.message.find("bound anomaly") != std::string::npos) {
+      EXPECT_EQ(incident.severity, IncidentSeverity::kWarning);
       bound_anomaly = true;
     }
   }

@@ -151,16 +151,18 @@ TEST(IncidentManagerTest, PersistsAndAlerts) {
 
 TEST(IncidentManagerTest, WarningFloodAlerts) {
   DocStore docs;
-  IncidentRules rules;
-  rules.warning_threshold = 3;
-  IncidentManager manager(&docs, rules);
+  IncidentManager manager(&docs);
   PipelineContext ctx;
   ctx.region = "r";
-  for (int i = 0; i < 5; ++i) {
+  // At the threshold: no alert yet.
+  for (int64_t i = 0; i < kWarningFloodThreshold; ++i) {
     ctx.AddIncident(IncidentSeverity::kWarning, "m", "w");
   }
   PipelineRunReport report;
   report.success = true;
+  EXPECT_TRUE(manager.Process(ctx, report).empty());
+  // One past it: 11 warnings in one run flood.
+  ctx.AddIncident(IncidentSeverity::kWarning, "m", "w");
   auto alerts = manager.Process(ctx, report);
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].rule, "warning_flood");
@@ -305,7 +307,7 @@ class SchedulerFixture : public ::testing::Test {
     fleet_ = std::make_unique<Fleet>(Fleet::Generate(config));
     for (int64_t w = 2; w <= 3; ++w) {
       ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("sched", w),
-                             ExtractWeekCsvText(*fleet_, w))
+                             ExtractWeekBlock(*fleet_, w))
                       .ok());
     }
     pipeline_ = Pipeline::Standard();

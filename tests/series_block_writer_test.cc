@@ -331,10 +331,10 @@ Fleet StreamFleet() {
   return Fleet::Generate(config);
 }
 
-TEST(SeriesBlockWriterTest, ExtractWeekBlockToMatchesExtractWeekBlock) {
+TEST(SeriesBlockWriterTest, ExtractWeekBlockToMatchesRecordsEncoder) {
   // The two-pass fleet walk (sizing pass, then regenerate-and-append)
   // against the records walk (`ExtractWeek` grouped by
-  // `WriteSeriesBlockFromRecords`).
+  // `WriteSeriesBlockFromRecords`), the oracle the fleet walk replaced.
   Fleet fleet = StreamFleet();
   for (int64_t week : {int64_t{1}, int64_t{3}}) {
     std::string streamed;
@@ -342,7 +342,7 @@ TEST(SeriesBlockWriterTest, ExtractWeekBlockToMatchesExtractWeekBlock) {
     ASSERT_TRUE(ExtractWeekBlockTo(fleet, week, CollectInto(&streamed), {},
                                    &peak)
                     .ok());
-    const std::string reference = ExtractWeekBlock(fleet, week);
+    const std::string reference = EncodeSeriesBlock(ExtractWeek(fleet, week));
     EXPECT_EQ(streamed, reference) << "week " << week;
     EXPECT_GT(peak, 0);
   }
@@ -375,7 +375,7 @@ TEST(SeriesBlockWriterTest, ResidentCostStaysUnderTheBlobAtScale) {
   int64_t peak = 0;
   ASSERT_TRUE(
       ExtractWeekBlockTo(fleet, 3, CollectInto(&streamed), {}, &peak).ok());
-  EXPECT_EQ(streamed, ExtractWeekBlock(fleet, 3));
+  EXPECT_EQ(streamed, EncodeSeriesBlock(ExtractWeek(fleet, 3)));
   EXPECT_GT(peak, 0);
   EXPECT_LT(peak, static_cast<int64_t>(streamed.size() * 3 / 4));
 }

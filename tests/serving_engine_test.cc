@@ -335,16 +335,13 @@ TEST_F(ServingEngineTest, BatchPredictValidation) {
   EXPECT_FALSE(empty["ok"].AsBool());
   EXPECT_EQ(empty["code"].AsString(), "Invalid");
 
-  // Oversized batches are rejected whole (engine with a tiny cap).
-  ServingOptions options;
-  options.max_batch_servers = 2;
-  ServingEngine small(MakePrevDayEndpoint(), options);
-  std::vector<ServerTelemetry> fleet;
-  fleet.push_back(MakeTail("srv-a", DayOfLoad()));
-  ASSERT_TRUE(small.Bootstrap(fleet).ok());
-  small.Tick();
-  Json over = MustParse(
-      small.Handle(BatchPredictRequest({"srv-a", "srv-a", "srv-a"})));
+  // Oversized batches are rejected whole; duplicates count.
+  const std::vector<std::string> at_cap(kMaxBatchServers, "srv-a");
+  Json full = MustParse(engine_.Handle(BatchPredictRequest(at_cap)));
+  EXPECT_TRUE(full["ok"].AsBool());
+  std::vector<std::string> over_cap = at_cap;
+  over_cap.push_back("srv-a");
+  Json over = MustParse(engine_.Handle(BatchPredictRequest(over_cap)));
   EXPECT_FALSE(over["ok"].AsBool());
   EXPECT_EQ(over["code"].AsString(), "Invalid");
 }

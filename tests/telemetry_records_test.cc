@@ -147,7 +147,7 @@ TEST(EmitterTest, ExtractedTextParsesAndGroups) {
   config.num_servers = 3;
   config.weeks = 4;
   Fleet fleet = Fleet::Generate(config);
-  std::string text = ExtractWeekCsvText(fleet, 3);
+  std::string text = RecordsToCsvText(ExtractWeek(fleet, 3));
   auto records = ParseTelemetryCsv(text);
   ASSERT_TRUE(records.ok());
   auto grouped = GroupByServer(*records);

@@ -1,8 +1,8 @@
 /// \file telemetry_series_block_test.cc
 /// \brief SGB1 decode: record round trips, the streaming cursor checked
-/// against the CSV path's grouping (`GroupByServer` over the decoded
-/// rows) as an independent oracle, and rejection of mutilated or
-/// hostile blobs all the way up to the ingestion module.
+/// against the records path's grouping (`GroupByServer` over the
+/// decoded rows) as an independent oracle, and rejection of mutilated
+/// or hostile blobs all the way up to the ingestion module.
 
 #include "telemetry/series_block.h"
 
@@ -84,8 +84,8 @@ Result<std::vector<ServerTelemetry>> StreamAll(const std::string& blob) {
   return out;
 }
 
-/// The oracle: decode to flat rows, then group them exactly as the CSV
-/// ingestion path does.
+/// The oracle: decode to flat rows, then group them with
+/// `GroupByServer`, the records path's grouping.
 Result<std::vector<ServerTelemetry>> GroupedRecords(const std::string& blob) {
   SEAGULL_ASSIGN_OR_RETURN(auto records, DecodeSeriesBlock(blob));
   return GroupByServer(records);
@@ -185,7 +185,7 @@ TEST(SeriesBlockTest, EmitterBlockMatchesEmitterCsv) {
   const std::string block = ExtractWeekBlock(fleet, 3);
   auto from_block = StreamAll(block);
   ASSERT_TRUE(from_block.ok());
-  auto from_csv = ParseTelemetryCsv(ExtractWeekCsvText(fleet, 3));
+  auto from_csv = ParseTelemetryCsv(RecordsToCsvText(ExtractWeek(fleet, 3)));
   ASSERT_TRUE(from_csv.ok());
   auto grouped = GroupByServer(*from_csv);
   ASSERT_TRUE(grouped.ok());
@@ -432,16 +432,22 @@ TEST(SeriesBlockCursorTest, CallbackErrorStopsTheStream) {
   EXPECT_EQ(delivered, 1);
 }
 
-TEST(SeriesBlockTest, DecodeTelemetryBlobSniffsBothFormats) {
+TEST(SeriesBlockTest, DecodeTelemetryBlobReadsSgb1AndRejectsCsv) {
   auto records = SampleRecords();
   auto from_block = DecodeTelemetryBlob(EncodeSeriesBlock(records));
   ASSERT_TRUE(from_block.ok());
-  auto from_csv = DecodeTelemetryBlob(RecordsToCsvText(records));
-  ASSERT_TRUE(from_csv.ok());
-  ASSERT_EQ(from_block->size(), from_csv->size());
-  for (size_t i = 0; i < from_csv->size(); ++i) {
-    EXPECT_EQ((*from_block)[i].server_id, (*from_csv)[i].server_id);
+  auto grouped = GroupByServer(records);
+  ASSERT_TRUE(grouped.ok());
+  ASSERT_EQ(from_block->size(), grouped->size());
+  for (size_t i = 0; i < grouped->size(); ++i) {
+    EXPECT_EQ((*from_block)[i].server_id, (*grouped)[i].server_id);
   }
+  // SGB1 is the only telemetry format: the same rows as CSV are Invalid,
+  // and the status names the format.
+  Status csv = DecodeTelemetryBlob(RecordsToCsvText(records)).status();
+  EXPECT_TRUE(csv.IsInvalid()) << csv.ToString();
+  EXPECT_NE(csv.ToString().find("not a SeriesBlock"), std::string::npos)
+      << csv.ToString();
   EXPECT_FALSE(DecodeTelemetryBlob("garbage").ok());
 }
 

@@ -22,9 +22,11 @@
 #                             # (tests/budgets.json)
 #   tools/check.sh perf       # data-plane throughput: the perf-label
 #                             # tests plus bench/micro_substrate, which
-#                             # writes BENCH_ingest.json (CSV vs
-#                             # SeriesBlock ingestion rates, the decode
-#                             # footprint and the SGB1 writer's cost), and
+#                             # writes BENCH_ingest.json (the SeriesBlock
+#                             # decode rate; the CSV parse rate of a
+#                             # `transcode` import, not a pipeline ingest;
+#                             # the decode footprint and the SGB1
+#                             # writer's cost), and
 #                             # bench/micro_forecast, which writes
 #                             # BENCH_forecast.json (per-model Fit
 #                             # p50/p99, the batched-fleet row, and
@@ -65,7 +67,9 @@
 #                             # suites (serving_engine_test's ingest
 #                             # admission and integer fields,
 #                             # common_json_test's nesting cap,
-#                             # pipeline_serving_test) and
+#                             # pipeline_serving_test, azure_trace_test,
+#                             # failure_injection_test's hostile blobs
+#                             # through the whole pipeline) and
 #                             # cli_smoke_test (hostile serve and
 #                             # --docs input) under asan+ubsan with
 #                             # float-cast-overflow, which gcc's
@@ -205,9 +209,9 @@ case "$MODE" in
       forecast_linalg_test forecast_linalg_kernel_test \
       forecast_batch_equivalence_test forecast_golden_test \
       serving_engine_test common_json_test pipeline_serving_test \
-      seagull_cli
+      azure_trace_test failure_injection_test seagull_cli
     (cd "$ROOT/build-asan" && ctest --output-on-failure -R \
-      'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_json_test|pipeline_serving_test|cli_smoke_test')
+      'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_json_test|pipeline_serving_test|azure_trace_test|failure_injection_test|cli_smoke_test')
     (cd "$ROOT/build-asan" && ctest --output-on-failure -L kernels)
     echo "=== [scale] OK ==="
     ;;

@@ -47,17 +47,19 @@
 /// `--synthetic` serves a generated fleet with the persistent-prev-day
 /// champion instead of lake + docs state — no prior pipeline run needed.
 ///
-/// `generate` plays the role of Azure telemetry + Load Extraction
-/// (`--format binary` writes columnar SeriesBlock blobs instead of CSV);
-/// `transcode` converts a stored telemetry blob between the two formats
-/// in place (or to `--out`). Everything else is the production path.
+/// `generate` plays the role of Azure telemetry + Load Extraction,
+/// streaming SGB1 (SeriesBlock) blobs, the only telemetry format the
+/// other commands read; `transcode` is the CSV import/export edge,
+/// converting a stored blob from SGB1 to CSV or back, in place (or to
+/// `--out`). Everything else is the production path.
 ///
 /// Each command accepts exactly the flags listed above (see
 /// `Commands()`); any other `--flag` — a typo such as `--job`, or a
 /// removed option — fails with exit 2 before the command does any
-/// work. `--jobs` sizes the command's one worker pool and must be an
-/// integer in [1, 256]; anything else fails with exit 1, also before
-/// any work.
+/// work. Numeric flags are parsed once, also before any work: a value
+/// that is not a number fails with exit 1 (`--servers must be a
+/// number`). `--jobs` sizes the command's one worker pool and must be
+/// an integer in [1, 256]; anything else fails with exit 1.
 
 #include <algorithm>
 #include <cstdio>
@@ -91,6 +93,18 @@
 using namespace seagull;
 
 namespace {
+
+/// Flags whose values must parse as integers / as numbers
+/// (`Args::ParseNumbers`).
+const char* const kIntegerFlags[] = {
+    "servers", "weeks", "seed", "week", "day", "duration", "retries",
+    "fault-seed", "horizon", "ticks", "base", "clients", "batch-size"};
+const char* const kNumberFlags[] = {"fault-rate", "batch-frac",
+                                    "subscribe-frac"};
+
+bool IsOneOf(const std::string& key, const auto& names) {
+  return std::find(std::begin(names), std::end(names), key) != std::end(names);
+}
 
 /// Minimal --flag value parser.
 class Args {
@@ -126,16 +140,36 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseInt64(it->second).ValueOr(fallback);
+  /// The one parse of every numeric flag given, in command-line order;
+  /// the first value that is not a number fails, naming its flag.
+  Status ParseNumbers() {
+    for (const std::string& key : order_) {
+      const std::string& text = values_.at(key);
+      bool ok = true;
+      if (IsOneOf(key, kIntegerFlags)) {
+        auto v = ParseInt64(text);
+        ok = v.ok();
+        if (ok) ints_[key] = *v;
+      } else if (IsOneOf(key, kNumberFlags)) {
+        auto v = ParseDouble(text);
+        ok = v.ok();
+        if (ok) doubles_[key] = *v;
+      }
+      if (!ok) return Status::Invalid("--" + key + " must be a number");
+    }
+    return Status::OK();
   }
 
+  /// An integer flag's parsed value, or `fallback` when it is absent.
+  int64_t GetInt(const std::string& key, int64_t fallback) const {
+    auto it = ints_.find(key);
+    return it == ints_.end() ? fallback : it->second;
+  }
+
+  /// A number flag's parsed value, or `fallback` when it is absent.
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return ParseDouble(it->second).ValueOr(fallback);
+    auto it = doubles_.find(key);
+    return it == doubles_.end() ? fallback : it->second;
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
@@ -152,6 +186,8 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> order_;  ///< flag names as given
+  std::map<std::string, int64_t> ints_;    ///< filled by ParseNumbers
+  std::map<std::string, double> doubles_;  ///< filled by ParseNumbers
 };
 
 int Fail(const Status& status) {
@@ -203,9 +239,8 @@ Result<std::vector<ServerTelemetry>> LoadTelemetry(const LakeStore& lake,
     });
     if (read.status.IsNotFound()) continue;
     if (!read.status.ok()) return read.status;
-    // Telemetry may be stored as CSV or as a binary SeriesBlock;
-    // DecodeTelemetryBlob sniffs the magic and dispatches. The decode
-    // consumes the view before the ref (and any mapping) is released.
+    // The decode consumes the view before the ref (and any mapping) is
+    // released. A blob that is not SGB1 fails here, naming the format.
     return DecodeTelemetryBlob(blob.view());
   }
   return Status::NotFound("no telemetry for region " + region);
@@ -261,33 +296,23 @@ int CmdGenerate(const Args& args) {
   config.weeks = static_cast<int>(args.GetInt("weeks", 5));
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
 
-  const std::string format = args.Get("format", "csv");
-  if (format != "csv" && format != "binary") {
-    return Fail(Status::Invalid("--format must be csv or binary"));
-  }
-
   auto lake = LakeStore::Open(*lake_dir);
   if (!lake.ok()) return Fail(lake.status());
   Fleet fleet = Fleet::Generate(config);
   for (int64_t w = 0; w < config.weeks; ++w) {
     std::string key = LakeStore::TelemetryKey(config.name, w);
-    Status st;
-    if (format == "binary") {
-      // Streaming extraction: SGB1 bytes go from the writer straight
-      // into the atomic put, so even a huge region never materializes
-      // its rows or its blob (byte-identical to ExtractWeekBlock).
-      st = lake->PutStreamed(key, [&](std::ostream& out) {
-        return ExtractWeekBlockTo(
-            fleet, w, [&](std::string_view bytes) -> Status {
-              out.write(bytes.data(),
-                        static_cast<std::streamsize>(bytes.size()));
-              if (!out) return Status::IOError("short write: " + key);
-              return Status::OK();
-            });
-      });
-    } else {
-      st = lake->Put(key, ExtractWeekCsvText(fleet, w));
-    }
+    // Streaming extraction: SGB1 bytes go from the writer straight into
+    // the atomic put, so even a huge region never materializes its rows
+    // or its blob.
+    Status st = lake->PutStreamed(key, [&](std::ostream& out) {
+      return ExtractWeekBlockTo(
+          fleet, w, [&](std::string_view bytes) -> Status {
+            out.write(bytes.data(),
+                      static_cast<std::streamsize>(bytes.size()));
+            if (!out) return Status::IOError("short write: " + key);
+            return Status::OK();
+          });
+    });
     if (!st.ok()) return Fail(st);
     auto size = lake->SizeOf(key);
     std::printf("wrote %s (%.1f MB)\n", key.c_str(),
@@ -596,6 +621,8 @@ int CmdAdvise(const Args& args) {
   return 0;
 }
 
+/// The CSV import/export edge: the pipeline reads SGB1 only, so CSV
+/// telemetry comes in (and goes out) through here.
 int CmdTranscode(const Args& args) {
   auto lake_dir = args.Require("lake");
   auto key = args.Require("key");
@@ -882,7 +909,7 @@ void Usage() {
       "usage: seagull <command> [flags]\n"
       "commands:\n"
       "  generate  --lake DIR --region NAME [--servers N] [--weeks W] "
-      "[--seed S] [--format csv|binary]\n"
+      "[--seed S]\n"
       "  pipeline  --lake DIR --docs FILE --region NAME[,NAME...] "
       "--week K [--model FAMILY] [--jobs N] [--retries N] "
       "[--fault-rate P --fault-seed S] "
@@ -890,7 +917,8 @@ void Usage() {
       "  schedule  --lake DIR --docs FILE --region NAME[,NAME...] "
       "--day D [--jobs N] [--retries N] "
       "[--fault-rate P --fault-seed S]\n"
-      "  transcode --lake DIR --key KEY [--to csv|binary] [--out KEY]\n"
+      "  transcode --lake DIR --key KEY [--to csv|binary] [--out KEY]"
+      "   (CSV import/export)\n"
       "  dashboard --docs FILE\n"
       "  incidents --docs FILE --region NAME\n"
       "  advise    --lake DIR --docs FILE --region NAME --server ID "
@@ -902,7 +930,8 @@ void Usage() {
       "[--profile ramp|spike|soak] [--mode open|closed] [--ticks N] "
       "[--base N] [--clients N] [--jobs N] [--batch-frac F] "
       "[--batch-size N] [--subscribe-frac F] [--out FILE]\n"
-      "unknown flags are rejected with exit status 2\n");
+      "unknown flags are rejected with exit status 2, numeric flags that "
+      "do not parse with exit status 1\n");
 }
 
 /// One subcommand: its handler and every flag it reads.
@@ -930,7 +959,7 @@ const std::vector<Command>& Commands() {
              resilience);
     return std::vector<Command>{
         {"generate", CmdGenerate,
-         {"lake", "region", "servers", "weeks", "seed", "format"}},
+         {"lake", "region", "servers", "weeks", "seed"}},
         {"pipeline", CmdPipeline,
          Join({"lake", "docs", "region", "week", "model", "jobs", "trace-out",
                "metrics-out"},
@@ -969,6 +998,8 @@ int main(int argc, char** argv) {
                    unknown.c_str(), c.name);
       return 2;
     }
+    Status numbers = args.ParseNumbers();
+    if (!numbers.ok()) return Fail(numbers);
     return c.run(args);
   }
   Usage();
