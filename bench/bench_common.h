@@ -11,13 +11,16 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
 #include "common/obs/metrics.h"
+#include "common/strings.h"
 #include "scheduling/model_eval.h"
 #include "telemetry/fleet.h"
 
@@ -82,6 +85,22 @@ inline Json MetricsForPhase(Fn&& body) {
   MetricsRegistry::Global().Reset();
   body();
   return MetricsRegistry::Global().Snapshot().ToJson();
+}
+
+/// `parse` (`ParseInt64` or `ParseDouble`) of the value `text` given
+/// as `--<name>=text`. A malformed value exits 2 naming the flag, so
+/// `--servers=1e5` cannot silently run one server, nor `--jobs=x` zero
+/// jobs.
+template <typename T>
+T CheckedFlag(const char* name, std::string_view text,
+              Result<T> (*parse)(std::string_view)) {
+  Result<T> value = parse(text);
+  if (!value.ok()) {
+    std::fprintf(stderr, "error: --%s: %s\n", name,
+                 value.status().ToString().c_str());
+    std::exit(2);
+  }
+  return *value;
 }
 
 /// Writes `doc` pretty-printed to the BENCH_*.json trajectory file at

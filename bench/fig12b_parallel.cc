@@ -577,11 +577,12 @@ int main(int argc, char** argv) {
   int out_argc = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--servers=", 10) == 0) {
-      scale_servers = std::atoll(argv[i] + 10);
+      scale_servers = bench::CheckedFlag("servers", argv[i] + 10, ParseInt64);
     } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      scale_jobs = std::atoi(argv[i] + 7);
+      scale_jobs = static_cast<int>(
+          bench::CheckedFlag("jobs", argv[i] + 7, ParseInt64));
     } else if (std::strncmp(argv[i], "--shard=", 8) == 0) {
-      scale_shard = std::atoll(argv[i] + 8);
+      scale_shard = bench::CheckedFlag("shard", argv[i] + 8, ParseInt64);
     } else if (std::strncmp(argv[i], "--budgets=", 10) == 0) {
       budgets_path = argv[i] + 10;
     } else {

@@ -36,16 +36,6 @@ using namespace seagull;
 
 namespace {
 
-int64_t FlagInt(int argc, char** argv, const char* name, int64_t fallback) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atoll(argv[i] + prefix.size());
-    }
-  }
-  return fallback;
-}
-
 std::string FlagStr(int argc, char** argv, const char* name) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
@@ -56,9 +46,14 @@ std::string FlagStr(int argc, char** argv, const char* name) {
   return "";
 }
 
+int64_t FlagInt(int argc, char** argv, const char* name, int64_t fallback) {
+  const std::string text = FlagStr(argc, argv, name);
+  return text.empty() ? fallback : bench::CheckedFlag(name, text, ParseInt64);
+}
+
 double FlagDouble(int argc, char** argv, const char* name, double fallback) {
   const std::string text = FlagStr(argc, argv, name);
-  return text.empty() ? fallback : std::atof(text.c_str());
+  return text.empty() ? fallback : bench::CheckedFlag(name, text, ParseDouble);
 }
 
 /// Fleet-wide persistent-prev-day endpoint (the paper's champion for

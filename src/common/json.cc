@@ -362,7 +362,7 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Err("expected value");
-    auto v = ParseDouble(s_.substr(start, pos_ - start));
+    auto v = ParseDouble(std::string_view(s_).substr(start, pos_ - start));
     if (!v.ok()) return Err("malformed number");
     return Json(*v);
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 
@@ -378,7 +377,9 @@ int64_t ReadProcStatusKb(const char* field) {
         line[field_len] != ':') {
       continue;
     }
-    kb = std::strtoll(line + field_len + 1, nullptr, 10);
+    // "<field>:\t  123456 kB": the digits are the first word.
+    const std::string_view rest = TrimWhitespace(line + field_len + 1);
+    kb = ParseInt64(rest.substr(0, rest.find(' '))).ValueOr(-1);
     break;
   }
   std::fclose(f);

@@ -1,9 +1,10 @@
 #include "common/strings.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cerrno>
+#include <limits>
 
 namespace seagull {
 
@@ -34,28 +35,62 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
+namespace {
+
+/// Longest `"%.4f"` text of a double: sign, the 309 integer digits of
+/// DBL_MAX, point and four decimals.
+constexpr size_t kFixed4MaxChars =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 4;
+
+/// Prints `v` as `"%.4f"` into `buf`; returns the end of the text.
+char* ToFixed4(double v, char (&buf)[kFixed4MaxChars]) {
+  return std::to_chars(buf, buf + kFixed4MaxChars, v,
+                       std::chars_format::fixed, 4)
+      .ptr;
+}
+
+/// `std::from_chars` over all of `text`; false unless every byte parsed.
+template <typename T>
+bool FromCharsExact(std::string_view text, T* v) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *v);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
 Result<double> ParseDouble(std::string_view s) {
-  std::string buf(TrimWhitespace(s));
-  if (buf.empty()) return Status::Invalid("empty numeric field");
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) {
-    return Status::Invalid("malformed double: '" + buf + "'");
+  const std::string_view text = TrimWhitespace(s);
+  if (text.empty()) return Status::Invalid("empty numeric field");
+  double v = 0.0;
+  if (!FromCharsExact(text, &v) || !std::isfinite(v)) {
+    return Status::Invalid("malformed double: '" + std::string(text) + "'");
   }
   return v;
 }
 
 Result<int64_t> ParseInt64(std::string_view s) {
-  std::string buf(TrimWhitespace(s));
-  if (buf.empty()) return Status::Invalid("empty integer field");
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) {
-    return Status::Invalid("malformed integer: '" + buf + "'");
+  const std::string_view text = TrimWhitespace(s);
+  if (text.empty()) return Status::Invalid("empty integer field");
+  int64_t v = 0;
+  if (!FromCharsExact(text, &v)) {
+    return Status::Invalid("malformed integer: '" + std::string(text) + "'");
   }
-  return static_cast<int64_t>(v);
+  return v;
+}
+
+void AppendFixed4(std::string* out, double v) {
+  char buf[kFixed4MaxChars];
+  out->append(buf, ToFixed4(v, buf));
+}
+
+double QuantizeFixed4(double v) {
+  char buf[kFixed4MaxChars];
+  double q = 0.0;
+  // Unlike ParseDouble, this takes back the `inf`/`nan` text too, so a
+  // non-finite value maps to what strtod makes of it.
+  std::from_chars(buf, ToFixed4(v, buf), q);
+  return q;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

@@ -7,7 +7,6 @@
 
 #include "common/obs/clock.h"
 #include "forecast/additive.h"
-#include "forecast/feedforward.h"
 #include "forecast/linalg.h"
 #include "parallel/thread_pool.h"
 #include "timeseries/resample.h"
@@ -121,60 +120,6 @@ void BatchTrainer::FitAdditiveGroup(const std::string& name,
   });
 }
 
-/// Feed-forward group: every server trains against one trio of
-/// structure-of-arrays arenas — row b of params/mom/vel is server b's
-/// [w1|b1|w2|b2] block and Adam state. The Matrix constructor
-/// zero-fills, matching the zeroed scratch state a per-server fit
-/// starts from. Epochs stay inner per-server: each server's window set
-/// streams through the batched-matmul kernels while its rows stay hot,
-/// which beats lockstep epochs that would cycle every arena row through
-/// cache per epoch.
-void BatchTrainer::FitFeedForwardGroup(
-    const std::string& name, const std::vector<BatchTrainItem>& items,
-    const std::vector<int64_t>& members, ThreadPool* pool,
-    std::vector<BatchTrainResult>* results) {
-  auto builder_or = ModelFactory::Global().Create(name);
-  auto* builder =
-      builder_or.ok() ? dynamic_cast<FeedForwardForecast*>(builder_or->get())
-                      : nullptr;
-  if (builder == nullptr) {
-    ParallelFor(pool, static_cast<int64_t>(members.size()), [&](int64_t k) {
-      const int64_t i = members[static_cast<size_t>(k)];
-      GenericFit(name, *items[static_cast<size_t>(i)].train,
-                 &(*results)[static_cast<size_t>(i)]);
-    });
-    return;
-  }
-  const int64_t np = builder->NumParams();
-  const int64_t b = static_cast<int64_t>(members.size());
-  Matrix params(b, np);
-  Matrix mom(b, np);
-  Matrix vel(b, np);
-
-  ParallelFor(pool, b, [&](int64_t k) {
-    const int64_t i = members[static_cast<size_t>(k)];
-    BatchTrainResult& out = (*results)[static_cast<size_t>(i)];
-    const LoadSeries& train = *items[static_cast<size_t>(i)].train;
-    auto model_or = ModelFactory::Global().Create(name);
-    auto* model = model_or.ok()
-                      ? dynamic_cast<FeedForwardForecast*>(model_or->get())
-                      : nullptr;
-    if (model == nullptr) {
-      out.status = model_or.ok()
-                       ? Status::Internal("feedforward family changed type")
-                       : model_or.status();
-      return;
-    }
-    const int64_t t0 = ObsClock::NowMicros();
-    const LoadSeries filled = InterpolateMissing(train);
-    Status fit = model->FitCore(filled, params.Row(k), mom.Row(k),
-                                vel.Row(k));
-    if (fit.ok()) model->AdoptParams(params.Row(k));
-    out.fit_micros = static_cast<double>(ObsClock::NowMicros() - t0);
-    FinishItem(*model, std::move(fit), &out);
-  });
-}
-
 Result<std::vector<BatchTrainResult>> BatchTrainer::Fit(
     const std::string& model_name, const std::vector<BatchTrainItem>& items,
     ThreadPool* pool, BatchTrainStats* stats) {
@@ -188,12 +133,7 @@ Result<std::vector<BatchTrainResult>> BatchTrainer::Fit(
 
   SEAGULL_ASSIGN_OR_RETURN(auto probe,
                            ModelFactory::Global().Create(model_name));
-  const bool is_additive =
-      dynamic_cast<AdditiveForecast*>(probe.get()) != nullptr;
-  const bool is_feedforward =
-      dynamic_cast<FeedForwardForecast*>(probe.get()) != nullptr;
-
-  if (!is_additive && !is_feedforward) {
+  if (dynamic_cast<AdditiveForecast*>(probe.get()) == nullptr) {
     // No value-independent structure to share — plain per-item fits.
     ParallelFor(pool, static_cast<int64_t>(items.size()), [&](int64_t i) {
       GenericFit(model_name, *items[static_cast<size_t>(i)].train,
@@ -203,9 +143,7 @@ Result<std::vector<BatchTrainResult>> BatchTrainer::Fit(
   }
 
   // Group in input order (first-seen key order is deterministic and
-  // independent of the pool). Feed-forward arenas are shape-agnostic,
-  // but grouping by grid keeps the group loop uniform and bounds arena
-  // peak size to the largest group.
+  // independent of the pool).
   std::map<ShapeKey, size_t> group_of;
   std::vector<std::vector<int64_t>> groups;
   for (size_t i = 0; i < items.size(); ++i) {
@@ -216,11 +154,7 @@ Result<std::vector<BatchTrainResult>> BatchTrainer::Fit(
   }
 
   for (const std::vector<int64_t>& members : groups) {
-    if (is_additive) {
-      FitAdditiveGroup(model_name, items, members, pool, &results);
-    } else {
-      FitFeedForwardGroup(model_name, items, members, pool, &results);
-    }
+    FitAdditiveGroup(model_name, items, members, pool, &results);
     if (stats != nullptr) {
       stats->groups += 1;
       if (members.size() > 1) {

@@ -66,26 +66,22 @@ class BatchTrainer {
   /// Fits `model_name` on every item. Results are indexed exactly like
   /// `items`; a failed fit yields its per-server error status in place.
   /// `pool == nullptr` runs sequentially (same results either way).
-  /// Families without a batched core (SSA, ARIMA, heuristics, custom
-  /// registrations) fall back to plain per-item `Fit` under the same
-  /// fan-out, so callers need not special-case by family.
+  /// Only the additive family has a batched core; every other family
+  /// (feedforward, SSA, ARIMA, heuristics, custom registrations) runs
+  /// plain per-item `Fit` under the same fan-out, so callers need not
+  /// special-case by family.
   static Result<std::vector<BatchTrainResult>> Fit(
       const std::string& model_name, const std::vector<BatchTrainItem>& items,
       ThreadPool* pool, BatchTrainStats* stats = nullptr);
 
  private:
-  // Group fitters (batch.cc); members so the friend grants of the
-  // model classes cover them.
+  // The additive group fitter (batch.cc); a member so
+  // AdditiveForecast's friend grant covers it.
   static void FitAdditiveGroup(const std::string& name,
                                const std::vector<BatchTrainItem>& items,
                                const std::vector<int64_t>& members,
                                ThreadPool* pool,
                                std::vector<BatchTrainResult>* results);
-  static void FitFeedForwardGroup(const std::string& name,
-                                  const std::vector<BatchTrainItem>& items,
-                                  const std::vector<int64_t>& members,
-                                  ThreadPool* pool,
-                                  std::vector<BatchTrainResult>* results);
 };
 
 }  // namespace seagull

@@ -32,43 +32,8 @@ std::vector<double> Pool(const std::vector<double>& raw, int64_t bins) {
 
 }  // namespace
 
-int64_t FeedForwardForecast::NumParams() const {
-  const int64_t in_dim = options_.pooled_per_day;
-  const int64_t out_dim = options_.pooled_per_day;
-  const int64_t hidden = options_.hidden;
-  return hidden * in_dim + hidden + out_dim * hidden + out_dim;
-}
-
-void FeedForwardForecast::AdoptParams(const double* params) {
-  const int64_t in_dim = options_.pooled_per_day;
-  const int64_t out_dim = options_.pooled_per_day;
-  const int64_t hidden = options_.hidden;
-  const double* w1 = params;
-  const double* b1 = w1 + hidden * in_dim;
-  const double* w2 = b1 + hidden;
-  const double* b2 = w2 + out_dim * hidden;
-  w1_.assign(w1, b1);
-  b1_.assign(b1, w2);
-  w2_.assign(w2, b2);
-  b2_.assign(b2, b2 + out_dim);
-  fitted_ = true;
-}
-
 Status FeedForwardForecast::Fit(const LoadSeries& train) {
   const LoadSeries filled = InterpolateMissing(train);
-  KernelScratch& scratch = KernelScratch::Local();
-  const size_t np = static_cast<size_t>(NumParams());
-  std::vector<double>& params = scratch.Vec(kscratch::kFfParams, np);
-  std::vector<double>& m1 = scratch.VecZero(kscratch::kFfAdamM, np);
-  std::vector<double>& v1 = scratch.VecZero(kscratch::kFfAdamV, np);
-  SEAGULL_RETURN_NOT_OK(
-      FitCore(filled, params.data(), m1.data(), v1.data()));
-  AdoptParams(params.data());
-  return Status::OK();
-}
-
-Status FeedForwardForecast::FitCore(const LoadSeries& filled, double* params,
-                                    double* mom, double* vel) {
   interval_ = filled.interval_minutes();
   const int64_t ticks_day = filled.ticks_per_day();
   const int64_t in_dim = options_.pooled_per_day;
@@ -112,9 +77,13 @@ Status FeedForwardForecast::FitCore(const LoadSeries& filled, double* params,
     }
   }
 
-  // He-initialize the caller's [w1|b1|w2|b2] block. Same Rng and draw
-  // order as the original per-member init, so results are unchanged.
-  double* w1 = params;
+  // He-initialize the [w1|b1|w2|b2] parameter block (Rng(seed), fixed
+  // draw order) beside its zeroed Adam state (mom, vel).
+  const size_t np = static_cast<size_t>(hidden * in_dim + hidden +
+                                        out_dim * hidden + out_dim);
+  double* w1 = scratch.Vec(kscratch::kFfParams, np).data();
+  double* mom = scratch.VecZero(kscratch::kFfAdamM, np).data();
+  double* vel = scratch.VecZero(kscratch::kFfAdamV, np).data();
   double* b1 = w1 + hidden * in_dim;
   double* w2 = b1 + hidden;
   double* b2 = w2 + out_dim * hidden;
@@ -270,6 +239,11 @@ Status FeedForwardForecast::FitCore(const LoadSeries& filled, double* params,
       if (++plateau >= 6) break;
     }
   }
+  w1_.assign(w1, b1);
+  b1_.assign(b1, w2);
+  w2_.assign(w2, b2);
+  b2_.assign(b2, b2 + out_dim);
+  fitted_ = true;
   return Status::OK();
 }
 

@@ -14,8 +14,6 @@
 
 namespace seagull {
 
-class BatchTrainer;
-
 /// \brief Network and training hyper-parameters.
 struct FeedForwardOptions {
   /// Context and prediction lengths in samples of the *pooled* grid.
@@ -47,25 +45,6 @@ class FeedForwardForecast final : public ForecastModel {
   double train_loss() const { return train_loss_; }
 
  private:
-  /// BatchTrainer owns structure-of-arrays parameter/Adam arenas across
-  /// a shape group and drives FitCore/AdoptParams per server.
-  friend class BatchTrainer;
-
-  /// Total parameter count |w1|+|b1|+|w2|+|b2| for the configured dims.
-  int64_t NumParams() const;
-  /// Trains into caller-owned storage: `params` is a NumParams() block
-  /// laid out [w1|b1|w2|b2]; `mom`/`vel` are same-size zero-initialized
-  /// Adam state. Builds the pooled window pairs, He-initializes the
-  /// block (Rng(seed), same draw order as always), and runs the
-  /// mini-batch epoch loop through the batched-matmul kernels. Sets
-  /// interval_/train_loss_ but not the weight members; pair with
-  /// AdoptParams.
-  Status FitCore(const LoadSeries& filled, double* params, double* mom,
-                 double* vel);
-  /// Unpacks a FitCore-trained [w1|b1|w2|b2] block into the weight
-  /// members and marks the model fitted.
-  void AdoptParams(const double* params);
-
   /// Forward pass on one pooled, normalized context vector.
   std::vector<double> Apply(const std::vector<double>& input) const;
 

@@ -14,12 +14,6 @@ namespace seagull {
 
 namespace {
 
-/// Quantizes to the telemetry data plane's %.4f grid so ingest payloads
-/// survive a JSON round trip bit-for-bit.
-double Quantize4(double v) {
-  return std::floor(v * 10000.0 + 0.5) / 10000.0;
-}
-
 /// The raw bytes of a trivially copyable value, for hashing.
 template <typename T>
 std::string_view BytesOf(const T& value) {
@@ -172,7 +166,9 @@ void AppendRequest(const LoadgenOptions& options,
         options.epoch_start + tick * kServerIntervalMinutes;
     series["interval"] = kServerIntervalMinutes;
     Json values = Json::MakeArray();
-    values.Append(Quantize4(rng->Uniform(0.0, 100.0)));
+    // On the telemetry data plane's 4-decimal grid, like every stored
+    // sample.
+    values.Append(QuantizeFixed4(rng->Uniform(0.0, 100.0)));
     series["values"] = std::move(values);
     body["series"] = std::move(series);
   }

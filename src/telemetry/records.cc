@@ -1,12 +1,24 @@
 #include "telemetry/records.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <string_view>
 #include <unordered_map>
 
 #include "common/strings.h"
 
 namespace seagull {
+
+namespace {
+
+/// Appends `v` in decimal, as `"%lld"` prints it.
+void AppendInt64(std::string* out, int64_t v) {
+  char buf[std::numeric_limits<int64_t>::digits10 + 2];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+}  // namespace
 
 const char* const kTelemetryColumns[5] = {
     "server_id", "timestamp_minutes", "avg_cpu_pct",
@@ -21,14 +33,17 @@ std::string RecordsToCsvText(const std::vector<TelemetryRecord>& records) {
     out += kTelemetryColumns[i];
   }
   out += '\n';
-  char buf[160];
   for (const auto& r : records) {
-    int n = std::snprintf(buf, sizeof(buf), "%s,%lld,%.4f,%lld,%lld\n",
-                          r.server_id.c_str(),
-                          static_cast<long long>(r.timestamp), r.avg_cpu,
-                          static_cast<long long>(r.default_backup_start),
-                          static_cast<long long>(r.default_backup_end));
-    out.append(buf, static_cast<size_t>(n));
+    out += r.server_id;
+    out += ',';
+    AppendInt64(&out, r.timestamp);
+    out += ',';
+    AppendFixed4(&out, r.avg_cpu);
+    out += ',';
+    AppendInt64(&out, r.default_backup_start);
+    out += ',';
+    AppendInt64(&out, r.default_backup_end);
+    out += '\n';
   }
   return out;
 }

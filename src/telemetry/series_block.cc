@@ -1,8 +1,6 @@
 #include "telemetry/series_block.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
@@ -102,14 +100,6 @@ class BlockReader {
 };
 
 }  // namespace
-
-double QuantizeCpuForStorage(double v) {
-  // Exactly the CSV writer/parser pair: "%.4f" then strtod. Idempotent,
-  // so transcoding an already-quantized blob changes nothing.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return std::strtod(buf, nullptr);
-}
 
 bool IsSeriesBlock(std::string_view blob) {
   return blob.size() >= 4 && std::memcmp(blob.data(), kMagic, 4) == 0;
@@ -258,7 +248,7 @@ Status SeriesBlockWriter::Append(std::string_view server_id, int64_t timestamp,
   }
   AppendWord(&ts_chunk_, static_cast<uint64_t>(timestamp));
   AppendWord(&value_words_,
-             std::bit_cast<uint64_t>(QuantizeCpuForStorage(avg_cpu)));
+             std::bit_cast<uint64_t>(QuantizeFixed4(avg_cpu)));
   --slot_remaining_;
   NoteResident();
   if (ts_chunk_.size() >= kTimestampChunkBytes) {

@@ -31,13 +31,14 @@
 ///            u64  FNV-1a checksum of every preceding byte
 ///
 /// Losslessness contract: CPU values are quantized on encode through
-/// the exact CSV round trip (`"%.4f"` print + `strtod` parse), so a
-/// block transcoded to CSV and back reproduces its bytes, and CSV
-/// transcoded to a block and back reproduces the CSV (rows are
-/// canonicalized to server-major order, the order Load Extraction
-/// writes anyway). `SeriesBlockTest.EmitterBlockMatchesEmitterCsv` pins
-/// that the emitter's block decodes to exactly what its rows would
-/// parse to as CSV.
+/// `QuantizeFixed4` (common/strings.h), the function the CSV writer
+/// prints with, so a block transcoded to CSV and back reproduces its
+/// bytes, and CSV transcoded to a block and back reproduces the CSV
+/// (rows are canonicalized to server-major order, the order Load
+/// Extraction writes anyway).
+/// `SeriesBlockTest.EmitterBlockMatchesEmitterCsv` pins that the
+/// emitter's block decodes to exactly what its rows would parse to as
+/// CSV.
 ///
 /// Every SGB1 byte is produced by `SeriesBlockWriter` and every SGB1
 /// byte is read through `SeriesBlockCursor`; `EncodeSeriesBlock`,
@@ -130,8 +131,7 @@ class SeriesBlockWriter {
 
   /// Append pass: one sample. Servers must arrive in declaration order,
   /// contiguously, each with exactly its declared sample count; the
-  /// value is quantized through the CSV round trip
-  /// (`QuantizeCpuForStorage`).
+  /// value is stored as `QuantizeFixed4(avg_cpu)`.
   Status Append(std::string_view server_id, int64_t timestamp,
                 double avg_cpu);
 
@@ -339,10 +339,5 @@ Status StreamSeriesBlockServers(
 /// decode straight out of the mapping.
 Result<std::vector<ServerTelemetry>> DecodeTelemetryBlob(
     std::string_view blob);
-
-/// The CSV-equivalent value of one CPU sample: what `avg_cpu` becomes
-/// after being written with `"%.4f"` and parsed back. Encoding applies
-/// this to every sample so both storage formats carry identical bits.
-double QuantizeCpuForStorage(double v);
 
 }  // namespace seagull

@@ -165,27 +165,57 @@ expect_unknown_flag pipeline job 4 $STORE --week 3
 expect_unknown_flag generate format csv --lake lake-format --region smoke
 [ ! -e lake-format ] || die "generate --format still wrote a lake"
 
-# Numeric flags are parsed once, before any work: a value that is not a
-# number exits 1 naming the flag, and writes no lake or docs file.
-# expect_not_a_number <flag> <command> [flags...]
-expect_not_a_number() {
-  flag="$1"
+# Numeric flags are parsed and range-checked once, before any work: a
+# value that is not a finite number, or lies outside its flag's range,
+# exits 1 with a message naming the flag (and the range), and writes no
+# lake or docs file. Ceilings are not probed by running a command above
+# them: were the bound broken, that command would do all that work.
+# expect_bad_number <message> <command> [flags...]
+expect_bad_number() {
+  message="$1"
   shift
   "$CLI" "$@" < /dev/null > numbers.out 2>&1
   status=$?
   [ "$status" -eq 1 ] || die "$* exited $status, expected 1"
-  grep -q "error: Invalid: --$flag must be a number" numbers.out \
+  grep -qxF "error: Invalid: $message" numbers.out \
     || die "$* rejection message wrong"
   [ ! -e lake-numbers ] || die "$* still wrote a lake"
   [ ! -e docs-numbers.json ] || die "$* still wrote its docs"
 }
-expect_not_a_number servers generate --lake lake-numbers --region smoke \
-  --servers 2O
-expect_not_a_number fault-rate pipeline --lake lake \
-  --docs docs-numbers.json --region smoke --week 3 --fault-rate 0.1x \
-  --fault-seed 1
-expect_not_a_number week pipeline --lake lake --docs docs-numbers.json \
-  --region smoke --week x
+NUMBERS_PIPELINE="pipeline --lake lake --docs docs-numbers.json --region smoke"
+expect_bad_number "--servers must be a number" \
+  generate --lake lake-numbers --region smoke --servers 2O
+expect_bad_number "--fault-rate must be a number" \
+  $NUMBERS_PIPELINE --week 3 --fault-rate 0.1x --fault-seed 1
+expect_bad_number "--week must be a number" $NUMBERS_PIPELINE --week x
+# A negative fleet size used to abort in an allocation (exit 134), and
+# zero servers or weeks exited 0 having written nothing.
+expect_bad_number "--servers must be in [1, 1000000]" \
+  generate --lake lake-numbers --region smoke --servers -5
+expect_bad_number "--servers must be in [1, 1000000]" \
+  serve --synthetic --servers -5
+expect_bad_number "--servers must be in [1, 1000000]" \
+  generate --lake lake-numbers --region smoke --servers 0
+expect_bad_number "--weeks must be in [1, 520]" \
+  generate --lake lake-numbers --region smoke --weeks 0
+# nan used to leave fault injection silently off, and 2 faulted every
+# store operation.
+expect_bad_number "--fault-rate must be a number" \
+  $NUMBERS_PIPELINE --week 3 --fault-rate nan --fault-seed 1
+expect_bad_number "--fault-rate must be in [0, 1]" \
+  $NUMBERS_PIPELINE --week 3 --fault-rate 2 --fault-seed 1
+# A zero horizon used to serve the 1440-minute default, and --week -1
+# was reported as a missing flag.
+expect_bad_number "--horizon must be >= 1" \
+  serve --synthetic --servers 2 --horizon 0
+expect_bad_number "--week must be >= 0" $NUMBERS_PIPELINE --week -1
+# Zero clients, ticks or base rate made loadtest exit 0 having sent no
+# request.
+LOADTEST="loadtest --synthetic --servers 2"
+expect_bad_number "--clients must be >= 1" $LOADTEST --mode closed --clients 0
+expect_bad_number "--ticks must be >= 1" $LOADTEST --ticks 0
+expect_bad_number "--base must be >= 1" $LOADTEST --base -5
+expect_bad_number "--batch-size must be >= 1" $LOADTEST --batch-size 0
 
 # --jobs is parsed before any work into [1, 256] (each job is one OS
 # thread). Zero, one past the ceiling and a non-integer fail with exit 1

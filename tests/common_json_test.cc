@@ -89,6 +89,21 @@ TEST(JsonTest, RoundTrip) {
   EXPECT_EQ(*back, doc);
 }
 
+TEST(JsonTest, NumbersAreFiniteDecimalText) {
+  EXPECT_TRUE(Json::Parse(R"({"a":+1})").status().IsInvalid());
+  EXPECT_TRUE(Json::Parse(R"({"a":1e400})").status().IsInvalid());
+  EXPECT_TRUE(Json::Parse(R"({"a":-})").status().IsInvalid());
+}
+
+TEST(JsonTest, SubnormalRoundTrips) {
+  Json doc = Json::MakeObject();
+  doc["tiny"] = 1e-310;
+  auto back = Json::Parse(doc.Dump());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ((*back)["tiny"].AsDouble(), 1e-310);
+  EXPECT_EQ(*back, doc);
+}
+
 TEST(JsonTest, PrettyRoundTrip) {
   Json doc = Json::MakeObject();
   doc["a"] = Json::MakeArray();

@@ -44,6 +44,21 @@ TEST(RecordsTest, StreamingTextRoundTrip) {
   }
 }
 
+// SGB1 admits ids up to 64 KiB and transcode prints each one whole, so
+// a CSV row has no fixed width.
+TEST(RecordsTest, LongServerIdRoundTrips) {
+  TelemetryRecord r;
+  r.server_id = std::string(300, 'x');
+  r.timestamp = 5;
+  r.avg_cpu = 1.5;
+  const std::string text = RecordsToCsvText({r});
+  EXPECT_NE(text.find(r.server_id + ",5,1.5000,0,0\n"), std::string::npos);
+  auto back = ParseTelemetryCsv(text);
+  ASSERT_TRUE(back.ok());
+  ASSERT_EQ(back->size(), 1u);
+  EXPECT_EQ((*back)[0].server_id, r.server_id);
+}
+
 TEST(RecordsTest, ParseRejectsBadHeader) {
   EXPECT_FALSE(ParseTelemetryCsv("a,b,c,d,e\n").ok());
   EXPECT_FALSE(ParseTelemetryCsv("").ok());
@@ -65,6 +80,27 @@ TEST(RecordsTest, ParseRejectsMalformedNumbers) {
   std::string text = RecordsToCsvText({});
   text += "srv,notanumber,1.0,0,10\n";
   EXPECT_FALSE(ParseTelemetryCsv(text).ok());
+}
+
+TEST(RecordsTest, ParseRejectsNonFiniteCpu) {
+  for (const char* cpu : {"nan", "inf", "-inf", "+1.0"}) {
+    std::string text = RecordsToCsvText({});
+    text += std::string("srv,5,") + cpu + ",0,10\n";
+    EXPECT_TRUE(ParseTelemetryCsv(text).status().IsInvalid()) << cpu;
+  }
+}
+
+TEST(RecordsTest, WriterPrintsFourDecimalsAndPlainIntegers) {
+  TelemetryRecord r;
+  r.server_id = "srv";
+  r.timestamp = -5;
+  r.avg_cpu = 12.34565;
+  r.default_backup_start = 9223372036854775807;
+  r.default_backup_end = 0;
+  EXPECT_EQ(RecordsToCsvText({r}),
+            "server_id,timestamp_minutes,avg_cpu_pct,default_backup_start,"
+            "default_backup_end\n"
+            "srv,-5,12.3456,9223372036854775807,0\n");
 }
 
 TEST(RecordsTest, GroupByServerBuildsAlignedSeries) {

@@ -63,7 +63,7 @@ std::vector<TelemetryRecord> RandomRecords(uint64_t seed) {
       if (rng.Chance(0.15)) continue;  // missing sample -> absent row
       TelemetryRecord r = base;
       r.timestamp = start + i * 5;
-      r.avg_cpu = QuantizeCpuForStorage(rng.Uniform(0.0, 100.0));
+      r.avg_cpu = QuantizeFixed4(rng.Uniform(0.0, 100.0));
       records.push_back(std::move(r));
     }
   }
@@ -119,7 +119,7 @@ TEST(SeriesBlockTest, RecordRoundTripIsExact) {
     EXPECT_EQ((*back)[i].timestamp, records[i].timestamp);
     // Values were integral+fraction representable at 1e-4; quantization
     // through "%.4f" reproduces them bit-exactly.
-    EXPECT_EQ((*back)[i].avg_cpu, QuantizeCpuForStorage(records[i].avg_cpu));
+    EXPECT_EQ((*back)[i].avg_cpu, QuantizeFixed4(records[i].avg_cpu));
     EXPECT_EQ((*back)[i].default_backup_start,
               records[i].default_backup_start);
     EXPECT_EQ((*back)[i].default_backup_end, records[i].default_backup_end);
@@ -167,7 +167,7 @@ TEST(SeriesBlockTest, StreamedServersMatchGroupByServerOfInputRows) {
         } else {
           // Bit-exact: both paths carry the quantized value.
           EXPECT_EQ(d.load.ValueAt(j),
-                    QuantizeCpuForStorage(g.load.ValueAt(j)));
+                    QuantizeFixed4(g.load.ValueAt(j)));
         }
       }
     }
@@ -259,8 +259,8 @@ TEST(SeriesBlockTest, QuantizerIsIdempotent) {
   Rng rng(3);
   for (int i = 0; i < 1000; ++i) {
     const double v = rng.Uniform(0.0, 100.0);
-    const double q = QuantizeCpuForStorage(v);
-    EXPECT_EQ(q, QuantizeCpuForStorage(q));
+    const double q = QuantizeFixed4(v);
+    EXPECT_EQ(q, QuantizeFixed4(q));
     EXPECT_NEAR(q, v, 5e-5);
   }
 }

@@ -66,6 +66,8 @@
 #                             # reference loops), the untrusted-input
 #                             # suites (serving_engine_test's ingest
 #                             # admission and integer fields,
+#                             # common_strings_test's number parsers
+#                             # under every flag, CSV field and JSON,
 #                             # common_json_test's nesting cap,
 #                             # pipeline_serving_test, azure_trace_test,
 #                             # failure_injection_test's hostile blobs
@@ -208,10 +210,11 @@ case "$MODE" in
       store_doc_test pipeline_modules_test \
       forecast_linalg_test forecast_linalg_kernel_test \
       forecast_batch_equivalence_test forecast_golden_test \
-      serving_engine_test common_json_test pipeline_serving_test \
-      azure_trace_test failure_injection_test seagull_cli
+      serving_engine_test common_strings_test common_json_test \
+      pipeline_serving_test azure_trace_test failure_injection_test \
+      seagull_cli
     (cd "$ROOT/build-asan" && ctest --output-on-failure -R \
-      'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_json_test|pipeline_serving_test|azure_trace_test|failure_injection_test|cli_smoke_test')
+      'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_strings_test|common_json_test|pipeline_serving_test|azure_trace_test|failure_injection_test|cli_smoke_test')
     (cd "$ROOT/build-asan" && ctest --output-on-failure -L kernels)
     echo "=== [scale] OK ==="
     ;;

@@ -56,16 +56,19 @@
 /// Each command accepts exactly the flags listed above (see
 /// `Commands()`); any other `--flag` — a typo such as `--job`, or a
 /// removed option — fails with exit 2 before the command does any
-/// work. Numeric flags are parsed once, also before any work: a value
-/// that is not a number fails with exit 1 (`--servers must be a
-/// number`). `--jobs` sizes the command's one worker pool and must be
-/// an integer in [1, 256]; anything else fails with exit 1.
+/// work. Numeric flags are parsed and range-checked (`kFlagRanges`)
+/// once, also before any work: a value that is not a finite number, or
+/// is out of range, fails with exit 1 (`--servers must be a number`,
+/// `--servers must be in [1, 1000000]`). `--jobs` sizes the command's
+/// one worker pool and must be an integer in [1, 256]; anything else
+/// fails with exit 1.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -106,6 +109,48 @@ bool IsOneOf(const std::string& key, const auto& names) {
   return std::find(std::begin(names), std::end(names), key) != std::end(names);
 }
 
+/// Ceiling on `--jobs`. Each job is one OS thread of the command's pool,
+/// so the flag must not let a typo (or a hostile wrapper) ask a
+/// long-lived `serve` for tens of thousands of threads; 256 is far
+/// above any core count the fleet runs on.
+constexpr int64_t kMaxJobs = 256;
+/// Ceiling on `--servers`: the largest fleet the scale bench runs.
+constexpr int64_t kMaxServers = 1'000'000;
+/// Ceiling on `--weeks`: ten years of weekly extractions.
+constexpr int64_t kMaxWeeks = 520;
+
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+/// The closed range a numeric flag's value must lie in (`--jobs` has
+/// its own check, `ParseJobs`). Flags not listed take any value.
+struct FlagRange {
+  const char* name;
+  double min;
+  double max;
+};
+constexpr FlagRange kFlagRanges[] = {
+    {"servers", 1, kMaxServers},   {"weeks", 1, kMaxWeeks},
+    {"week", 0, kUnbounded},       {"day", 0, kUnbounded},
+    {"horizon", 1, kUnbounded},    {"ticks", 1, kUnbounded},
+    {"base", 1, kUnbounded},       {"clients", 1, kUnbounded},
+    {"batch-size", 1, kUnbounded}, {"fault-rate", 0, 1},
+    {"batch-frac", 0, 1},          {"subscribe-frac", 0, 1}};
+
+/// Checks `value` of flag `key` against its range, naming the flag and
+/// the bound: "--servers must be in [1, 1000000]", "--week must be >= 0".
+Status CheckRange(const std::string& key, double value) {
+  for (const FlagRange& range : kFlagRanges) {
+    if (key != range.name) continue;
+    if (value >= range.min && value <= range.max) break;
+    return Status::Invalid(
+        range.max == kUnbounded
+            ? StringPrintf("--%s must be >= %.0f", range.name, range.min)
+            : StringPrintf("--%s must be in [%.0f, %.0f]", range.name,
+                           range.min, range.max));
+  }
+  return Status::OK();
+}
+
 /// Minimal --flag value parser.
 class Args {
  public:
@@ -140,22 +185,25 @@ class Args {
     return it == values_.end() ? fallback : it->second;
   }
 
-  /// The one parse of every numeric flag given, in command-line order;
-  /// the first value that is not a number fails, naming its flag.
+  /// The one parse and range check of every numeric flag given, in
+  /// command-line order; the first value that is not a finite number,
+  /// or lies outside its flag's range, fails naming its flag.
   Status ParseNumbers() {
     for (const std::string& key : order_) {
       const std::string& text = values_.at(key);
       bool ok = true;
+      double value = 0.0;
       if (IsOneOf(key, kIntegerFlags)) {
         auto v = ParseInt64(text);
         ok = v.ok();
-        if (ok) ints_[key] = *v;
+        if (ok) value = static_cast<double>(ints_[key] = *v);
       } else if (IsOneOf(key, kNumberFlags)) {
         auto v = ParseDouble(text);
         ok = v.ok();
-        if (ok) doubles_[key] = *v;
+        if (ok) value = doubles_[key] = *v;
       }
       if (!ok) return Status::Invalid("--" + key + " must be a number");
+      SEAGULL_RETURN_NOT_OK(CheckRange(key, value));
     }
     return Status::OK();
   }
@@ -194,12 +242,6 @@ int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
 }
-
-/// Ceiling on `--jobs`. Each job is one OS thread of the command's pool,
-/// so the flag must not let a typo (or a hostile wrapper) ask a
-/// long-lived `serve` for tens of thousands of threads; 256 is far
-/// above any core count the fleet runs on.
-constexpr int64_t kMaxJobs = 256;
 
 /// Parses `--jobs` (default 1) into [1, kMaxJobs]. Commands call it
 /// before any work, so a bad count fails without side effects.
@@ -646,8 +688,8 @@ int CmdTranscode(const Args& args) {
   const std::string out_key = args.Get("out", *key);
 
   // Both directions run through TelemetryRecord rows, so a transcode
-  // round trip reproduces the original bytes (values are stored
-  // pre-quantized to the CSV's %.4f in either format).
+  // round trip reproduces the original bytes: SGB1 stores each value as
+  // `QuantizeFixed4`, the function the CSV writer prints with.
   std::string converted;
   int64_t rows = 0;
   int64_t streamed_bytes = -1;  // >= 0 once the streamed path has written
