@@ -9,8 +9,9 @@
 ///
 /// With `--budgets=<path>` the per-model fit times are checked against
 /// the "forecast_train_micros" p50/p99 ceilings in the given budgets
-/// file (tools/check.sh perf wires this up); a violation exits non-zero
-/// so the gate fails loudly.
+/// file, and the batch row's shared forecast against
+/// "forecast_predict_micros" (tools/check.sh perf wires this up); a
+/// violation exits non-zero so the gate fails loudly.
 
 #include <benchmark/benchmark.h>
 
@@ -70,7 +71,11 @@ struct FitTiming {
 };
 
 /// Times `reps` fresh fits of `model_name` on a fixed synthetic week,
-/// plus the one-day Forecast cost of each fit.
+/// plus the one-day Forecast cost of each fit. Each rep forecasts from
+/// its own start, one interval earlier than the last: the additive
+/// model keeps a thread's Monte-Carlo draws for the last start it
+/// forecast, and this row measures a forecast that draws afresh (the
+/// batch row measures the shared cost).
 FitTiming TimeModel(const std::string& model_name, int reps) {
   const LoadSeries week = SyntheticWeek(17);
   FitTiming out;
@@ -81,9 +86,9 @@ FitTiming TimeModel(const std::string& model_name, int reps) {
     const auto t0 = Clock::now();
     (*model)->Fit(week).Abort();
     fit_samples.push_back(MicrosSince(t0));
+    const MinuteStamp start = week.end() - rep * week.interval_minutes();
     const auto t1 = Clock::now();
-    auto forecast =
-        (*model)->Forecast(week, week.end(), kMinutesPerDay);
+    auto forecast = (*model)->Forecast(week, start, kMinutesPerDay);
     forecast.status().Abort();
     predict_samples.push_back(MicrosSince(t1));
     benchmark::DoNotOptimize(forecast->size());
@@ -171,7 +176,11 @@ Json KernelRows() {
 /// training.cc used to run. The emitted row's fit percentiles are
 /// the amortized per-server cost — each server's own fit time plus its
 /// share of the group overhead (the shared design/Gram build) — so the
-/// budget gate fails if batching ever stops paying for itself.
+/// budget gate fails if batching ever stops paying for itself. Its
+/// forecast percentiles time each restored model's one-day Forecast
+/// from the shared grid end, as a serving tick's refits do: all 1200
+/// read one thread's Monte-Carlo draws, so the gate fails if that
+/// sharing is lost.
 Json BatchFleetRow() {
   constexpr int64_t kServers = 1200;
   std::vector<LoadSeries> fleet;
@@ -207,6 +216,17 @@ Json BatchFleetRow() {
   }
   const double overhead = std::max(0.0, batch_total - item_sum) /
                           static_cast<double>(kServers);
+
+  std::vector<double> forecast_micros;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    auto model = ModelFactory::Global().Restore((*results)[i].doc);
+    model.status().Abort();
+    const auto t0 = Clock::now();
+    auto forecast =
+        (*model)->Forecast(fleet[i], fleet[i].end(), kMinutesPerDay);
+    forecast_micros.push_back(MicrosSince(t0));
+    forecast.status().Abort();
+  }
   const double speedup =
       batch_total > 0.0 ? per_server_total / batch_total : 0.0;
   std::printf("%-14s %lld servers  per-server %9.0f us -> batched "
@@ -214,12 +234,21 @@ Json BatchFleetRow() {
               "batch additive", static_cast<long long>(kServers),
               per_server_total, batch_total, speedup,
               static_cast<long long>(stats.groups));
+  std::printf("%-14s %lld servers  one-day forecast p50 %7.0f us  p99 "
+              "%7.0f us\n",
+              "batch additive", static_cast<long long>(kServers),
+              Quantile(forecast_micros, 0.5),
+              Quantile(forecast_micros, 0.99));
 
   Json row = Json::MakeObject();
   Json fit_j = Json::MakeObject();
   fit_j["p50"] = Quantile(item_micros, 0.5) + overhead;
   fit_j["p99"] = Quantile(item_micros, 0.99) + overhead;
   row["fit"] = std::move(fit_j);
+  Json forecast_j = Json::MakeObject();
+  forecast_j["p50"] = Quantile(forecast_micros, 0.5);
+  forecast_j["p99"] = Quantile(forecast_micros, 0.99);
+  row["forecast"] = std::move(forecast_j);
   row["servers"] = static_cast<double>(kServers);
   row["groups"] = static_cast<double>(stats.groups);
   row["per_server_total_micros"] = per_server_total;
@@ -228,40 +257,39 @@ Json BatchFleetRow() {
   return row;
 }
 
-/// Checks per-model fit timings against the "forecast_train_micros"
-/// section of the budgets file. Returns the number of violations.
-int CheckBudgets(const std::string& path, const Json& models) {
-  auto budgets = bench::LoadBudgets(path, "forecast_train_micros");
+/// Checks the `leg` ("fit" or "forecast") timings of each model named
+/// in budgets section `section` against its p50/p99 ceilings. Returns
+/// the number of violations.
+int CheckBudgets(const std::string& path, const char* section,
+                 const char* leg, const Json& models) {
+  auto budgets = bench::LoadBudgets(path, section);
   if (!budgets.ok()) {
     std::fprintf(stderr, "%s\n", budgets.status().ToString().c_str());
     return 1;
   }
   int violations = 0;
   for (const auto& [name, ceiling] : budgets->AsObject()) {
-    if (!models.Contains(name)) {
-      std::fprintf(stderr, "budgeted model was not measured: %s\n",
+    if (!models[name][leg].is_object()) {
+      std::fprintf(stderr, "budgeted %s was not measured: %s\n", leg,
                    name.c_str());
       ++violations;
       continue;
     }
-    const Json& row = models[name];
-    auto check = [&](const char* pct) {
+    for (const char* pct : {"p50", "p99"}) {
       const double budget = ceiling[pct].AsDouble();
-      const double measured = row["fit"][pct].AsDouble();
+      const double measured = models[name][leg][pct].AsDouble();
       if (measured > budget) {
         std::fprintf(stderr,
-                     "train budget exceeded: %s %s measured %.0fus > "
+                     "%s budget exceeded: %s %s measured %.0fus > "
                      "budget %.0fus (if intentional, re-baseline "
                      "tests/budgets.json)\n",
-                     name.c_str(), pct, measured, budget);
+                     leg, name.c_str(), pct, measured, budget);
         ++violations;
       }
-    };
-    check("p50");
-    check("p99");
+    }
   }
   if (violations == 0) {
-    std::printf("train budgets OK (%s)\n", path.c_str());
+    std::printf("%s budgets OK (%s)\n", leg, path.c_str());
   }
   return violations;
 }
@@ -318,7 +346,12 @@ int main(int argc, char** argv) {
   out["kernels"] = std::move(kernels);
   (void)bench::WriteBenchJson("BENCH_forecast.json", out);
 
-  if (!budgets_path.empty() && CheckBudgets(budgets_path, out["models"]) > 0) {
+  if (!budgets_path.empty() &&
+      CheckBudgets(budgets_path, "forecast_train_micros", "fit",
+                   out["models"]) +
+              CheckBudgets(budgets_path, "forecast_predict_micros",
+                           "forecast", out["models"]) >
+          0) {
     return 1;
   }
   return 0;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
+#include "common/strings.h"
 #include "forecast/scratch.h"
 #include "timeseries/resample.h"
 
@@ -10,7 +13,50 @@ namespace seagull {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
+
+/// Most deviates one thread keeps: a 14-day horizon (the serving
+/// ceiling) on the 5-minute grid at kMaxUncertaintySamples, 32 MB.
+constexpr int64_t kMaxKeptDraws =
+    14 * kMinutesPerDay / kServerIntervalMinutes * kMaxUncertaintySamples;
+
+/// The standard normals of the Monte-Carlo stream this thread drew
+/// last, in draw order; `rng` sits just past `z.back()`. It starts as
+/// stream 0 with nothing drawn.
+struct StreamDraws {
+  uint64_t seed = 0;
+  Rng rng{0};
+  std::vector<double> z;
+};
+
+/// This thread's draws of stream `seed`, holding at least `count`
+/// values. A new seed restarts the stream.
+const StreamDraws& DrawsFor(uint64_t seed, int64_t count) {
+  thread_local StreamDraws draws;
+  if (draws.seed != seed) {
+    draws.seed = seed;
+    draws.rng = Rng(seed);
+    draws.z.clear();
+  }
+  const size_t want = static_cast<size_t>(count);
+  if (draws.z.size() < want) draws.z.reserve(want);
+  while (draws.z.size() < want) draws.z.push_back(draws.rng.Gaussian());
+  return draws;
 }
+
+/// Integer field `key` of `doc`, or Invalid unless it lies in [lo, hi].
+Result<int64_t> GetBounded(const Json& doc, const std::string& key,
+                           int64_t lo, int64_t hi) {
+  SEAGULL_ASSIGN_OR_RETURN(int64_t value, doc.GetInt64(key));
+  if (value < lo || value > hi) {
+    return Status::Invalid(StringPrintf(
+        "additive model field %s = %lld outside [%lld, %lld]", key.c_str(),
+        static_cast<long long>(value), static_cast<long long>(lo),
+        static_cast<long long>(hi)));
+  }
+  return value;
+}
+
+}  // namespace
 
 int64_t AdditiveForecast::NumFeatures() const {
   // intercept + base slope + changepoint slopes + 2 per Fourier term +
@@ -188,9 +234,17 @@ Result<LoadSeries> AdditiveForecast::Forecast(const LoadSeries& recent,
   // Monte-Carlo trend uncertainty (Prophet's predictive intervals): the
   // point forecast is the mean over simulated trend continuations. This
   // is what makes the original's inference expensive; we keep it (with a
-  // bounded sample count) so the cost shape carries over.
-  Rng rng(options_.seed ^ static_cast<uint64_t>(start));
+  // bounded sample count) so the cost shape carries over. Sample s of
+  // step i takes deviate i·sims + s of the stream seeded `seed ^ start`,
+  // which depends on nothing else, so the thread's kept draws serve
+  // every forecast at this start; past kMaxKeptDraws the stream
+  // continues live on a copy of its generator.
   const int64_t sims = std::max<int64_t>(1, options_.uncertainty_samples);
+  const int64_t kept = std::min(steps * sims, kMaxKeptDraws);
+  const StreamDraws& draws =
+      DrawsFor(options_.seed ^ static_cast<uint64_t>(start), kept);
+  Rng spill = draws.rng;
+  std::vector<double> spilled;  // one step's deviates, past `kept` only
   const double span =
       std::max<double>(1.0, static_cast<double>(train_end_ - train_start_));
   for (int64_t i = 0; i < steps; ++i) {
@@ -203,9 +257,23 @@ Result<LoadSeries> AdditiveForecast::Forecast(const LoadSeries& recent,
     // Simulate extra trend drift beyond the training range.
     double beyond =
         std::max(0.0, static_cast<double>(t - train_end_) / span);
+    const double sd = 0.3 * residual_sigma_ * beyond;
+    const double* z;
+    if ((i + 1) * sims <= kept) {
+      z = draws.z.data() + i * sims;
+    } else {
+      spilled.resize(static_cast<size_t>(sims));
+      for (int64_t s = 0; s < sims; ++s) {
+        const int64_t k = i * sims + s;
+        spilled[static_cast<size_t>(s)] =
+            k < kept ? draws.z[static_cast<size_t>(k)] : spill.Gaussian();
+      }
+      z = spilled.data();
+    }
     double acc = 0.0;
     for (int64_t s = 0; s < sims; ++s) {
-      double drift = rng.Gaussian(0.0, 0.3 * residual_sigma_ * beyond);
+      // Rng::Gaussian(0.0, sd) returns exactly 0.0 + sd * deviate.
+      double drift = 0.0 + sd * z[s];
       acc += base + drift;
     }
     out[static_cast<size_t>(i)] =
@@ -237,25 +305,33 @@ Result<Json> AdditiveForecast::Serialize() const {
 }
 
 Status AdditiveForecast::Deserialize(const Json& doc) {
-  SEAGULL_ASSIGN_OR_RETURN(double interval, doc.GetNumber("interval"));
-  SEAGULL_ASSIGN_OR_RETURN(double ts, doc.GetNumber("train_start"));
-  SEAGULL_ASSIGN_OR_RETURN(double te, doc.GetNumber("train_end"));
-  SEAGULL_ASSIGN_OR_RETURN(double d, doc.GetNumber("daily_order"));
-  SEAGULL_ASSIGN_OR_RETURN(double w, doc.GetNumber("weekly_order"));
-  SEAGULL_ASSIGN_OR_RETURN(double c, doc.GetNumber("changepoints"));
+  // Documents are untrusted (DocStore files, the serving endpoint), so
+  // every structure field is range-checked before anything sizes a
+  // buffer or divides by it: a negative order would make FeaturesAt
+  // write past the feature scratch, and a zero interval would divide by
+  // zero. A rejected document leaves the model unfitted.
+  fitted_ = false;
+  SEAGULL_ASSIGN_OR_RETURN(
+      interval_, GetBounded(doc, "interval", 1,
+                            std::numeric_limits<int64_t>::max()));
+  SEAGULL_ASSIGN_OR_RETURN(train_start_, doc.GetInt64("train_start"));
+  SEAGULL_ASSIGN_OR_RETURN(train_end_, doc.GetInt64("train_end"));
+  SEAGULL_ASSIGN_OR_RETURN(
+      options_.daily_order,
+      GetBounded(doc, "daily_order", 0, kMaxAdditiveTerms));
+  SEAGULL_ASSIGN_OR_RETURN(
+      options_.weekly_order,
+      GetBounded(doc, "weekly_order", 0, kMaxAdditiveTerms));
+  SEAGULL_ASSIGN_OR_RETURN(
+      options_.changepoints,
+      GetBounded(doc, "changepoints", 0, kMaxAdditiveTerms));
   SEAGULL_ASSIGN_OR_RETURN(residual_sigma_, doc.GetNumber("residual_sigma"));
-  interval_ = static_cast<int64_t>(interval);
-  train_start_ = static_cast<MinuteStamp>(ts);
-  train_end_ = static_cast<MinuteStamp>(te);
-  options_.daily_order = static_cast<int64_t>(d);
-  options_.weekly_order = static_cast<int64_t>(w);
-  options_.changepoints = static_cast<int64_t>(c);
   // Inference behaviour (Monte-Carlo sampling) must round-trip too, so a
   // restored endpoint reproduces the deployed model exactly.
-  SEAGULL_ASSIGN_OR_RETURN(double samples,
-                           doc.GetNumber("uncertainty_samples"));
-  SEAGULL_ASSIGN_OR_RETURN(double seed, doc.GetNumber("seed"));
-  options_.uncertainty_samples = static_cast<int64_t>(samples);
+  SEAGULL_ASSIGN_OR_RETURN(
+      options_.uncertainty_samples,
+      GetBounded(doc, "uncertainty_samples", 1, kMaxUncertaintySamples));
+  SEAGULL_ASSIGN_OR_RETURN(int64_t seed, doc.GetInt64("seed"));
   options_.seed = static_cast<uint64_t>(seed);
   options_.holidays.clear();
   if (doc["holidays"].is_array()) {

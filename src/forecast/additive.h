@@ -21,6 +21,13 @@ namespace seagull {
 class BatchTrainer;
 class Matrix;
 
+/// Largest Fourier order, and largest changepoint count, a restored
+/// model may carry (production uses 8 / 4 / 8).
+inline constexpr int64_t kMaxAdditiveTerms = 1000;
+/// Largest `uncertainty_samples` a restored model may carry (production
+/// uses 100). It also sizes the per-thread draw table `Forecast` keeps.
+inline constexpr int64_t kMaxUncertaintySamples = 1000;
+
 /// \brief Model structure and optimizer parameters.
 struct AdditiveOptions {
   /// Fourier order of the daily / weekly seasonal blocks.
@@ -39,7 +46,9 @@ struct AdditiveOptions {
   int64_t iterations = 600;
   double learning_rate = 0.05;
   /// Posterior-style trend simulations per forecast; the dominant
-  /// inference cost, as in the original.
+  /// inference cost, as in the original. Every forecast at one start
+  /// consumes the same normal stream, so a thread draws it once and
+  /// reuses it until the start changes (see `Forecast`).
   int64_t uncertainty_samples = 100;
   uint64_t seed = 11;
 };
@@ -52,9 +61,18 @@ class AdditiveForecast final : public ForecastModel {
 
   std::string name() const override { return "additive"; }
   Status Fit(const LoadSeries& train) override;
+  /// The mean of `uncertainty_samples` simulated trend continuations.
+  /// Their standard normals come from one stream seeded with
+  /// `seed ^ start`; each thread keeps the stream it drew last, so
+  /// consecutive forecasts at one start (a serving tick's refits) draw
+  /// it once. The output is the same bits either way.
   Result<LoadSeries> Forecast(const LoadSeries& recent, MinuteStamp start,
                               int64_t horizon_minutes) const override;
   Result<Json> Serialize() const override;
+  /// Restores a serialized model; a document whose interval is not
+  /// positive, whose orders or changepoint count lie outside
+  /// [0, kMaxAdditiveTerms], or whose `uncertainty_samples` lie outside
+  /// [1, kMaxUncertaintySamples] is `Invalid`.
   Status Deserialize(const Json& doc) override;
 
  private:

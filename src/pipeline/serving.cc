@@ -1,5 +1,7 @@
 #include "pipeline/serving.h"
 
+#include "common/strings.h"
+
 namespace seagull {
 
 Json SeriesToJson(const LoadSeries& series) {
@@ -49,6 +51,13 @@ Result<ForecastRequest> ForecastRequest::FromJson(const Json& doc) {
                            doc.GetInt64("horizon_minutes"));
   if (req.horizon_minutes <= 0) {
     return Status::Invalid("horizon must be positive");
+  }
+  // The forecast is materialized in full before anything is sent, so an
+  // unbounded horizon would let one request line exhaust memory or time.
+  if (req.horizon_minutes > kTailCapMinutes) {
+    return Status::Invalid(StringPrintf(
+        "horizon must be at most %lld minutes",
+        static_cast<long long>(kTailCapMinutes)));
   }
   if (!doc["recent"].is_object()) {
     return Status::Invalid("request has no recent telemetry");

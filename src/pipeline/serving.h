@@ -16,6 +16,13 @@
 
 namespace seagull {
 
+/// Rolling telemetry `ServingEngine` keeps per server; older samples
+/// are trimmed at tick time so steady-state memory is O(servers * cap).
+/// Ingest increments must also lie within this distance of the server's
+/// telemetry (see `ServingEngine::Handle`), and no forecast request or
+/// `serve --horizon` may ask for a longer horizon.
+inline constexpr int64_t kTailCapMinutes = 14 * kMinutesPerDay;
+
 /// \brief Parsed forecast request.
 struct ForecastRequest {
   std::string server_id;
@@ -27,6 +34,7 @@ struct ForecastRequest {
   /// Parses the JSON wire form:
   /// {"server_id": "...", "start": M, "horizon_minutes": M,
   ///  "recent": {"start": M, "interval": M, "values": [v|null, ...]}}
+  /// A horizon outside [1, kTailCapMinutes] is `Invalid`.
   static Result<ForecastRequest> FromJson(const Json& doc);
   Json ToJson() const;
 };

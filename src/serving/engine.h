@@ -78,12 +78,6 @@
 
 namespace seagull {
 
-/// Rolling telemetry kept per server; older samples are trimmed at tick
-/// time so steady-state memory is O(servers * cap). Ingest increments
-/// must also lie within this distance of the server's telemetry (see
-/// `ServingEngine::Handle`).
-inline constexpr int64_t kTailCapMinutes = 14 * kMinutesPerDay;
-
 /// \brief Serving-engine knobs.
 struct ServingOptions {
   /// Forecast horizon recomputed for each dirty server at every tick.

@@ -206,8 +206,12 @@ expect_bad_number "--fault-rate must be in [0, 1]" \
   $NUMBERS_PIPELINE --week 3 --fault-rate 2 --fault-seed 1
 # A zero horizon used to serve the 1440-minute default, and --week -1
 # was reported as a missing flag.
-expect_bad_number "--horizon must be >= 1" \
+expect_bad_number "--horizon must be in [1, 20160]" \
   serve --synthetic --servers 2 --horizon 0
+# The one ceiling probed from above: were it broken, two servers would
+# only forecast two weeks and exit.
+expect_bad_number "--horizon must be in [1, 20160]" \
+  serve --synthetic --servers 2 --horizon 20161
 expect_bad_number "--week must be >= 0" $NUMBERS_PIPELINE --week -1
 # Zero clients, ticks or base rate made loadtest exit 0 having sent no
 # request.
@@ -263,9 +267,10 @@ grep -q "ingestion: .*more servers than the blob can hold" \
   hostile-incidents.out || die "no ingestion incident for hostile blob"
 
 # Hostile JSON. A request line nested 20,000 deep (40 KB) used to
-# overflow the stack of `serve` (exit 139), and a day of 1e300 was cast
-# to int64_t unchecked. Each must get a structured Invalid, and the
-# request after them must still be answered.
+# overflow the stack of `serve` (exit 139), a day of 1e300 was cast
+# to int64_t unchecked, and a stateless predict for a horizon near 2^53
+# aborted it with std::bad_alloc (exit 134). Each must get a structured
+# Invalid, and the request after them must still be answered.
 deep() {
   printf '%20000s' '' | tr ' ' '['
   printf '%20000s' '' | tr ' ' ']'
@@ -275,6 +280,7 @@ deep() {
   deep
   printf '}\n'
   printf '{"verb":"ll_window","server_id":"serve-srv-00000","day":1e300}\n'
+  printf '{"verb":"predict","server_id":"x","start":0,"horizon_minutes":9007199254740990,"recent":{"start":0,"interval":5,"values":[1,2,3]}}\n'
   printf '{"verb":"ll_window","server_id":"serve-srv-00000"}\n'
 } > hostile-requests.jsonl
 [ "$(wc -c < hostile-requests.jsonl)" -gt 40000 ] \
@@ -287,7 +293,9 @@ sed -n 1p serve-hostile.out | grep -q '"code":"Invalid"' \
   || die "nested request line not answered Invalid"
 sed -n 2p serve-hostile.out | grep -q '"code":"Invalid"' \
   || die "day 1e300 not answered Invalid"
-sed -n 3p serve-hostile.out | grep -q '"ok":true' \
+sed -n 3p serve-hostile.out | grep -q '"code":"Invalid".*"ok":false' \
+  || die "horizon near 2^53 not answered Invalid"
+sed -n 4p serve-hostile.out | grep -q '"ok":true' \
   || die "serve stopped answering after hostile requests"
 
 # The same parser reads --docs files.

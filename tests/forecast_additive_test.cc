@@ -3,7 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <utility>
+#include <vector>
 
+#include "common/hash.h"
+#include "common/strings.h"
 #include "metrics/standard.h"
 
 namespace seagull {
@@ -188,6 +199,198 @@ TEST(AdditiveTest, UncertaintySamplesOnlyAffectBeyondTraining) {
   ASSERT_TRUE(fb.ok());
   for (int64_t i = 0; i < fa->size(); ++i) {
     EXPECT_NEAR(fa->ValueAt(i), fb->ValueAt(i), 1e-9);
+  }
+}
+
+// --- Hostile model documents -------------------------------------------
+
+/// A fitted model's document with `key` set to `value`, and its `coef`
+/// array resized to the count the edited structure implies, so that
+/// only the range checks can reject it.
+Json DocWith(const std::string& key, double value) {
+  AdditiveForecast model(FastOptions());
+  model.Fit(SeasonalSeries(7)).Abort();
+  Json doc = std::move(model.Serialize()).ValueOrDie();
+  doc[key] = value;
+  const int64_t features =
+      2 + doc["changepoints"].AsInt() +
+      2 * (doc["daily_order"].AsInt() + doc["weekly_order"].AsInt());
+  Json coef = Json::MakeArray();
+  for (int64_t i = 0; i < std::max<int64_t>(0, features); ++i) {
+    coef.Append(0.5);
+  }
+  doc["coef"] = std::move(coef);
+  return doc;
+}
+
+TEST(AdditiveTest, DeserializeRejectsNegativeOrder) {
+  // Its feature count is 2 + 0 + 2·(−1 + 0) = 0, so the empty coef
+  // array matches; restored, its Forecast would write its first
+  // feature through the empty scratch vector's null pointer.
+  Json doc = Json::MakeObject();
+  doc["model"] = "additive";
+  doc["interval"] = 5;
+  doc["train_start"] = 0;
+  doc["train_end"] = 7 * kMinutesPerDay;
+  doc["daily_order"] = -1;
+  doc["weekly_order"] = 0;
+  doc["changepoints"] = 0;
+  doc["uncertainty_samples"] = 20;
+  doc["seed"] = 11;
+  doc["residual_sigma"] = 1.0;
+  doc["holidays"] = Json::MakeArray();
+  doc["coef"] = Json::MakeArray();
+  AdditiveForecast restored;
+  EXPECT_TRUE(restored.Deserialize(doc).IsInvalid());
+}
+
+TEST(AdditiveTest, DeserializeRejectsOutOfRangeFields) {
+  struct Case {
+    const char* key;
+    double value;
+  };
+  const Case cases[] = {
+      {"interval", 0},  // would reach `start % 0` in Forecast
+      {"interval", -5},
+      {"interval", 2.5},
+      {"daily_order", -1},
+      {"weekly_order", -1},
+      {"changepoints", -1},
+      {"daily_order", kMaxAdditiveTerms + 1},
+      {"weekly_order", kMaxAdditiveTerms + 1},
+      {"changepoints", kMaxAdditiveTerms + 1},
+      {"uncertainty_samples", 0},
+      {"uncertainty_samples", -3},
+      {"uncertainty_samples", kMaxUncertaintySamples + 1},
+  };
+  for (const Case& c : cases) {
+    AdditiveForecast restored;
+    Status status = restored.Deserialize(DocWith(c.key, c.value));
+    EXPECT_TRUE(status.IsInvalid()) << c.key << " = " << c.value << ": "
+                                    << status.ToString();
+  }
+}
+
+TEST(AdditiveTest, DeserializeAcceptsRangeEdges) {
+  const std::pair<const char*, double> edges[] = {
+      {"daily_order", 0},
+      {"weekly_order", 0},
+      {"changepoints", 0},
+      {"changepoints", kMaxAdditiveTerms},
+      {"uncertainty_samples", 1},
+      {"uncertainty_samples", kMaxUncertaintySamples},
+      {"interval", 1}};
+  for (const auto& [key, value] : edges) {
+    AdditiveForecast restored;
+    Status status = restored.Deserialize(DocWith(key, value));
+    EXPECT_TRUE(status.ok()) << key << " = " << value << ": "
+                             << status.ToString();
+  }
+}
+
+TEST(AdditiveTest, RejectedDocumentLeavesModelUnfitted) {
+  AdditiveForecast model(FastOptions());
+  ASSERT_TRUE(model.Fit(SeasonalSeries(7)).ok());
+  EXPECT_FALSE(model.Deserialize(DocWith("interval", 0)).ok());
+  EXPECT_TRUE(model.Forecast(SeasonalSeries(1), 0, 60)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
+// --- Bit pins for the shared Monte-Carlo draws -------------------------
+//
+// A forecast draws its normals from the stream seeded `seed ^ start`,
+// and each thread keeps the last stream it drew. The calls below run in
+// one order on one thread, so they hit, extend, restart and outgrow
+// that table; every result must equal, byte for byte, the same call on
+// a fresh thread (whose table starts empty) and the digest frozen in
+// tests/golden/additive_draws_v1.json, which was computed by the
+// implementation that drew every normal afresh.
+
+constexpr MinuteStamp kStartA = 7 * kMinutesPerDay;  // the training end
+constexpr MinuteStamp kStartB = 8 * kMinutesPerDay;
+
+const Json& DrawsGolden() {
+  static const Json doc = [] {
+    const std::string path =
+        std::string(SEAGULL_TEST_DATA_DIR) + "/golden/additive_draws_v1.json";
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    auto parsed = Json::Parse(buffer.str());
+    EXPECT_TRUE(parsed.ok()) << path << ": " << parsed.status().ToString();
+    return parsed.ok() ? *parsed : Json::MakeObject();
+  }();
+  return doc;
+}
+
+/// FNV-1a-64 over the forecast's raw doubles.
+std::string ValuesDigest(const std::vector<double>& values) {
+  const uint64_t h = Fnv1aFold(
+      kFnv1aBasis,
+      std::string_view(reinterpret_cast<const char*>(values.data()),
+                       values.size() * sizeof(double)));
+  return StringPrintf("%016llx", static_cast<unsigned long long>(h));
+}
+
+std::unique_ptr<AdditiveForecast> PinModel(int64_t samples, uint64_t seed) {
+  AdditiveOptions options = FastOptions();
+  options.uncertainty_samples = samples;
+  options.seed = seed;
+  auto model = std::make_unique<AdditiveForecast>(options);
+  model->Fit(SeasonalSeries(7, 0.5)).Abort();
+  return model;
+}
+
+std::vector<double> ForecastValues(const AdditiveForecast& model,
+                                   MinuteStamp start, int64_t horizon) {
+  auto forecast = model.Forecast(LoadSeries(), start, horizon);
+  forecast.status().Abort();
+  return forecast->values();
+}
+
+TEST(AdditiveTest, SharedDrawsKeepEveryBit) {
+  const std::unique_ptr<AdditiveForecast> models[] = {
+      PinModel(20, 11), PinModel(100, 11), PinModel(1, 11),
+      // Its stream at kStartB is model 1's stream at kStartA.
+      PinModel(100, 11 ^ static_cast<uint64_t>(kStartA) ^
+                        static_cast<uint64_t>(kStartB)),
+      // 15 days × 1000 samples outgrow the 14-day table.
+      PinModel(1000, 11)};
+  struct Call {
+    const char* name;
+    int model;
+    MinuteStamp start;
+    int64_t horizon;
+  };
+  const Call calls[] = {
+      {"s20_a_day", 0, kStartA, kMinutesPerDay},
+      {"s20_b_day", 0, kStartB, kMinutesPerDay},
+      {"s20_a_day_again", 0, kStartA, kMinutesPerDay},
+      {"s100_a_day", 1, kStartA, kMinutesPerDay},
+      {"s100_a_week", 1, kStartA, 7 * kMinutesPerDay},
+      {"s1_a_day", 2, kStartA, kMinutesPerDay},
+      {"s100_coincident_b_day", 3, kStartB, kMinutesPerDay},
+      {"s1000_a_15_days", 4, kStartA, 15 * kMinutesPerDay},
+      {"s1000_a_day", 4, kStartA, kMinutesPerDay},
+      {"s20_b_day_again", 0, kStartB, kMinutesPerDay},
+  };
+  const Json& golden = DrawsGolden()["forecasts"];
+  for (const Call& call : calls) {
+    const AdditiveForecast& model = *models[call.model];
+    const std::vector<double> shared =
+        ForecastValues(model, call.start, call.horizon);
+    std::vector<double> fresh;
+    std::thread([&] {
+      fresh = ForecastValues(model, call.start, call.horizon);
+    }).join();
+    ASSERT_EQ(shared.size(), fresh.size()) << call.name;
+    EXPECT_EQ(std::memcmp(shared.data(), fresh.data(),
+                          shared.size() * sizeof(double)),
+              0)
+        << call.name;
+    EXPECT_EQ(ValuesDigest(shared), golden[call.name].AsString())
+        << call.name;
   }
 }
 

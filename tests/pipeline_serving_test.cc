@@ -132,6 +132,46 @@ TEST_F(ServingContractTest, NegativeHorizonRejected) {
   EXPECT_FALSE((*response)["ok"].AsBool());
 }
 
+TEST_F(ServingContractTest, HorizonCeilingEnforced) {
+  // The forecast is built in full before the response, so a horizon
+  // near 2^53 would abort `serve` with std::bad_alloc and 2e9 minutes
+  // would ask for a 400-million-point forecast. Past kTailCapMinutes is
+  // Invalid, and the engine keeps answering.
+  ForecastRequest req;
+  req.server_id = "srv";
+  req.start = kMinutesPerDay;
+  req.horizon_minutes = kTailCapMinutes;
+  req.recent = DayOfLoad();
+  for (int64_t horizon : {kTailCapMinutes + 5, int64_t{2000000000},
+                          int64_t{9007199254740990}}) {
+    Json doc = req.ToJson();
+    doc["horizon_minutes"] = horizon;
+    auto response = Json::Parse(Handle(doc.Dump()));
+    ASSERT_TRUE(response.ok()) << horizon;
+    EXPECT_FALSE((*response)["ok"].AsBool()) << horizon;
+    EXPECT_EQ((*response)["code"].AsString(), "Invalid") << horizon;
+  }
+  auto at_cap = Json::Parse(Handle(req.ToJson().Dump()));
+  ASSERT_TRUE(at_cap.ok());
+  EXPECT_TRUE((*at_cap)["ok"].AsBool());
+  auto forecast = SeriesFromJson((*at_cap)["forecast"]);
+  ASSERT_TRUE(forecast.ok());
+  EXPECT_EQ(forecast->size(), kTailCapMinutes / 5);
+  EXPECT_EQ(served(), 1);
+  EXPECT_EQ(failed(), 3);
+}
+
+TEST(ForecastRequestTest, HorizonAboveCeilingInvalid) {
+  ForecastRequest req;
+  req.server_id = "srv";
+  req.start = 0;
+  req.horizon_minutes = kTailCapMinutes;
+  req.recent = DayOfLoad();
+  EXPECT_TRUE(ForecastRequest::FromJson(req.ToJson()).ok());
+  req.horizon_minutes = kTailCapMinutes + 1;
+  EXPECT_TRUE(ForecastRequest::FromJson(req.ToJson()).status().IsInvalid());
+}
+
 TEST_F(ServingContractTest, EmptyServerIdRejected) {
   ForecastRequest req;
   req.server_id = "";

@@ -13,8 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "common/fault.h"
+#include "common/hash.h"
 #include "common/obs/clock.h"
+#include "common/strings.h"
 #include "serving/loadgen.h"
 #include "serving_test_util.h"
 #include "telemetry/fleet.h"
@@ -46,9 +52,12 @@ struct RunOutcome {
 /// One full load-test run at the given concurrency. `fault_rate > 0`
 /// enables the serving.refit fault point for the run's duration;
 /// `mixed_verbs` turns on the PR 8 verbs (batch predict + subscription
-/// churn) so the digest also covers snapshot reads and notifications.
+/// churn) so the digest also covers snapshot reads and notifications;
+/// a non-empty `refit_model` re-fits that family on every dirty tail
+/// through `BatchTrainer` instead of predicting through the endpoint.
 RunOutcome RunOnce(DriverMode mode, int jobs, double fault_rate,
-                   bool mixed_verbs = false) {
+                   bool mixed_verbs = false,
+                   const std::string& refit_model = "") {
   ScopedFrozenClock frozen;
   std::unique_ptr<ScopedFaultInjection> faults;
   if (fault_rate > 0.0) {
@@ -65,6 +74,7 @@ RunOutcome RunOnce(DriverMode mode, int jobs, double fault_rate,
 
   std::unique_ptr<ThreadPool> pool;
   ServingOptions serving;
+  serving.refit_model = refit_model;
   if (jobs > 1) {
     pool = std::make_unique<ThreadPool>(jobs);
     serving.pool = pool.get();
@@ -163,6 +173,50 @@ TEST(ServingDeterminismTest, MixedVerbsIdenticalUnderFaultInjection) {
   EXPECT_EQ(sequential.snapshot, parallel.snapshot);
   EXPECT_EQ(sequential.report.notifications,
             parallel.report.notifications);
+}
+
+/// The additive-refit run's digests, frozen in
+/// tests/golden/additive_draws_v1.json by the implementation that drew
+/// every Monte-Carlo normal afresh.
+const Json& RefitGolden() {
+  static const Json doc = [] {
+    const std::string path =
+        std::string(SEAGULL_TEST_DATA_DIR) + "/golden/additive_draws_v1.json";
+    std::ifstream in(path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    auto parsed = Json::Parse(buffer.str());
+    EXPECT_TRUE(parsed.ok()) << path << ": " << parsed.status().ToString();
+    return parsed.ok() ? (*parsed)["serving_additive_refit"]
+                       : Json::MakeObject();
+  }();
+  return doc;
+}
+
+std::string Hex64(uint64_t h) {
+  return StringPrintf("%016llx", static_cast<unsigned long long>(h));
+}
+
+TEST(ServingDeterminismTest, AdditiveRefitIdenticalAcrossJobs) {
+  // Every tick re-fits the dirty tails through BatchTrainer and
+  // forecasts each from the shared tail end, so pool workers reuse
+  // their thread's Monte-Carlo draws while the jobs=1 run reuses the
+  // tick thread's.
+  RunOutcome sequential = RunOnce(DriverMode::kOpenLoop, 1, 0.0,
+                                  /*mixed_verbs=*/true, "additive");
+  RunOutcome parallel = RunOnce(DriverMode::kOpenLoop, 8, 0.0,
+                                /*mixed_verbs=*/true, "additive");
+  EXPECT_GT(sequential.report.refits, 0);
+  EXPECT_EQ(sequential.report.refit_failures, 0);
+  EXPECT_EQ(sequential.report.response_digest,
+            parallel.report.response_digest);
+  EXPECT_EQ(sequential.snapshot, parallel.snapshot);
+  EXPECT_EQ(sequential.report.notifications,
+            parallel.report.notifications);
+  EXPECT_EQ(Hex64(sequential.report.response_digest),
+            RefitGolden()["response_digest"].AsString());
+  EXPECT_EQ(Hex64(Fnv1aFold(kFnv1aBasis, sequential.snapshot)),
+            RefitGolden()["snapshot_fnv1a64"].AsString());
 }
 
 TEST(ServingDeterminismTest, FaultFreeAndFaultedRunsDiverge) {

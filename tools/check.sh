@@ -32,7 +32,9 @@
 #                             # p50/p99, the batched-fleet row, and
 #                             # single-kernel timings) and fails if a
 #                             # model exceeds the forecast_train_micros
-#                             # ceilings in tests/budgets.json
+#                             # ceilings, or the batch row's shared
+#                             # forecast the forecast_predict_micros
+#                             # ones, in tests/budgets.json
 #   tools/check.sh serving    # serving engine slice: the serving unit /
 #                             # determinism suites in Release, then
 #                             # bench/loadgen at the full 1200-server
@@ -63,7 +65,9 @@
 #                             # streaming decode/encode + mmap lake read
 #                             # suites, the `kernels` label (raw-pointer
 #                             # forecast kernels and their test-only
-#                             # reference loops), the untrusted-input
+#                             # reference loops, and the additive model's
+#                             # shared draws and hostile documents), the
+#                             # untrusted-input
 #                             # suites (serving_engine_test's ingest
 #                             # admission and integer fields,
 #                             # common_strings_test's number parsers
@@ -149,7 +153,8 @@ case "$MODE" in
     (cd "$ROOT/build-release" &&
       ./bench/micro_substrate --benchmark_filter='Ingest')
     echo "=== [perf] bench/micro_forecast (writes BENCH_forecast.json," \
-         "gates on tests/budgets.json forecast_train_micros) ==="
+         "gates on tests/budgets.json forecast_train_micros and" \
+         "forecast_predict_micros) ==="
     (cd "$ROOT/build-release" &&
       ./bench/micro_forecast --budgets="$ROOT/tests/budgets.json")
     echo "=== [perf] OK ==="
@@ -210,9 +215,9 @@ case "$MODE" in
       store_doc_test pipeline_modules_test \
       forecast_linalg_test forecast_linalg_kernel_test \
       forecast_batch_equivalence_test forecast_golden_test \
-      serving_engine_test common_strings_test common_json_test \
-      pipeline_serving_test azure_trace_test failure_injection_test \
-      seagull_cli
+      forecast_additive_test serving_engine_test common_strings_test \
+      common_json_test pipeline_serving_test azure_trace_test \
+      failure_injection_test seagull_cli
     (cd "$ROOT/build-asan" && ctest --output-on-failure -R \
       'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_strings_test|common_json_test|pipeline_serving_test|azure_trace_test|failure_injection_test|cli_smoke_test')
     (cd "$ROOT/build-asan" && ctest --output-on-failure -L kernels)

@@ -129,12 +129,12 @@ struct FlagRange {
   double max;
 };
 constexpr FlagRange kFlagRanges[] = {
-    {"servers", 1, kMaxServers},   {"weeks", 1, kMaxWeeks},
-    {"week", 0, kUnbounded},       {"day", 0, kUnbounded},
-    {"horizon", 1, kUnbounded},    {"ticks", 1, kUnbounded},
-    {"base", 1, kUnbounded},       {"clients", 1, kUnbounded},
-    {"batch-size", 1, kUnbounded}, {"fault-rate", 0, 1},
-    {"batch-frac", 0, 1},          {"subscribe-frac", 0, 1}};
+    {"servers", 1, kMaxServers},     {"weeks", 1, kMaxWeeks},
+    {"week", 0, kUnbounded},         {"day", 0, kUnbounded},
+    {"horizon", 1, kTailCapMinutes}, {"ticks", 1, kUnbounded},
+    {"base", 1, kUnbounded},         {"clients", 1, kUnbounded},
+    {"batch-size", 1, kUnbounded},   {"fault-rate", 0, 1},
+    {"batch-frac", 0, 1},            {"subscribe-frac", 0, 1}};
 
 /// Checks `value` of flag `key` against its range, naming the flag and
 /// the bound: "--servers must be in [1, 1000000]", "--week must be >= 0".
