@@ -22,8 +22,8 @@ int main() {
   for (const auto& region : MakeEvaluationRegions(0.5, 42)) {
     Fleet fleet = Fleet::Generate(region);
     MinuteStamp obs_to = static_cast<int64_t>(region.weeks) * kMinutesPerWeek;
-    auto records = ExtractWeek(fleet, region.weeks - 1);
-    auto grouped = GroupByServer(records);
+    auto grouped =
+        DecodeTelemetryBlob(ExtractWeekBlock(fleet, region.weeks - 1));
     grouped.status().Abort();
     for (const auto& telemetry : *grouped) {
       ServerFeatures f = ExtractFeatures(telemetry, 0, obs_to,

@@ -42,10 +42,8 @@ int main() {
     // (§6.1 "Figure 12 considers only one week").
     Fleet fleet = ProductionFleet(row.region, sizes[r],
                                   500 + static_cast<uint64_t>(r), 4);
-    ExtractionOptions extraction;
-    extraction.history_weeks = 4;
     lake->Put(LakeStore::TelemetryKey(row.region, 3),
-              ExtractWeekBlock(fleet, 3, extraction))
+              ExtractWeekBlock(fleet, 3))
         .Abort();
     auto size = lake->SizeOf(LakeStore::TelemetryKey(row.region, 3));
     row.bytes = size.ValueOr(0);

@@ -389,7 +389,7 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
                       region_bytes += static_cast<int64_t>(bytes.size());
                       return Status::OK();
                     },
-                    {}, &writer_resident);
+                    &writer_resident);
               })
           .Abort();
       staged_bytes += region_bytes;

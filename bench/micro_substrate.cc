@@ -1,14 +1,15 @@
 /// \file micro_substrate.cc
 /// \brief Micro-benchmarks of the hot substrate kernels: the min-average
 /// window sweep (every LL-window query), the bucket-ratio comparison
-/// (every accuracy evaluation), telemetry decode (SeriesBlock, and the
-/// CSV parse that a `seagull transcode` import runs, plus grouping), and
-/// SSA fitting (the cheapest trainable model).
+/// (every accuracy evaluation), telemetry decode (SeriesBlock) beside
+/// the CSV import that `seagull transcode` runs (parse plus SGB1
+/// encode), and SSA fitting (the cheapest trainable model).
 ///
 /// Not a paper figure — a regression guard for the paths every
 /// experiment runs through thousands of times. Also emits
 /// BENCH_ingest.json: the data-plane trajectory (rows/sec and bytes/sec
-/// per format at the 1200-server region, the SeriesBlock decode's
+/// of the CSV import and the SeriesBlock decode at the 1200-server
+/// region, the SeriesBlock decode's
 /// peak-RSS footprint, and the SGB1 writer's wall time and resident
 /// cost) for future changes to regress against. With `--budgets=<path>` the decode
 /// footprint per server is gated against the `ingest_memory` section
@@ -70,13 +71,34 @@ void BM_BucketRatio(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * truth.size());
 }
 
+/// The region-week as `seagull transcode --to csv` prints it.
+std::string WeekCsv(const std::string& block) {
+  return RecordsToCsvText(std::move(DecodeSeriesBlock(block)).ValueOrDie());
+}
+
+/// A CSV import as `seagull transcode` runs it: parse the rows, then
+/// stream them through the SGB1 writer (into a byte count here, where
+/// the CLI streams into the lake).
+void ImportCsv(std::string_view csv) {
+  auto records = ParseTelemetryCsv(csv);
+  records.status().Abort();
+  int64_t bytes = 0;
+  WriteSeriesBlockFromRecords(*records, kServerIntervalMinutes,
+                              [&](std::string_view b) {
+                                bytes += static_cast<int64_t>(b.size());
+                                return Status::OK();
+                              })
+      .Abort();
+  benchmark::DoNotOptimize(bytes);
+}
+
 void BM_TelemetryCsvParse(benchmark::State& state) {
   RegionConfig config;
   config.name = "micro";
   config.num_servers = static_cast<int>(state.range(0));
   config.weeks = 4;
   Fleet fleet = Fleet::Generate(config);
-  std::string text = RecordsToCsvText(ExtractWeek(fleet, 3));
+  std::string text = WeekCsv(ExtractWeekBlock(fleet, 3));
   for (auto _ : state) {
     auto records = ParseTelemetryCsv(text);
     benchmark::DoNotOptimize(records->size());
@@ -85,20 +107,15 @@ void BM_TelemetryCsvParse(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 
-/// CSV parse + group into per-server series (the transcode edge; the
-/// pipeline reads SGB1 only).
+/// CSV import (the transcode edge; the pipeline reads SGB1 only).
 void BM_IngestCsv(benchmark::State& state) {
   RegionConfig config;
   config.name = "micro";
   config.num_servers = static_cast<int>(state.range(0));
   config.weeks = 4;
   Fleet fleet = Fleet::Generate(config);
-  std::string text = RecordsToCsvText(ExtractWeek(fleet, 3));
-  for (auto _ : state) {
-    auto records = ParseTelemetryCsv(text);
-    auto servers = GroupByServer(*records);
-    benchmark::DoNotOptimize(servers->size());
-  }
+  std::string text = WeekCsv(ExtractWeekBlock(fleet, 3));
+  for (auto _ : state) ImportCsv(text);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(text.size()));
 }
@@ -152,7 +169,7 @@ void BM_GenerateLoadWeek(benchmark::State& state) {
   }
 }
 
-/// Emits BENCH_ingest.json: CSV parse+group (the transcode edge) vs
+/// Emits BENCH_ingest.json: CSV import (the transcode edge) vs
 /// SeriesBlock decode throughput at the paper-scale 1200-server region
 /// (min-of-3 wall times), the SeriesBlock decode's peak-RSS footprint,
 /// and the SGB1 writer's cost.
@@ -167,8 +184,8 @@ int RunIngestTrajectory(const std::string& budgets_path) {
   config.weeks = 4;
   config.seed = 42;
   Fleet fleet = Fleet::Generate(config);
-  const std::string csv = RecordsToCsvText(ExtractWeek(fleet, 3));
   const std::string block = ExtractWeekBlock(fleet, 3);
+  const std::string csv = WeekCsv(block);
   auto info = PeekSeriesBlock(block);
   info.status().Abort();
   const int64_t rows = info->total_samples;
@@ -185,11 +202,7 @@ int RunIngestTrajectory(const std::string& budgets_path) {
     }
     return best;
   };
-  const double csv_ms = min_millis_of_3([&] {
-    auto records = ParseTelemetryCsv(csv);
-    auto servers = GroupByServer(*records);
-    benchmark::DoNotOptimize(servers->size());
-  });
+  const double csv_ms = min_millis_of_3([&] { ImportCsv(csv); });
   auto stream_decode = [&] {
     auto cursor = SeriesBlockCursor::Open(std::string_view(block));
     cursor.status().Abort();
@@ -207,7 +220,7 @@ int RunIngestTrajectory(const std::string& budgets_path) {
   auto per_sec = [](double count, double ms) {
     return ms > 0.0 ? count * 1000.0 / ms : 0.0;
   };
-  std::printf("%-28s %10.1f ms  %12.0f rows/s  %8.1f MB/s\n", "ingest (csv)",
+  std::printf("%-28s %10.1f ms  %12.0f rows/s  %8.1f MB/s\n", "import (csv)",
               csv_ms, per_sec(static_cast<double>(rows), csv_ms),
               per_sec(static_cast<double>(csv.size()), csv_ms) / 1e6);
   std::printf("%-28s %10.1f ms  %12.0f rows/s  %8.1f MB/s\n",
@@ -258,7 +271,7 @@ int RunIngestTrajectory(const std::string& budgets_path) {
                          bytes += static_cast<int64_t>(b.size());
                          return Status::OK();
                        },
-                       {}, &writer_peak)
+                       &writer_peak)
         .Abort();
     benchmark::DoNotOptimize(bytes);
   });

@@ -4,9 +4,9 @@
 ///
 /// Given a file of `timestamp,vm_id,min_cpu,max_cpu,avg_cpu` rows
 /// (seconds, 300 s cadence) — or nothing, in which case a small demo
-/// trace is fabricated — this example imports the trace, stages it into
-/// a lake store, runs the weekly pipeline, and schedules the following
-/// week's backups for the predictable VMs.
+/// trace is fabricated — this example transcodes the trace to SGB1,
+/// stages the blob into a lake store, runs the weekly pipeline, and
+/// schedules the following week's backups for the predictable VMs.
 ///
 /// Usage: real_trace [trace.csv]
 
@@ -20,6 +20,7 @@
 #include "pipeline/scheduler.h"
 #include "scheduling/backup_scheduler.h"
 #include "telemetry/azure_trace.h"
+#include "telemetry/series_block.h"
 
 using namespace seagull;
 
@@ -72,7 +73,15 @@ int main(int argc, char** argv) {
     std::printf("no trace given; fabricated a 3-VM demo trace\n");
   }
 
-  auto servers = ImportAzureVmTrace(text);
+  // The importer transcodes the trace to SGB1; the scheduling below
+  // wants grouped servers, so decode the blob the lake will hold.
+  auto blob = ImportAzureVmTrace(text);
+  if (!blob.ok()) {
+    std::fprintf(stderr, "import failed: %s\n",
+                 blob.status().ToString().c_str());
+    return 1;
+  }
+  auto servers = DecodeTelemetryBlob(*blob);
   if (!servers.ok()) {
     std::fprintf(stderr, "import failed: %s\n",
                  servers.status().ToString().c_str());
@@ -89,9 +98,7 @@ int main(int argc, char** argv) {
     pipeline_week =
         std::max(pipeline_week, WeekIndex(server.load.end() - 1));
   }
-  lake->Put(LakeStore::TelemetryKey("trace", pipeline_week),
-            ExportToSeriesBlock(*servers))
-      .Abort();
+  lake->Put(LakeStore::TelemetryKey("trace", pipeline_week), *blob).Abort();
 
   DocStore docs;
   Pipeline pipeline = Pipeline::Standard();

@@ -39,14 +39,20 @@ Result<double> Json::GetNumber(const std::string& key) const {
 Result<int64_t> Json::GetInt64(const std::string& key) const {
   if (!Contains(key)) return Status::NotFound("missing number field: " + key);
   const Json& v = obj_.at(key);
+  auto value = v.ToInt64("");
+  // Spell out the field's name only when there is an error to report.
+  return value.ok() ? value : v.ToInt64("field " + key);
+}
+
+Result<int64_t> Json::ToInt64(std::string_view what) const {
   constexpr double kMaxExact = 9007199254740992.0;  // 2^53
   // The negated comparison also rejects NaN.
-  if (!v.is_number() || !(std::fabs(v.num_) <= kMaxExact) ||
-      v.num_ != std::trunc(v.num_)) {
-    return Status::Invalid("field " + key +
+  if (!is_number() || !(std::fabs(num_) <= kMaxExact) ||
+      num_ != std::trunc(num_)) {
+    return Status::Invalid(std::string(what) +
                            " must be an integer within +/-2^53");
   }
-  return static_cast<int64_t>(v.num_);
+  return static_cast<int64_t>(num_);
 }
 
 Result<std::string> Json::GetString(const std::string& key) const {

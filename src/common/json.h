@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -88,12 +89,17 @@ class Json {
   /// Checked member lookup on objects.
   Result<double> GetNumber(const std::string& key) const;
   /// Checked integer member for untrusted documents: NotFound when `key`
-  /// is absent; Invalid when its value is not a number, is not
-  /// integral, or lies beyond ±2^53 (past which a double no longer
-  /// holds every integer). NaN and ±inf fail the same way.
+  /// is absent, else `ToInt64` of its value.
   Result<int64_t> GetInt64(const std::string& key) const;
   Result<std::string> GetString(const std::string& key) const;
   Result<bool> GetBool(const std::string& key) const;
+
+  /// Checked integer conversion for untrusted documents, shared by
+  /// `GetInt64` and array elements: Invalid when this value is not a
+  /// number, is not integral, or lies beyond ±2^53 (past which a double
+  /// no longer holds every integer). NaN and ±inf fail the same way.
+  /// `what` names the value in the status text.
+  Result<int64_t> ToInt64(std::string_view what) const;
 
   /// Appends to an array value.
   void Append(Json v) { arr_.push_back(std::move(v)); }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <string>
 
-#include "common/strings.h"
 #include "forecast/scratch.h"
 #include "timeseries/resample.h"
 
@@ -41,19 +38,6 @@ const StreamDraws& DrawsFor(uint64_t seed, int64_t count) {
   if (draws.z.size() < want) draws.z.reserve(want);
   while (draws.z.size() < want) draws.z.push_back(draws.rng.Gaussian());
   return draws;
-}
-
-/// Integer field `key` of `doc`, or Invalid unless it lies in [lo, hi].
-Result<int64_t> GetBounded(const Json& doc, const std::string& key,
-                           int64_t lo, int64_t hi) {
-  SEAGULL_ASSIGN_OR_RETURN(int64_t value, doc.GetInt64(key));
-  if (value < lo || value > hi) {
-    return Status::Invalid(StringPrintf(
-        "additive model field %s = %lld outside [%lld, %lld]", key.c_str(),
-        static_cast<long long>(value), static_cast<long long>(lo),
-        static_cast<long long>(hi)));
-  }
-  return value;
 }
 
 }  // namespace
@@ -311,33 +295,32 @@ Status AdditiveForecast::Deserialize(const Json& doc) {
   // write past the feature scratch, and a zero interval would divide by
   // zero. A rejected document leaves the model unfitted.
   fitted_ = false;
-  SEAGULL_ASSIGN_OR_RETURN(
-      interval_, GetBounded(doc, "interval", 1,
-                            std::numeric_limits<int64_t>::max()));
+  SEAGULL_ASSIGN_OR_RETURN(interval_,
+                           GetBoundedInt64(doc, "interval", 1, kMinutesPerDay));
   SEAGULL_ASSIGN_OR_RETURN(train_start_, doc.GetInt64("train_start"));
   SEAGULL_ASSIGN_OR_RETURN(train_end_, doc.GetInt64("train_end"));
   SEAGULL_ASSIGN_OR_RETURN(
       options_.daily_order,
-      GetBounded(doc, "daily_order", 0, kMaxAdditiveTerms));
+      GetBoundedInt64(doc, "daily_order", 0, kMaxAdditiveTerms));
   SEAGULL_ASSIGN_OR_RETURN(
       options_.weekly_order,
-      GetBounded(doc, "weekly_order", 0, kMaxAdditiveTerms));
+      GetBoundedInt64(doc, "weekly_order", 0, kMaxAdditiveTerms));
   SEAGULL_ASSIGN_OR_RETURN(
       options_.changepoints,
-      GetBounded(doc, "changepoints", 0, kMaxAdditiveTerms));
+      GetBoundedInt64(doc, "changepoints", 0, kMaxAdditiveTerms));
   SEAGULL_ASSIGN_OR_RETURN(residual_sigma_, doc.GetNumber("residual_sigma"));
   // Inference behaviour (Monte-Carlo sampling) must round-trip too, so a
   // restored endpoint reproduces the deployed model exactly.
   SEAGULL_ASSIGN_OR_RETURN(
       options_.uncertainty_samples,
-      GetBounded(doc, "uncertainty_samples", 1, kMaxUncertaintySamples));
+      GetBoundedInt64(doc, "uncertainty_samples", 1, kMaxUncertaintySamples));
   SEAGULL_ASSIGN_OR_RETURN(int64_t seed, doc.GetInt64("seed"));
   options_.seed = static_cast<uint64_t>(seed);
   options_.holidays.clear();
   if (doc["holidays"].is_array()) {
     for (const auto& day : doc["holidays"].AsArray()) {
-      if (!day.is_number()) return Status::Invalid("non-numeric holiday");
-      options_.holidays.push_back(static_cast<int64_t>(day.AsDouble()));
+      SEAGULL_ASSIGN_OR_RETURN(int64_t holiday, day.ToInt64("holidays entry"));
+      options_.holidays.push_back(holiday);
     }
   }
   if (!doc["coef"].is_array()) return Status::Invalid("missing coef array");

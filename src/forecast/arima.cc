@@ -268,6 +268,11 @@ Result<LoadSeries> ArimaForecast::Forecast(const LoadSeries& recent,
   std::vector<double> x = ctx.values();
   std::vector<double> z = Difference(x, d_);
   const int64_t n = static_cast<int64_t>(z.size());
+  // The recurrences below look back max(p, q) steps from step n.
+  if (std::max(p_, q_) > n) {
+    return Status::FailedPrecondition(
+        "ARIMA forecast needs more history than its order");
+  }
 
   // Reconstruct in-sample residuals for the MA part.
   const int64_t warm = std::max(p_, q_);
@@ -335,13 +340,18 @@ Result<Json> ArimaForecast::Serialize() const {
 }
 
 Status ArimaForecast::Deserialize(const Json& doc) {
-  SEAGULL_ASSIGN_OR_RETURN(double interval, doc.GetNumber("interval"));
-  SEAGULL_ASSIGN_OR_RETURN(double p, doc.GetNumber("p"));
-  SEAGULL_ASSIGN_OR_RETURN(double d, doc.GetNumber("d"));
-  SEAGULL_ASSIGN_OR_RETURN(double q, doc.GetNumber("q"));
+  // A zero interval would divide by zero in Forecast.
+  fitted_ = false;
+  SEAGULL_ASSIGN_OR_RETURN(interval_,
+                           GetBoundedInt64(doc, "interval", 1, kMinutesPerDay));
+  SEAGULL_ASSIGN_OR_RETURN(int64_t p,
+                           GetBoundedInt64(doc, "p", 0, kMaxArimaOrder));
+  SEAGULL_ASSIGN_OR_RETURN(int64_t d,
+                           GetBoundedInt64(doc, "d", 0, kMaxArimaOrder));
+  SEAGULL_ASSIGN_OR_RETURN(int64_t q,
+                           GetBoundedInt64(doc, "q", 0, kMaxArimaOrder));
   SEAGULL_ASSIGN_OR_RETURN(c_, doc.GetNumber("c"));
   SEAGULL_ASSIGN_OR_RETURN(aic_, doc.GetNumber("aic"));
-  interval_ = static_cast<int64_t>(interval);
   p_ = static_cast<int>(p);
   d_ = static_cast<int>(d);
   q_ = static_cast<int>(q);

@@ -14,6 +14,10 @@
 
 namespace seagull {
 
+/// Largest p, d or q a model document may declare (the order search
+/// defaults to p, q <= 3 and d <= 1).
+inline constexpr int kMaxArimaOrder = 1000;
+
 /// \brief Order-search bounds and optimizer parameters.
 struct ArimaOptions {
   int max_p = 3;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/strings.h"
 #include "forecast/scratch.h"
 #include "timeseries/resample.h"
 
@@ -341,16 +342,32 @@ Result<Json> FeedForwardForecast::Serialize() const {
 }
 
 Status FeedForwardForecast::Deserialize(const Json& doc) {
-  SEAGULL_ASSIGN_OR_RETURN(double interval, doc.GetNumber("interval"));
-  SEAGULL_ASSIGN_OR_RETURN(double pooled, doc.GetNumber("pooled"));
-  SEAGULL_ASSIGN_OR_RETURN(double hidden, doc.GetNumber("hidden"));
+  // Forecast divides by the interval and by the samples per pooled bin,
+  // and Apply indexes every weight the declared shape names.
+  fitted_ = false;
+  SEAGULL_ASSIGN_OR_RETURN(interval_,
+                           GetBoundedInt64(doc, "interval", 1, kMinutesPerDay));
+  const int64_t ticks_day = TicksPerDay(interval_);
+  SEAGULL_ASSIGN_OR_RETURN(const int64_t pooled,
+                           GetBoundedInt64(doc, "pooled", 1, ticks_day));
+  if (ticks_day % pooled != 0) {
+    return Status::Invalid("pooled must divide the samples per day");
+  }
+  SEAGULL_ASSIGN_OR_RETURN(
+      const int64_t hidden,
+      GetBoundedInt64(doc, "hidden", 1, kMaxFeedForwardHidden));
   SEAGULL_ASSIGN_OR_RETURN(scale_, doc.GetNumber("scale"));
-  interval_ = static_cast<int64_t>(interval);
-  options_.pooled_per_day = static_cast<int64_t>(pooled);
-  options_.hidden = static_cast<int64_t>(hidden);
-  auto load = [&doc](const char* key, std::vector<double>* w) -> Status {
+  options_.pooled_per_day = pooled;
+  options_.hidden = hidden;
+  auto load = [&doc](const char* key, int64_t count,
+                     std::vector<double>* w) -> Status {
     const Json& arr = doc[key];
     if (!arr.is_array()) return Status::Invalid("missing weights");
+    if (static_cast<int64_t>(arr.AsArray().size()) != count) {
+      return Status::Invalid(StringPrintf(
+          "feedforward %s holds %zu weights, its shape needs %lld", key,
+          arr.AsArray().size(), static_cast<long long>(count)));
+    }
     w->clear();
     for (const auto& v : arr.AsArray()) {
       if (!v.is_number()) return Status::Invalid("non-numeric weight");
@@ -358,10 +375,10 @@ Status FeedForwardForecast::Deserialize(const Json& doc) {
     }
     return Status::OK();
   };
-  SEAGULL_RETURN_NOT_OK(load("w1", &w1_));
-  SEAGULL_RETURN_NOT_OK(load("b1", &b1_));
-  SEAGULL_RETURN_NOT_OK(load("w2", &w2_));
-  SEAGULL_RETURN_NOT_OK(load("b2", &b2_));
+  SEAGULL_RETURN_NOT_OK(load("w1", hidden * pooled, &w1_));
+  SEAGULL_RETURN_NOT_OK(load("b1", hidden, &b1_));
+  SEAGULL_RETURN_NOT_OK(load("w2", pooled * hidden, &w2_));
+  SEAGULL_RETURN_NOT_OK(load("b2", pooled, &b2_));
   fitted_ = true;
   return Status::OK();
 }

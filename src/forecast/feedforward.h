@@ -14,6 +14,9 @@
 
 namespace seagull {
 
+/// Widest hidden layer a model document may declare (the default is 32).
+inline constexpr int64_t kMaxFeedForwardHidden = 1 << 16;
+
 /// \brief Network and training hyper-parameters.
 struct FeedForwardOptions {
   /// Context and prediction lengths in samples of the *pooled* grid.

@@ -1,5 +1,6 @@
 #include "forecast/model.h"
 
+#include "common/strings.h"
 #include "forecast/additive.h"
 #include "forecast/arima.h"
 #include "forecast/feedforward.h"
@@ -8,6 +9,18 @@
 #include "forecast/ssa.h"
 
 namespace seagull {
+
+Result<int64_t> GetBoundedInt64(const Json& doc, const std::string& key,
+                                int64_t lo, int64_t hi) {
+  SEAGULL_ASSIGN_OR_RETURN(int64_t value, doc.GetInt64(key));
+  if (value < lo || value > hi) {
+    return Status::Invalid(StringPrintf(
+        "model field %s = %lld outside [%lld, %lld]", key.c_str(),
+        static_cast<long long>(value), static_cast<long long>(lo),
+        static_cast<long long>(hi)));
+  }
+  return value;
+}
 
 ModelFactory& ModelFactory::Global() {
   static ModelFactory* factory = [] {

@@ -59,9 +59,21 @@ class ForecastModel {
   /// endpoint analog). The JSON must round-trip through the factory.
   virtual Result<Json> Serialize() const = 0;
 
-  /// Restores fitted parameters serialized by `Serialize`.
+  /// Restores fitted parameters serialized by `Serialize`. Documents
+  /// are untrusted (DocStore files, the serving endpoint): a document
+  /// `Forecast` could not run safely on is `Invalid`, and a rejected
+  /// document leaves the model unfitted.
   virtual Status Deserialize(const Json& doc) = 0;
 };
+
+/// The one reader of integer fields in model documents: `Invalid`
+/// unless `key` holds an integer (`Json::GetInt64`) in [lo, hi], so no
+/// document can size a buffer or divide by a value its family never
+/// fits. NotFound when `key` is absent. A forecast grid's interval
+/// lies in [1, kMinutesPerDay], since a `LoadSeries` interval divides a
+/// day.
+Result<int64_t> GetBoundedInt64(const Json& doc, const std::string& key,
+                                int64_t lo, int64_t hi);
 
 /// \brief Registry of model constructors, keyed by family name.
 ///

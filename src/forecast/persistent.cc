@@ -92,10 +92,12 @@ Result<Json> PersistentForecast::Serialize() const {
 }
 
 Status PersistentForecast::Deserialize(const Json& doc) {
-  SEAGULL_ASSIGN_OR_RETURN(double v, doc.GetNumber("variant"));
-  int iv = static_cast<int>(v);
-  if (iv < 0 || iv > 2) return Status::Invalid("bad persistent variant");
-  variant_ = static_cast<PersistentVariant>(iv);
+  SEAGULL_ASSIGN_OR_RETURN(
+      int64_t variant,
+      GetBoundedInt64(
+          doc, "variant", 0,
+          static_cast<int64_t>(PersistentVariant::kPreviousWeekAverage)));
+  variant_ = static_cast<PersistentVariant>(variant);
   return Status::OK();
 }
 

@@ -66,10 +66,12 @@ Result<Json> RoutedForecast::Serialize() const {
 }
 
 Status RoutedForecast::Deserialize(const Json& doc) {
-  SEAGULL_ASSIGN_OR_RETURN(double cls, doc.GetNumber("routed_class"));
-  int icls = static_cast<int>(cls);
-  if (icls < 0 || icls > 4) return Status::Invalid("bad routed class");
-  routed_class_ = static_cast<ServerClass>(icls);
+  delegate_.reset();
+  SEAGULL_ASSIGN_OR_RETURN(
+      int64_t cls,
+      GetBoundedInt64(doc, "routed_class", 0,
+                      static_cast<int64_t>(ServerClass::kNoPattern)));
+  routed_class_ = static_cast<ServerClass>(cls);
   if (!doc["delegate"].is_object()) {
     return Status::Invalid("routed doc has no delegate");
   }

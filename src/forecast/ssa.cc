@@ -149,17 +149,22 @@ Result<Json> SsaForecast::Serialize() const {
 }
 
 Status SsaForecast::Deserialize(const Json& doc) {
+  // A zero interval would divide by zero in Forecast.
+  fitted_ = false;
   SEAGULL_ASSIGN_OR_RETURN(mean_, doc.GetNumber("mean"));
-  SEAGULL_ASSIGN_OR_RETURN(double interval, doc.GetNumber("interval"));
-  SEAGULL_ASSIGN_OR_RETURN(double rank, doc.GetNumber("rank"));
-  interval_ = static_cast<int64_t>(interval);
-  rank_ = static_cast<int64_t>(rank);
+  SEAGULL_ASSIGN_OR_RETURN(interval_,
+                           GetBoundedInt64(doc, "interval", 1, kMinutesPerDay));
   if (!doc["lrf"].is_array()) return Status::Invalid("missing lrf array");
   lrf_.clear();
   for (const auto& c : doc["lrf"].AsArray()) {
     if (!c.is_number()) return Status::Invalid("non-numeric lrf entry");
     lrf_.push_back(c.AsDouble());
   }
+  // Fit keeps at most one component per lag dimension, one more than
+  // the recurrence has coefficients.
+  SEAGULL_ASSIGN_OR_RETURN(
+      rank_, GetBoundedInt64(doc, "rank", 0,
+                             static_cast<int64_t>(lrf_.size()) + 1));
   fitted_ = true;
   return Status::OK();
 }

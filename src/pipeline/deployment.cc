@@ -17,8 +17,7 @@ std::string VersionDocId(int64_t version) {
 Result<ModelEndpoint> ModelEndpoint::FromVersionDoc(const Json& doc) {
   ModelEndpoint ep;
   SEAGULL_ASSIGN_OR_RETURN(ep.family_, doc.GetString("family"));
-  SEAGULL_ASSIGN_OR_RETURN(double version, doc.GetNumber("version"));
-  ep.version_ = static_cast<int64_t>(version);
+  SEAGULL_ASSIGN_OR_RETURN(ep.version_, doc.GetInt64("version"));
   const Json& models = doc["models"];
   if (!models.is_object()) {
     return Status::Invalid("version doc has no models object");
@@ -62,8 +61,7 @@ Result<int64_t> ActiveVersion(DocStore* docs, const std::string& region) {
   Container* registry = docs->GetContainer(kModelRegistryContainer);
   SEAGULL_ASSIGN_OR_RETURN(Document doc,
                            registry->Get(region, kActiveModelDocId));
-  SEAGULL_ASSIGN_OR_RETURN(double v, doc.body.GetNumber("version"));
-  return static_cast<int64_t>(v);
+  return doc.body.GetInt64("version");
 }
 
 Status SetActiveVersion(DocStore* docs, const std::string& region,
@@ -94,12 +92,13 @@ Status ModelDeploymentModule::Run(PipelineContext* ctx) {
   }
   Container* registry = ctx->docs->GetContainer(kModelRegistryContainer);
 
-  // Next version number: one past the highest deployed so far.
+  // Next version number: one past the highest deployed so far. A
+  // version that is not an integer within +/-2^53 counts as none.
   int64_t version = 1;
   for (const auto& doc : registry->ReadPartition(ctx->region)) {
     if (doc.id == kActiveModelDocId) continue;
-    double v = doc.body.GetNumber("version").ValueOr(0.0);
-    version = std::max(version, static_cast<int64_t>(v) + 1);
+    version =
+        std::max(version, doc.body.GetInt64("version").ValueOr(0) + 1);
   }
 
   Json body = Json::MakeObject();

@@ -610,17 +610,27 @@ TickResult ServingEngine::Tick() {
   } else {
     // Batched refit: group the non-faulted dirty tails by shape so the
     // expensive per-fit structures are built once per group, then each
-    // fitted model forecasts its own horizon.
-    std::vector<BatchTrainItem> items;
+    // fitted model forecasts its own horizon from its tail end. Items go
+    // by (tail end, server id), so one start's forecasts run together
+    // and the additive model's per-thread Monte-Carlo draws restart once
+    // per start, not at every switch between interleaved starts. Each
+    // body writes only its own entry, so the order changes no result.
     std::vector<size_t> item_task;
     for (size_t i = 0; i < tasks.size(); ++i) {
       if (!tasks[i].injected.ok()) {
         install(tasks[i], tasks[i].injected);
         continue;
       }
-      items.push_back({&tasks[i].state->tail});
       item_task.push_back(i);
     }
+    std::stable_sort(item_task.begin(), item_task.end(),
+                     [&](size_t a, size_t b) {
+                       return tasks[a].state->tail.end() <
+                              tasks[b].state->tail.end();
+                     });
+    std::vector<BatchTrainItem> items;
+    items.reserve(item_task.size());
+    for (size_t i : item_task) items.push_back({&tasks[i].state->tail});
     BatchTrainStats batch_stats;
     auto fits = BatchTrainer::Fit(options_.refit_model, items,
                                   options_.pool, &batch_stats);

@@ -217,7 +217,7 @@ Result<int64_t> LakeStore::SizeOf(const std::string& key) const {
 
 std::string LakeStore::TelemetryKey(const std::string& region,
                                     int64_t week_index) {
-  return StringPrintf("telemetry/%s/week-%04lld.csv", region.c_str(),
+  return StringPrintf("telemetry/%s/week-%04lld.sgb", region.c_str(),
                       static_cast<long long>(week_index));
 }
 

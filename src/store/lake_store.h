@@ -4,7 +4,7 @@
 /// Load Extraction writes per-region, per-week SGB1 files into ADLS and
 /// the pipeline's ingestion module reads them back (§2.2). `LakeStore`
 /// provides that contract over a local directory tree with simple
-/// hierarchical keys like `telemetry/region-m/week-0003.csv`.
+/// hierarchical keys like `telemetry/region-m/week-0003.sgb`.
 
 #pragma once
 
@@ -77,7 +77,8 @@ class LakeStore {
   /// Size of a blob in bytes.
   Result<int64_t> SizeOf(const std::string& key) const;
 
-  /// Canonical key of one region-week telemetry extraction.
+  /// Canonical key of one region-week telemetry extraction, named for
+  /// its SGB1 format: `telemetry/<region>/week-NNNN.sgb`.
   static std::string TelemetryKey(const std::string& region,
                                   int64_t week_index);
 

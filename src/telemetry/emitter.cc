@@ -4,33 +4,26 @@
 
 namespace seagull {
 
-std::string ExtractWeekBlock(const Fleet& fleet, int64_t week_index,
-                             const ExtractionOptions& options) {
+std::string ExtractWeekBlock(const Fleet& fleet, int64_t week_index) {
   std::string out;
   // The sink never fails and the fleet walk always follows the writer's
   // protocol, so the extraction cannot fail.
-  ExtractWeekBlockTo(
-      fleet, week_index,
-      [&out](std::string_view bytes) {
-        out.append(bytes);
-        return Status::OK();
-      },
-      options)
-      .Abort();
+  ExtractWeekBlockTo(fleet, week_index, [&out](std::string_view bytes) {
+    out.append(bytes);
+    return Status::OK();
+  }).Abort();
   return out;
 }
 
 Status ExtractWeekBlockTo(const Fleet& fleet, int64_t week_index,
                           const SeriesBlockWriter::Sink& sink,
-                          const ExtractionOptions& options,
                           int64_t* peak_resident_bytes) {
   MinuteStamp to = (week_index + 1) * kMinutesPerWeek;
-  MinuteStamp from = to - options.history_weeks * kMinutesPerWeek;
+  MinuteStamp from = to - kExtractionHistoryWeeks * kMinutesPerWeek;
   if (from < 0) from = 0;
   SeriesBlockWriter writer(sink);
   // Sizing pass: count each server's present samples. Servers with no
-  // surviving samples are dropped by Declare, matching the record path
-  // where they simply emit no rows.
+  // surviving samples are dropped by Declare: they have no telemetry.
   for (const auto& profile : fleet.servers()) {
     LoadSeries load = fleet.ObservedLoad(profile, from, to);
     int64_t present = 0;
@@ -74,32 +67,6 @@ void DefaultBackupWindow(const ServerProfile& profile, int64_t week_index,
     *end = day_end;
     *start = day_end - profile.backup_duration_minutes;
   }
-}
-
-std::vector<TelemetryRecord> ExtractWeek(const Fleet& fleet,
-                                         int64_t week_index,
-                                         const ExtractionOptions& options) {
-  std::vector<TelemetryRecord> out;
-  MinuteStamp to = (week_index + 1) * kMinutesPerWeek;
-  MinuteStamp from = to - options.history_weeks * kMinutesPerWeek;
-  if (from < 0) from = 0;
-  for (const auto& profile : fleet.servers()) {
-    LoadSeries load = fleet.ObservedLoad(profile, from, to);
-    MinuteStamp b_start = 0, b_end = 0;
-    DefaultBackupWindow(profile, week_index, &b_start, &b_end);
-    for (int64_t i = 0; i < load.size(); ++i) {
-      double v = load.ValueAt(i);
-      if (IsMissing(v)) continue;
-      TelemetryRecord r;
-      r.server_id = profile.server_id;
-      r.timestamp = load.TimeAt(i);
-      r.avg_cpu = v;
-      r.default_backup_start = b_start;
-      r.default_backup_end = b_end;
-      out.push_back(std::move(r));
-    }
-  }
-  return out;
 }
 
 }  // namespace seagull

@@ -4,47 +4,38 @@
 ///
 /// In production, Load Extraction is a recurring query over raw telemetry
 /// that writes per-region files into ADLS once a week (§2.2). Here the
-/// emitter plays the role of that query against the fleet simulator.
+/// emitter plays the role of that query against the fleet simulator,
+/// and `ExtractWeekBlockTo` is its one fleet walk: telemetry leaves the
+/// simulator as SGB1 bytes, never as rows.
 
 #pragma once
 
 #include "telemetry/fleet.h"
-#include "telemetry/records.h"
 #include "telemetry/series_block.h"
 
 namespace seagull {
 
-/// \brief Options for one extraction run.
-struct ExtractionOptions {
-  /// Include this many weeks of history ending at the extraction week
-  /// (the evaluation data sets contain four weeks, §5.3.1).
-  int history_weeks = 4;
-};
-
-/// Extracts telemetry rows for one region covering the `history_weeks`
-/// ending with week `week_index` (inclusive). Rows for minutes where a
-/// server was not alive or telemetry was dropped are simply absent.
-std::vector<TelemetryRecord> ExtractWeek(const Fleet& fleet,
-                                         int64_t week_index,
-                                         const ExtractionOptions& options = {});
+/// Weeks of history one extraction covers, ending with its week (the
+/// evaluation data sets contain four weeks, §5.3.1).
+inline constexpr int64_t kExtractionHistoryWeeks = 4;
 
 /// `ExtractWeekBlockTo` collected into a string: one region-week as an
 /// SGB1 blob, ready for `LakeStore::Put`.
-std::string ExtractWeekBlock(const Fleet& fleet, int64_t week_index,
-                             const ExtractionOptions& options = {});
+std::string ExtractWeekBlock(const Fleet& fleet, int64_t week_index);
 
-/// Streaming extraction straight into `sink` as SGB1 bytes, never
-/// materializing the records vector or the blob: the fleet is walked
-/// twice (a sizing pass counting each server's present samples, then an
-/// append pass regenerating and emitting them), so the resident cost is
-/// one server's `LoadSeries` plus the writer's value-column buffer
-/// instead of a whole region-week of rows. Pair with `LakeStore::PutStreamed`
-/// to stage a region without ever holding its blob. If
-/// `peak_resident_bytes` is non-null it receives the writer's
+/// Streaming extraction of the `kExtractionHistoryWeeks` ending with
+/// week `week_index` (inclusive) straight into `sink` as SGB1 bytes,
+/// never materializing rows or the blob. Minutes where a server was not
+/// alive or telemetry was dropped are simply absent. The fleet is
+/// walked twice (a sizing pass counting each server's present samples,
+/// then an append pass regenerating and emitting them), so the resident
+/// cost is one server's `LoadSeries` plus the writer's value-column
+/// buffer instead of a whole region-week. Pair with
+/// `LakeStore::PutStreamed` to stage a region without ever holding its
+/// blob. If `peak_resident_bytes` is non-null it receives the writer's
 /// high-water mark.
 Status ExtractWeekBlockTo(const Fleet& fleet, int64_t week_index,
                           const SeriesBlockWriter::Sink& sink,
-                          const ExtractionOptions& options = {},
                           int64_t* peak_resident_bytes = nullptr);
 
 /// The default backup window of a server in a given week, as stamps.

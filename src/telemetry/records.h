@@ -1,12 +1,15 @@
 /// \file records.h
-/// \brief Telemetry record schema, its CSV interchange codec, and
-/// per-server grouping.
+/// \brief Telemetry record schema, the grouped per-server form, and the
+/// CSV interchange codec.
 ///
 /// A telemetry row is: server identifier, timestamp in minutes, average
 /// user CPU load percentage per five minutes, and the default backup
-/// start/end timestamps (§5.3.1). The lake stores rows as SGB1
-/// (series_block.h); CSV is the interchange text `seagull transcode`
-/// reads and writes.
+/// start/end timestamps (§5.3.1). Rows exist only at the CSV edge: where
+/// CSV or trace text is parsed (`ParseTelemetryCsv`, `ImportAzureVmTrace`)
+/// or printed (`RecordsToCsvText`). The lake stores SGB1
+/// (series_block.h), whose encoder groups rows per server and whose
+/// decoder (`StreamSeriesBlockServers`) yields `ServerTelemetry`, the
+/// form every pipeline and CLI reader works on.
 
 #pragma once
 
@@ -54,14 +57,40 @@ std::string RecordsToCsvText(const std::vector<TelemetryRecord>& records);
 Result<std::vector<TelemetryRecord>> ParseTelemetryCsv(
     std::string_view text);
 
+/// \brief The one field splitter of the telemetry CSV codec and the
+/// Azure trace importer: walks comma-separated text line by line and
+/// splits each line into at most five fields, as views into the text.
+///
+/// Lines end in LF or CRLF. Empty lines are skipped but still counted,
+/// so `line_no()` is the line's number in the text. Each reader words
+/// its own status for a bad line.
+class CsvRowReader {
+ public:
+  explicit CsvRowReader(std::string_view text) : text_(text) {}
+
+  /// Advances to the next non-empty line; false at the end of the text.
+  bool Next();
+
+  /// 1-based number of the current line.
+  size_t line_no() const { return line_no_; }
+  /// The current line, without its line ending.
+  std::string_view line() const { return line_; }
+  /// Fields on the current line; a line with more than five reads 6.
+  int field_count() const { return field_count_; }
+  /// Field `i` of the current line, `i` < min(5, field_count()).
+  std::string_view field(int i) const { return fields_[i]; }
+
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
+  size_t line_no_ = 0;
+  std::string_view line_;
+  int field_count_ = 0;
+  std::string_view fields_[5];
+};
+
 /// Resident footprint of one grouped server (id + samples), the unit
 /// the fleet memory plane budgets ingest by.
 int64_t ApproxTelemetryBytes(const ServerTelemetry& server);
-
-/// Groups rows by server into aligned load series. Rows may arrive in any
-/// order; duplicate (server, timestamp) rows keep the last value.
-Result<std::vector<ServerTelemetry>> GroupByServer(
-    const std::vector<TelemetryRecord>& records,
-    int64_t interval_minutes = kServerIntervalMinutes);
 
 }  // namespace seagull

@@ -511,9 +511,8 @@ Status StreamSeriesBlockServers(
     const std::function<Status(ServerTelemetry&&)>& fn) {
   // Pass 1, directory order: grid validation and per-id extent/window
   // accumulation. Directory order is the row order DecodeSeriesBlock
-  // yields, so a malformed blob fails on the same sample, with the same
-  // status, as GroupByServer over the decoded rows. Only O(directory)
-  // state is kept.
+  // yields, so a malformed blob fails on the first off-grid row.
+  // Only O(directory) state is kept.
   struct Acc {
     std::string_view id;
     std::vector<int64_t> entries;  ///< directory indices, in order
@@ -555,7 +554,7 @@ Status StreamSeriesBlockServers(
       }
     }
   }
-  // GroupByServer's output is sorted by id.
+  // Servers are yielded sorted by id.
   std::sort(accs.begin(), accs.end(),
             [](const Acc& a, const Acc& b) { return a.id < b.id; });
 
@@ -568,7 +567,7 @@ Status StreamSeriesBlockServers(
     for (const int64_t e : acc.entries) {
       const SeriesBlockServerView view = cursor.Entry(e);
       for (int64_t i = 0; i < view.sample_count(); ++i) {
-        // Duplicate timestamps keep the last value, as in GroupByServer.
+        // Duplicate timestamps keep the last value.
         series.SetValue((view.timestamps[i] - acc.min_t) / interval,
                         view.values[i]);
       }

@@ -8,8 +8,10 @@
 /// region-week extraction in a packed columnar layout that decodes with
 /// column loads instead of per-field `strtod`, and groups per server at
 /// write time so ingestion never builds a records intermediate. CSV
-/// (records.h) is only an interchange edge: `seagull transcode`
-/// converts between the two.
+/// (records.h) is only an interchange edge: `seagull transcode` and
+/// `ImportAzureVmTrace` convert text to SGB1 through
+/// `WriteSeriesBlockFromRecords`, and `transcode --to csv` prints a
+/// block back through `DecodeSeriesBlock`.
 ///
 /// Layout (version 1, all integers little-endian):
 ///
@@ -36,9 +38,8 @@
 /// bytes, and CSV transcoded to a block and back reproduces the CSV
 /// (rows are canonicalized to server-major order, the order Load
 /// Extraction writes anyway).
-/// `SeriesBlockTest.EmitterBlockMatchesEmitterCsv` pins that the
-/// emitter's block decodes to exactly what its rows would parse to as
-/// CSV.
+/// `SeriesBlockTest.EmitterBlockSurvivesCsvRoundTrip` pins that the
+/// emitter's block survives that round trip byte for byte.
 ///
 /// Every SGB1 byte is produced by `SeriesBlockWriter` and every SGB1
 /// byte is read through `SeriesBlockCursor`; `EncodeSeriesBlock`,
@@ -318,14 +319,18 @@ Result<SeriesBlockInfo> PeekSeriesBlock(std::string_view blob);
 /// Inverse of `EncodeSeriesBlock`: back to flat rows, server-major.
 Result<std::vector<TelemetryRecord>> DecodeSeriesBlock(std::string_view blob);
 
-/// Streams the cursor's telemetry grouped per server, with the same
-/// result as `GroupByServer(DecodeSeriesBlock(blob))` (same grid
-/// validation and status text, same duplicate-entry merge, same
-/// last-write-wins, servers yielded sorted by id) but with peak
-/// transient memory O(largest single server), not O(total_samples):
+/// The one per-server grouping of telemetry: streams the cursor's
+/// servers sorted by id, each as a `LoadSeries` on the block's grid
+/// spanning its first to last stamp (absent stamps missing). Directory
+/// entries that repeat an id merge in directory order, a repeated
+/// timestamp keeps its last value, the backup window comes from the
+/// id's last entry, and a stamp off the grid is `Invalid`. Peak
+/// transient memory is O(largest single server), not O(total_samples):
 /// each `ServerTelemetry` is built from column views and handed to `fn`
 /// before the next one is touched. A non-OK status from `fn` stops the
-/// stream and is returned.
+/// stream and is returned. tests/reference/telemetry_reference.h holds
+/// the row-by-row grouping it must match bit for bit, status text
+/// included.
 Status StreamSeriesBlockServers(
     const SeriesBlockCursor& cursor,
     const std::function<Status(ServerTelemetry&&)>& fn);

@@ -29,8 +29,15 @@ std::string SampleTrace(bool with_header = true) {
   return text;
 }
 
+/// The trace transcoded to SGB1 and decoded back to grouped servers,
+/// as every caller that wants servers reads it.
+Result<std::vector<ServerTelemetry>> ImportServers(const std::string& text) {
+  SEAGULL_ASSIGN_OR_RETURN(std::string blob, ImportAzureVmTrace(text));
+  return DecodeTelemetryBlob(blob);
+}
+
 TEST(AzureTraceTest, ImportsAndGroups) {
-  auto servers = ImportAzureVmTrace(SampleTrace());
+  auto servers = ImportServers(SampleTrace());
   ASSERT_TRUE(servers.ok()) << servers.status().ToString();
   ASSERT_EQ(servers->size(), 2u);
   const ServerTelemetry& a = (*servers)[0];
@@ -39,12 +46,30 @@ TEST(AzureTraceTest, ImportsAndGroups) {
   EXPECT_EQ(a.load.size(), 288);
   EXPECT_DOUBLE_EQ(a.load.ValueAt(0), 5.0);
   EXPECT_DOUBLE_EQ(a.load.ValueAt(100), 40.0);
-  // Synthetic backup metadata attached.
+  // Synthetic backup metadata attached: 02:00 of the VM's first day.
+  EXPECT_EQ(a.default_backup_start, 2 * kMinutesPerHour);
   EXPECT_EQ(a.backup_duration_minutes(), 60);
 }
 
+TEST(AzureTraceTest, BackupWindowFollowsEachVmsFirstDay) {
+  // vm-late's first reading, listed after its later ones, is on day 2.
+  const std::string trace =
+      "259200,vm-late,0,0,5\n"
+      "172800,vm-late,0,0,5\n"
+      "300,vm-early,0,0,5\n";
+  auto servers = ImportServers(trace);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
+  ASSERT_EQ(servers->size(), 2u);
+  EXPECT_EQ((*servers)[0].server_id, "vm-early");
+  EXPECT_EQ((*servers)[0].default_backup_start, 2 * kMinutesPerHour);
+  EXPECT_EQ((*servers)[1].server_id, "vm-late");
+  EXPECT_EQ((*servers)[1].default_backup_start,
+            2 * kMinutesPerDay + 2 * kMinutesPerHour);
+  EXPECT_EQ((*servers)[1].backup_duration_minutes(), 60);
+}
+
 TEST(AzureTraceTest, HeaderOptional) {
-  auto servers = ImportAzureVmTrace(SampleTrace(/*with_header=*/false));
+  auto servers = ImportServers(SampleTrace(/*with_header=*/false));
   ASSERT_TRUE(servers.ok());
   EXPECT_EQ(servers->size(), 2u);
 }
@@ -52,7 +77,7 @@ TEST(AzureTraceTest, HeaderOptional) {
 TEST(AzureTraceTest, DropsOutOfRangeRows) {
   std::string trace = SampleTrace();
   trace += "86400,vm-a,0,0,250.0\n";  // absurd utilization
-  auto servers = ImportAzureVmTrace(trace);
+  auto servers = ImportServers(trace);
   ASSERT_TRUE(servers.ok());
   // The bad sample is absent.
   EXPECT_TRUE(IsMissing((*servers)[0].load.ValueAtTime(86400 / 60)));
@@ -66,20 +91,25 @@ TEST(AzureTraceTest, RejectsMalformedRows) {
   EXPECT_FALSE(ImportAzureVmTrace("x,vm,1,2,3\ny,vm,1,2,3\n").ok());
 }
 
-TEST(AzureTraceTest, ExportRoundTripsThroughSeriesBlock) {
-  auto servers = ImportAzureVmTrace(SampleTrace());
-  ASSERT_TRUE(servers.ok());
-  auto decoded = DecodeTelemetryBlob(ExportToSeriesBlock(*servers));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), servers->size());
-  for (size_t i = 0; i < servers->size(); ++i) {
-    EXPECT_EQ((*decoded)[i].server_id, (*servers)[i].server_id);
-    EXPECT_EQ((*decoded)[i].load.values(), (*servers)[i].load.values());
-    EXPECT_EQ((*decoded)[i].default_backup_start,
-              (*servers)[i].default_backup_start);
-    EXPECT_EQ((*decoded)[i].default_backup_end,
-              (*servers)[i].default_backup_end);
-  }
+TEST(AzureTraceTest, ImportIsTheCanonicalSeriesBlock) {
+  // The importer's blob is what the SGB1 encoder writes for the trace's
+  // rows: decoding it to rows and re-encoding reproduces every byte, and
+  // one directory entry holds each VM.
+  auto blob = ImportAzureVmTrace(SampleTrace());
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto info = PeekSeriesBlock(*blob);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->server_count, 2);
+  EXPECT_EQ(info->total_samples, 2 * 288);
+  auto rows = DecodeSeriesBlock(*blob);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(EncodeSeriesBlock(*rows), *blob);
+}
+
+TEST(AzureTraceTest, ValuesAreQuantizedLikeEverySeriesBlockValue) {
+  auto servers = ImportServers("300,vm,0,0,12.345678\n");
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
+  EXPECT_EQ((*servers)[0].load.ValueAt(0), QuantizeFixed4(12.345678));
 }
 
 TEST(AzureTraceTest, ImportedTraceRunsThroughThePipeline) {
@@ -95,14 +125,12 @@ TEST(AzureTraceTest, ImportedTraceRunsThroughThePipeline) {
                            load + vm);
     }
   }
-  auto servers = ImportAzureVmTrace(text);
-  ASSERT_TRUE(servers.ok());
+  auto blob = ImportAzureVmTrace(text);
+  ASSERT_TRUE(blob.ok());
 
   auto lake = LakeStore::OpenTemporary("azure-trace");
   ASSERT_TRUE(lake.ok());
-  ASSERT_TRUE(lake->Put(LakeStore::TelemetryKey("trace", 3),
-                        ExportToSeriesBlock(*servers))
-                  .ok());
+  ASSERT_TRUE(lake->Put(LakeStore::TelemetryKey("trace", 3), *blob).ok());
   DocStore docs;
   PipelineContext ctx;
   ctx.region = "trace";

@@ -2,7 +2,8 @@
 # Smoke test for the `seagull` CLI: generate -> pipeline -> schedule ->
 # dashboard -> incidents -> advise against a scratch lake + doc store,
 # plus a multi-region --jobs fleet run, the CSV export/import round trip
-# through `transcode`, and flag validation.
+# through `transcode`, flag validation, and hostile blobs, model
+# documents and request lines.
 #
 # This script must carry the executable bit: ctest invokes it directly,
 # and a non-executable script fails as BAD_COMMAND with no output (the
@@ -18,6 +19,7 @@ die() {
            schedule.out retry1.out retry8.out \
            dashboard.out incidents.out advise.out \
            unknown.out jobs.out hostile.out hostile-incidents.out \
+           pipeline-ssa.out serve-model.out \
            serve-hostile.out serve-hostile.err deep-docs.out; do
     if [ -f "$f" ]; then
       echo "--- $f ---" >&2
@@ -71,7 +73,7 @@ grep -q "fleet: 2 regions, 2 ok" fleet.out || die "fleet summary wrong"
 # region's SGB1 week to CSV in place: the pipeline must then refuse the
 # key, naming the format. Importing it back reproduces the original
 # bytes, and the pipeline accepts the key again.
-SMOKE_KEY=telemetry/smoke/week-0003.csv
+SMOKE_KEY=telemetry/smoke/week-0003.sgb
 cp "lake/$SMOKE_KEY" smoke-week3.sgb1 || die "copy of the smoke week failed"
 run transcode "$CLI" transcode --lake lake --key "$SMOKE_KEY" --to csv \
   > transcode.out
@@ -251,8 +253,8 @@ done
 # store.
 mkdir -p lake/telemetry/hostile || die "mkdir hostile failed"
 printf '\123\107\102\061\001\000\000\000\000\000\000\000\005\000\000\000\000\000\000\000\000\000\000\000\000\001\000\000\000\000\000\000\000\000\000\000\063\222\331\131\017\020\276\140' \
-  > lake/telemetry/hostile/week-0003.csv
-[ "$(wc -c < lake/telemetry/hostile/week-0003.csv)" -eq 44 ] \
+  > lake/telemetry/hostile/week-0003.sgb
+[ "$(wc -c < lake/telemetry/hostile/week-0003.sgb)" -eq 44 ] \
   || die "hostile blob is not 44 bytes"
 "$CLI" pipeline --lake lake --docs docs-hostile.json --region hostile \
   --week 3 > hostile.out 2>&1
@@ -265,6 +267,23 @@ run incidents-hostile "$CLI" incidents --docs docs-hostile.json \
   --region hostile > hostile-incidents.out
 grep -q "ingestion: .*more servers than the blob can hold" \
   hostile-incidents.out || die "no ingestion incident for hostile blob"
+
+# A hostile model document: the docs of an SSA run with one model's
+# interval set to 0. `serve` restored it unchecked and died with SIGFPE
+# (exit 136) on its first tick; the restore must now reject it, naming
+# the field, before anything is served.
+run pipeline-ssa "$CLI" pipeline --lake lake --docs docs-ssa.json \
+  --region smoke --week 3 --model ssa > pipeline-ssa.out
+grep -q '"interval":5,"lrf"' docs-ssa.json || die "no SSA model in docs-ssa.json"
+# The docs file is one line, so sed edits the first SSA model only.
+sed 's/"interval":5,"lrf"/"interval":0,"lrf"/' docs-ssa.json \
+  > docs-ssa-hostile.json
+printf '{"verb":"tick"}\n' | "$CLI" serve --lake lake \
+  --docs docs-ssa-hostile.json --region smoke > serve-model.out 2>&1
+status=$?
+[ "$status" -eq 1 ] || die "serve over a hostile model exited $status, expected 1"
+grep -q "model field interval = 0 outside" serve-model.out \
+  || die "serve did not name the hostile model field"
 
 # Hostile JSON. A request line nested 20,000 deep (40 KB) used to
 # overflow the stack of `serve` (exit 139), a day of 1e300 was cast

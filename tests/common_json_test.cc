@@ -167,6 +167,28 @@ TEST(JsonTest, GetInt64ChecksRangeAndIntegrality) {
   }
 }
 
+TEST(JsonTest, ToInt64ChecksArrayElementsLikeMembers) {
+  auto doc = Json::Parse("[3, -7, 1e300, 2.5, \"4\", null, 9007199254740992]");
+  ASSERT_TRUE(doc.ok());
+  const Json::Array& items = doc->AsArray();
+  EXPECT_EQ(*items[0].ToInt64("entry"), 3);
+  EXPECT_EQ(*items[1].ToInt64("entry"), -7);
+  EXPECT_EQ(*items[6].ToInt64("entry"), int64_t{1} << 53);
+  for (size_t i : {2, 3, 4, 5}) {
+    Status st = items[i].ToInt64("holidays entry").status();
+    EXPECT_TRUE(st.IsInvalid()) << i;
+    EXPECT_NE(st.ToString().find("holidays entry must be an integer"),
+              std::string::npos)
+        << st.ToString();
+  }
+  // A member reads through the same check and names its field.
+  Json obj = Json::MakeObject();
+  obj["interval"] = 2.5;
+  EXPECT_NE(obj.GetInt64("interval").status().ToString().find(
+                "field interval must be an integer"),
+            std::string::npos);
+}
+
 std::string Nested(int depth) {
   return std::string(static_cast<size_t>(depth), '[') +
          std::string(static_cast<size_t>(depth), ']');

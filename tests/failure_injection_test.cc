@@ -87,11 +87,13 @@ TEST_F(FailureTest, TruncatedBlockFailsCleanly) {
 
 TEST_F(FailureTest, CsvExtractionFailsIngestionNamingTheFormat) {
   // SGB1 is the only telemetry format the pipeline reads: a well-formed
-  // CSV extraction under a telemetry key fails ingestion like any other
-  // foreign blob, and says why.
-  ASSERT_TRUE(lake_->Put(LakeStore::TelemetryKey("fail", 2),
-                         RecordsToCsvText(ExtractWeek(*fleet_, 2)))
-                  .ok());
+  // CSV extraction (what `transcode --to csv` prints) under a telemetry
+  // key fails ingestion like any other foreign blob, and says why.
+  auto rows = DecodeSeriesBlock(ExtractWeekBlock(*fleet_, 2));
+  ASSERT_TRUE(rows.ok());
+  ASSERT_TRUE(
+      lake_->Put(LakeStore::TelemetryKey("fail", 2), RecordsToCsvText(*rows))
+          .ok());
   Pipeline pipeline = Pipeline::Standard();
   PipelineContext ctx = MakeContext(2);
   PipelineRunReport report = pipeline.Run(&ctx);

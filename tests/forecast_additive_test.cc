@@ -288,6 +288,29 @@ TEST(AdditiveTest, DeserializeAcceptsRangeEdges) {
   }
 }
 
+TEST(AdditiveTest, HostileHolidaysRestoreInvalid) {
+  // Each holidays entry used to be cast to int64_t unchecked (1e300 is
+  // out of range). One holiday adds one feature, so each document also
+  // carries one more coefficient: only the entry's own check rejects it.
+  AdditiveForecast model(FastOptions());
+  ASSERT_TRUE(model.Fit(SeasonalSeries(7)).ok());
+  const Json fitted = std::move(model.Serialize()).ValueOrDie();
+  auto with_holiday = [&](Json day) {
+    Json doc = fitted;
+    Json holidays = Json::MakeArray();
+    holidays.Append(std::move(day));
+    doc["holidays"] = std::move(holidays);
+    doc["coef"].Append(0.5);
+    return doc;
+  };
+  for (Json day : {Json(1e300), Json(-1e300), Json(2.5), Json("7")}) {
+    auto restored = ModelFactory::Global().Restore(with_holiday(day));
+    EXPECT_TRUE(restored.status().IsInvalid())
+        << day.Dump() << ": " << restored.status().ToString();
+  }
+  EXPECT_TRUE(ModelFactory::Global().Restore(with_holiday(Json(7))).ok());
+}
+
 TEST(AdditiveTest, RejectedDocumentLeavesModelUnfitted) {
   AdditiveForecast model(FastOptions());
   ASSERT_TRUE(model.Fit(SeasonalSeries(7)).ok());

@@ -110,6 +110,45 @@ TEST(ArimaTest, DeserializeRejectsOrderMismatch) {
   EXPECT_FALSE(restored.Deserialize(doc).ok());
 }
 
+TEST(ArimaTest, HostileDocumentsRestoreInvalid) {
+  // An interval of 0 reached `start % 0` in Forecast (SIGFPE), and the
+  // orders were cast from doubles to int unchecked.
+  LoadSeries train = Ar1Series(0.8, 30.0, 2.0, 800);
+  ArimaForecast model(FastOptions());
+  ASSERT_TRUE(model.Fit(train).ok());
+  const Json fitted = std::move(model.Serialize()).ValueOrDie();
+  const std::pair<const char*, double> cases[] = {
+      {"interval", 0},     {"interval", -5},
+      {"p", -1},           {"p", 1e300},
+      {"d", 1.5},          {"d", kMaxArimaOrder + 1},
+      {"q", -1e300}};
+  for (const auto& [key, value] : cases) {
+    Json doc = fitted;
+    doc[key] = value;
+    auto restored = ModelFactory::Global().Restore(doc);
+    EXPECT_TRUE(restored.status().IsInvalid())
+        << key << " = " << value << ": " << restored.status().ToString();
+  }
+}
+
+TEST(ArimaTest, OrderLongerThanTheContextFailsTheForecast) {
+  // A valid document whose AR order outruns the two-day context used to
+  // read before the start of the differenced series.
+  LoadSeries train = Ar1Series(0.8, 30.0, 2.0, 800);
+  ArimaForecast model(FastOptions());
+  ASSERT_TRUE(model.Fit(train).ok());
+  Json doc = std::move(model.Serialize()).ValueOrDie();
+  doc["p"] = kMaxArimaOrder;
+  Json phi = Json::MakeArray();
+  for (int i = 0; i < kMaxArimaOrder; ++i) phi.Append(0.0);
+  doc["phi"] = std::move(phi);
+  auto restored = ModelFactory::Global().Restore(doc);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE((*restored)->Forecast(train, train.end(), 60)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
 TEST(ArimaTest, ToleratesMissingSamples) {
   LoadSeries train = Ar1Series(0.8, 30.0, 2.0, 800);
   for (int64_t i = 100; i < 130; ++i) train.SetValue(i, kMissingValue);

@@ -117,6 +117,40 @@ TEST(FeedForwardTest, SerializationRoundTrip) {
   }
 }
 
+TEST(FeedForwardTest, HostileDocumentsRestoreInvalid) {
+  // An interval of 0 reached `start % 0` in Forecast (SIGFPE), and a
+  // hidden width of 4096 over empty weights read past them (SIGSEGV).
+  LoadSeries train = DailyBumps(4);
+  FeedForwardForecast model(FastOptions());
+  ASSERT_TRUE(model.Fit(train).ok());
+  const Json fitted = std::move(model.Serialize()).ValueOrDie();
+  std::vector<Json> docs;
+  for (const auto& [key, value] :
+       {std::pair<const char*, double>{"interval", 0},
+        {"interval", kMinutesPerDay + 5},
+        {"pooled", 0},
+        {"pooled", 7},    // does not divide the 288 samples of a day
+        {"pooled", 576},  // more bins than samples
+        {"hidden", 0},
+        {"hidden", 1e300},
+        {"hidden", kMaxFeedForwardHidden + 1}}) {
+    docs.push_back(fitted);
+    docs.back()[key] = value;
+  }
+  docs.push_back(fitted);
+  docs.back()["hidden"] = 4096;
+  for (const char* key : {"w1", "b1", "w2", "b2"}) {
+    docs.back()[key] = Json::MakeArray();
+  }
+  docs.push_back(fitted);
+  docs.back()["b2"].AsArray().pop_back();  // one weight short
+  for (const Json& doc : docs) {
+    auto restored = ModelFactory::Global().Restore(doc);
+    EXPECT_TRUE(restored.status().IsInvalid())
+        << doc.Dump().substr(0, 120) << ": " << restored.status().ToString();
+  }
+}
+
 TEST(FeedForwardTest, ToleratesMissingTrainingSamples) {
   LoadSeries train = DailyBumps(7);
   for (int64_t i = 500; i < 560; ++i) train.SetValue(i, kMissingValue);

@@ -121,6 +121,19 @@ TEST(PersistentTest, DeserializeRejectsBadVariant) {
   EXPECT_FALSE(model.Deserialize(doc).ok());
 }
 
+TEST(PersistentTest, HostileVariantsRestoreInvalid) {
+  // The variant used to be cast to int before its range check, so 1e300
+  // converted out of range.
+  for (double variant : {1e300, -1e300, 1.5, -1.0, 3.0}) {
+    Json doc = Json::MakeObject();
+    doc["model"] = "persistent_prev_day";
+    doc["variant"] = variant;
+    auto restored = ModelFactory::Global().Restore(doc);
+    EXPECT_TRUE(restored.status().IsInvalid())
+        << variant << ": " << restored.status().ToString();
+  }
+}
+
 TEST(PersistentTest, WeekAverageFallsBackToOverallMean) {
   PersistentForecast model(PersistentVariant::kPreviousWeekAverage);
   // Only two days of history; the "previous week" range [7d, 14d) before

@@ -112,6 +112,33 @@ TEST(RoutedTest, DeserializeRejectsCorruptDocs) {
   EXPECT_FALSE(model.Deserialize(no_delegate).ok());
 }
 
+TEST(RoutedTest, HostileDocumentsRestoreInvalid) {
+  // The class used to be cast to int before its range check, and a
+  // hostile delegate is restored through its own family's checks.
+  RoutedForecast model;
+  LoadSeries train = ChaoticWeek(7);
+  ASSERT_TRUE(model.Fit(train).ok());
+  ASSERT_EQ(model.delegate_family(), "ssa");
+  const Json fitted = std::move(model.Serialize()).ValueOrDie();
+  std::vector<Json> docs;
+  for (double cls : {1e300, -1.0, 5.0, 0.5}) {
+    docs.push_back(fitted);
+    docs.back()["routed_class"] = cls;
+  }
+  docs.push_back(fitted);
+  docs.back()["delegate"]["interval"] = 0;
+  for (const Json& doc : docs) {
+    auto restored = ModelFactory::Global().Restore(doc);
+    EXPECT_TRUE(restored.status().IsInvalid())
+        << restored.status().ToString();
+  }
+  // A rejected document leaves the model unfitted.
+  EXPECT_FALSE(model.Deserialize(docs.back()).ok());
+  EXPECT_TRUE(model.Forecast(train, 7 * kMinutesPerDay, 60)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
 TEST(RoutedTest, RegisteredInGlobalFactory) {
   auto model = ModelFactory::Global().Create("routed");
   ASSERT_TRUE(model.ok());

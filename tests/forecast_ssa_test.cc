@@ -118,6 +118,39 @@ TEST(SsaTest, SerializationRoundTrip) {
   }
 }
 
+TEST(SsaTest, HostileDocumentsRestoreInvalid) {
+  // An interval of 0 reached `start % 0` in Forecast (SIGFPE), and the
+  // integer fields were cast from doubles unchecked.
+  LoadSeries train = DailySine(30.0, 10.0, 7);
+  SsaForecast model;
+  ASSERT_TRUE(model.Fit(train).ok());
+  const Json fitted = std::move(model.Serialize()).ValueOrDie();
+  const int64_t lags = static_cast<int64_t>(fitted["lrf"].AsArray().size());
+  const std::pair<const char*, double> cases[] = {
+      {"interval", 0},
+      {"interval", -5},
+      {"interval", 2.5},
+      {"interval", kMinutesPerDay + 1},
+      {"rank", -1},
+      {"rank", static_cast<double>(lags + 2)},
+      {"rank", 1e300}};
+  for (const auto& [key, value] : cases) {
+    Json doc = fitted;
+    doc[key] = value;
+    auto restored = ModelFactory::Global().Restore(doc);
+    EXPECT_TRUE(restored.status().IsInvalid())
+        << key << " = " << value << ": " << restored.status().ToString();
+  }
+  // A rejected document leaves the model unfitted.
+  Json zero = fitted;
+  zero["interval"] = 0;
+  EXPECT_NE(model.Deserialize(zero).ToString().find("interval"),
+            std::string::npos);
+  EXPECT_TRUE(model.Forecast(train, 7 * kMinutesPerDay, 60)
+                  .status()
+                  .IsFailedPrecondition());
+}
+
 TEST(SsaTest, SerializeBeforeFitFails) {
   SsaForecast model;
   EXPECT_TRUE(model.Serialize().status().IsFailedPrecondition());

@@ -255,6 +255,32 @@ TEST_F(PipelineModulesTest, DeploymentIncrementsVersions) {
   EXPECT_EQ(*ActiveVersion(&docs_, "modtest"), 2);
 }
 
+TEST_F(PipelineModulesTest, HostileRegistryVersionsAreCheckedNotCast) {
+  // Registry documents are untrusted like the models they hold: a
+  // version of 1e300 was cast to int64_t unchecked.
+  ASSERT_TRUE(RunStages(5).ok());
+  Container* registry = docs_.GetContainer(kModelRegistryContainer);
+  Document active =
+      std::move(registry->Get("modtest", kActiveModelDocId)).ValueOrDie();
+  active.body["version"] = 1e300;
+  ASSERT_TRUE(registry->Upsert(active).ok());
+  EXPECT_TRUE(ActiveVersion(&docs_, "modtest").status().IsInvalid());
+  EXPECT_TRUE(LoadActiveEndpoint(&docs_, "modtest").status().IsInvalid());
+
+  Document v1 = std::move(registry->Get("modtest", "v000001")).ValueOrDie();
+  v1.body["version"] = 1e300;
+  ASSERT_TRUE(registry->Upsert(v1).ok());
+  EXPECT_TRUE(ModelEndpoint::FromVersionDoc(v1.body).status().IsInvalid());
+  // The next deployment counts the unreadable version as none and
+  // replaces its document.
+  PipelineContext ctx2 = ctx_;
+  ModelDeploymentModule deployment;
+  ASSERT_TRUE(deployment.Run(&ctx2).ok());
+  EXPECT_EQ(ctx2.deployed_version, 1);
+  EXPECT_EQ(*ActiveVersion(&docs_, "modtest"), 1);
+  EXPECT_TRUE(LoadActiveEndpoint(&docs_, "modtest").ok());
+}
+
 TEST_F(PipelineModulesTest, EndpointPredictsFromRecentLoad) {
   ASSERT_TRUE(RunStages(5).ok());
   auto endpoint = LoadActiveEndpoint(&docs_, "modtest");

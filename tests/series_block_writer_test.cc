@@ -3,7 +3,7 @@
 /// tests/golden/series_block_v1.json across adversarial inputs, the
 /// two-pass protocol's misuse statuses, sink-failure propagation, and
 /// the emitter-level two-pass fleet walk (`ExtractWeekBlockTo`) against
-/// the records walk plus its resident cost bound.
+/// the rows walk in tests/reference/ plus its resident cost bound.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "common/json.h"
 #include "common/random.h"
 #include "common/strings.h"
+#include "reference/telemetry_reference.h"
 #include "telemetry/emitter.h"
 #include "telemetry/fleet.h"
 #include "telemetry/series_block.h"
@@ -333,16 +334,16 @@ Fleet StreamFleet() {
 
 TEST(SeriesBlockWriterTest, ExtractWeekBlockToMatchesRecordsEncoder) {
   // The two-pass fleet walk (sizing pass, then regenerate-and-append)
-  // against the records walk (`ExtractWeek` grouped by
-  // `WriteSeriesBlockFromRecords`), the oracle the fleet walk replaced.
+  // against the rows walk grouped by `WriteSeriesBlockFromRecords`,
+  // the oracle the fleet walk replaced.
   Fleet fleet = StreamFleet();
   for (int64_t week : {int64_t{1}, int64_t{3}}) {
     std::string streamed;
     int64_t peak = 0;
-    ASSERT_TRUE(ExtractWeekBlockTo(fleet, week, CollectInto(&streamed), {},
-                                   &peak)
-                    .ok());
-    const std::string reference = EncodeSeriesBlock(ExtractWeek(fleet, week));
+    ASSERT_TRUE(
+        ExtractWeekBlockTo(fleet, week, CollectInto(&streamed), &peak).ok());
+    const std::string reference =
+        EncodeSeriesBlock(reference::ExtractWeekRows(fleet, week));
     EXPECT_EQ(streamed, reference) << "week " << week;
     EXPECT_GT(peak, 0);
   }
@@ -374,8 +375,8 @@ TEST(SeriesBlockWriterTest, ResidentCostStaysUnderTheBlobAtScale) {
   std::string streamed;
   int64_t peak = 0;
   ASSERT_TRUE(
-      ExtractWeekBlockTo(fleet, 3, CollectInto(&streamed), {}, &peak).ok());
-  EXPECT_EQ(streamed, EncodeSeriesBlock(ExtractWeek(fleet, 3)));
+      ExtractWeekBlockTo(fleet, 3, CollectInto(&streamed), &peak).ok());
+  EXPECT_EQ(streamed, EncodeSeriesBlock(reference::ExtractWeekRows(fleet, 3)));
   EXPECT_GT(peak, 0);
   EXPECT_LT(peak, static_cast<int64_t>(streamed.size() * 3 / 4));
 }

@@ -81,7 +81,7 @@ TEST_F(LakeStoreTest, RejectsUnsafeKeys) {
 
 TEST_F(LakeStoreTest, TelemetryKeyFormat) {
   EXPECT_EQ(LakeStore::TelemetryKey("west-eu", 3),
-            "telemetry/west-eu/week-0003.csv");
+            "telemetry/west-eu/week-0003.sgb");
 }
 
 TEST_F(LakeStoreTest, BinaryContentSurvives) {

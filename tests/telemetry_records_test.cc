@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "telemetry/emitter.h"
+#include "telemetry/series_block.h"
 
 namespace seagull {
 namespace {
@@ -103,8 +104,38 @@ TEST(RecordsTest, WriterPrintsFourDecimalsAndPlainIntegers) {
             "srv,-5,12.3456,9223372036854775807,0\n");
 }
 
-TEST(RecordsTest, GroupByServerBuildsAlignedSeries) {
-  auto grouped = GroupByServer(SampleRecords());
+/// Rows grouped the one way the library groups telemetry: encoded to
+/// SGB1, then streamed per server.
+Result<std::vector<ServerTelemetry>> Grouped(
+    const std::vector<TelemetryRecord>& records) {
+  return DecodeTelemetryBlob(EncodeSeriesBlock(records));
+}
+
+TEST(RecordsTest, CsvRowReaderSplitsFieldsAndCountsLines) {
+  CsvRowReader rows("a,b\r\n\n1,2,3,4,5\n\r\n1,2,3,4,5,6,7\n,");
+  ASSERT_TRUE(rows.Next());
+  EXPECT_EQ(rows.line_no(), 1u);
+  EXPECT_EQ(rows.line(), "a,b");
+  ASSERT_EQ(rows.field_count(), 2);
+  EXPECT_EQ(rows.field(1), "b");
+  ASSERT_TRUE(rows.Next());  // the empty line 2 is skipped, not renumbered
+  EXPECT_EQ(rows.line_no(), 3u);
+  ASSERT_EQ(rows.field_count(), 5);
+  EXPECT_EQ(rows.field(4), "5");
+  ASSERT_TRUE(rows.Next());  // so is the bare CR of line 4
+  EXPECT_EQ(rows.line_no(), 5u);
+  EXPECT_EQ(rows.field_count(), 6);  // more than five
+  ASSERT_TRUE(rows.Next());  // an unterminated last line still counts
+  EXPECT_EQ(rows.line_no(), 6u);
+  ASSERT_EQ(rows.field_count(), 2);
+  EXPECT_EQ(rows.field(0), "");
+  EXPECT_EQ(rows.field(1), "");
+  EXPECT_FALSE(rows.Next());
+  EXPECT_FALSE(CsvRowReader("").Next());
+}
+
+TEST(RecordsTest, GroupingBuildsAlignedSeries) {
+  auto grouped = Grouped(SampleRecords());
   ASSERT_TRUE(grouped.ok());
   ASSERT_EQ(grouped->size(), 2u);
   const ServerTelemetry& a = (*grouped)[0];
@@ -118,7 +149,7 @@ TEST(RecordsTest, GroupByServerBuildsAlignedSeries) {
   EXPECT_EQ(b.load.size(), 1);
 }
 
-TEST(RecordsTest, GroupByServerHandlesGapsAndOrder) {
+TEST(RecordsTest, GroupingHandlesGapsAndOrder) {
   std::vector<TelemetryRecord> records;
   for (int64_t t : {20, 0, 10}) {  // out of order, gap at 5 and 15
     TelemetryRecord r;
@@ -129,7 +160,7 @@ TEST(RecordsTest, GroupByServerHandlesGapsAndOrder) {
     r.default_backup_end = 60;
     records.push_back(r);
   }
-  auto grouped = GroupByServer(records);
+  auto grouped = Grouped(records);
   ASSERT_TRUE(grouped.ok());
   const LoadSeries& load = (*grouped)[0].load;
   EXPECT_EQ(load.size(), 5);
@@ -138,11 +169,11 @@ TEST(RecordsTest, GroupByServerHandlesGapsAndOrder) {
   EXPECT_DOUBLE_EQ(load.ValueAtTime(20), 20.0);
 }
 
-TEST(RecordsTest, GroupByServerRejectsOffGrid) {
+TEST(RecordsTest, GroupingRejectsOffGrid) {
   TelemetryRecord r;
   r.server_id = "s";
   r.timestamp = 7;
-  EXPECT_FALSE(GroupByServer({r}).ok());
+  EXPECT_TRUE(Grouped({r}).status().IsInvalid());
 }
 
 TEST(EmitterTest, DefaultBackupWindowInsideDay) {
@@ -158,7 +189,7 @@ TEST(EmitterTest, DefaultBackupWindowInsideDay) {
   EXPECT_EQ(end - start, 120);
 }
 
-TEST(EmitterTest, ExtractWeekEmitsOnlyPresentSamples) {
+TEST(EmitterTest, ExtractWeekBlockHoldsOnlyPresentSamples) {
   RegionConfig config;
   config.name = "emit";
   config.num_servers = 5;
@@ -166,9 +197,11 @@ TEST(EmitterTest, ExtractWeekEmitsOnlyPresentSamples) {
   config.seed = 7;
   config.telemetry.missing_sample_rate = 0.1;
   Fleet fleet = Fleet::Generate(config);
-  auto records = ExtractWeek(fleet, 3);
-  ASSERT_FALSE(records.empty());
-  for (const auto& r : records) {
+  auto records = DecodeSeriesBlock(ExtractWeekBlock(fleet, 3));
+  ASSERT_TRUE(records.ok());
+  ASSERT_FALSE(records->empty());
+  for (const auto& r : *records) {
+    EXPECT_FALSE(IsMissing(r.avg_cpu));
     EXPECT_GE(r.avg_cpu, 0.0);
     EXPECT_LE(r.avg_cpu, 100.0);
     EXPECT_EQ(r.timestamp % kServerIntervalMinutes, 0);
@@ -177,16 +210,19 @@ TEST(EmitterTest, ExtractWeekEmitsOnlyPresentSamples) {
   }
 }
 
-TEST(EmitterTest, ExtractedTextParsesAndGroups) {
+TEST(EmitterTest, ExtractedBlockPrintsAsCsvAndGroups) {
   RegionConfig config;
   config.name = "emit2";
   config.num_servers = 3;
   config.weeks = 4;
   Fleet fleet = Fleet::Generate(config);
-  std::string text = RecordsToCsvText(ExtractWeek(fleet, 3));
-  auto records = ParseTelemetryCsv(text);
+  const std::string block = ExtractWeekBlock(fleet, 3);
+  auto decoded = DecodeSeriesBlock(block);
+  ASSERT_TRUE(decoded.ok());
+  auto records = ParseTelemetryCsv(RecordsToCsvText(*decoded));
   ASSERT_TRUE(records.ok());
-  auto grouped = GroupByServer(*records);
+  EXPECT_EQ(EncodeSeriesBlock(*records), block);
+  auto grouped = Grouped(*records);
   ASSERT_TRUE(grouped.ok());
   EXPECT_LE(grouped->size(), 3u);
   EXPECT_GE(grouped->size(), 1u);

@@ -1,6 +1,6 @@
 /// \file telemetry_series_block_test.cc
 /// \brief SGB1 decode: record round trips, the streaming cursor checked
-/// against the records path's grouping (`GroupByServer` over the
+/// against the row-by-row grouping in tests/reference/ (over the
 /// decoded rows) as an independent oracle, and rejection of mutilated
 /// or hostile blobs all the way up to the ingestion module.
 
@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "common/strings.h"
 #include "pipeline/ingestion.h"
+#include "reference/telemetry_reference.h"
 #include "store/lake_store.h"
 #include "telemetry/emitter.h"
 #include "telemetry/fleet.h"
@@ -84,11 +85,10 @@ Result<std::vector<ServerTelemetry>> StreamAll(const std::string& blob) {
   return out;
 }
 
-/// The oracle: decode to flat rows, then group them with
-/// `GroupByServer`, the records path's grouping.
+/// The oracle: decode to flat rows, then group them row by row.
 Result<std::vector<ServerTelemetry>> GroupedRecords(const std::string& blob) {
   SEAGULL_ASSIGN_OR_RETURN(auto records, DecodeSeriesBlock(blob));
-  return GroupByServer(records);
+  return reference::GroupByServer(records);
 }
 
 TEST(SeriesBlockTest, SniffsMagic) {
@@ -144,11 +144,11 @@ TEST(SeriesBlockTest, PropertyRandomFleetsRoundTripByteIdentically) {
   }
 }
 
-TEST(SeriesBlockTest, StreamedServersMatchGroupByServerOfInputRows) {
+TEST(SeriesBlockTest, StreamedServersMatchGroupedInputRows) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     auto records = RandomRecords(seed);
     if (records.empty()) continue;
-    auto grouped = GroupByServer(records);
+    auto grouped = reference::GroupByServer(records);
     ASSERT_TRUE(grouped.ok()) << "seed " << seed;
     auto direct = StreamAll(EncodeSeriesBlock(records));
     ASSERT_TRUE(direct.ok()) << "seed " << seed;
@@ -174,7 +174,7 @@ TEST(SeriesBlockTest, StreamedServersMatchGroupByServerOfInputRows) {
   }
 }
 
-TEST(SeriesBlockTest, EmitterBlockMatchesEmitterCsv) {
+TEST(SeriesBlockTest, EmitterBlockSurvivesCsvRoundTrip) {
   RegionConfig config;
   config.name = "blk";
   config.num_servers = 8;
@@ -185,9 +185,19 @@ TEST(SeriesBlockTest, EmitterBlockMatchesEmitterCsv) {
   const std::string block = ExtractWeekBlock(fleet, 3);
   auto from_block = StreamAll(block);
   ASSERT_TRUE(from_block.ok());
-  auto from_csv = ParseTelemetryCsv(RecordsToCsvText(ExtractWeek(fleet, 3)));
+  // The transcode round trip: the block printed as CSV parses back to
+  // rows that encode to the very same bytes.
+  auto rows = DecodeSeriesBlock(block);
+  ASSERT_TRUE(rows.ok());
+  auto from_csv = ParseTelemetryCsv(RecordsToCsvText(*rows));
   ASSERT_TRUE(from_csv.ok());
-  auto grouped = GroupByServer(*from_csv);
+  EXPECT_EQ(EncodeSeriesBlock(*from_csv), block);
+  // And the fleet's own rows, grouped row by row, are what the block
+  // streams (the CSV text quantizes them as the block does).
+  auto reference_csv = ParseTelemetryCsv(
+      RecordsToCsvText(reference::ExtractWeekRows(fleet, 3)));
+  ASSERT_TRUE(reference_csv.ok());
+  auto grouped = reference::GroupByServer(*reference_csv);
   ASSERT_TRUE(grouped.ok());
   ASSERT_EQ(from_block->size(), grouped->size());
   for (size_t i = 0; i < grouped->size(); ++i) {
@@ -436,7 +446,7 @@ TEST(SeriesBlockTest, DecodeTelemetryBlobReadsSgb1AndRejectsCsv) {
   auto records = SampleRecords();
   auto from_block = DecodeTelemetryBlob(EncodeSeriesBlock(records));
   ASSERT_TRUE(from_block.ok());
-  auto grouped = GroupByServer(records);
+  auto grouped = reference::GroupByServer(records);
   ASSERT_TRUE(grouped.ok());
   ASSERT_EQ(from_block->size(), grouped->size());
   for (size_t i = 0; i < grouped->size(); ++i) {

@@ -23,10 +23,11 @@
 #   tools/check.sh perf       # data-plane throughput: the perf-label
 #                             # tests plus bench/micro_substrate, which
 #                             # writes BENCH_ingest.json (the SeriesBlock
-#                             # decode rate; the CSV parse rate of a
-#                             # `transcode` import, not a pipeline ingest;
-#                             # the decode footprint and the SGB1
-#                             # writer's cost), and
+#                             # decode rate; the rate of a `transcode`
+#                             # CSV import — ParseTelemetryCsv plus
+#                             # WriteSeriesBlockFromRecords — not a
+#                             # pipeline ingest; the decode footprint
+#                             # and the SGB1 writer's cost), and
 #                             # bench/micro_forecast, which writes
 #                             # BENCH_forecast.json (per-model Fit
 #                             # p50/p99, the batched-fleet row, and
@@ -69,7 +70,9 @@
 #                             # shared draws and hostile documents), the
 #                             # untrusted-input
 #                             # suites (serving_engine_test's ingest
-#                             # admission and integer fields,
+#                             # admission and integer fields, the
+#                             # forecast families' hostile model
+#                             # documents,
 #                             # common_strings_test's number parsers
 #                             # under every flag, CSV field and JSON,
 #                             # common_json_test's nesting cap,
@@ -215,11 +218,13 @@ case "$MODE" in
       store_doc_test pipeline_modules_test \
       forecast_linalg_test forecast_linalg_kernel_test \
       forecast_batch_equivalence_test forecast_golden_test \
-      forecast_additive_test serving_engine_test common_strings_test \
+      forecast_additive_test forecast_ssa_test forecast_arima_test \
+      forecast_neural_test forecast_persistent_test forecast_routed_test \
+      serving_engine_test common_strings_test \
       common_json_test pipeline_serving_test azure_trace_test \
       failure_injection_test seagull_cli
     (cd "$ROOT/build-asan" && ctest --output-on-failure -R \
-      'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|serving_engine_test|common_strings_test|common_json_test|pipeline_serving_test|azure_trace_test|failure_injection_test|cli_smoke_test')
+      'telemetry_series_block_test|series_block_writer_test|store_lake_test|telemetry_records_test|store_doc_test|pipeline_modules_test|forecast_ssa_test|forecast_arima_test|forecast_neural_test|forecast_persistent_test|forecast_routed_test|serving_engine_test|common_strings_test|common_json_test|pipeline_serving_test|azure_trace_test|failure_injection_test|cli_smoke_test')
     (cd "$ROOT/build-asan" && ctest --output-on-failure -L kernels)
     echo "=== [scale] OK ==="
     ;;
