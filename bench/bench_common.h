@@ -10,9 +10,15 @@
 
 #pragma once
 
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -132,6 +138,69 @@ inline Result<Json> LoadBudgets(const std::string& path,
                             " section");
   }
   return doc[section];
+}
+
+/// Runs `body` in a forked child and returns the bytes it returns,
+/// carried back through a pipe. A forked child's peak-RSS watermark
+/// (`VmHWM`) starts at its own resident size, so `body` can measure the
+/// footprint of its own work with `ReadPeakRssBytes()`, with no
+/// watermark reset (which would write under /proc). The parent trims
+/// its malloc arenas first, so the child faults its working set in
+/// anew instead of reusing pages the parent freed. Only the calling
+/// thread exists in the child: call this while no other thread runs.
+/// IOError when the pipe or the fork fails, or the child does not exit
+/// 0 (a throw or an `Abort()` in `body`).
+inline Result<std::string> RunInChild(
+    const std::function<std::string()>& body) {
+  TrimMallocArenas();
+  std::fflush(nullptr);  // nothing buffered is written twice
+  int fds[2];
+  if (pipe(fds) != 0) return Status::IOError("pipe failed");
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return Status::IOError("fork failed");
+  }
+  if (pid == 0) {
+    close(fds[0]);
+    int code = 0;
+    try {
+      const std::string out = body();
+      for (size_t done = 0; done < out.size();) {
+        const ssize_t n = write(fds[1], out.data() + done, out.size() - done);
+        if (n < 0 && errno == EINTR) continue;
+        if (n <= 0) {
+          code = 1;
+          break;
+        }
+        done += static_cast<size_t>(n);
+      }
+    } catch (...) {
+      code = 1;
+    }
+    // No exit handlers: they belong to the parent (a temporary lake's
+    // directory, for one, is removed when its last handle goes).
+    _exit(code);
+  }
+  close(fds[1]);
+  std::string out;
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = read(fds[0], buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    out.append(buf, static_cast<size_t>(n));
+  }
+  close(fds[0]);
+  int status = 0;
+  while (waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) return Status::IOError("waitpid failed");
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    return Status::IOError("measuring child failed");
+  }
+  return out;
 }
 
 }  // namespace seagull::bench

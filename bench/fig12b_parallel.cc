@@ -11,11 +11,10 @@
 /// plane deliverable: N servers staged shard-by-shard as per-region
 /// SeriesBlock blobs through the streaming SGB1 writer, the full
 /// pipeline executed over each shard at jobs=1 and jobs=`--jobs` (one
-/// `FleetRunner::Run` per shard and pass), each region digested and its
-/// partitions dropped as soon as its shard's run returns, and the
-/// shard's blobs deleted before the next shard is staged (both disk
-/// and RSS stay shard-bounded, which is what makes `--servers=1000000`
-/// runnable). Per-region digests are compared for byte-identity across
+/// `FleetRunner::Run` per shard and pass, each in a forked child that
+/// digests its regions and reports its peak RSS), and the shard's blobs
+/// deleted before the next shard is staged (both disk and RSS stay
+/// shard-bounded, which is what makes `--servers=1000000` runnable). Per-region digests are compared for byte-identity across
 /// the two passes, and (with `--budgets=<path>`) peak RSS, per-server
 /// costs, and encoder residency are gated against the `fleet_scale`
 /// section of tests/budgets.json. Writes BENCH_scale.json. `--shard=K`
@@ -36,6 +35,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -186,13 +186,9 @@ void RunFleetComparison() {
   DocStore seq_docs, par_docs;
   FleetRunResult seq, par;
   Json phases = Json::MakeObject();
-  ResetPeakRss();
   phases["sequential"] = MetricsForPhase([&] { seq = run(1, &seq_docs); });
-  const int64_t seq_peak = ReadPeakRssBytes();
-  ResetPeakRss();
   phases["parallel"] =
       MetricsForPhase([&] { par = run(par_jobs, &par_docs); });
-  const int64_t par_peak = ReadPeakRssBytes();
 
   // Determinism gate: the parallel run must reproduce the sequential
   // run's data outputs exactly (tests/fleet_determinism_test.cc covers
@@ -225,9 +221,6 @@ void RunFleetComparison() {
   std::printf("%-28s %10.2fx\n", "speedup", speedup);
   std::printf("%-28s %10s\n", "outputs identical",
               deterministic ? "yes" : "NO (BUG)");
-  std::printf("%-28s %10.1f MB (seq) / %.1f MB (par)\n", "phase peak RSS",
-              static_cast<double>(seq_peak) / 1e6,
-              static_cast<double>(par_peak) / 1e6);
 
   Json out = Json::MakeObject();
   out["benchmark"] = "fleet_parallel";
@@ -239,8 +232,6 @@ void RunFleetComparison() {
   out["parallel_ms"] = par.wall_millis;
   out["speedup"] = speedup;
   out["deterministic"] = deterministic;
-  out["sequential_peak_rss_bytes"] = seq_peak;
-  out["parallel_peak_rss_bytes"] = par_peak;
   if (cores < 4) {
     // On a starved host the "parallel" run only measures dispatch
     // overhead; a sub-1.0x ratio here reads as a perf regression when it
@@ -291,6 +282,15 @@ struct PassConfig {
   int jobs;
 };
 
+/// What one (pass, shard) window's child reports back, followed in
+/// its bytes by one region digest per job.
+struct WindowReport {
+  double wall_millis = 0.0;  ///< `Run` only (no staging or digests)
+  int64_t failures = 0;
+  int64_t ingest_resident_bytes = 0;
+  int64_t peak_rss_bytes = -1;  ///< the child's VmHWM; -1 unreadable
+};
+
 /// Accumulated results of one pass across every staging shard.
 struct PassStats {
   std::vector<uint64_t> digests;  ///< per region, job order
@@ -298,7 +298,50 @@ struct PassStats {
   int64_t peak_rss_bytes = 0;     ///< max over per-shard windows
   int64_t ingest_resident_bytes = 0;
   int64_t failures = 0;
+  int64_t unmeasured = 0;  ///< windows whose child reported nothing
 };
+
+/// Runs `jobs` at `options` in a forked child against a fresh DocStore
+/// (bench::RunInChild): the window's peak RSS is the child's own
+/// watermark, which starts at its resident size at the fork. The child
+/// digests each region before it exits; the parent keeps no documents.
+Result<std::pair<WindowReport, std::vector<uint64_t>>> RunWindow(
+    LakeStore* lake, const std::vector<FleetJob>& jobs,
+    const FleetOptions& options) {
+  auto window = [&] {
+    Counter* ingest_resident = MetricsRegistry::Global().GetCounter(
+        "seagull.pipeline.ingest_resident_bytes", {{"format", "binary"}});
+    const int64_t ingest_before = ingest_resident->Value();
+    DocStore docs;
+    FleetRunner runner(lake, &docs, options);
+    PipelineContext config;
+    config.model_name = "persistent_prev_day";
+    const FleetRunResult result = runner.Run(jobs, config);
+    std::vector<uint64_t> digests;
+    for (const FleetJob& job : jobs) {
+      digests.push_back(DigestRegion(&docs, job.region));
+    }
+    WindowReport report;
+    report.wall_millis = result.wall_millis;
+    report.failures = result.FailureCount();
+    report.ingest_resident_bytes = ingest_resident->Value() - ingest_before;
+    report.peak_rss_bytes = ReadPeakRssBytes();
+    std::string out(reinterpret_cast<const char*>(&report), sizeof(report));
+    out.append(reinterpret_cast<const char*>(digests.data()),
+               digests.size() * sizeof(uint64_t));
+    return out;
+  };
+  SEAGULL_ASSIGN_OR_RETURN(std::string bytes, RunInChild(window));
+  if (bytes.size() != sizeof(WindowReport) + jobs.size() * sizeof(uint64_t)) {
+    return Status::IOError("window report has the wrong size");
+  }
+  std::pair<WindowReport, std::vector<uint64_t>> out;
+  std::memcpy(&out.first, bytes.data(), sizeof(WindowReport));
+  out.second.resize(jobs.size());
+  std::memcpy(out.second.data(), bytes.data() + sizeof(WindowReport),
+              jobs.size() * sizeof(uint64_t));
+  return out;
+}
 
 /// The bounded-everything fleet-scale run (the tentpole deliverable).
 ///
@@ -313,10 +356,10 @@ struct PassStats {
 /// set — which is what makes `--servers 1000000` (~95 GB of telemetry)
 /// runnable on a host whose disk could never hold the whole fleet.
 ///
-/// Peak RSS per pass is the max over its per-shard windows, each opened
-/// with a malloc trim + HWM reset so (a) a pass never inherits another
-/// pass's arena floor and (b) no mid-shard spike escapes the reading —
-/// the window *is* the shard.
+/// Each (pass, shard) window runs in its own forked child, one at a
+/// time, so (a) a pass never inherits another pass's arena floor and
+/// (b) no mid-shard spike escapes the reading — the window *is* the
+/// shard. Peak RSS per pass is the max over its windows.
 ///
 /// Digest identity is required across the two passes: jobs=1 vs
 /// jobs=N (determinism).
@@ -341,17 +384,7 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
       {"parallel", "parallel", par_jobs},
   };
   std::vector<PassStats> stats(pass_configs.size());
-  // Each pass owns a DocStore for the whole run (regions retire out of
-  // it shard by shard; incident/run bookkeeping accumulates).
-  std::vector<std::unique_ptr<DocStore>> docs;
-  for (size_t i = 0; i < pass_configs.size(); ++i) {
-    docs.push_back(std::make_unique<DocStore>());
-    stats[i].digests.reserve(static_cast<size_t>(regions));
-  }
-
-  MetricsRegistry::Global().Reset();
-  Counter* ingest_resident_ctr = MetricsRegistry::Global().GetCounter(
-      "seagull.pipeline.ingest_resident_bytes", {{"format", "binary"}});
+  for (PassStats& s : stats) s.digests.reserve(static_cast<size_t>(regions));
 
   int64_t staged_bytes = 0;
   int64_t encode_resident_bytes = 0;  // max writer high-water, any region
@@ -400,32 +433,29 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
                           std::chrono::steady_clock::now() - stage_start)
                           .count();
 
-    // Every pass runs this shard before its blobs are dropped. Each
-    // (pass, shard) window gets a trimmed, reset HWM so per-pass peak
-    // is the max over windows and never inherits a neighbor's floor.
+    // Every pass runs this shard, one forked window at a time, before
+    // its blobs are dropped.
     for (size_t p = 0; p < pass_configs.size(); ++p) {
       FleetOptions options;
       options.jobs = pass_configs[p].jobs;
-      DocStore* pass_docs = docs[p].get();
-      TrimMallocArenas();
-      ResetPeakRss();
-      const int64_t ingest_before = ingest_resident_ctr->Value();
-      FleetRunner runner(&*lake, pass_docs, options);
-      PipelineContext config;
-      config.model_name = "persistent_prev_day";
-      FleetRunResult result = runner.Run(shard_jobs, config);
-      // Retire the shard in job order: digest each region, then drop its
-      // partitions before the next shard materializes.
-      for (const FleetJob& job : shard_jobs) {
-        stats[p].digests.push_back(DigestRegion(pass_docs, job.region));
-        pass_docs->DropPartition(job.region);
+      auto window = RunWindow(&*lake, shard_jobs, options);
+      if (!window.ok()) {
+        std::fprintf(stderr, "%s window failed: %s\n", pass_configs[p].key,
+                     window.status().ToString().c_str());
+        stats[p].failures += static_cast<int64_t>(shard_jobs.size());
+        stats[p].digests.resize(stats[p].digests.size() + shard_jobs.size());
+        ++stats[p].unmeasured;
+        continue;
       }
-      stats[p].wall_millis += result.wall_millis;
-      stats[p].failures += result.FailureCount();
+      const WindowReport& report = window->first;
+      stats[p].digests.insert(stats[p].digests.end(), window->second.begin(),
+                              window->second.end());
+      stats[p].wall_millis += report.wall_millis;
+      stats[p].failures += report.failures;
       stats[p].peak_rss_bytes =
-          std::max(stats[p].peak_rss_bytes, ReadPeakRssBytes());
-      stats[p].ingest_resident_bytes +=
-          ingest_resident_ctr->Value() - ingest_before;
+          std::max(stats[p].peak_rss_bytes, report.peak_rss_bytes);
+      if (report.peak_rss_bytes < 0) ++stats[p].unmeasured;
+      stats[p].ingest_resident_bytes += report.ingest_resident_bytes;
     }
 
     // Retire the staged blobs: at 1M servers the whole fleet's
@@ -510,6 +540,16 @@ int RunScaleFleet(int64_t servers, int par_jobs, int64_t shard,
       return 1;
     }
     const Json& scale = *budgets;
+    for (size_t p = 0; p < pass_configs.size(); ++p) {
+      if (stats[p].unmeasured > 0) {
+        std::fprintf(stderr,
+                     "fleet_scale budget not met: %lld %s window(s) could "
+                     "not measure their peak RSS\n",
+                     static_cast<long long>(stats[p].unmeasured),
+                     pass_configs[p].key);
+        ++violations;
+      }
+    }
     const double rss_ceiling = scale["max_peak_rss_bytes"].AsDouble();
     // The ceiling is calibrated at the full 100k-server fleet; smaller
     // smokes must fit under it a fortiori.

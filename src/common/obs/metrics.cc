@@ -128,81 +128,6 @@ Json MetricsSnapshot::ToJson() const {
   return out;
 }
 
-namespace {
-
-/// `seagull.lake.op-micros` -> `seagull_lake_op_micros`.
-std::string PromName(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    if (!ok) c = '_';
-  }
-  return out;
-}
-
-std::string PromLabels(const MetricLabels& labels,
-                       const std::string& extra_key = "",
-                       const std::string& extra_value = "") {
-  if (labels.empty() && extra_key.empty()) return "";
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [k, v] : labels) {
-    if (!first) out += ',';
-    first = false;
-    out += PromName(k) + "=\"" + v + "\"";
-  }
-  if (!extra_key.empty()) {
-    if (!first) out += ',';
-    out += extra_key + "=\"" + extra_value + "\"";
-  }
-  out += '}';
-  return out;
-}
-
-}  // namespace
-
-std::string MetricsSnapshot::ToPrometheusText() const {
-  std::string out;
-  std::string last_typed;
-  for (const auto& s : samples) {
-    const std::string prom = PromName(s.name);
-    const char* type = s.kind == MetricSample::Kind::kCounter ? "counter"
-                       : s.kind == MetricSample::Kind::kGauge ? "gauge"
-                                                              : "histogram";
-    if (prom != last_typed) {
-      out += "# TYPE " + prom + " " + type + "\n";
-      last_typed = prom;
-    }
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        out += prom + PromLabels(s.labels) + " " +
-               std::to_string(s.counter_value) + "\n";
-        break;
-      case MetricSample::Kind::kGauge:
-        out += prom + PromLabels(s.labels) + " " +
-               StringPrintf("%g", s.gauge_value) + "\n";
-        break;
-      case MetricSample::Kind::kHistogram: {
-        int64_t cumulative = 0;
-        for (size_t i = 0; i < s.buckets.size(); ++i) {
-          cumulative += s.buckets[i];
-          const std::string le =
-              i < s.edges.size() ? StringPrintf("%g", s.edges[i]) : "+Inf";
-          out += prom + "_bucket" + PromLabels(s.labels, "le", le) + " " +
-                 std::to_string(cumulative) + "\n";
-        }
-        out += prom + "_sum" + PromLabels(s.labels) + " " +
-               StringPrintf("%g", s.sum) + "\n";
-        out += prom + "_count" + PromLabels(s.labels) + " " +
-               std::to_string(s.count) + "\n";
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 MetricsSnapshot MetricsSnapshot::Without(
     const std::vector<std::string>& prefixes) const {
   MetricsSnapshot out;
@@ -255,8 +180,7 @@ MetricsRegistry::Instrument* MetricsRegistry::Find(
   // instrument and the overflow child always fit.
   const bool is_overflow = labels.size() == 1 && labels[0].first == "overflow";
   if (!labels.empty() && !is_overflow &&
-      shard.cardinality[name] >=
-          max_cardinality_.load(std::memory_order_relaxed)) {
+      shard.cardinality[name] >= kMaxCardinality) {
     overflow_.fetch_add(1, std::memory_order_relaxed);
     labels = {{"overflow", "true"}};
     auto of = shard.instruments.find(std::make_pair(name, labels));
@@ -396,16 +320,6 @@ int64_t ReadPeakRssBytes() {
 int64_t ReadCurrentRssBytes() {
   const int64_t kb = ReadProcStatusKb("VmRSS");
   return kb < 0 ? -1 : kb * 1024;
-}
-
-bool ResetPeakRss() {
-  // Writing "5" asks Linux to reset VmHWM (and peak VM size) to the
-  // current values; see proc(5). After this, ReadPeakRssBytes() reports
-  // the high-water mark since the reset.
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs("5", f) >= 0;
-  return (std::fclose(f) == 0) && ok;
 }
 
 bool TrimMallocArenas() {

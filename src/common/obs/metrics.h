@@ -18,13 +18,12 @@
 ///    layer. That keeps the fleet determinism contract intact — a
 ///    frozen clock (see obs/clock.h) makes even histogram bucket
 ///    contents byte-stable across jobs=1 and jobs=8.
-///  - **Bounded cardinality**: a per-name cap on label sets (default
-///    256) routes runaway label values into one `{overflow="true"}`
-///    child instead of growing without bound.
+///  - **Bounded cardinality**: a per-name cap on label sets
+///    (`kMaxCardinality`) routes runaway label values into one
+///    `{overflow="true"}` child instead of growing without bound.
 ///
-/// Exporters: `MetricsSnapshot::ToJson()` (the CLI's `--metrics-out`
-/// and the bench trajectory files) and `ToPrometheusText()` (the
-/// scrape-endpoint format, `seagull_lake_ops{op="get"} 42`).
+/// Exporter: `MetricsSnapshot::ToJson()` (the CLI's `--metrics-out`
+/// and the bench trajectory files).
 
 #pragma once
 
@@ -145,8 +144,6 @@ struct MetricsSnapshot {
 
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   Json ToJson() const;
-  /// Prometheus text exposition (names sanitized to [a-z0-9_]).
-  std::string ToPrometheusText() const;
   /// Copy without samples whose name starts with any prefix — the
   /// determinism tests drop `seagull.pool.` (worker/steal counts are
   /// schedule-dependent by design).
@@ -181,11 +178,9 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Label-set cap per metric name; lookups beyond it return the
+  /// Label sets per metric name; lookups beyond the cap return the
   /// `{overflow="true"}` child and count into `OverflowCount()`.
-  void SetMaxCardinality(int64_t per_name) {
-    max_cardinality_.store(per_name, std::memory_order_relaxed);
-  }
+  static constexpr int64_t kMaxCardinality = 256;
   int64_t OverflowCount() const {
     return overflow_.load(std::memory_order_relaxed);
   }
@@ -211,7 +206,6 @@ class MetricsRegistry {
 
   static constexpr int kShards = 16;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<int64_t> max_cardinality_{256};
   std::atomic<int64_t> overflow_{0};
 };
 
@@ -229,12 +223,6 @@ int64_t ReadPeakRssBytes();
 
 /// Current resident set size of this process (`VmRSS`), in bytes.
 int64_t ReadCurrentRssBytes();
-
-/// Resets the kernel's peak-RSS watermark (`/proc/self/clear_refs`),
-/// so a bench phase can measure its own high-water mark instead of
-/// inheriting setup allocations. Returns false where unsupported; the
-/// watermark then stays cumulative, which only ever over-reports.
-bool ResetPeakRss();
 
 /// Samples both values into the global registry:
 /// `seagull.process.peak_rss_bytes` (high-water: `Gauge::Max`) and

@@ -40,6 +40,29 @@ const StreamDraws& DrawsFor(uint64_t seed, int64_t count) {
   return draws;
 }
 
+/// The design matrix (row i holds the features of the grid's i-th
+/// stamp) and its AᵀA Gram that this thread built last, keyed by
+/// everything `FeaturesAt` reads: the grid's start, interval and
+/// sample count (its end follows from them) and the structure options.
+struct GridDesign {
+  MinuteStamp start = 0;
+  int64_t interval = 0;
+  int64_t samples = -1;  ///< -1: no grid built yet
+  int64_t changepoints = 0;
+  int64_t daily_order = 0;
+  int64_t weekly_order = 0;
+  std::vector<int64_t> holidays;
+  Matrix design;
+  Matrix gram;
+
+  bool Matches(const LoadSeries& filled, const AdditiveOptions& o) const {
+    return samples == filled.size() && start == filled.start() &&
+           interval == filled.interval_minutes() &&
+           changepoints == o.changepoints && daily_order == o.daily_order &&
+           weekly_order == o.weekly_order && holidays == o.holidays;
+  }
+};
+
 }  // namespace
 
 int64_t AdditiveForecast::NumFeatures() const {
@@ -107,44 +130,41 @@ void AdditiveForecast::FeaturesAt(MinuteStamp t, double* phi) const {
   }
 }
 
-void AdditiveForecast::SetTrainRange(const LoadSeries& filled) {
-  interval_ = filled.interval_minutes();
-  train_start_ = filled.start();
-  train_end_ = filled.end();
-}
-
 Status AdditiveForecast::Fit(const LoadSeries& train) {
   if (train.CountPresent() < 8) {
     return Status::FailedPrecondition("additive model needs history");
   }
   const LoadSeries filled = InterpolateMissing(train);
-  SetTrainRange(filled);
-
+  interval_ = filled.interval_minutes();
+  train_start_ = filled.start();
+  train_end_ = filled.end();
   const int64_t n = filled.size();
   const int64_t p = NumFeatures();
 
-  // Precompute the design matrix once; the optimizer then iterates
-  // full-batch gradient steps (the MAP loop that dominates Prophet's
-  // training cost). The matrix was an n-vector of p-vectors — one heap
-  // allocation per sample and a pointer chase per row; it is now one
-  // contiguous scratch-arena matrix streamed by row pointer.
-  KernelScratch& scratch = KernelScratch::Local();
-  Matrix& design = scratch.Mat(kscratch::kMatAddDesign, n, p);
-  for (int64_t i = 0; i < n; ++i) {
-    FeaturesAt(filled.TimeAt(i), design.Row(i));
+  // The design matrix (one row of features per sample) collapses into
+  // its p×p Gram through the SYRK-style AtA kernel, so every optimizer
+  // iteration below costs O(p²), not O(n·p). Both are a pure function
+  // of the grid and the structure options, so this thread's pair from
+  // its last fit serves the next fit on the same grid as it is.
+  thread_local GridDesign grid;
+  if (!grid.Matches(filled, options_)) {
+    grid.samples = -1;  // no valid pair until the rebuild completes
+    grid.design.Resize(n, p);
+    for (int64_t i = 0; i < n; ++i) {
+      FeaturesAt(filled.TimeAt(i), grid.design.Row(i));
+    }
+    grid.gram = AtA(grid.design);
+    grid.start = filled.start();
+    grid.interval = filled.interval_minutes();
+    grid.changepoints = options_.changepoints;
+    grid.daily_order = options_.daily_order;
+    grid.weekly_order = options_.weekly_order;
+    grid.holidays = options_.holidays;
+    grid.samples = n;
   }
-  // Collapse the design into its p×p Gram via the SYRK-style AtA
-  // kernel; every optimizer iteration then costs O(p²), not O(n·p).
-  Matrix& gram = scratch.Mat(kscratch::kMatAddGram, 0, 0);
-  gram = AtA(design);
-  return FitWithDesign(filled, design, gram);
-}
+  const Matrix& design = grid.design;
+  const Matrix& gram = grid.gram;
 
-Status AdditiveForecast::FitWithDesign(const LoadSeries& filled,
-                                       const Matrix& design,
-                                       const Matrix& gram) {
-  const int64_t n = filled.size();
-  const int64_t p = NumFeatures();
   coef_.assign(static_cast<size_t>(p), 0.0);
   coef_[0] = filled.Mean();  // warm-start the intercept
 

@@ -18,9 +18,6 @@
 
 namespace seagull {
 
-class BatchTrainer;
-class Matrix;
-
 /// Largest Fourier order, and largest changepoint count, a restored
 /// model may carry (production uses 8 / 4 / 8).
 inline constexpr int64_t kMaxAdditiveTerms = 1000;
@@ -60,6 +57,13 @@ class AdditiveForecast final : public ForecastModel {
       : options_(options) {}
 
   std::string name() const override { return "additive"; }
+  /// MAP fit by full-batch gradient descent in Gram space. The design
+  /// matrix and its AᵀA Gram depend only on the grid (start, interval,
+  /// sample count) and the structure options `FeaturesAt` reads
+  /// (changepoints, orders, holidays); each thread keeps the pair of
+  /// the last grid it fit, so a fit on a repeated grid skips the build.
+  /// Callers that fit many servers keep equal grids adjacent. The
+  /// coefficients are the same bits either way.
   Status Fit(const LoadSeries& train) override;
   /// The mean of `uncertainty_samples` simulated trend continuations.
   /// Their standard normals come from one stream seeded with
@@ -76,22 +80,8 @@ class AdditiveForecast final : public ForecastModel {
   Status Deserialize(const Json& doc) override;
 
  private:
-  /// BatchTrainer builds one design matrix (and Gram) per shape group
-  /// and runs the per-server optimizer loop below against it.
-  friend class BatchTrainer;
-
   /// Number of model coefficients.
   int64_t NumFeatures() const;
-  /// Anchors the feature time scale to `filled`'s range. Must run
-  /// before FeaturesAt / FitWithDesign.
-  void SetTrainRange(const LoadSeries& filled);
-  /// The optimizer core: fits `coef_` against a design matrix whose
-  /// row i is FeaturesAt(filled.TimeAt(i)) and its AᵀA `gram`,
-  /// iterating in Gram space — O(p²) per step instead of O(n·p) —
-  /// which is also what lets batched training share one design+Gram
-  /// across every server in a shape group.
-  Status FitWithDesign(const LoadSeries& filled, const Matrix& design,
-                       const Matrix& gram);
   /// Writes the NumFeatures() feature values at absolute minute `t`
   /// into `phi` (raw pointer so callers can hand out design-matrix rows
   /// or scratch-arena storage directly).

@@ -68,10 +68,8 @@ inline constexpr int kAddGramCoef = 26;     // G·coef per iteration
 inline constexpr int kMatSsaGram = 0;
 inline constexpr int kMatFfInputs = 1;
 inline constexpr int kMatFfTargets = 2;
-inline constexpr int kMatAddDesign = 3;
 inline constexpr int kMatSsaEigVec = 4;
 inline constexpr int kMatLinalgEigenVt = 5;
-inline constexpr int kMatAddGram = 6;       // G = AᵀA of the design
 inline constexpr int kMatFfHidden = 7;      // batched pre-activations
 inline constexpr int kMatFfOut = 8;         // batched outputs / deltas
 inline constexpr int kMatFfDh = 9;          // batched hidden deltas

@@ -1,6 +1,5 @@
 #include "pipeline/dashboard.h"
 
-#include "common/obs/metrics.h"
 #include "common/strings.h"
 
 namespace seagull {
@@ -37,13 +36,12 @@ std::vector<Dashboard::RegionSummary> Dashboard::Summarize() const {
     ++s.runs;
     if (!doc.body.GetBool("success").ValueOr(false)) ++s.failures;
     s.avg_total_millis += doc.body.GetNumber("total_millis").ValueOr(0.0);
-    s.incidents +=
-        static_cast<int64_t>(doc.body.GetNumber("incidents").ValueOr(0.0));
-    s.retries +=
-        static_cast<int64_t>(doc.body.GetNumber("retries").ValueOr(0.0));
+    // Integer fields of untrusted documents: one that is not an integer
+    // within ±2^53 counts as absent.
+    s.incidents += doc.body.GetInt64("incidents").ValueOr(0);
+    s.retries += doc.body.GetInt64("retries").ValueOr(0);
     if (doc.body.GetBool("quarantined").ValueOr(false)) ++s.quarantines;
-    int64_t week =
-        static_cast<int64_t>(doc.body.GetNumber("week").ValueOr(0.0));
+    const int64_t week = doc.body.GetInt64("week").ValueOr(0);
     if (week >= last_week[doc.partition_key]) {
       last_week[doc.partition_key] = week;
       s.last_predictable_fraction =
@@ -58,19 +56,6 @@ std::vector<Dashboard::RegionSummary> Dashboard::Summarize() const {
     out.push_back(s);
   }
   return out;
-}
-
-Dashboard::LiveFleetCounters Dashboard::Live() {
-  auto& registry = MetricsRegistry::Global();
-  LiveFleetCounters live;
-  live.regions_run =
-      registry.GetCounter("seagull.fleet.regions_run")->Value();
-  live.region_failures =
-      registry.GetCounter("seagull.fleet.region_failures")->Value();
-  live.retries = registry.GetCounter("seagull.fleet.retries")->Value();
-  live.quarantines =
-      registry.GetCounter("seagull.fleet.quarantines")->Value();
-  return live;
 }
 
 std::string Dashboard::Render() const {

@@ -40,24 +40,6 @@ class Dashboard {
   /// Multi-line text table of `Summarize()` for terminal display.
   std::string Render() const;
 
-  /// \brief Fleet-health counters published by `FleetRunner` workers
-  /// through the atomic metrics registry.
-  ///
-  /// Unlike `Summarize()` — which reads run documents persisted after
-  /// each region completes — these values are safe to read from a
-  /// monitoring thread while a fleet run is still in flight: every
-  /// field is backed by a registry counter that workers update with
-  /// atomic increments, so there is no read-without-sync window.
-  struct LiveFleetCounters {
-    int64_t regions_run = 0;
-    int64_t region_failures = 0;
-    int64_t retries = 0;
-    int64_t quarantines = 0;
-  };
-
-  /// Reads the current fleet counters off the global metrics registry.
-  static LiveFleetCounters Live();
-
  private:
   DocStore* docs_;
 };

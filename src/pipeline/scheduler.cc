@@ -8,8 +8,9 @@ int64_t PipelineScheduler::LastSuccessfulWeek(
   int64_t last = -1;
   for (const auto& doc : runs->ReadPartition(region)) {
     if (!doc.body.GetBool("success").ValueOr(false)) continue;
-    int64_t week =
-        static_cast<int64_t>(doc.body.GetNumber("week").ValueOr(-1.0));
+    // Run documents are untrusted: a week that is not an integer
+    // within ±2^53 counts as absent.
+    const int64_t week = doc.body.GetInt64("week").ValueOr(-1);
     if (week > last) last = week;
   }
   return last;

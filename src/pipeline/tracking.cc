@@ -39,10 +39,12 @@ Status ModelTrackingModule::Run(PipelineContext* ctx) {
   double previous_fraction = -1.0;
   int64_t previous_version = 0;
   for (const auto& doc : stats->ReadPartition(ctx->region)) {
-    double v = doc.body.GetNumber("version").ValueOr(0.0);
-    if (static_cast<int64_t>(v) >= ctx->deployed_version) continue;
-    if (static_cast<int64_t>(v) > previous_version) {
-      previous_version = static_cast<int64_t>(v);
+    // Stat documents are untrusted: a version that is not an integer
+    // within ±2^53 counts as absent.
+    const int64_t v = doc.body.GetInt64("version").ValueOr(0);
+    if (v >= ctx->deployed_version) continue;
+    if (v > previous_version) {
+      previous_version = v;
       previous_fraction = doc.body.GetNumber("predictable_fraction")
                               .ValueOr(-1.0);
     }

@@ -1,9 +1,14 @@
 #include "pipeline/training.h"
 
+#include <algorithm>
+#include <numeric>
+#include <utility>
+
+#include "common/obs/clock.h"
 #include "common/obs/metrics.h"
 #include "common/strings.h"
-#include "forecast/batch.h"
 #include "forecast/model.h"
+#include "parallel/thread_pool.h"
 
 namespace seagull {
 
@@ -29,9 +34,9 @@ Status ModelTrainingModule::Run(PipelineContext* ctx) {
   const int64_t min_history =
       ctx->fleet.min_history_days * kMinutesPerDay / kServerIntervalMinutes;
 
-  // Per-model train telemetry. The batched engine runs the fan-out and
-  // reports per-item outcomes in input order, so the tallies and
-  // instrument observations below are plain sequential code.
+  // Per-model train telemetry. The fan-out below writes one result
+  // slot per server, so the tallies and instrument observations after
+  // it are plain sequential code.
   const MetricLabels model_labels{{"model", ctx->model_name}};
   Histogram* train_micros = MetricsRegistry::Global().GetHistogram(
       "seagull.forecast.train_micros", model_labels);
@@ -40,8 +45,8 @@ Status ModelTrainingModule::Run(PipelineContext* ctx) {
   Counter* train_failures = MetricsRegistry::Global().GetCounter(
       "seagull.forecast.train_failures", model_labels);
 
-  // Eligibility filter, then hand the survivors to the batched trainer
-  // as one item list (slices stay alive in `slices` for its duration).
+  // Eligibility filter; the survivors' slices stay alive in `slices`
+  // for the fan-out.
   int64_t n_skipped = 0;
   std::vector<LoadSeries> slices;
   std::vector<size_t> item_server;
@@ -56,18 +61,47 @@ Status ModelTrainingModule::Run(PipelineContext* ctx) {
     slices.push_back(std::move(train));
     item_server.push_back(i);
   }
-  std::vector<BatchTrainItem> items(slices.size());
-  for (size_t k = 0; k < slices.size(); ++k) items[k].train = &slices[k];
 
-  BatchTrainStats batch_stats;
-  SEAGULL_ASSIGN_OR_RETURN(
-      std::vector<BatchTrainResult> results,
-      BatchTrainer::Fit(ctx->model_name, items, ctx->pool, &batch_stats));
+  // Create → Fit → Serialize per server, visited with equal grids
+  // adjacent so each thread's additive fit reuses the design it built
+  // for the previous slice. Each body writes only its own slot, so the
+  // order changes no result.
+  struct Fitted {
+    Status status;
+    Json doc;
+    double micros = 0.0;
+  };
+  std::vector<Fitted> fitted(slices.size());
+  std::vector<size_t> order(slices.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return std::make_pair(slices[a].start(), slices[a].end()) <
+           std::make_pair(slices[b].start(), slices[b].end());
+  });
+  ParallelFor(ctx->pool, static_cast<int64_t>(order.size()), [&](int64_t k) {
+    const size_t i = order[static_cast<size_t>(k)];
+    Fitted& out = fitted[i];
+    auto model = ModelFactory::Global().Create(ctx->model_name);
+    if (!model.ok()) {
+      out.status = model.status();
+      return;
+    }
+    const int64_t t0 = ObsClock::NowMicros();
+    out.status = (*model)->Fit(slices[i]);
+    out.micros = static_cast<double>(ObsClock::NowMicros() - t0);
+    if (!out.status.ok()) return;
+    auto doc = (*model)->Serialize();
+    if (doc.ok()) {
+      out.doc = std::move(doc).ValueUnsafe();
+    } else {
+      out.status = doc.status();
+    }
+  });
 
   int64_t n_failed = 0;
-  for (size_t k = 0; k < results.size(); ++k) {
-    BatchTrainResult& r = results[k];
-    train_micros->Observe(r.fit_micros);
+  for (size_t k = 0; k < fitted.size(); ++k) {
+    Fitted& r = fitted[k];
+    train_micros->Observe(r.micros);
     if (r.status.ok()) {
       models_trained->Increment();
       ctx->trained.emplace(ctx->servers[item_server[k]].server_id,
@@ -80,10 +114,6 @@ Status ModelTrainingModule::Run(PipelineContext* ctx) {
   ctx->stats["training.models"] = static_cast<double>(ctx->trained.size());
   ctx->stats["training.skipped"] = static_cast<double>(n_skipped);
   ctx->stats["training.failed"] = static_cast<double>(n_failed);
-  ctx->stats["training.batch_groups"] =
-      static_cast<double>(batch_stats.groups);
-  ctx->stats["training.batch_shared"] =
-      static_cast<double>(batch_stats.shared_fits);
   if (n_failed > 0) {
     ctx->AddIncident(IncidentSeverity::kWarning, name(),
                      StringPrintf("%lld servers failed model fitting",

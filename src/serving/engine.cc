@@ -1,12 +1,12 @@
 #include "serving/engine.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/fault.h"
 #include "common/obs/clock.h"
 #include "common/obs/op.h"
 #include "common/random.h"
-#include "forecast/batch.h"
 #include "forecast/model.h"
 #include "metrics/ll_window.h"
 
@@ -64,10 +64,7 @@ Json TickResult::ToJson() const {
   doc["refits"] = refits;
   doc["refit_failures"] = refit_failures;
   doc["clean_skips"] = clean_skips;
-  if (batch_groups > 0) {
-    doc["batch_groups"] = batch_groups;
-    doc["batch_shared"] = batch_shared;
-  }
+  if (batch_groups > 0) doc["batch_groups"] = batch_groups;
   if (!notifications.empty()) {
     Json records = Json::MakeArray();
     for (const auto& n : notifications) records.Append(n.ToJson());
@@ -584,8 +581,48 @@ TickResult ServingEngine::Tick() {
   // Phase 3 — re-forecast the dirty set into the shadow entries. The
   // tails are stable for the rest of the tick (ingests only enqueue)
   // and each body writes only its own pre-pinned entry, so the fan-out
-  // runs without any lock. A failed refit keeps the stale forecast.
-  auto install = [&](RefitTask& task, Result<LoadSeries> forecast) {
+  // runs without any lock and its order changes no result. It goes by
+  // (tail end, tail start, id): equal grids run adjacent, so each
+  // thread's refit_model fit reuses the design it built for the last
+  // one, and one start's forecasts run together, so the additive
+  // model's per-thread Monte-Carlo draws restart once per start. A
+  // failed refit keeps the stale forecast.
+  std::sort(tasks.begin(), tasks.end(),
+            [](const RefitTask& a, const RefitTask& b) {
+              const LoadSeries& ta = a.state->tail;
+              const LoadSeries& tb = b.state->tail;
+              return std::forward_as_tuple(ta.end(), ta.start(), a.id) <
+                     std::forward_as_tuple(tb.end(), tb.start(), b.id);
+            });
+  if (!options_.refit_model.empty()) {
+    // The distinct grids among the tails that get fitted.
+    const LoadSeries* last = nullptr;
+    for (const RefitTask& task : tasks) {
+      if (!task.injected.ok()) continue;
+      const LoadSeries& tail = task.state->tail;
+      if (last == nullptr || tail.start() != last->start() ||
+          tail.end() != last->end() ||
+          tail.interval_minutes() != last->interval_minutes()) {
+        ++result.batch_groups;
+      }
+      last = &tail;
+    }
+  }
+  const int64_t n = static_cast<int64_t>(tasks.size());
+  ParallelFor(options_.pool, n, [&](int64_t i) {
+    RefitTask& task = tasks[static_cast<size_t>(i)];
+    const LoadSeries& tail = task.state->tail;
+    auto forecast = [&]() -> Result<LoadSeries> {
+      SEAGULL_RETURN_NOT_OK(task.injected);
+      if (options_.refit_model.empty()) {
+        return endpoint_.Predict(task.id, tail, tail.end(),
+                                 options_.horizon_minutes);
+      }
+      SEAGULL_ASSIGN_OR_RETURN(
+          auto model, ModelFactory::Global().Create(options_.refit_model));
+      SEAGULL_RETURN_NOT_OK(model->Fit(tail));
+      return model->Forecast(tail, tail.end(), options_.horizon_minutes);
+    }();
     if (forecast.ok()) {
       task.entry->forecast = std::make_shared<const LoadSeries>(
           std::move(forecast).ValueUnsafe());
@@ -594,63 +631,7 @@ TickResult ServingEngine::Tick() {
     } else {
       task.entry->last_error = forecast.status().ToString();
     }
-  };
-  const int64_t n = static_cast<int64_t>(tasks.size());
-  if (options_.refit_model.empty()) {
-    auto refit = [&](int64_t i) {
-      RefitTask& task = tasks[static_cast<size_t>(i)];
-      install(task,
-              task.injected.ok()
-                  ? endpoint_.Predict(task.id, task.state->tail,
-                                      task.state->tail.end(),
-                                      options_.horizon_minutes)
-                  : Result<LoadSeries>(task.injected));
-    };
-    ParallelFor(options_.pool, n, refit);
-  } else {
-    // Batched refit: group the non-faulted dirty tails by shape so the
-    // expensive per-fit structures are built once per group, then each
-    // fitted model forecasts its own horizon from its tail end. Items go
-    // by (tail end, server id), so one start's forecasts run together
-    // and the additive model's per-thread Monte-Carlo draws restart once
-    // per start, not at every switch between interleaved starts. Each
-    // body writes only its own entry, so the order changes no result.
-    std::vector<size_t> item_task;
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      if (!tasks[i].injected.ok()) {
-        install(tasks[i], tasks[i].injected);
-        continue;
-      }
-      item_task.push_back(i);
-    }
-    std::stable_sort(item_task.begin(), item_task.end(),
-                     [&](size_t a, size_t b) {
-                       return tasks[a].state->tail.end() <
-                              tasks[b].state->tail.end();
-                     });
-    std::vector<BatchTrainItem> items;
-    items.reserve(item_task.size());
-    for (size_t i : item_task) items.push_back({&tasks[i].state->tail});
-    BatchTrainStats batch_stats;
-    auto fits = BatchTrainer::Fit(options_.refit_model, items,
-                                  options_.pool, &batch_stats);
-    result.batch_groups = batch_stats.groups;
-    result.batch_shared = batch_stats.shared_fits;
-    auto finish = [&](int64_t j) {
-      RefitTask& task = tasks[item_task[static_cast<size_t>(j)]];
-      auto forecast = [&]() -> Result<LoadSeries> {
-        if (!fits.ok()) return fits.status();
-        const BatchTrainResult& fit = (*fits)[static_cast<size_t>(j)];
-        if (!fit.status.ok()) return fit.status;
-        SEAGULL_ASSIGN_OR_RETURN(auto model,
-                                 ModelFactory::Global().Restore(fit.doc));
-        return model->Forecast(task.state->tail, task.state->tail.end(),
-                               options_.horizon_minutes);
-      }();
-      install(task, std::move(forecast));
-    };
-    ParallelFor(options_.pool, static_cast<int64_t>(items.size()), finish);
-  }
+  });
   result.refits = n;
   for (const auto& task : tasks) {
     if (!task.entry->last_error.empty()) ++result.refit_failures;

@@ -28,14 +28,14 @@
 /// the increment on the server's shard-locked pending list, which only
 /// `Tick()` reads.
 ///
-/// Refit fan-out: with `options.refit_model` empty the dirty servers
-/// are re-forecast through the deployed endpoint, fanned out over the
-/// pool. When `refit_model` names a trainable family, the dirty tails
-/// are instead re-FIT through `BatchTrainer` (src/forecast/batch),
-/// which groups same-shape tails so design matrices and Grams are built
-/// once per group, then each fitted model forecasts its horizon — the
-/// batched path is byte-identical to per-server fits by the
-/// BatchTrainer equivalence contract.
+/// Refit fan-out: one loop over the dirty servers, fanned out over the
+/// pool. With `options.refit_model` empty each server is re-forecast
+/// through the deployed endpoint; when it names a trainable family,
+/// each dirty tail is instead re-FIT with a fresh model of that family,
+/// which then forecasts its horizon. The loop visits the servers by
+/// (tail end, tail start, id), so equal grids run adjacent and each
+/// thread's additive fit reuses the design matrix and Gram it built for
+/// the previous tail (see `AdditiveForecast::Fit`).
 ///
 /// Subscriptions: `subscribe_ll` registers a per-server low-load-window
 /// watermark. At the end of every tick — after the epoch swap — the
@@ -51,10 +51,11 @@
 /// notification stream, and the final `SnapshotText()` are
 /// byte-identical whatever the number of worker threads, because (a)
 /// responses depend only on (request, published epoch), (b) pending
-/// increments merge in explicit sequence order, (c) refits iterate the
-/// dirty set in sorted server order and each body writes only its own
-/// shadow entry, and (d) notifications are evaluated on the tick thread
-/// in sorted subscription order. The refit path carries the
+/// increments merge in explicit sequence order, (c) each refit depends
+/// only on its server's tail and writes only its own shadow entry, so
+/// the order the loop visits them in changes no result, and (d)
+/// notifications are evaluated on the tick thread in sorted
+/// subscription order. The refit path carries the
 /// `serving.refit` fault point, keyed per server, so injected failures
 /// are equally schedule-independent: a failed refit keeps the stale
 /// forecast (the shadow entry retains the previous epoch's series) and
@@ -84,10 +85,9 @@ struct ServingOptions {
   int64_t horizon_minutes = kMinutesPerDay;
   /// Refit fan-out pool; nullptr re-forecasts sequentially.
   ThreadPool* pool = nullptr;
-  /// When non-empty, names a trainable model family: each tick re-fits
-  /// that family on every dirty tail through `BatchTrainer` (grouping
-  /// same-shape servers into shared-design batches) and forecasts from
-  /// the fresh fit, instead of predicting through the deployed
+  /// When non-empty, names a trainable model family: each tick fits a
+  /// fresh model of that family on every dirty tail and forecasts from
+  /// the fitted instance, instead of predicting through the deployed
   /// endpoint. Byte-deterministic at any pool width.
   std::string refit_model;
 };
@@ -113,8 +113,9 @@ struct TickResult {
   int64_t refits = 0;           ///< dirty servers re-forecast (incl. failed)
   int64_t refit_failures = 0;   ///< refits that kept the stale forecast
   int64_t clean_skips = 0;      ///< servers left on their cached forecast
-  int64_t batch_groups = 0;     ///< refit_model mode: shape groups formed
-  int64_t batch_shared = 0;     ///< refit_model mode: fits sharing a design
+  /// refit_model mode: distinct grids (start, end, interval) among the
+  /// tails fitted, counted along the refit loop's order.
+  int64_t batch_groups = 0;
   /// Window-move records fired by this tick's swap, in subscription-id
   /// order (empty without subscriptions).
   std::vector<Notification> notifications;
@@ -180,7 +181,7 @@ class ServingEngine {
 
   /// Advances one epoch: drains pending ingests (per server, in seq
   /// order), trims tails to `kTailCapMinutes`, re-forecasts the dirty
-  /// set in sorted server order into a shadow epoch, publishes it with
+  /// set into a shadow epoch, publishes it with
   /// one pointer swap, and evaluates subscriptions against the new
   /// epoch. Must not run concurrently with itself; queries, ingests,
   /// and (un)subscribes may run concurrently with it (see the epoch

@@ -234,7 +234,11 @@ expect_bad_jobs() {
   "$CLI" "$cmd" "$@" --jobs "$value" < /dev/null > jobs.out 2>&1
   status=$?
   [ "$status" -eq 1 ] || die "$cmd --jobs $value exited $status, expected 1"
-  grep -q 'error: Invalid: --jobs must be an integer in \[1, 256\]' jobs.out \
+  case "$value" in
+    x) message='error: Invalid: --jobs must be a number' ;;
+    *) message='error: Invalid: --jobs must be in \[1, 256\]' ;;
+  esac
+  grep -q "$message" jobs.out \
     || die "$cmd --jobs $value rejection message wrong"
   [ ! -e docs-jobs.json ] || die "$cmd --jobs $value still wrote its docs"
 }
@@ -322,5 +326,42 @@ deep > deep-docs.json
 "$CLI" dashboard --docs deep-docs.json > deep-docs.out 2>&1
 status=$?
 [ "$status" -eq 1 ] || die "20000-deep --docs file exited $status, expected 1"
+
+# Integer fields of --docs documents are read checked: a week, count or
+# version that is not an integer within +/-2^53 (1e300, 1.5, "x") counts
+# as absent. Casting 1e300 to an integer is undefined behaviour, which
+# the float-cast-overflow sanitizer build stops on.
+cat > hostile-numbers.json <<'DOCS'
+{"pipeline_runs":[
+ {"pk":"smoke","id":"h1","body":{"week":1e300,"success":true,
+  "incidents":1e300,"retries":1e300,"total_millis":1}},
+ {"pk":"smoke","id":"h2","body":{"week":1.5,"success":true,
+  "incidents":1.5,"retries":1.5,"total_millis":1}},
+ {"pk":"smoke","id":"h3","body":{"week":"x","success":true,
+  "incidents":"x","retries":"x","total_millis":1}}],
+ "model_version_stats":[
+ {"pk":"smoke","id":"h1","body":{"version":1e300,"predictable_fraction":1}},
+ {"pk":"smoke","id":"h2","body":{"version":1.5,"predictable_fraction":1}},
+ {"pk":"smoke","id":"h3","body":{"version":"x","predictable_fraction":1}}],
+ "incidents":[
+ {"pk":"smoke","id":"h1","body":{"week":1e300,"severity":"error",
+  "module":"hostile","message":"m"}},
+ {"pk":"smoke","id":"h2","body":{"week":1.5,"severity":"error",
+  "module":"hostile","message":"m"}},
+ {"pk":"smoke","id":"h3","body":{"week":"x","severity":"error",
+  "module":"hostile","message":"m"}}]}
+DOCS
+run hostile-incidents "$CLI" incidents --docs hostile-numbers.json \
+  --region smoke > hostile-numbers-incidents.out
+[ "$(grep -c 'week -1 hostile' hostile-numbers-incidents.out)" -eq 3 ] \
+  || die "incident weeks 1e300, 1.5 and x not read as absent"
+run hostile-dashboard "$CLI" dashboard --docs hostile-numbers.json \
+  > hostile-numbers-dashboard.out
+grep -Eq '^smoke +3 +0 +1\.0 +0\.0% +0 +0 +0$' hostile-numbers-dashboard.out \
+  || die "dashboard counted hostile incidents or retries"
+run hostile-pipeline "$CLI" pipeline --lake lake --docs hostile-numbers.json \
+  --region smoke --week 3 > hostile-numbers-pipeline.out
+grep -q "pipeline smoke week 3: ok" hostile-numbers-pipeline.out \
+  || die "hostile run weeks or stat versions were not read as absent"
 
 echo "cli smoke test ok"

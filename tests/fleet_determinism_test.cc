@@ -181,11 +181,11 @@ TEST_P(FleetDeterminismTest, RepeatedParallelRunsAreStable) {
 }
 
 // One heuristic family (no training), the additive family (RNG-seeded
-// inference + Gram-space batched training), SSA (tuned linalg kernels —
-// Gram builder, tridiagonal eigensolver, unrolled dot), and the quick
-// ARIMA/feed-forward variants (warm-start CSS lattice and batched-matmul
-// epochs through the BatchTrainer's shared-group fan-out) — so every
-// batched training path is pinned parallel==sequential end-to-end.
+// inference + Gram-space training on each thread's kept design), SSA
+// (tuned linalg kernels — Gram builder, tridiagonal eigensolver,
+// unrolled dot), and the quick ARIMA/feed-forward variants (warm-start
+// CSS lattice and batched-matmul epochs) — so every training path is
+// pinned parallel==sequential end-to-end.
 INSTANTIATE_TEST_SUITE_P(Models, FleetDeterminismTest,
                          ::testing::Values("persistent_prev_day",
                                            "additive", "ssa",

@@ -1,25 +1,32 @@
 /// \file forecast_batch_equivalence_test.cc
-/// \brief Property suite for the batched cross-server training engine:
-/// batched fits must be byte-identical to per-server fits for every
-/// model family, across input orders, shape groups, seeds, and pool
-/// widths — and each model must agree within forecast tolerance with
-/// the frozen outputs of the scalar reference paths it replaced
-/// (tests/golden/forecast_scalar_reference.json) on well-behaved
-/// fixtures.
+/// \brief Property suite for fits that share per-thread state across
+/// servers: every family's fit of a two-grid fleet, made one after the
+/// other on one thread (forward, reversed, and across an 8-thread
+/// pool), must serialize and forecast byte-identically to the same fit
+/// made alone on a fresh thread. The additive model keeps the design
+/// matrix and Gram of the last grid it fit per thread, so a repeated
+/// grid skips the build; this is the suite that proves the key covers
+/// everything the design depends on. Each model must also agree within
+/// forecast tolerance with the frozen outputs of the scalar reference
+/// paths it replaced (tests/golden/forecast_scalar_reference.json) on
+/// well-behaved fixtures.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "forecast/additive.h"
 #include "forecast/arima.h"
-#include "forecast/batch.h"
 #include "forecast/feedforward.h"
 #include "forecast/model.h"
 #include "parallel/thread_pool.h"
@@ -78,49 +85,68 @@ LoadSeries MakeSeries(uint64_t seed, int64_t days, int64_t start_day,
       .ValueOrDie();
 }
 
-/// A mixed bag of shapes/seeds: two grids (7-day at day 0, 5-day at
-/// day 2), clean and missing-sample variants, in interleaved order.
+/// A mixed bag of seeds on two grids of one length (7 days at day 0
+/// and at day 2, so only the start tells them apart), clean and
+/// missing-sample variants, in interleaved order.
 std::vector<LoadSeries> MakeFleet() {
   std::vector<LoadSeries> fleet;
   for (uint64_t s = 0; s < 4; ++s) {
     fleet.push_back(MakeSeries(100 + s, 7, 0, s % 2 == 1));
-    fleet.push_back(MakeSeries(200 + s, 5, 2, s % 2 == 0));
+    fleet.push_back(MakeSeries(200 + s, 7, 2, s % 2 == 0));
   }
   return fleet;
 }
 
-/// The per-server reference: factory-create, fit, serialize.
-std::vector<std::string> PerServerDocs(const std::string& name,
-                                       const std::vector<LoadSeries>& fleet) {
-  std::vector<std::string> docs;
-  for (const LoadSeries& series : fleet) {
-    auto model = std::move(ModelFactory::Global().Create(name)).ValueOrDie();
-    Status fit = model->Fit(series);
-    if (!fit.ok()) {
-      docs.push_back("ERROR: " + fit.ToString());
-      continue;
-    }
-    docs.push_back(std::move(model->Serialize()).ValueOrDie().Dump());
+/// The bytes of a series: start, interval and every value's bits.
+std::string SeriesBytes(const LoadSeries& series) {
+  std::string out = std::to_string(series.start()) + "/" +
+                    std::to_string(series.interval_minutes()) + ":";
+  for (int64_t i = 0; i < series.size(); ++i) {
+    const double v = series.ValueAt(i);
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
   }
-  return docs;
+  return out;
 }
 
-std::vector<std::string> BatchDocs(const std::string& name,
-                                   const std::vector<LoadSeries>& fleet,
-                                   ThreadPool* pool) {
-  std::vector<BatchTrainItem> items(fleet.size());
-  for (size_t i = 0; i < fleet.size(); ++i) items[i].train = &fleet[i];
-  auto results =
-      std::move(BatchTrainer::Fit(name, items, pool)).ValueOrDie();
-  std::vector<std::string> docs;
-  for (const BatchTrainResult& r : results) {
-    if (!r.status.ok()) {
-      docs.push_back("ERROR: " + r.status.ToString());
-      continue;
-    }
-    docs.push_back(r.doc.Dump());
+/// One fit's outcome: the serialized document and the next-day
+/// forecast of the fitted instance (or the error text).
+struct Fitted {
+  std::string doc;
+  std::string forecast;
+
+  bool operator==(const Fitted&) const = default;
+};
+
+Fitted FitOne(ForecastModel& model, const LoadSeries& series) {
+  Status fit = model.Fit(series);
+  if (!fit.ok()) return {"ERROR: " + fit.ToString(), ""};
+  Fitted out{std::move(model.Serialize()).ValueOrDie().Dump(), ""};
+  auto forecast = model.Forecast(series, series.end(), kMinutesPerDay);
+  out.forecast = forecast.ok() ? SeriesBytes(*forecast)
+                               : "ERROR: " + forecast.status().ToString();
+  return out;
+}
+
+Fitted FitOne(const std::string& name, const LoadSeries& series) {
+  auto model = std::move(ModelFactory::Global().Create(name)).ValueOrDie();
+  return FitOne(*model, series);
+}
+
+/// The reference: `fn` on a thread of its own, whose per-thread state
+/// (the additive design, the Monte-Carlo draws) starts empty.
+Fitted OnFreshThread(const std::function<Fitted()>& fn) {
+  Fitted out;
+  std::thread([&] { out = fn(); }).join();
+  return out;
+}
+
+std::vector<Fitted> FreshThreadFits(const std::string& name,
+                                    const std::vector<LoadSeries>& fleet) {
+  std::vector<Fitted> fits;
+  for (const LoadSeries& series : fleet) {
+    fits.push_back(OnFreshThread([&] { return FitOne(name, series); }));
   }
-  return docs;
+  return fits;
 }
 
 /// Outputs of the removed scalar reference paths, recorded once before
@@ -144,29 +170,45 @@ class BatchEquivalence : public ::testing::TestWithParam<const char*> {
   void SetUp() override { RegisterQuickFamilies(); }
 };
 
-TEST_P(BatchEquivalence, BatchedMatchesPerServerByteForByte) {
+TEST_P(BatchEquivalence, OneThreadMatchesFreshThreadsByteForByte) {
   const std::vector<LoadSeries> fleet = MakeFleet();
-  const std::vector<std::string> expected = PerServerDocs(GetParam(), fleet);
-  const std::vector<std::string> batched = BatchDocs(GetParam(), fleet,
-                                                     /*pool=*/nullptr);
-  ASSERT_EQ(expected.size(), batched.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i], batched[i]) << GetParam() << " item " << i;
+  const std::vector<Fitted> expected = FreshThreadFits(GetParam(), fleet);
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    EXPECT_EQ(FitOne(GetParam(), fleet[i]), expected[i])
+        << GetParam() << " item " << i;
+  }
+  for (size_t i = fleet.size(); i-- > 0;) {
+    EXPECT_EQ(FitOne(GetParam(), fleet[i]), expected[i])
+        << GetParam() << " reversed, item " << i;
   }
 }
 
-TEST_P(BatchEquivalence, PoolWidthAndOrderDoNotChangeResults) {
-  std::vector<LoadSeries> fleet = MakeFleet();
-  // Deterministic shuffle so results must follow items, not grids.
-  std::reverse(fleet.begin() + 2, fleet.end());
-  const std::vector<std::string> expected = PerServerDocs(GetParam(), fleet);
-  const std::vector<std::string> seq = BatchDocs(GetParam(), fleet, nullptr);
+TEST_P(BatchEquivalence, PoolFitsMatchFreshThreadsByteForByte) {
+  const std::vector<LoadSeries> fleet = MakeFleet();
+  const std::vector<Fitted> expected = FreshThreadFits(GetParam(), fleet);
+  std::vector<Fitted> par(fleet.size());
   ThreadPool pool(8);
-  const std::vector<std::string> par = BatchDocs(GetParam(), fleet, &pool);
-  ASSERT_EQ(seq.size(), par.size());
-  for (size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i], expected[i]) << GetParam() << " item " << i;
-    EXPECT_EQ(seq[i], par[i]) << GetParam() << " jobs-8 item " << i;
+  ParallelFor(&pool, static_cast<int64_t>(fleet.size()), [&](int64_t i) {
+    par[static_cast<size_t>(i)] =
+        FitOne(GetParam(), fleet[static_cast<size_t>(i)]);
+  });
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    EXPECT_EQ(par[i], expected[i]) << GetParam() << " jobs-8 item " << i;
+  }
+}
+
+TEST_P(BatchEquivalence, RestoredModelForecastsLikeTheFittedOne) {
+  // The serving tick forecasts from the instance it fitted, with no
+  // Serialize/Restore round trip in between.
+  for (const LoadSeries& series : MakeFleet()) {
+    const Fitted fitted = FitOne(GetParam(), series);
+    auto restored = ModelFactory::Global().Restore(
+        std::move(Json::Parse(fitted.doc)).ValueOrDie());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    auto forecast =
+        (*restored)->Forecast(series, series.end(), kMinutesPerDay);
+    ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+    EXPECT_EQ(SeriesBytes(*forecast), fitted.forecast) << GetParam();
   }
 }
 
@@ -208,6 +250,37 @@ INSTANTIATE_TEST_SUITE_P(Models, BatchEquivalence,
                          ::testing::Values("ssa", "additive",
                                            "feedforward_quick",
                                            "arima_quick"));
+
+/// One grid, alternating the structure options the additive design
+/// depends on besides the grid: each fit must match the same fit on a
+/// fresh thread, so a thread's kept design never serves a different
+/// holiday set or Fourier order.
+TEST(BatchEquivalenceAdditive, AlternatingStructureOnOneGridMatches) {
+  const LoadSeries series = MakeSeries(31, 7, 0, /*with_missing=*/false);
+  auto options = [](int64_t daily, int64_t weekly,
+                    std::vector<int64_t> holidays) {
+    AdditiveOptions o;
+    o.daily_order = daily;
+    o.weekly_order = weekly;
+    o.holidays = std::move(holidays);
+    return o;
+  };
+  // Equal feature counts except the last two, so a design kept under
+  // the wrong key would be read, not rejected by size.
+  const std::vector<AdditiveOptions> variants = {
+      options(8, 4, {2}), options(8, 4, {3}), options(8, 4, {2}),
+      options(6, 6, {2}), options(8, 4, {2}), options(4, 8, {3}),
+      options(8, 4, {3}), options(8, 4, {}),  options(6, 4, {2}),
+  };
+  for (size_t v = 0; v < variants.size(); ++v) {
+    const Fitted expected = OnFreshThread([&] {
+      AdditiveForecast model(variants[v]);
+      return FitOne(model, series);
+    });
+    AdditiveForecast model(variants[v]);
+    EXPECT_EQ(FitOne(model, series), expected) << "variant " << v;
+  }
+}
 
 /// The ARIMA optimizer must still pick a sensible structure: on a
 /// synthetic ARMA(1,0) process it should select the same d and p as the

@@ -1,7 +1,8 @@
 /// \file obs_chaos_test.cc
 /// \brief Concurrent monitoring under fault injection: a reader thread
-/// polls `Dashboard::Live()`, registry snapshots, and the trace sink
-/// while an 8-way fleet run retries through injected store faults. Under
+/// polls the `seagull.fleet.*` counters, registry snapshots, and the
+/// trace sink while an 8-way fleet run retries through injected store
+/// faults. Under
 /// tsan this is the proof that fleet-health counters routed through the
 /// atomic registry fixed the old read-without-sync dashboard pattern —
 /// the previous design summed per-run report fields that workers were
@@ -17,7 +18,6 @@
 #include "common/fault.h"
 #include "common/obs/metrics.h"
 #include "common/obs/trace.h"
-#include "pipeline/dashboard.h"
 #include "pipeline/fleet_runner.h"
 #include "store/lake_store.h"
 #include "telemetry/emitter.h"
@@ -27,6 +27,13 @@ namespace seagull {
 namespace {
 
 constexpr int64_t kWeek = 3;
+
+/// A fleet-health counter `FleetRunner` workers publish
+/// (`seagull.fleet.<name>`), read off the atomic registry: safe while a
+/// fleet run is still in flight.
+int64_t FleetCounter(const std::string& name) {
+  return MetricsRegistry::Global().GetCounter("seagull.fleet." + name)->Value();
+}
 
 TEST(ObsChaosTest, LiveCountersReadableWhileFleetRunsUnderFaults) {
   auto lake = LakeStore::OpenTemporary("obs_chaos");
@@ -69,11 +76,11 @@ TEST(ObsChaosTest, LiveCountersReadableWhileFleetRunsUnderFaults) {
   std::atomic<int64_t> polls{0};
   std::thread monitor([&] {
     while (!done.load(std::memory_order_acquire)) {
-      Dashboard::LiveFleetCounters live = Dashboard::Live();
-      EXPECT_GE(live.regions_run, 0);
-      EXPECT_LE(live.regions_run, 4);
-      EXPECT_GE(live.retries, 0);
-      EXPECT_GE(live.quarantines, 0);
+      const int64_t regions_run = FleetCounter("regions_run");
+      EXPECT_GE(regions_run, 0);
+      EXPECT_LE(regions_run, 4);
+      EXPECT_GE(FleetCounter("retries"), 0);
+      EXPECT_GE(FleetCounter("quarantines"), 0);
       MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
       for (const auto& s : snapshot.samples) {
         EXPECT_GE(s.count, 0);
@@ -92,14 +99,14 @@ TEST(ObsChaosTest, LiveCountersReadableWhileFleetRunsUnderFaults) {
       << (result.runs.empty() ? "" : result.runs[0].report.failure);
   EXPECT_GT(polls.load(), 0);
 
-  // After the run, the live view agrees with the run result exactly.
-  Dashboard::LiveFleetCounters live = Dashboard::Live();
-  EXPECT_EQ(live.regions_run, 4);
-  EXPECT_EQ(live.region_failures, 0);
-  EXPECT_EQ(live.quarantines,
+  // After the run, the counters agree with the run result exactly.
+  EXPECT_EQ(FleetCounter("regions_run"), 4);
+  EXPECT_EQ(FleetCounter("region_failures"), 0);
+  EXPECT_EQ(FleetCounter("quarantines"),
             static_cast<int64_t>(result.quarantined.size()));
-  EXPECT_EQ(live.retries, result.TotalRetries());
-  EXPECT_GT(live.retries, 0) << "fault rate too low to exercise retries";
+  EXPECT_EQ(FleetCounter("retries"), result.TotalRetries());
+  EXPECT_GT(FleetCounter("retries"), 0)
+      << "fault rate too low to exercise retries";
 }
 
 TEST(ObsChaosTest, QuarantineCountsSurfaceInLiveView) {
@@ -130,11 +137,10 @@ TEST(ObsChaosTest, QuarantineCountsSurfaceInLiveView) {
   ASSERT_EQ(result.FailureCount(), 1);
   ASSERT_EQ(result.quarantined.size(), 1u);
 
-  Dashboard::LiveFleetCounters live = Dashboard::Live();
-  EXPECT_EQ(live.regions_run, 1);
-  EXPECT_EQ(live.region_failures, 1);
-  EXPECT_EQ(live.quarantines, 1);
-  EXPECT_GT(live.retries, 0);
+  EXPECT_EQ(FleetCounter("regions_run"), 1);
+  EXPECT_EQ(FleetCounter("region_failures"), 1);
+  EXPECT_EQ(FleetCounter("quarantines"), 1);
+  EXPECT_GT(FleetCounter("retries"), 0);
 }
 
 }  // namespace

@@ -117,20 +117,27 @@ TEST(RegistryTest, DifferentKindsKeepDistinctNamespacesPerLabels) {
 
 TEST(RegistryTest, CardinalityCapRoutesToOverflowChild) {
   MetricsRegistry registry;
-  registry.SetMaxCardinality(2);
-  Counter* v1 = registry.GetCounter("obs.test.card", {{"v", "1"}});
-  Counter* v2 = registry.GetCounter("obs.test.card", {{"v", "2"}});
-  EXPECT_NE(v1, v2);
+  const int64_t cap = MetricsRegistry::kMaxCardinality;
+  std::vector<Counter*> under_cap;
+  for (int64_t v = 0; v < cap; ++v) {
+    under_cap.push_back(
+        registry.GetCounter("obs.test.card", {{"v", std::to_string(v)}}));
+  }
+  EXPECT_NE(under_cap.front(), under_cap.back());
   EXPECT_EQ(registry.OverflowCount(), 0);
-  // Third label set exceeds the cap: both lookups land on one
+  // The next label sets exceed the cap: both lookups land on one
   // {overflow="true"} child instead of growing the label space.
-  Counter* v3 = registry.GetCounter("obs.test.card", {{"v", "3"}});
-  Counter* v4 = registry.GetCounter("obs.test.card", {{"v", "4"}});
-  EXPECT_EQ(v3, v4);
-  EXPECT_EQ(v3, registry.GetCounter("obs.test.card", {{"overflow", "true"}}));
+  Counter* past1 = registry.GetCounter("obs.test.card", {{"v", "past-1"}});
+  Counter* past2 = registry.GetCounter("obs.test.card", {{"v", "past-2"}});
+  EXPECT_EQ(past1, past2);
+  EXPECT_EQ(past1,
+            registry.GetCounter("obs.test.card", {{"overflow", "true"}}));
   EXPECT_EQ(registry.OverflowCount(), 2);
+  // A label set registered before the cap still resolves to itself.
+  EXPECT_EQ(registry.GetCounter("obs.test.card", {{"v", "0"}}),
+            under_cap.front());
   // The unlabeled instrument always fits, cap or not.
-  EXPECT_NE(registry.GetCounter("obs.test.card"), v3);
+  EXPECT_NE(registry.GetCounter("obs.test.card"), past1);
   // Other names are unaffected by this name's cardinality.
   registry.GetCounter("obs.test.card2", {{"v", "9"}})->Increment();
   EXPECT_EQ(registry.OverflowCount(), 2);
@@ -177,27 +184,6 @@ TEST(SnapshotTest, SortedKeysAndJsonRoundTrip) {
   EXPECT_DOUBLE_EQ(hist.GetNumber("sum").ValueOr(-1), 20.0);
   ASSERT_EQ(hist["buckets"].AsArray().size(), 3u);  // 2 edges + inf
   EXPECT_EQ(hist["buckets"].AsArray()[2].GetString("le").ValueOr(""), "inf");
-}
-
-TEST(SnapshotTest, PrometheusTextExposition) {
-  MetricsRegistry registry;
-  registry.GetCounter("obs.prom.ops", {{"op", "get"}})->Increment(4);
-  Histogram* h = registry.GetHistogram("obs.prom.micros", {}, {10.0, 20.0});
-  h->Observe(5.0);
-  h->Observe(15.0);
-  h->Observe(99.0);
-  std::string text = registry.Snapshot().ToPrometheusText();
-  // Names sanitized to [a-zA-Z0-9_]; buckets are cumulative with +Inf.
-  EXPECT_NE(text.find("# TYPE obs_prom_ops counter"), std::string::npos);
-  EXPECT_NE(text.find("obs_prom_ops{op=\"get\"} 4"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE obs_prom_micros histogram"), std::string::npos);
-  EXPECT_NE(text.find("obs_prom_micros_bucket{le=\"10\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("obs_prom_micros_bucket{le=\"20\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("obs_prom_micros_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("obs_prom_micros_count 3"), std::string::npos);
 }
 
 TEST(SnapshotTest, WithoutDropsPrefixesAndCounterValuesFlattens) {

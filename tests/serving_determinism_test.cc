@@ -54,7 +54,7 @@ struct RunOutcome {
 /// `mixed_verbs` turns on the PR 8 verbs (batch predict + subscription
 /// churn) so the digest also covers snapshot reads and notifications;
 /// a non-empty `refit_model` re-fits that family on every dirty tail
-/// through `BatchTrainer` instead of predicting through the endpoint.
+/// instead of predicting through the endpoint.
 RunOutcome RunOnce(DriverMode mode, int jobs, double fault_rate,
                    bool mixed_verbs = false,
                    const std::string& refit_model = "") {
@@ -198,10 +198,9 @@ std::string Hex64(uint64_t h) {
 }
 
 TEST(ServingDeterminismTest, AdditiveRefitIdenticalAcrossJobs) {
-  // Every tick re-fits the dirty tails through BatchTrainer and
-  // forecasts each from the shared tail end, so pool workers reuse
-  // their thread's Monte-Carlo draws while the jobs=1 run reuses the
-  // tick thread's.
+  // Every tick re-fits the dirty tails and forecasts each from the
+  // shared tail end, so pool workers reuse their thread's design and
+  // Monte-Carlo draws while the jobs=1 run reuses the tick thread's.
   RunOutcome sequential = RunOnce(DriverMode::kOpenLoop, 1, 0.0,
                                   /*mixed_verbs=*/true, "additive");
   RunOutcome parallel = RunOnce(DriverMode::kOpenLoop, 8, 0.0,

@@ -30,8 +30,9 @@
 #                             # and the SGB1 writer's cost), and
 #                             # bench/micro_forecast, which writes
 #                             # BENCH_forecast.json (per-model Fit
-#                             # p50/p99, the batched-fleet row, and
-#                             # single-kernel timings) and fails if a
+#                             # p50/p99, the 1200-server same-grid
+#                             # fleet row, and single-kernel
+#                             # timings) and fails if a
 #                             # model exceeds the forecast_train_micros
 #                             # ceilings, or the batch row's shared
 #                             # forecast the forecast_predict_micros
@@ -62,7 +63,9 @@
 #                             # shard-wise, allow a couple of hours),
 #                             # then micro_substrate with the
 #                             # ingest_memory per-server decode-peak
-#                             # ceiling, then the
+#                             # ceiling (both measure peaks in forked
+#                             # children and write nothing under /proc;
+#                             # a peak that cannot be read fails), then the
 #                             # streaming decode/encode + mmap lake read
 #                             # suites, the `kernels` label (raw-pointer
 #                             # forecast kernels and their test-only
@@ -80,7 +83,9 @@
 #                             # failure_injection_test's hostile blobs
 #                             # through the whole pipeline) and
 #                             # cli_smoke_test (hostile serve and
-#                             # --docs input) under asan+ubsan with
+#                             # --docs input, including the 1e300 / 1.5
+#                             # / "x" integers of run, stat and incident
+#                             # documents) under asan+ubsan with
 #                             # float-cast-overflow, which gcc's
 #                             # -fsanitize=undefined leaves out (a
 #                             # separate build dir — asan and tsan

@@ -60,8 +60,7 @@
 /// once, also before any work: a value that is not a finite number, or
 /// is out of range, fails with exit 1 (`--servers must be a number`,
 /// `--servers must be in [1, 1000000]`). `--jobs` sizes the command's
-/// one worker pool and must be an integer in [1, 256]; anything else
-/// fails with exit 1.
+/// one worker pool and must lie in [1, 256].
 
 #include <algorithm>
 #include <cstdio>
@@ -101,7 +100,8 @@ namespace {
 /// (`Args::ParseNumbers`).
 const char* const kIntegerFlags[] = {
     "servers", "weeks", "seed", "week", "day", "duration", "retries",
-    "fault-seed", "horizon", "ticks", "base", "clients", "batch-size"};
+    "fault-seed", "horizon", "ticks", "base", "clients", "batch-size",
+    "jobs"};
 const char* const kNumberFlags[] = {"fault-rate", "batch-frac",
                                     "subscribe-frac"};
 
@@ -121,20 +121,21 @@ constexpr int64_t kMaxWeeks = 520;
 
 constexpr double kUnbounded = std::numeric_limits<double>::infinity();
 
-/// The closed range a numeric flag's value must lie in (`--jobs` has
-/// its own check, `ParseJobs`). Flags not listed take any value.
+/// The closed range a numeric flag's value must lie in. Flags not
+/// listed take any value.
 struct FlagRange {
   const char* name;
   double min;
   double max;
 };
 constexpr FlagRange kFlagRanges[] = {
-    {"servers", 1, kMaxServers},     {"weeks", 1, kMaxWeeks},
-    {"week", 0, kUnbounded},         {"day", 0, kUnbounded},
-    {"horizon", 1, kTailCapMinutes}, {"ticks", 1, kUnbounded},
-    {"base", 1, kUnbounded},         {"clients", 1, kUnbounded},
-    {"batch-size", 1, kUnbounded},   {"fault-rate", 0, 1},
-    {"batch-frac", 0, 1},            {"subscribe-frac", 0, 1}};
+    {"jobs", 1, kMaxJobs},           {"servers", 1, kMaxServers},
+    {"weeks", 1, kMaxWeeks},         {"week", 0, kUnbounded},
+    {"day", 0, kUnbounded},          {"horizon", 1, kTailCapMinutes},
+    {"ticks", 1, kUnbounded},        {"base", 1, kUnbounded},
+    {"clients", 1, kUnbounded},      {"batch-size", 1, kUnbounded},
+    {"fault-rate", 0, 1},            {"batch-frac", 0, 1},
+    {"subscribe-frac", 0, 1}};
 
 /// Checks `value` of flag `key` against its range, naming the flag and
 /// the bound: "--servers must be in [1, 1000000]", "--week must be >= 0".
@@ -241,18 +242,6 @@ class Args {
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
-}
-
-/// Parses `--jobs` (default 1) into [1, kMaxJobs]. Commands call it
-/// before any work, so a bad count fails without side effects.
-Result<int> ParseJobs(const Args& args) {
-  auto jobs = ParseInt64(args.Get("jobs", "1"));
-  if (!jobs.ok() || *jobs < 1 || *jobs > kMaxJobs) {
-    return Status::Invalid(StringPrintf(
-        "--jobs must be an integer in [1, %lld]",
-        static_cast<long long>(kMaxJobs)));
-  }
-  return static_cast<int>(*jobs);
 }
 
 Result<DocStore*> OpenDocs(const std::string& path) {
@@ -366,8 +355,7 @@ int CmdGenerate(const Args& args) {
 }
 
 int CmdPipeline(const Args& args) {
-  auto jobs = ParseJobs(args);
-  if (!jobs.ok()) return Fail(jobs.status());
+  const int jobs = static_cast<int>(args.GetInt("jobs", 1));
   auto lake_dir = args.Require("lake");
   auto docs_path = args.Require("docs");
   auto region = args.Require("region");
@@ -402,7 +390,7 @@ int CmdPipeline(const Args& args) {
   // sequential reference.
   std::vector<std::string> regions = SplitString(*region, ',');
   FleetOptions fleet_options;
-  fleet_options.jobs = *jobs;
+  fleet_options.jobs = jobs;
   fleet_options.retry = retry;
   FleetRunner runner(&*lake, *docs, fleet_options);
   std::vector<FleetJob> fleet_jobs;
@@ -476,8 +464,7 @@ int CmdPipeline(const Args& args) {
 }
 
 int CmdSchedule(const Args& args) {
-  auto jobs = ParseJobs(args);
-  if (!jobs.ok()) return Fail(jobs.status());
+  const int jobs = static_cast<int>(args.GetInt("jobs", 1));
   auto lake_dir = args.Require("lake");
   auto docs_path = args.Require("docs");
   auto region = args.Require("region");
@@ -546,8 +533,8 @@ int CmdSchedule(const Args& args) {
   std::vector<Result<std::string>> rendered(
       regions.size(), Result<std::string>(std::string()));
   std::unique_ptr<ThreadPool> pool;
-  if (*jobs > 1 && regions.size() > 1) {
-    pool = std::make_unique<ThreadPool>(*jobs);
+  if (jobs > 1 && regions.size() > 1) {
+    pool = std::make_unique<ThreadPool>(jobs);
   }
   ParallelFor(
       pool.get(), static_cast<int64_t>(regions.size()),
@@ -593,8 +580,7 @@ int CmdIncidents(const Args& args) {
   for (const auto& doc : history) {
     std::printf("[%s] week %lld %s: %s\n",
                 doc.body.GetString("severity").ValueOr("?").c_str(),
-                static_cast<long long>(
-                    doc.body.GetNumber("week").ValueOr(-1)),
+                static_cast<long long>(doc.body.GetInt64("week").ValueOr(-1)),
                 doc.body.GetString("module").ValueOr("?").c_str(),
                 doc.body.GetString("message").ValueOr("").c_str());
   }
@@ -820,8 +806,7 @@ MinuteStamp TailsEnd(const std::vector<ServerTelemetry>& tails) {
 }
 
 int CmdServe(const Args& args) {
-  auto jobs = ParseJobs(args);
-  if (!jobs.ok()) return Fail(jobs.status());
+  const int jobs = static_cast<int>(args.GetInt("jobs", 1));
   auto setup = BuildServingSetup(args);
   if (!setup.ok()) return Fail(setup.status());
 
@@ -829,8 +814,8 @@ int CmdServe(const Args& args) {
   options.horizon_minutes =
       args.GetInt("horizon", options.horizon_minutes);
   std::unique_ptr<ThreadPool> pool;
-  if (*jobs > 1) {
-    pool = std::make_unique<ThreadPool>(*jobs);
+  if (jobs > 1) {
+    pool = std::make_unique<ThreadPool>(jobs);
     options.pool = pool.get();
   }
 
@@ -874,8 +859,7 @@ int CmdServe(const Args& args) {
 }
 
 int CmdLoadtest(const Args& args) {
-  auto jobs = ParseJobs(args);
-  if (!jobs.ok()) return Fail(jobs.status());
+  const int jobs = static_cast<int>(args.GetInt("jobs", 1));
   auto setup = BuildServingSetup(args);
   if (!setup.ok()) return Fail(setup.status());
   auto profile = ParseLoadProfile(args.Get("profile", "ramp"));
@@ -892,7 +876,7 @@ int CmdLoadtest(const Args& args) {
       args.GetInt("base", options.base_requests_per_tick);
   options.closed_loop_clients = static_cast<int>(
       args.GetInt("clients", options.closed_loop_clients));
-  options.jobs = *jobs;
+  options.jobs = jobs;
   options.batch_fraction = args.GetDouble("batch-frac", 0.0);
   options.batch_size = args.GetInt("batch-size", options.batch_size);
   options.subscribe_fraction = args.GetDouble("subscribe-frac", 0.0);
