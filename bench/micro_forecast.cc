@@ -168,6 +168,23 @@ Json KernelRows() {
       benchmark::DoNotOptimize(Dot(a, b));
     }));
   }
+
+  // One Gram-space step of the additive fit: G·c on the 34×34 Gram of
+  // the default feature set, 600 of them per fit.
+  {
+    const int64_t p = 34;
+    Matrix design(2016, p);
+    for (int64_t i = 0; i < design.rows(); ++i)
+      for (int64_t j = 0; j < p; ++j)
+        design.At(i, j) = rng.Gaussian(0.0, 1.0);
+    const Matrix gram = AtA(design);
+    std::vector<double> c(static_cast<size_t>(p)), gc(c.size());
+    for (auto& v : c) v = rng.Gaussian(0.0, 1.0);
+    rows["sym_mat_vec_34"] = KernelRow(TimeKernel(7, 256, [&] {
+      SymMatVec(gram, c.data(), gc.data());
+      benchmark::DoNotOptimize(gc[0]);
+    }));
+  }
   return rows;
 }
 

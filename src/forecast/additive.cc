@@ -192,9 +192,7 @@ Status AdditiveForecast::Fit(const LoadSeries& train) {
   std::vector<double>& gc =
       scratch.Vec(kscratch::kAddGramCoef, static_cast<size_t>(p));
   for (int64_t it = 0; it < options_.iterations; ++it) {
-    for (int64_t j = 0; j < p; ++j) {
-      gc[static_cast<size_t>(j)] = Dot(gram.Row(j), coef_.data(), p);
-    }
+    SymMatVec(gram, coef_.data(), gc.data());
     double loss = Dot(gc.data(), coef_.data(), p) -
                   2.0 * Dot(b.data(), coef_.data(), p) + yty;
     for (int64_t j = 0; j < p; ++j) {

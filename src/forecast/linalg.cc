@@ -5,6 +5,10 @@
 #include <cstdlib>
 #include <numeric>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/logging.h"
 #include "forecast/scratch.h"
 
@@ -136,6 +140,78 @@ double Dot(const double* a, const double* b, int64_t n) {
   double tail = 0.0;
   for (; i < n; ++i) tail += a[i] * b[i];
   return ((s0 + s1) + (s2 + s3)) + tail;
+}
+
+#if defined(__x86_64__)
+namespace {
+
+/// Rows [0, n - n % 8) of y = S·x for a symmetric S, eight rows per
+/// block. For row r, `Dot(s.Row(r), x, n)` keeps lane l = c % 4 of the
+/// products s[r][c]·x[c] in ascending c, the columns past the last
+/// multiple of 4 in a tail sum from zero, and combines
+/// ((l0 + l1) + (l2 + l3)) + tail. Since s[r][c] == s[c][r], the
+/// block's eight lane-l sums are vertical sums over rows c of S, two
+/// 4-wide registers per lane; separate multiplies and adds (never FMA)
+/// round exactly as `Dot` does.
+__attribute__((target("avx2"))) void SymMatVecBlocksAvx2(const Matrix& s,
+                                                         const double* x,
+                                                         double* y) {
+  const int64_t n = s.rows();
+  const int64_t body = n - n % 4;
+  for (int64_t r0 = 0; r0 + 8 <= n; r0 += 8) {
+    __m256d lo0 = _mm256_setzero_pd(), hi0 = lo0, lo1 = lo0, hi1 = lo0;
+    __m256d lo2 = lo0, hi2 = lo0, lo3 = lo0, hi3 = lo0;
+    const double* col = s.Row(0) + r0;  // s[c][r0..r0+7] == s[r0..r0+7][c]
+    int64_t c = 0;
+    for (; c < body; c += 4, col += 4 * n) {
+      const double* c1 = col + n;
+      const double* c2 = c1 + n;
+      const double* c3 = c2 + n;
+      const __m256d x0 = _mm256_set1_pd(x[c]);
+      const __m256d x1 = _mm256_set1_pd(x[c + 1]);
+      const __m256d x2 = _mm256_set1_pd(x[c + 2]);
+      const __m256d x3 = _mm256_set1_pd(x[c + 3]);
+      lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(_mm256_loadu_pd(col), x0));
+      hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(_mm256_loadu_pd(col + 4), x0));
+      lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(_mm256_loadu_pd(c1), x1));
+      hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(_mm256_loadu_pd(c1 + 4), x1));
+      lo2 = _mm256_add_pd(lo2, _mm256_mul_pd(_mm256_loadu_pd(c2), x2));
+      hi2 = _mm256_add_pd(hi2, _mm256_mul_pd(_mm256_loadu_pd(c2 + 4), x2));
+      lo3 = _mm256_add_pd(lo3, _mm256_mul_pd(_mm256_loadu_pd(c3), x3));
+      hi3 = _mm256_add_pd(hi3, _mm256_mul_pd(_mm256_loadu_pd(c3 + 4), x3));
+    }
+    __m256d tlo = _mm256_setzero_pd(), thi = tlo;
+    for (; c < n; ++c, col += n) {
+      const __m256d xc = _mm256_set1_pd(x[c]);
+      tlo = _mm256_add_pd(tlo, _mm256_mul_pd(_mm256_loadu_pd(col), xc));
+      thi = _mm256_add_pd(thi, _mm256_mul_pd(_mm256_loadu_pd(col + 4), xc));
+    }
+    _mm256_storeu_pd(
+        y + r0, _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(lo0, lo1),
+                                            _mm256_add_pd(lo2, lo3)),
+                              tlo));
+    _mm256_storeu_pd(
+        y + r0 + 4, _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(hi0, hi1),
+                                                _mm256_add_pd(hi2, hi3)),
+                                  thi));
+  }
+  _mm256_zeroupper();
+}
+
+}  // namespace
+#endif
+
+void SymMatVec(const Matrix& s, const double* x, double* y) {
+  const int64_t n = s.rows();
+  int64_t r = 0;
+#if defined(__x86_64__)
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  if (avx2) {
+    SymMatVecBlocksAvx2(s, x, y);
+    r = n - n % 8;
+  }
+#endif
+  for (; r < n; ++r) y[r] = Dot(s.Row(r), x, n);
 }
 
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {

@@ -111,6 +111,16 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b);
 /// Raw-pointer dot over `n` doubles, same fixed 4-lane reduction.
 double Dot(const double* a, const double* b, int64_t n);
 
+/// y = S·x for a square, bitwise-symmetric `s` (every Gram `AtA` and
+/// `BuildLagGram` build is one: they mirror their upper triangle).
+/// `y[r]` equals `Dot(s.Row(r), x, n)` bit for bit. On an AVX2 host,
+/// eight rows at a time accumulate as vertical sums over the columns
+/// of S (column c of S is row c, by symmetry), lane for lane in
+/// `Dot`'s order and without FMA; the remaining rows, and every row on
+/// other hosts, go through `Dot` itself. The choice is made once per
+/// process and changes no bit.
+void SymMatVec(const Matrix& s, const double* x, double* y);
+
 /// \brief Builds the L×L lag-covariance Gram C = AᵀA of the Hankel
 /// trajectory matrix A[i][j] = x[i+j] (i in [0, n-L], j in [0, L)).
 ///

@@ -6,14 +6,17 @@
 /// determinism, layout) are asserted directly. The determinism contract
 /// (DESIGN.md §"Forecast kernel engine") is: every kernel is bit-stable
 /// run to run; kernels that keep the textbook ascending-k accumulation
-/// order (MatMulNN, MatMulTN) match the reference bit-for-bit; the rest
-/// (Dot, MatMulNT, AtA, TransposeMatVec, BuildLagGram,
-/// SymmetricEigenInPlace) agree to far tighter than forecast-relevant
-/// tolerances.
+/// order (MatMulNN, MatMulTN) match the reference bit-for-bit;
+/// SymMatVec matches `Dot` row by row bit-for-bit on the symmetric
+/// Grams AtA builds; the rest (Dot, MatMulNT, AtA, TransposeMatVec,
+/// BuildLagGram, SymmetricEigenInPlace) agree to far tighter than
+/// forecast-relevant tolerances.
 
 #include "forecast/linalg.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
@@ -176,6 +179,69 @@ TEST(KernelCrossCheckTest, UnrolledDotMatchesReference) {
 TEST(KernelCrossCheckTest, DotShapeMismatchAborts) {
   std::vector<double> a(4, 1.0), b(5, 1.0);
   EXPECT_DEATH(Dot(a, b), "shape mismatch");
+}
+
+/// An AtA Gram of a random n-column design whose columns span six
+/// orders of magnitude and hold exact zeros (AtA skips those), so the
+/// Gram's entries differ widely in size.
+Matrix DesignGram(Rng* rng, int64_t n) {
+  Matrix a = RandomMatrix(rng, 3 * n + 5, n);
+  for (int64_t i = 0; i < a.rows(); ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      const double scale = std::pow(10.0, static_cast<double>(j % 7 - 3));
+      a.At(i, j) = (i + j) % 5 == 0 ? 0.0 : a.At(i, j) * scale;
+    }
+  }
+  return AtA(a);
+}
+
+TEST(KernelCrossCheckTest, AtAIsBitwiseSymmetric) {
+  // SymMatVec reads column c of a Gram as its row c; that is exact only
+  // while AtA mirrors its upper triangle bit for bit.
+  Rng rng(114);
+  for (int64_t n = 1; n <= 40; ++n) {
+    const Matrix s = DesignGram(&rng, n);
+    for (int64_t r = 0; r < n; ++r) {
+      for (int64_t c = 0; c < r; ++c) {
+        const double lower = s.At(r, c), upper = s.At(c, r);
+        EXPECT_EQ(std::memcmp(&lower, &upper, sizeof(double)), 0)
+            << "n=" << n << " at " << r << "," << c;
+      }
+    }
+  }
+}
+
+TEST(KernelCrossCheckTest, SymMatVecMatchesDotPerRow) {
+  // Every n mod 8 (full 8-row blocks and the rows left after them),
+  // n < 8 (no block at all) and the additive model's p = 34. One x is
+  // Gaussian; the other mixes ±0.0, subnormals and values near 1e300
+  // whose products cancel within and across lanes, so any change to
+  // the lane order or the combine moves a bit.
+  Rng rng(115);
+  const double kSpecial[] = {0.0,    -0.0, 1e-310,  -5e-324, 1e290,
+                             -3e289, 1.0,  -1e-300, 7e289,   -0.0};
+  for (int64_t n = 1; n <= 40; ++n) {
+    const Matrix s = DesignGram(&rng, n);
+    std::vector<double> gaussian = RandomVector(&rng, n);
+    std::vector<double> special = RandomVector(&rng, n);
+    for (int64_t c = 0; c < n; c += 2) {
+      special[static_cast<size_t>(c)] = kSpecial[(c / 2) % 10];
+    }
+    for (const std::vector<double>* x : {&gaussian, &special}) {
+      std::vector<double> y(static_cast<size_t>(n),
+                            std::numeric_limits<double>::quiet_NaN());
+      SymMatVec(s, x->data(), y.data());
+      for (int64_t r = 0; r < n; ++r) {
+        const double want = Dot(s.Row(r), x->data(), n);
+        ASSERT_TRUE(std::isfinite(want)) << "n=" << n << " row " << r;
+        EXPECT_EQ(std::memcmp(&y[static_cast<size_t>(r)], &want,
+                              sizeof(double)),
+                  0)
+            << "n=" << n << " row " << r << ": " << y[static_cast<size_t>(r)]
+            << " vs Dot " << want;
+      }
+    }
+  }
 }
 
 TEST(KernelCrossCheckTest, LagGramMatchesExplicitHankelProduct) {
