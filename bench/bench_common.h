@@ -80,19 +80,6 @@ inline void PrintHeader(const char* figure, const char* caption) {
   std::printf("\n=== %s — %s ===\n", figure, caption);
 }
 
-/// Captures one bench phase's metrics: zeroes the global registry, runs
-/// `body`, and returns the resulting snapshot as JSON ({counters,
-/// gauges, histograms} — histograms carry count/sum/p50/p95/p99 and raw
-/// buckets). Embed the result under a "phases" key of a BENCH_*.json so
-/// trajectory files record per-phase op counts and latency shapes, not
-/// just wall clock.
-template <typename Fn>
-inline Json MetricsForPhase(Fn&& body) {
-  MetricsRegistry::Global().Reset();
-  body();
-  return MetricsRegistry::Global().Snapshot().ToJson();
-}
-
 /// `parse` (`ParseInt64` or `ParseDouble`) of the value `text` given
 /// as `--<name>=text`. A malformed value exits 2 naming the flag, so
 /// `--servers=1e5` cannot silently run one server, nor `--jobs=x` zero

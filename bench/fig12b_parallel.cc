@@ -180,15 +180,9 @@ void RunFleetComparison() {
     return result;
   };
 
-  // Each phase runs with a zeroed registry so BENCH_parallel.json can
-  // carry per-phase store/pipeline/forecast histograms alongside the
-  // wall-clock trajectory.
   DocStore seq_docs, par_docs;
-  FleetRunResult seq, par;
-  Json phases = Json::MakeObject();
-  phases["sequential"] = MetricsForPhase([&] { seq = run(1, &seq_docs); });
-  phases["parallel"] =
-      MetricsForPhase([&] { par = run(par_jobs, &par_docs); });
+  const FleetRunResult seq = run(1, &seq_docs);
+  const FleetRunResult par = run(par_jobs, &par_docs);
 
   // Determinism gate: the parallel run must reproduce the sequential
   // run's data outputs exactly (tests/fleet_determinism_test.cc covers
@@ -248,7 +242,6 @@ void RunFleetComparison() {
         "speedup is bounded by hardware_threads; the >=2x target applies "
         "on >=4 cores";
   }
-  out["phases"] = std::move(phases);
   (void)WriteBenchJson("BENCH_parallel.json", out);
 }
 

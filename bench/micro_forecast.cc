@@ -31,7 +31,6 @@
 #include "forecast/feedforward.h"
 #include "forecast/linalg.h"
 #include "forecast/model.h"
-#include "forecast/scratch.h"
 #include "forecast/ssa.h"
 #include "timeseries/stats.h"
 

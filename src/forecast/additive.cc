@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "forecast/scratch.h"
+#include "forecast/linalg.h"
 #include "timeseries/resample.h"
 
 namespace seagull {
@@ -168,29 +168,17 @@ Status AdditiveForecast::Fit(const LoadSeries& train) {
   coef_.assign(static_cast<size_t>(p), 0.0);
   coef_[0] = filled.Mean();  // warm-start the intercept
 
-  KernelScratch& scratch = KernelScratch::Local();
-  std::vector<double>& y =
-      scratch.Vec(kscratch::kAddTargets, static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    y[static_cast<size_t>(i)] = filled.ValueAt(i);
-  }
-  std::vector<double>& grad =
-      scratch.Vec(kscratch::kAddGrad, static_cast<size_t>(p));
+  const std::vector<double>& y = filled.values();
+  std::vector<double> grad(static_cast<size_t>(p));
   const double inv_n = 1.0 / static_cast<double>(n);
   double lr = options_.learning_rate;
   double prev_loss = 0.0;
   // Gram-space iteration: with G = AᵀA, b = Aᵀy and yᵀy precomputed,
   //   ‖A·c − y‖² = cᵀGc − 2bᵀc + yᵀy   and   ∇ = Gc − b,
   // so each step touches p² doubles instead of n·p.
-  std::vector<double>& b =
-      scratch.Vec(kscratch::kAddRhs, static_cast<size_t>(p));
-  {
-    std::vector<double> rhs = TransposeMatVec(design, y);
-    std::copy(rhs.begin(), rhs.end(), b.begin());
-  }
+  const std::vector<double> b = TransposeMatVec(design, y);
   const double yty = Dot(y.data(), y.data(), n);
-  std::vector<double>& gc =
-      scratch.Vec(kscratch::kAddGramCoef, static_cast<size_t>(p));
+  std::vector<double> gc(static_cast<size_t>(p));
   for (int64_t it = 0; it < options_.iterations; ++it) {
     SymMatVec(gram, coef_.data(), gc.data());
     double loss = Dot(gc.data(), coef_.data(), p) -
@@ -228,9 +216,7 @@ Result<LoadSeries> AdditiveForecast::Forecast(const LoadSeries& recent,
   }
   const int64_t steps = horizon_minutes / interval_;
   const int64_t p = NumFeatures();
-  std::vector<double>& phi_buf = KernelScratch::Local().Vec(
-      kscratch::kAddFeatures, static_cast<size_t>(p));
-  double* phi = phi_buf.data();
+  std::vector<double> phi(static_cast<size_t>(p));
   std::vector<double> out(static_cast<size_t>(steps), 0.0);
 
   // Monte-Carlo trend uncertainty (Prophet's predictive intervals): the
@@ -251,10 +237,10 @@ Result<LoadSeries> AdditiveForecast::Forecast(const LoadSeries& recent,
       std::max<double>(1.0, static_cast<double>(train_end_ - train_start_));
   for (int64_t i = 0; i < steps; ++i) {
     MinuteStamp t = start + i * interval_;
-    FeaturesAt(t, phi);
+    FeaturesAt(t, phi.data());
     double base = 0.0;
     for (int64_t j = 0; j < p; ++j) {
-      base += coef_[static_cast<size_t>(j)] * phi[j];
+      base += coef_[static_cast<size_t>(j)] * phi[static_cast<size_t>(j)];
     }
     // Simulate extra trend drift beyond the training range.
     double beyond =
@@ -310,7 +296,7 @@ Status AdditiveForecast::Deserialize(const Json& doc) {
   // Documents are untrusted (DocStore files, the serving endpoint), so
   // every structure field is range-checked before anything sizes a
   // buffer or divides by it: a negative order would make FeaturesAt
-  // write past the feature scratch, and a zero interval would divide by
+  // write past the feature buffer, and a zero interval would divide by
   // zero. A rejected document leaves the model unfitted.
   fitted_ = false;
   SEAGULL_ASSIGN_OR_RETURN(interval_,

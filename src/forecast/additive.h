@@ -83,8 +83,8 @@ class AdditiveForecast final : public ForecastModel {
   /// Number of model coefficients.
   int64_t NumFeatures() const;
   /// Writes the NumFeatures() feature values at absolute minute `t`
-  /// into `phi` (raw pointer so callers can hand out design-matrix rows
-  /// or scratch-arena storage directly).
+  /// into `phi` (a raw pointer, so the fit writes design-matrix rows in
+  /// place).
   void FeaturesAt(MinuteStamp t, double* phi) const;
   /// True when `day_index` is a configured holiday.
   bool IsHoliday(int64_t day_index) const;

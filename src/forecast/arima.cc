@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "forecast/scratch.h"
 #include "timeseries/resample.h"
 
 namespace seagull {
@@ -63,8 +62,8 @@ void ProjectStationary(std::vector<double>* params, int p) {
 
 /// Candidate optimizer: CSS fit of an ARMA(p,q) by Adam on the
 /// *analytic* gradient (a numeric one would cost two full residual
-/// recursions per parameter per iteration). One fused, scratch-backed
-/// pass per iteration computes the residuals and, via the sensitivity
+/// recursions per parameter per iteration). One fused pass per
+/// iteration computes the residuals and, via the sensitivity
 /// recursion
 ///
 ///   s_t[k] = ∂e_t/∂θ_k = −x_k(t) − Σ_j θ_j · s_{t−j}[k]
@@ -84,15 +83,10 @@ double FitCandidateCss(const std::vector<double>& z, int p, int q,
   const int np = 1 + p + q;
   const int64_t warm = std::max(p, q);
   const int64_t ring = q + 1;
-  KernelScratch& scratch = KernelScratch::Local();
-  std::vector<double>& sens = scratch.Vec(
-      kscratch::kArimaSens, static_cast<size_t>(ring * np));
-  std::vector<double>& grad =
-      scratch.Vec(kscratch::kArimaGrad, static_cast<size_t>(np));
-  std::vector<double>& adam =
-      scratch.VecZero(kscratch::kArimaAdam, static_cast<size_t>(2 * np));
-  double* mom = adam.data();
-  double* vel = mom + np;
+  std::vector<double> sens(static_cast<size_t>(ring * np));
+  std::vector<double> grad(static_cast<size_t>(np));
+  std::vector<double> mom(static_cast<size_t>(np), 0.0);
+  std::vector<double> vel(static_cast<size_t>(np), 0.0);
   e_ws->assign(static_cast<size_t>(n), 0.0);
   double* ep = e_ws->data();
   const double* zp = z.data();
@@ -160,13 +154,8 @@ Status ArimaForecast::Fit(const LoadSeries& train) {
   }
   const LoadSeries filled = InterpolateMissing(train);
   interval_ = filled.interval_minutes();
-  KernelScratch& scratch = KernelScratch::Local();
-  std::vector<double>& x =
-      scratch.Vec(kscratch::kArimaSeries, static_cast<size_t>(filled.size()));
-  for (int64_t i = 0; i < filled.size(); ++i) {
-    x[static_cast<size_t>(i)] = filled.ValueAt(i);
-  }
-  std::vector<double>& e = scratch.Vec(kscratch::kArimaResiduals, 0);
+  // Residual workspace shared by every candidate of the search.
+  std::vector<double> e;
   // Candidate parameters are tiny (≤ 8 doubles) but live inside the
   // candidate loop; hoist so each fit allocates them at most once.
   std::vector<double> params;
@@ -186,17 +175,7 @@ Status ArimaForecast::Fit(const LoadSeries& train) {
   // pmdarima-style exhaustive order search: this loop is the documented
   // reason ARIMA was excluded from production (§2.1).
   for (int d = 0; d <= options_.max_d; ++d) {
-    std::vector<double>& z = scratch.Vec(kscratch::kArimaDiff, 0);
-    z.assign(x.begin(), x.end());
-    // Same arithmetic as Difference(), applied in the reusable buffer.
-    for (int round = 0; round < d; ++round) {
-      if (z.size() <= 1) {
-        z.clear();
-        break;
-      }
-      for (size_t i = z.size() - 1; i >= 1; --i) z[i] -= z[i - 1];
-      z.erase(z.begin());
-    }
+    const std::vector<double> z = Difference(filled.values(), d);
     const int64_t n = static_cast<int64_t>(z.size());
     if (n < 16) continue;
     for (auto& slot : lattice) slot.clear();

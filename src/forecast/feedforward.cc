@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/strings.h"
-#include "forecast/scratch.h"
+#include "forecast/linalg.h"
 #include "timeseries/resample.h"
 
 namespace seagull {
@@ -49,21 +49,23 @@ Status FeedForwardForecast::Fit(const LoadSeries& train) {
   }
 
   // Build sliding (context day -> next day) training pairs, pooled
-  // straight into contiguous scratch matrices: one row per pair, so the
-  // epoch loop below streams them with raw row pointers and the whole
-  // construction reuses the thread's retained capacity across fits.
-  KernelScratch& scratch = KernelScratch::Local();
+  // straight into the mini-batches of the epoch loop below: batch bi
+  // holds pairs [bi·kBatch, (bi+1)·kBatch) in order, one row per pair,
+  // so the loop streams them with raw row pointers.
+  constexpr int64_t kBatch = 32;
   int64_t m = 0;
   for (int64_t off = 0; off + 2 * ticks_day <= filled.size();
        off += options_.stride) {
     ++m;
   }
   if (m == 0) return Status::FailedPrecondition("no training windows");
-  Matrix& inputs = scratch.Mat(kscratch::kMatFfInputs, m, in_dim);
-  Matrix& targets = scratch.Mat(kscratch::kMatFfTargets, m, out_dim);
+  std::vector<Matrix> xb, tb;
+  for (int64_t lo = 0; lo < m; lo += kBatch) {
+    xb.emplace_back(std::min(kBatch, m - lo), in_dim);
+    tb.emplace_back(std::min(kBatch, m - lo), out_dim);
+  }
   {
-    std::vector<double>& raw =
-        scratch.Vec(kscratch::kFfActivations, static_cast<size_t>(2 * ticks_day));
+    std::vector<double> raw(static_cast<size_t>(2 * ticks_day));
     double* ctx = raw.data();
     double* nxt = raw.data() + ticks_day;
     int64_t row = 0;
@@ -73,8 +75,9 @@ Status FeedForwardForecast::Fit(const LoadSeries& train) {
         ctx[i] = filled.ValueAt(off + i) / scale_;
         nxt[i] = filled.ValueAt(off + ticks_day + i) / scale_;
       }
-      PoolInto(ctx, ticks_day, in_dim, inputs.Row(row));
-      PoolInto(nxt, ticks_day, out_dim, targets.Row(row));
+      const size_t bi = static_cast<size_t>(row / kBatch);
+      PoolInto(ctx, ticks_day, in_dim, xb[bi].Row(row % kBatch));
+      PoolInto(nxt, ticks_day, out_dim, tb[bi].Row(row % kBatch));
     }
   }
 
@@ -82,9 +85,8 @@ Status FeedForwardForecast::Fit(const LoadSeries& train) {
   // draw order) beside its zeroed Adam state (mom, vel).
   const size_t np = static_cast<size_t>(hidden * in_dim + hidden +
                                         out_dim * hidden + out_dim);
-  double* w1 = scratch.Vec(kscratch::kFfParams, np).data();
-  double* mom = scratch.VecZero(kscratch::kFfAdamM, np).data();
-  double* vel = scratch.VecZero(kscratch::kFfAdamV, np).data();
+  std::vector<double> params(np), mom(np, 0.0), vel(np, 0.0);
+  double* w1 = params.data();
   double* b1 = w1 + hidden * in_dim;
   double* w2 = b1 + hidden;
   double* b2 = w2 + out_dim * hidden;
@@ -134,37 +136,10 @@ Status FeedForwardForecast::Fit(const LoadSeries& train) {
   // plateau) stops the loop there. Batch boundaries, order, and the
   // exit epoch depend only on the options, so the trajectory is
   // deterministic.
-  constexpr int64_t kBatch = 32;
-  const int64_t n_batches = (m + kBatch - 1) / kBatch;
-  // Per-batch input/target copies are built once per fit (contiguous
-  // row ranges of the window set, in order); the few small matrices
-  // are the fit's only heap use, mirroring the ARIMA lattice.
-  std::vector<Matrix> xb(static_cast<size_t>(n_batches));
-  std::vector<Matrix> tb(static_cast<size_t>(n_batches));
-  for (int64_t bi = 0; bi < n_batches; ++bi) {
-    const int64_t lo = bi * kBatch;
-    const int64_t bs = std::min(kBatch, m - lo);
-    Matrix& x = xb[static_cast<size_t>(bi)];
-    Matrix& t = tb[static_cast<size_t>(bi)];
-    x.Resize(bs, in_dim);
-    t.Resize(bs, out_dim);
-    for (int64_t r = 0; r < bs; ++r) {
-      std::copy(inputs.Row(lo + r), inputs.Row(lo + r) + in_dim,
-                x.Row(r));
-      std::copy(targets.Row(lo + r), targets.Row(lo + r) + out_dim,
-                t.Row(r));
-    }
-  }
-  Matrix& hpre = scratch.Mat(kscratch::kMatFfHidden, 0, 0);
-  Matrix& hrelu = scratch.Mat(kscratch::kMatFfRelu, 0, 0);
-  Matrix& dy = scratch.Mat(kscratch::kMatFfOut, 0, 0);
-  Matrix& dhm = scratch.Mat(kscratch::kMatFfDh, 0, 0);
-  Matrix& g_w1m = scratch.Mat(kscratch::kMatFfGradW1, 0, 0);
-  Matrix& g_w2m = scratch.Mat(kscratch::kMatFfGradW2, 0, 0);
-  std::vector<double>& g_b1v =
-      scratch.Vec(kscratch::kFfGradB1, static_cast<size_t>(hidden));
-  std::vector<double>& g_b2v =
-      scratch.Vec(kscratch::kFfGradB2, static_cast<size_t>(out_dim));
+  // The batch products, reshaped in place by each batch's kernels.
+  Matrix hpre, hrelu, dy, dhm, g_w1m, g_w2m;
+  std::vector<double> g_b1v(static_cast<size_t>(hidden));
+  std::vector<double> g_b2v(static_cast<size_t>(out_dim));
   // Convergence exit: once per-epoch improvement falls below 0.03% of
   // the *initial* loss — the problem's own scale — for several
   // consecutive epochs, further epochs move the forecast by less than
@@ -176,9 +151,9 @@ Status FeedForwardForecast::Fit(const LoadSeries& train) {
   int plateau = 0;
   for (int64_t epoch = 0; epoch < options_.epochs; ++epoch) {
     double loss = 0.0;
-    for (int64_t bi = 0; bi < n_batches; ++bi) {
-      const Matrix& x = xb[static_cast<size_t>(bi)];
-      const Matrix& t = tb[static_cast<size_t>(bi)];
+    for (size_t bi = 0; bi < xb.size(); ++bi) {
+      const Matrix& x = xb[bi];
+      const Matrix& t = tb[bi];
       const int64_t bs = x.rows();
       MatMulNT(x, w1, hidden, &hpre);
       hrelu.Resize(bs, hidden);

@@ -10,7 +10,6 @@
 #endif
 
 #include "common/logging.h"
-#include "forecast/scratch.h"
 
 namespace seagull {
 
@@ -231,8 +230,7 @@ void BuildLagGram(const double* x, int64_t n, int64_t L, Matrix* out) {
   // Hankel structure: C[a][a+d] = Σ_{t=a}^{a+k-1} x[t]·x[t+d] — one
   // prefix-sum pass over the lag-d products yields the whole d-th
   // diagonal, O(n·L) overall.
-  std::vector<double>& prefix = KernelScratch::Local().Vec(
-      kscratch::kLinalgGramPrefix, static_cast<size_t>(n) + 1);
+  std::vector<double> prefix(static_cast<size_t>(n) + 1);
   for (int64_t d = 0; d < L; ++d) {
     const int64_t products = n - d;
     prefix[0] = 0.0;
@@ -412,15 +410,12 @@ Status SymmetricEigenInPlace(Matrix* a_ptr, Matrix* vectors,
   Matrix& a = *a_ptr;
   const int64_t n = a.rows();
   if (a.cols() != n) return Status::Invalid("matrix is not square");
-  KernelScratch& scratch = KernelScratch::Local();
   // Row j of `vt` holds eigenvector j, so every rotation updates two
-  // contiguous rows. The accumulator is linalg's own scratch slot —
-  // callers passing scratch-owned outputs get a zero-alloc solve.
-  Matrix& vt = scratch.Mat(kscratch::kMatLinalgEigenVt, n, n);
+  // contiguous rows.
+  Matrix vt(n, n);
   values->resize(static_cast<size_t>(n));
   double* d = values->data();
-  std::vector<double>& work =
-      scratch.Vec(kscratch::kLinalgEigenOff, static_cast<size_t>(n));
+  std::vector<double> work(static_cast<size_t>(n));
 
   HouseholderTridiag(a, n, d, work.data());
   // The accumulated transform sits column-wise in `a`; transpose into

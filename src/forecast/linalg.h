@@ -54,7 +54,8 @@ class Matrix {
   }
 
   /// Reshapes to rows×cols and zero-fills. Keeps the existing heap
-  /// allocation when capacity suffices — the scratch-arena reuse path.
+  /// allocation when capacity suffices, so a matrix reshaped once per
+  /// batch (the feed-forward epoch loop) allocates only when it grows.
   void Resize(int64_t rows, int64_t cols) {
     rows_ = rows;
     cols_ = cols;
@@ -83,8 +84,8 @@ std::vector<double> TransposeMatVec(const Matrix& a,
 /// `a.cols()` doubles (a row-major b_rows×a.cols() block). Every output
 /// element is one 4-lane `Dot` of two contiguous rows — the natural
 /// layout for the feed-forward forward pass, whose weight matrices are
-/// stored row-major per output unit. `out` is resized (scratch-arena
-/// friendly).
+/// stored row-major per output unit. `out` is resized to
+/// a.rows()×b_rows.
 void MatMulNT(const Matrix& a, const double* b, int64_t b_rows,
               Matrix* out);
 
@@ -127,19 +128,15 @@ void SymMatVec(const Matrix& s, const double* x, double* y);
 /// Exploits the Hankel structure: C[a][b] depends only on the lag
 /// d = b−a and the offset a, so one prefix-sum pass over the products
 /// x[t]·x[t+d] per lag yields a whole diagonal — O(n·L) total instead
-/// of the O((n−L)·L²) materialized product. `out` is resized to L×L
-/// (scratch-arena friendly).
+/// of the O((n−L)·L²) materialized product. `out` is resized to L×L.
 void BuildLagGram(const double* x, int64_t n, int64_t L, Matrix* out);
 
 /// Eigendecomposition A = V diag(λ) Vᵀ of the symmetric n×n `*a`, with
 /// eigenvalues in non-increasing order: Householder tridiagonalization
 /// followed by implicit-shift QL. Consumes `*a` (overwritten), resizes
 /// `*vectors` to n×n (column j is the j-th eigenvector) and `*values`
-/// to n. The rotation accumulator lives in the calling thread's scratch
-/// arena, so passing scratch-owned outputs makes the whole
-/// decomposition heap-allocation-free at steady state — SSA, which only
-/// needs the lag-space singular vectors (the eigenvectors of AᵀA), runs
-/// it once per fit.
+/// to n. SSA, which only needs the lag-space singular vectors (the
+/// eigenvectors of AᵀA), runs it once per fit.
 Status SymmetricEigenInPlace(Matrix* a, Matrix* vectors,
                              std::vector<double>* values);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "forecast/linalg.h"
-#include "forecast/scratch.h"
 #include "timeseries/resample.h"
 
 namespace seagull {
@@ -27,19 +26,15 @@ Status SsaForecast::Fit(const LoadSeries& train) {
   // trajectory matrix A[i][j] = x_{i+j}. The Hankel structure lets
   // BuildLagGram assemble C in O(n·L) (one prefix-sum pass per lag)
   // instead of the O(K·L²) materialized product, and the
-  // eigendecomposition is O(L³) — far below a full SVD. The de-meaned
-  // series and the Gram live in the per-thread scratch arena so the
-  // training fan-out reuses them across servers.
-  KernelScratch& scratch = KernelScratch::Local();
-  std::vector<double>& x =
-      scratch.Vec(kscratch::kSsaSeries, static_cast<size_t>(n));
+  // eigendecomposition is O(L³) — far below a full SVD.
+  std::vector<double> x(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     x[static_cast<size_t>(i)] = filled.ValueAt(i) - mean_;
   }
-  Matrix& cov = scratch.Mat(kscratch::kMatSsaGram, L, L);
+  Matrix cov;
   BuildLagGram(x.data(), n, L, &cov);
-  Matrix& vectors = scratch.Mat(kscratch::kMatSsaEigVec, 0, 0);
-  std::vector<double>& values = scratch.Vec(kscratch::kSsaEigVals, 0);
+  Matrix vectors;
+  std::vector<double> values;
   SEAGULL_RETURN_NOT_OK(SymmetricEigenInPlace(&cov, &vectors, &values));
 
   // Retain leading components by energy (eigenvalues of C are squared
@@ -112,8 +107,7 @@ Result<LoadSeries> SsaForecast::Forecast(const LoadSeries& recent,
   // `start`.
   LoadSeries context =
       InterpolateMissing(recent.Slice(start - (lag + 4) * interval, start));
-  std::vector<double>& window = KernelScratch::Local().VecZero(
-      kscratch::kSsaWindow, static_cast<size_t>(lag));
+  std::vector<double> window(static_cast<size_t>(lag), 0.0);
   for (int64_t j = 0; j < lag; ++j) {
     double v = context.ValueAtTime(start - (lag - j) * interval);
     window[static_cast<size_t>(j)] = IsMissing(v) ? 0.0 : v - mean_;

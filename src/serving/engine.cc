@@ -1,6 +1,7 @@
 #include "serving/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 #include "common/fault.h"
@@ -41,6 +42,26 @@ Result<int64_t> OptionalInt64(const Json& request, const std::string& key,
                               int64_t fallback) {
   if (!request.Contains(key)) return fallback;
   return request.GetInt64(key);
+}
+
+/// The merge order of a server's pending increments: ascending seq,
+/// and for equal seqs ascending start, then sample count, then the
+/// samples' bit patterns (a missing sample is NaN, which has no order
+/// as a double). Only identical increments tie, so the merge never
+/// depends on arrival order.
+bool MergesBefore(const std::pair<int64_t, LoadSeries>& a,
+                  const std::pair<int64_t, LoadSeries>& b) {
+  const LoadSeries& x = a.second;
+  const LoadSeries& y = b.second;
+  const auto ka = std::tuple(a.first, x.start(), x.size());
+  const auto kb = std::tuple(b.first, y.start(), y.size());
+  if (ka != kb) return ka < kb;
+  for (int64_t i = 0; i < x.size(); ++i) {
+    const auto xb = std::bit_cast<uint64_t>(x.ValueAt(i));
+    const auto yb = std::bit_cast<uint64_t>(y.ValueAt(i));
+    if (xb != yb) return xb < yb;
+  }
+  return false;
 }
 
 }  // namespace
@@ -527,9 +548,7 @@ TickResult ServingEngine::Tick() {
     for (auto& [id, state] : shard->servers) {
       if (!state.pending.empty()) {
         std::sort(state.pending.begin(), state.pending.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first < b.first;
-                  });
+                  MergesBefore);
         for (auto& [seq, increment] : state.pending) {
           (void)seq;
           state.tail.MergeFrom(increment).Abort();

@@ -168,9 +168,14 @@ class ServingEngine {
   ///     auto-registered. An increment reaching more than
   ///     `kTailCapMinutes` from the server's anchor — its tail's end,
   ///     or before it has a tail the first pending increment's end —
-  ///     is rejected as OutOfRange. `seq` orders same-server merges;
-  ///     omitted seqs draw from an arrival counter (schedule-dependent
-  ///     — loadgen always assigns explicit seqs).
+  ///     is rejected as OutOfRange. `seq` orders same-server merges:
+  ///     the increment merged last wins each stamp it shares with
+  ///     another. Equal seqs merge in content order — ascending start,
+  ///     then sample count, then the samples' bit patterns (a missing
+  ///     sample is NaN and compares by its bits) — so their outcome does
+  ///     not depend on arrival order. Omitted seqs draw from an arrival
+  ///     counter (schedule-dependent — loadgen always assigns explicit
+  ///     seqs).
   /// M, H, D, B, N and a series' "start"/"interval" are read through
   /// `Json::GetInt64`: a string, a fraction or a magnitude past 2^53 is
   /// Invalid. Request lines nested deeper than `kMaxJsonDepth` are
@@ -235,7 +240,7 @@ class ServingEngine {
   struct ServerState {
     LoadSeries tail;
     /// Increments queued since the last tick, in arrival order; merged
-    /// in ascending seq order at tick time.
+    /// in ascending seq order at tick time, equal seqs by content.
     std::vector<std::pair<int64_t, LoadSeries>> pending;
     bool dirty = true;
   };

@@ -222,6 +222,17 @@ expect_bad_number "--clients must be >= 1" $LOADTEST --mode closed --clients 0
 expect_bad_number "--ticks must be >= 1" $LOADTEST --ticks 0
 expect_bad_number "--base must be >= 1" $LOADTEST --base -5
 expect_bad_number "--batch-size must be >= 1" $LOADTEST --batch-size 0
+# advise checks --start and --duration before any work. 01:75 used to
+# answer for 02:15 and exit 0, 25:00 to ask about the next day, and
+# -1:30 to fail as a window crossing the day boundary.
+ADVISE="advise --lake lake --docs docs.json --region smoke --server $SERVER"
+for start in 01:75 25:00 -1:30; do
+  expect_bad_number \
+    "--start must be HH:MM with HH in [0, 23] and MM in [0, 59]" \
+    $ADVISE --day 28 --start "$start"
+done
+expect_bad_number "--duration must be in [1, 1440]" \
+  $ADVISE --day 28 --start 12:00 --duration 0
 
 # --jobs is parsed before any work into [1, 256] (each job is one OS
 # thread). Zero, one past the ceiling and a non-integer fail with exit 1

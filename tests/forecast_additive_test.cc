@@ -226,7 +226,7 @@ Json DocWith(const std::string& key, double value) {
 TEST(AdditiveTest, DeserializeRejectsNegativeOrder) {
   // Its feature count is 2 + 0 + 2·(−1 + 0) = 0, so the empty coef
   // array matches; restored, its Forecast would write its first
-  // feature through the empty scratch vector's null pointer.
+  // feature through the empty feature vector's null pointer.
   Json doc = Json::MakeObject();
   doc["model"] = "additive";
   doc["interval"] = 5;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "forecast/scratch.h"
 #include "gtest/gtest.h"
 #include "reference/linalg_reference.h"
 
@@ -58,8 +57,8 @@ TEST(KernelMatrixTest, RowPointersAreContiguous) {
   for (int64_t r = 0; r < 5; ++r) {
     EXPECT_EQ(m.Row(r), m.Row(0) + r * 7) << "row " << r;
   }
-  // Resize within capacity must keep the allocation (the scratch-arena
-  // reuse path) and zero-fill.
+  // Resize within capacity must keep the allocation and zero-fill: the
+  // feed-forward epoch loop reshapes its batch matrices in place.
   const double* before = m.Row(0);
   m.Resize(4, 6);
   EXPECT_EQ(m.Row(0), before);
@@ -68,22 +67,10 @@ TEST(KernelMatrixTest, RowPointersAreContiguous) {
   }
 }
 
-TEST(KernelScratchTest, SlotsReuseStorageAtSteadyState) {
-  KernelScratch& scratch = KernelScratch::Local();
-  constexpr int kSlot = KernelScratch::kVecSlots - 1;  // test-only slot
-  std::vector<double>& first = scratch.Vec(kSlot, 512);
-  const double* data = first.data();
-  first.assign(512, 3.5);
-  // Re-acquiring at the same or smaller size must not reallocate.
-  EXPECT_EQ(scratch.Vec(kSlot, 512).data(), data);
-  EXPECT_EQ(scratch.Vec(kSlot, 100).data(), data);
-  EXPECT_GE(scratch.RetainedBytes(), 512 * sizeof(double));
-}
-
 /// Odd shapes with every 4-lane remainder (0..3) in the reduction and
 /// output dimensions, plus the feed-forward trainer's own shapes
 /// (batch 32 / tail 9, pooled 24, hidden 32). Each test reuses one
-/// output matrix across the list, as the trainer reuses its scratch
+/// output matrix across the list, as the trainer reuses its product
 /// matrices across batches, so a smaller product must fully overwrite
 /// a larger one.
 const int64_t kMatMulShapes[][3] = {{1, 1, 1},  {3, 5, 4},   {2, 7, 6},

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "serving_test_util.h"
@@ -451,6 +452,32 @@ TEST_F(ServingEngineTest, SeqOrderControlsMergeNotArrival) {
   ASSERT_TRUE(forecast.ok());
   // Prev-day forecast of the slot one day after the merged sample.
   EXPECT_DOUBLE_EQ(forecast->ValueAt(0), 70.0);
+}
+
+TEST_F(ServingEngineTest, EqualSeqsMergeInContentOrderNotArrival) {
+  // Three increments share one seq and overlap at stamp kMinutesPerDay,
+  // one of them with a missing sample. Every arrival order must leave
+  // the same tail and forecast.
+  const std::vector<LoadSeries> increments = {
+      OneSample(kMinutesPerDay, 70.0), OneSample(kMinutesPerDay, 30.0),
+      std::move(LoadSeries::Make(kMinutesPerDay, 5, {kMissingValue, 55.0}))
+          .ValueOrDie()};
+  auto snapshot_after = [&](const std::vector<size_t>& order) {
+    ServingEngine engine(MakePrevDayEndpoint());
+    EXPECT_TRUE(engine.Bootstrap({MakeTail("srv-a", DayOfLoad())}).ok());
+    engine.Tick();
+    for (size_t i : order) {
+      engine.Handle(IngestRequest("srv-a", 5, increments[i]));
+    }
+    EXPECT_EQ(engine.Tick().ingests_applied, 3);
+    return engine.SnapshotText();
+  };
+  std::vector<size_t> order = {0, 1, 2};
+  const std::string first = snapshot_after(order);
+  while (std::next_permutation(order.begin(), order.end())) {
+    EXPECT_EQ(snapshot_after(order), first)
+        << order[0] << order[1] << order[2];
+  }
 }
 
 TEST_F(ServingEngineTest, HostileIntegerFieldsAreInvalid) {

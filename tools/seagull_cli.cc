@@ -135,7 +135,7 @@ constexpr FlagRange kFlagRanges[] = {
     {"ticks", 1, kUnbounded},        {"base", 1, kUnbounded},
     {"clients", 1, kUnbounded},      {"batch-size", 1, kUnbounded},
     {"fault-rate", 0, 1},            {"batch-frac", 0, 1},
-    {"subscribe-frac", 0, 1}};
+    {"subscribe-frac", 0, 1},        {"duration", 1, kMinutesPerDay}};
 
 /// Checks `value` of flag `key` against its range, naming the flag and
 /// the bound: "--servers must be in [1, 1000000]", "--week must be >= 0".
@@ -602,14 +602,16 @@ int CmdAdvise(const Args& args) {
   if (day < 0) return Fail(Status::Invalid("missing required flag --day"));
   int64_t duration = args.GetInt("duration", 60);
 
-  // Parse HH:MM.
+  // Parse HH:MM, a time of day on --day.
+  const Status bad_start = Status::Invalid(
+      "--start must be HH:MM with HH in [0, 23] and MM in [0, 59]");
   auto parts = SplitString(*start_str, ':');
-  if (parts.size() != 2) {
-    return Fail(Status::Invalid("--start must be HH:MM"));
-  }
+  if (parts.size() != 2) return Fail(bad_start);
   auto hh = ParseInt64(parts[0]);
   auto mm = ParseInt64(parts[1]);
-  if (!hh.ok() || !mm.ok()) return Fail(Status::Invalid("bad --start"));
+  if (!hh.ok() || !mm.ok() || *hh < 0 || *hh > 23 || *mm < 0 || *mm > 59) {
+    return Fail(bad_start);
+  }
   MinuteStamp customer_start = day * kMinutesPerDay + *hh * 60 + *mm;
 
   auto lake = LakeStore::Open(*lake_dir);
